@@ -22,7 +22,8 @@ Subcommands
     Evaluate an efficiency-budget config (ordered ``stage_*`` keys) and
     print the per-stage report as JSON.
 
-Exit status: 0 on success, 1 on a failed fit, 2 on validation errors.
+Exit status: 0 on success, 1 on a failed fit or when any ``run`` summary
+entry fails its tolerance, 2 on validation errors.
 Errors are emitted to stderr as one JSON object ``{"error": ...}``.
 """
 
@@ -62,7 +63,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return _fail(str(exc), available_scenarios=available_scenarios())
     summary_path = result.out_dir / "summary.json"
     print(summary_path.read_text(), end="")
-    return _EXIT_OK
+    return _EXIT_OK if result.all_pass else _EXIT_FIT_FAILED
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .units import TWO_PI, fourier_limited_fwhm_hz
 
@@ -134,19 +133,17 @@ def rabi_population(t_s, omega: float, t1: float):
 def pi_pulse_calibration(omega: float, t1: float) -> dict[str, float]:
     """Duration and fidelity of the population-maximizing resonant pulse.
 
-    Located by bounded numeric maximization of ``rabi_population`` over one
-    full Rabi period (0, 2 pi / omega], which keeps the operation correct if
-    the model ever grows terms that move the extremum off omega*t = pi.
+    The damped-Rabi population has derivative
+
+        d rho_ee / dt = 1/2 * (Omega + 1/(Omega T1^2)) * sin(Omega t) * exp(-t/T1)
+
+    so on (0, 2 pi / Omega] its only maximum sits at Omega t = pi, and the
+    pi pulse is t_pi = pi / Omega exactly.
     Returns ``{"t_pi": seconds, "fidelity": population}``.
     """
-    period = TWO_PI / omega
-    result = minimize_scalar(
-        lambda t: -rabi_population(t, omega, t1),
-        bounds=(1e-6 * period, period),
-        method="bounded",
-        options={"xatol": 1e-9 * period, "maxiter": 500},
-    )
-    t_pi = float(result.x)
+    if omega <= 0.0:  # checked before the divide; rabi_population checks t1
+        raise ValueError(f"omega must be positive, got {omega}")
+    t_pi = math.pi / omega
     return {"t_pi": t_pi, "fidelity": float(rabi_population(t_pi, omega, t1))}
 
 

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import poisson
 
 from .units import db_to_fraction, fraction_to_db
 
@@ -240,15 +238,47 @@ def poisson_reference_histogram(mu: float, n_max: int | None = None, total_trial
 
     Bins run to ``n_max`` with all residual tail mass folded into the last
     bin so the counts still sum to ``total_trials`` exactly.
+
+    The pmf is evaluated in log space, exp(k log mu - mu - lgamma(k+1)),
+    because exp(-mu) mu^k / k! underflows for mu above ~745.  The tail
+    P(N > n_max) is summed forward from term n_max + 1 rather than taken
+    as 1 - head, which would lose a small tail to rounding.
     """
-    if mu < 0.0:
-        raise ValueError(f"mu must be >= 0, got {mu}")
+    if not 0.0 <= mu < math.inf:
+        raise ValueError(f"mu must be finite and >= 0, got {mu}")
     if n_max is None:
         n_max = max(20, int(mu + 10.0 * math.sqrt(mu + 1.0)))
-    pmf = poisson.pmf(np.arange(n_max + 1), mu)
-    pmf[-1] += poisson.sf(n_max, mu)
-    counts = pmf * total_trials
-    return PhotonHistogram(counts=tuple(float(c) for c in counts), total_trials=float(total_trials))
+    if mu == 0.0:
+        pmf = [1.0] + [0.0] * n_max
+    else:
+        log_mu = math.log(mu)
+        pmf = [_poisson_pmf(k, mu, log_mu) for k in range(n_max + 1)]
+        pmf[-1] += _poisson_tail_after(n_max, mu, log_mu)
+    return PhotonHistogram(
+        counts=tuple(p * total_trials for p in pmf), total_trials=float(total_trials)
+    )
+
+
+def _poisson_pmf(k: int, mu: float, log_mu: float) -> float:
+    return math.exp(k * log_mu - mu - math.lgamma(k + 1.0))
+
+
+def _poisson_tail_after(n: int, mu: float, log_mu: float) -> float:
+    """P(N > n) for N ~ Poisson(mu > 0), summed forward from term n + 1.
+
+    Each term is evaluated in log space, not as the previous term times
+    mu/j: when n is far below a large mu the first terms underflow to zero,
+    and a recurrence would stay at zero through the peak.  The sum stops
+    past the peak once a term no longer changes it.
+    """
+    tail = 0.0
+    j = n + 1
+    while True:
+        term = _poisson_pmf(j, mu, log_mu)
+        tail += term
+        if j >= mu and term <= tail * 1e-17:
+            return tail
+        j += 1
 
 
 def readout_partition_seed(seed: int, partition_index: int) -> np.random.SeedSequence:
@@ -361,15 +391,22 @@ def zero_signal_probability(p_detect: float, p_flip_bright: float, n_pulses: int
     before the flip channel on each pulse):
 
         P(0) = sum_{m=1}^{n-1} q (1-q)^(m-1) (1-p)^m  +  (1-q)^(n-1) (1-p)^n
+
+    With r = (1-q)(1-p) the geometric head is q (1-p) (1 - r^(n-1)) / (1-r).
+    Both differences are formed without cancellation: 1 - r as p + q(1-p)
+    and 1 - r^(n-1) through expm1/log1p.  Forming 1 - r directly rounds to
+    zero once p and q are both below ~1e-16.
     """
     p, q, n = p_detect, p_flip_bright, n_pulses
     if q == 0.0:
         return (1.0 - p) ** n
     if p == 0.0:
         return 1.0
-    r = (1.0 - q) * (1.0 - p)
-    head = q * (1.0 - p) * (1.0 - r ** (n - 1)) / (1.0 - r)
-    return head + r ** (n - 1) * (1.0 - p)
+    if p == 1.0 or q == 1.0:
+        return 1.0 - p  # the first pulse either detects or ends in the dark state
+    log_r_pow = (n - 1) * (math.log1p(-p) + math.log1p(-q))
+    head = q * (1.0 - p) * -math.expm1(log_r_pow) / (p + q * (1.0 - p))
+    return head + math.exp(log_r_pow) * (1.0 - p)
 
 
 def analytic_threshold_fidelity_k1(model: ReadoutModel) -> float:
@@ -436,7 +473,15 @@ def calibrate_readout_model(
                 f"target fidelity {fidelity_target} is not reachable by any flip probability"
             )
         q_hi = q_next
-    q_star = brentq(fidelity_error, 1e-12, q_hi, xtol=1e-14)
+    # The walk above leaves a sign change on [1e-12, q_hi]; ~43 halvings reach 1e-14.
+    q_lo = 1e-12
+    while q_hi - q_lo > 1e-14:
+        q_mid = 0.5 * (q_lo + q_hi)
+        if fidelity_error(q_mid) > 0.0:
+            q_lo = q_mid
+        else:
+            q_hi = q_mid
+    q_star = 0.5 * (q_lo + q_hi)
     return ReadoutModel(
         p_detect=p_detect_for(q_star),
         p_flip_bright=q_star,

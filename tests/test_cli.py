@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,6 +70,23 @@ def test_run_applies_config_overrides(capsys, tmp_path):
     five_fold = next(e for e in summary["entries"] if e["quantity"] == "five_fold_events_per_day")
     assert math.isclose(five_fold["simulated"], FIVE_FOLD_PER_DAY / 2.0, rel_tol=1e-12)
     assert five_fold["pass"] is True
+
+
+def test_run_exits_1_when_a_summary_entry_fails(capsys, tmp_path):
+    # A perfect detector moves the budget product off the paper's total.
+    code, out, err = _run(
+        capsys,
+        ["run", "table_s1", "stage_detector_efficiency=1.0", "--output-dir", str(tmp_path)],
+    )
+    assert code == 1 and err == ""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    summary = json.loads(out, parse_constant=reject)
+    assert summary["all_pass"] is False
+    failed = [e["quantity"] for e in summary["entries"] if not e["pass"]]
+    assert failed == ["total_efficiency_pct"]
 
 
 def test_run_unknown_scenario_fails_with_catalog(capsys, tmp_path):
@@ -224,3 +243,21 @@ def test_budget_subcommand_error_paths(capsys, tmp_path):
     code, _, err = _run(capsys, ["budget", str(no_stages)])
     assert code == 2
     assert "stage_" in json.loads(err)["error"]
+
+
+# --------------------------------------------------------------------------
+# import cost
+# --------------------------------------------------------------------------
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test-only dependency; importing the CLI must not pull it in."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        "import sys; import snvsim.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {probe}"],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert completed.stdout.strip() == "[]"

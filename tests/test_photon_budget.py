@@ -6,7 +6,8 @@ Dual routes:
   dynamic-programming enumeration (tests/oracles.py),
 - the Monte-Carlo sampler vs both the Binomial limit and the general DP
   distribution at 4-sigma sampling bounds,
-- Poisson reference histograms vs hand-summed Poisson series.
+- Poisson reference histograms vs hand-summed Poisson series and scipy.stats,
+- the calibration bisection vs scipy.optimize.brentq on the same function.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.stats import poisson
 
 from oracles import (
     binomial_pmf,
@@ -207,6 +210,32 @@ def test_poisson_reference_histogram_matches_series_oracle():
     assert math.isclose(math.fsum(h.counts), h.total_trials, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("mu", [0.0, 1e-3, 1.83, 50.0, 800.0])
+def test_poisson_reference_histogram_matches_scipy(mu):
+    total = 1000.0
+    h = poisson_reference_histogram(mu, total_trials=total)
+    n_max = len(h.counts) - 1
+    probabilities = h.probabilities()
+    pmf = poisson.pmf(np.arange(n_max + 1), mu)
+    # scipy evaluates the same log-space form.  At mu = 800, lgamma(k+1) ~ 6.5e3
+    # carries ~1e-12 absolute error in either implementation; scipy itself is
+    # 1.4e-12 from a 50-digit reference there, so the two agree to a few 1e-12.
+    rel_tol = 5e-12 if mu > 100.0 else 1e-12
+    for k in range(n_max):
+        if pmf[k] > 1e-300:
+            assert math.isclose(probabilities[k], pmf[k], rel_tol=rel_tol)
+    folded = pmf[n_max] + poisson.sf(n_max, mu)
+    assert math.isclose(probabilities[n_max], folded, rel_tol=1e-9, abs_tol=1e-300)
+    assert math.isclose(math.fsum(h.counts), total, rel_tol=1e-12)
+
+
+def test_poisson_reference_histogram_folds_a_tail_that_holds_the_peak():
+    h = poisson_reference_histogram(800.0, n_max=5)
+    assert math.isclose(h.probabilities()[5], poisson.sf(4, 800.0), rel_tol=1e-12)
+    with pytest.raises(ValueError, match="finite"):
+        poisson_reference_histogram(math.nan)
+
+
 def test_merge_histograms_adds_counts_and_trials():
     a = PhotonHistogram(counts=(1.0, 2.0), total_trials=3.0)
     b = PhotonHistogram(counts=(0.0, 1.0, 4.0), total_trials=5.0)
@@ -270,6 +299,10 @@ def test_mean_signal_counts_matches_dp_oracle(p_detect, p_flip, n_pulses):
     st.floats(min_value=0.0, max_value=0.3),
     st.integers(min_value=1, max_value=12),
 )
+@example(p_detect=1e-17, p_flip=5e-324, n_pulses=3)
+@example(p_detect=1e-17, p_flip=1e-17, n_pulses=3)
+@example(p_detect=1.0, p_flip=0.3, n_pulses=4)
+@example(p_detect=0.3, p_flip=1.0, n_pulses=4)
 def test_zero_signal_probability_matches_dp_oracle(p_detect, p_flip, n_pulses):
     pmf = readout_signal_distribution(p_detect, p_flip, 0.0, n_pulses, start_bright=True)
     assert math.isclose(
@@ -376,6 +409,18 @@ def test_calibrated_model_reproduces_measured_statistics():
     assert model.dark_rate == 0.13
     assert 0.0 < model.p_detect < 1.0
     assert 0.0 < model.p_flip_bright < 1.0
+
+
+def test_calibration_root_matches_scipy_brentq():
+    model = calibrate_readout_model(1.83, 0.13, 0.80, n_pulses=150)
+
+    def fidelity_error(q):
+        p_detect = (1.83 - 0.13) * q / (1.0 - (1.0 - q) ** 150)
+        trial = ReadoutModel(p_detect=p_detect, p_flip_bright=q, n_pulses=150, dark_rate=0.13)
+        return analytic_threshold_fidelity_k1(trial) - 0.80
+
+    q_star = brentq(fidelity_error, 1e-12, 0.1, xtol=1e-14)
+    assert abs(model.p_flip_bright - q_star) <= 1e-12
 
 
 def test_calibration_rejects_unreachable_targets():
