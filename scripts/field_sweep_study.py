@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """How accurately does the field-sweep pipeline recover slope and splitting vs SNR?
 
-For each requested signal-to-noise ratio the study synthesizes a full magnetic
-field sweep of the optical quartet, fits every scan with a shared-width
-four-line model, regresses the outer-line span against field, and records the
+For each requested signal-to-noise ratio the study runs ``scenarios.field_sweep``,
+the pipeline behind the fig2a scenario: it synthesizes a full magnetic field
+sweep of the optical quartet, fits every scan with a shared-width four-line
+model, and regresses the outer-line span against field.  The study records the
 recovered splitting slope and zero-field splitting.  Repeats with independent
 seeds give the spread.  Results land in sweep_results.csv / sweep_summary.json
 and a console table.
@@ -24,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from snvsim import spin_hamiltonian
-from snvsim.fitting import fit, make_lorentzian_multi
-from snvsim.spectra import SpectralLine, frequency_grid, synthesize_spectrum
+from snvsim.scenarios import field_sweep
+from snvsim.spectra import frequency_grid
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -52,28 +53,12 @@ def run_sweep(args: argparse.Namespace, snr: float, repeat: int) -> tuple[float,
     span = args.grid_span_ghz * 1e9
     x = frequency_grid(-span / 2.0, span / 2.0, args.grid_step_mhz * 1e6)
     fields = np.arange(args.n_scans) * args.field_step_mt * 1e-3
-
-    spans = np.empty(args.n_scans)
-    for k, bz in enumerate(fields):
-        detunings = spin_hamiltonian.optical_transition_detunings(transition, bz)
-        lines = [
-            SpectralLine(center_hz=c, fwhm_hz=args.linewidth_mhz * 1e6, amplitude=1.0)
-            for c in detunings
-        ]
-        scan = synthesize_spectrum(
-            lines,
-            x,
-            noise_sigma=1.0 / snr,
-            seed=np.random.SeedSequence([args.seed, int(snr * 1000), repeat, k]),
-        )
-        init = [args.linewidth_mhz * 1e6]
-        for c in detunings:
-            init += [c, 1.0]
-        result = fit(make_lorentzian_multi(n_lines=4).with_init(init), scan)
-        centers = sorted(result.params[1 + 2 * j] for j in range(4))
-        spans[k] = centers[-1] - centers[0]
-
-    slope, intercept = np.polyfit(fields, spans, 1)
+    seeds = [
+        np.random.SeedSequence([args.seed, int(snr * 1000), repeat, k])
+        for k in range(args.n_scans)
+    ]
+    sweep = field_sweep(transition, fields, x, args.linewidth_mhz * 1e6, 1.0 / snr, seeds)
+    slope, intercept = sweep.coeffs
     return float(slope), float(intercept)
 
 

@@ -13,6 +13,7 @@ Command-line overrides use the same ``key=value`` syntax.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .photon_budget import EfficiencyBudget, LossChain, LossCorrection
@@ -100,7 +101,7 @@ def _dimensioned(config: dict, base_key: str, suffixes: dict, default, unit: str
         keys = ", ".join(f"{base_key}_{s}" for s, _ in matches)
         raise ValueError(f"ambiguous {unit} key {base_key!r}: {keys} all present")
     suffix, factor = matches[0]
-    return float(config[f"{base_key}_{suffix}"]) * factor
+    return number(config, f"{base_key}_{suffix}") * factor
 
 
 def frequency_hz(config: dict, base_key: str, default: float | None = None) -> float:
@@ -124,14 +125,14 @@ def power_w(config: dict, base_key: str, default: float | None = None) -> float:
 
 
 def number(config: dict, key: str, default: float | None = None) -> float:
-    """Dimensionless numeric value."""
+    """Finite numeric value; booleans, strings, NaN and infinities are rejected."""
     if key not in config:
         if default is not None:
             return default
         raise KeyError(f"missing config key {key!r}")
     value = config[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"config key {key!r} must be numeric, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"config key {key!r} must be finite and numeric, got {value!r}")
     return float(value)
 
 

@@ -281,11 +281,6 @@ def _poisson_tail_after(n: int, mu: float, log_mu: float) -> float:
         j += 1
 
 
-def readout_partition_seed(seed: int, partition_index: int) -> np.random.SeedSequence:
-    """Deterministic sub-seed for partition ``partition_index`` of a readout run."""
-    return np.random.SeedSequence(entropy=seed, spawn_key=(partition_index,))
-
-
 def _simulate_photon_counts(
     model: ReadoutModel,
     trials: int,
@@ -319,19 +314,6 @@ def simulate_readout(model: ReadoutModel, trials: int, seed: int) -> dict[str, P
         "bright": PhotonHistogram.from_samples(bright_counts),
         "dark": PhotonHistogram.from_samples(dark_counts),
     }
-
-
-def merge_histograms(parts: list[PhotonHistogram]) -> PhotonHistogram:
-    """Combine per-partition histograms by bin-wise addition."""
-    if not parts:
-        raise ValueError("nothing to merge")
-    width = max(len(p.counts) for p in parts)
-    counts = np.zeros(width)
-    total = 0.0
-    for p in parts:
-        counts[: len(p.counts)] += p.counts
-        total += p.total_trials
-    return PhotonHistogram(counts=tuple(float(c) for c in counts), total_trials=total)
 
 
 def threshold_fidelity(bright: PhotonHistogram, dark: PhotonHistogram, k: int) -> float:
@@ -437,16 +419,17 @@ def calibrate_readout_model(
     probability the detection probability is fixed by the bright-state mean
     and the flip probability is then solved so the closed-form one-photon
     threshold fidelity matches ``fidelity_target``.  Requires the target to
-    lie below the flip-free fidelity (flips only ever hurt).
+    lie below the flip-free fidelity.  With p_detect re-fitted to the
+    bright mean the fidelity is not monotone in the flip probability (it
+    can dip and recover), so a target may have several roots; the smallest
+    is returned.
     """
     if mean_dark < 0.0 or mean_bright <= mean_dark:
         raise ValueError("need mean_bright > mean_dark >= 0")
     signal_mean = mean_bright - mean_dark
 
     def p_detect_for(q: float) -> float:
-        if q == 0.0:
-            return signal_mean / n_pulses
-        return signal_mean * q / (1.0 - (1.0 - q) ** n_pulses)
+        return signal_mean / mean_signal_counts(1.0, q, n_pulses)
 
     def fidelity_error(q: float) -> float:
         model = ReadoutModel(
@@ -463,11 +446,12 @@ def calibrate_readout_model(
             f"target fidelity {fidelity_target} exceeds the flip-free maximum "
             f"{fidelity_target + no_flip_error:.4f}"
         )
-    # The fidelity decreases from the flip-free value as q grows; bracket
-    # the root while p_detect_for(q) is still a valid probability.
-    q_hi = 0.1
+    # Walk q up in steps of 0.01, while p_detect_for(q) is still a valid
+    # probability, and bisect the first sign change: that is the smallest
+    # root unless the fidelity dips below the target and back within a step.
+    q_hi = 0.01
     while fidelity_error(q_hi) > 0.0:
-        q_next = q_hi + 0.1
+        q_next = q_hi + 0.01
         if q_next >= 1.0 or p_detect_for(q_next) > 1.0:
             raise ValueError(
                 f"target fidelity {fidelity_target} is not reachable by any flip probability"

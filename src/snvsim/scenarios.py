@@ -37,7 +37,7 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -292,6 +292,48 @@ _FIG2A_DEFAULTS = {
 }
 
 
+class FieldSweep(NamedTuple):
+    """One synthesized and fitted field sweep of the optical quartet."""
+
+    scans: list[Spectrum]
+    fits: list[FitResult]
+    centers: np.ndarray  # (n_scans, 4) fitted line centers per scan, ascending, Hz
+    spans: np.ndarray  # outer-line span per scan, Hz
+    coeffs: np.ndarray  # span regression (slope Hz/T, intercept Hz)
+    std_errors: np.ndarray  # standard errors of ``coeffs``
+
+
+def field_sweep(transition, fields_t, x_hz, fwhm_hz, noise_sigma, seeds) -> FieldSweep:
+    """Synthesize, fit and regress a magnetic-field sweep of the optical quartet.
+
+    Scan k is the four-line spectrum at ``fields_t[k]`` on the grid ``x_hz``,
+    with Gaussian noise drawn from ``seeds[k]`` alone: one seed per scan,
+    anything ``numpy.random.default_rng`` accepts, so a caller fixes the
+    stream layout and a scan is reproducible on its own.  Each scan gets a
+    shared-width four-line Lorentzian fit started from the true detunings,
+    and the outer-line span is regressed linearly on field.  The regression
+    needs at least 3 scans to estimate standard errors.
+    """
+    if len(fields_t) < 3:
+        raise ValueError(f"a field sweep needs at least 3 scans, got {len(fields_t)}")
+    scans, fits, centers = [], [], []
+    for bz, seed in zip(fields_t, seeds, strict=True):
+        detunings = spin_hamiltonian.optical_transition_detunings(transition, bz)
+        lines = [SpectralLine(center_hz=c, fwhm_hz=fwhm_hz, amplitude=1.0) for c in detunings]
+        scan = synthesize_spectrum(lines, x_hz, noise_sigma=noise_sigma, seed=seed)
+        init = [fwhm_hz]
+        for c in detunings:
+            init += [c, 1.0]
+        result = fit(make_lorentzian_multi(n_lines=4).with_init(init), scan)
+        scans.append(scan)
+        fits.append(result)
+        centers.append(np.sort([result.params[1 + 2 * j] for j in range(4)]))
+    centers = np.array(centers)
+    spans = centers[:, -1] - centers[:, 0]
+    coeffs, cov = np.polyfit(fields_t, spans, 1, cov=True)
+    return FieldSweep(scans, fits, centers, spans, coeffs, np.sqrt(np.diag(cov)))
+
+
 def _run_fig2a(cfg: dict, out_dir: Path):
     """Streams: k = noise of scan k (k = 0 .. n_scans-1)."""
     seed = integer(cfg, "seed")
@@ -307,41 +349,28 @@ def _run_fig2a(cfg: dict, out_dir: Path):
 
     transition = spin_hamiltonian.OpticalTransitionParams.from_cyclic_hz(split, slope)
     x = frequency_grid(-span / 2.0, span / 2.0, step)
-    scans_dir = out_dir / "scans"
-    scans_dir.mkdir(exist_ok=True)
-
     fields = np.array([b_start + k * b_step for k in range(n_scans)])
-    manifest_rows = []
-    center_rows = []
-    spans = np.empty(n_scans)
-    for k, bz in enumerate(fields):
-        detunings = spin_hamiltonian.optical_transition_detunings(transition, bz)
-        lines = [SpectralLine(center_hz=c, fwhm_hz=fwhm, amplitude=1.0) for c in detunings]
-        spectrum = synthesize_spectrum(lines, x, noise_sigma=1.0 / snr, seed=_stream(seed, k))
-        filename = f"scan_{k:02d}.csv"
-        write_spectrum_csv(spectrum, scans_dir / filename)
-        manifest_rows.append((k, f"scans/{filename}", bz * 1e3))
-
-        init = [fwhm]
-        for c in detunings:
-            init += [c, 1.0]
-        model = make_lorentzian_multi(n_lines=4).with_init(init)
-        result = fit(model, spectrum)
-        centers = np.sort([result.params[1 + 2 * j] for j in range(4)])
-        spans[k] = centers[-1] - centers[0]
-        center_rows.append((k, bz * 1e3, *centers, spans[k], result.status))
-
-    coeffs, cov = np.polyfit(fields, spans, 1, cov=True)
-    slope_fit, intercept_fit = coeffs
-    slope_se, intercept_se = np.sqrt(np.diag(cov))
+    sweep = field_sweep(
+        transition, fields, x, fwhm, 1.0 / snr, [_stream(seed, k) for k in range(n_scans)]
+    )
+    slope_fit, intercept_fit = sweep.coeffs
+    slope_se, intercept_se = sweep.std_errors
     crossing_mt = spin_hamiltonian.inner_line_crossing_field_t(transition) * 1e3
 
-    _write_csv(out_dir / "manifest.csv", ["order", "file", "field_mt"], manifest_rows)
+    (out_dir / "scans").mkdir(exist_ok=True)
+    files = [f"scans/scan_{k:02d}.csv" for k in range(n_scans)]
+    for scan, name in zip(sweep.scans, files):
+        write_spectrum_csv(scan, out_dir / name)
+    manifest = zip(range(n_scans), files, fields * 1e3)
+    _write_csv(out_dir / "manifest.csv", ["order", "file", "field_mt"], manifest)
     _write_csv(
         out_dir / "line_centers.csv",
         ["scan", "field_mt", "center_1_hz", "center_2_hz", "center_3_hz", "center_4_hz",
          "span_hz", "fit_status"],
-        center_rows,
+        [
+            (k, fields[k] * 1e3, *sweep.centers[k], sweep.spans[k], sweep.fits[k].status)
+            for k in range(n_scans)
+        ],
     )
     _write_json(
         out_dir / "span_regression.json",
@@ -716,9 +745,7 @@ def _run_fig3c(cfg: dict, out_dir: Path):
     ]
     _write_csv(out_dir / "coincidences.csv", ["n", "expected_events"], zip(folds, expected))
 
-    five_fold = expected[-1] if max_fold == 5 else photon_budget.nfold_coincidence_expectation(
-        rate, eta, duty, duration, 5
-    )
+    five_fold = photon_budget.nfold_coincidence_expectation(rate, eta, duty, 86400.0, 5)
     rows = [
         summary_row(
             "five_fold_events_per_day",

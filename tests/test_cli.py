@@ -67,8 +67,23 @@ def test_run_applies_config_overrides(capsys, tmp_path):
     assert code == 0
     summary = json.loads(out)
     assert math.isclose(summary["config"]["duration_s"], 43200, rel_tol=0)
+    # The artifact holds the expectation over the configured half day ...
+    last_row = (tmp_path / "half" / "fig3c" / "coincidences.csv").read_text().splitlines()[-1]
+    assert last_row.startswith("5,")
+    assert math.isclose(float(last_row.split(",")[1]), FIVE_FOLD_PER_DAY / 2.0, rel_tol=1e-12)
+    # ... while the summary row stays a per-day rate.
     five_fold = next(e for e in summary["entries"] if e["quantity"] == "five_fold_events_per_day")
-    assert math.isclose(five_fold["simulated"], FIVE_FOLD_PER_DAY / 2.0, rel_tol=1e-12)
+    assert math.isclose(five_fold["simulated"], FIVE_FOLD_PER_DAY, rel_tol=1e-12)
+    assert five_fold["pass"] is True
+
+
+@pytest.mark.parametrize("override", ["duration_s=3600", "max_fold=3"])
+def test_fig3c_reports_a_per_day_rate_for_any_duration_and_fold_range(capsys, tmp_path, override):
+    code, out, err = _run(capsys, ["run", "fig3c", override, "--output-dir", str(tmp_path)])
+    assert code == 0 and err == ""
+    summary = json.loads(out)
+    five_fold = next(e for e in summary["entries"] if e["quantity"] == "five_fold_events_per_day")
+    assert math.isclose(five_fold["simulated"], FIVE_FOLD_PER_DAY, rel_tol=1e-12)
     assert five_fold["pass"] is True
 
 
@@ -109,6 +124,28 @@ def test_run_malformed_override_fails(capsys, tmp_path):
     code, _, err = _run(capsys, ["run", "g2", "seed:7", "--output-dir", str(tmp_path)])
     assert code == 2
     assert "key=value" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "scenario, override",
+    [("fig2a", "snr=nan"), ("fig1e", "linewidth_mhz=true"), ("fig1e", "linewidth_mhz=inf")],
+)
+def test_run_rejects_non_finite_and_boolean_numbers(capsys, tmp_path, scenario, override):
+    key = override.partition("=")[0]
+    code, out, err = _run(capsys, ["run", scenario, override, "--output-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert key in json.loads(err)["error"]
+
+
+def test_fig2a_with_too_few_scans_fails_with_a_plain_error(capsys, tmp_path):
+    for n_scans in (1, 2):
+        code, out, err = _run(
+            capsys, ["run", "fig2a", f"n_scans={n_scans}", "--output-dir", str(tmp_path)]
+        )
+        assert code == 2 and out == ""
+        message = json.loads(err)["error"]
+        assert "at least 3 scans" in message
+        assert "SVD" not in message and "covariance" not in message
 
 
 def test_output_dir_env_var_and_flag_precedence(capsys, tmp_path, monkeypatch):

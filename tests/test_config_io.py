@@ -111,6 +111,9 @@ def test_dimensioned_getter_defaults_ambiguity_and_missing():
         frequency_hz({}, "linewidth")
     with pytest.raises(ValueError, match="ambiguous"):
         frequency_hz({"linewidth_mhz": 70, "linewidth_ghz": 0.07}, "linewidth")
+    for bad in (True, "70", math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="linewidth_mhz"):
+            frequency_hz({"linewidth_mhz": bad}, "linewidth")
 
 
 def test_plain_numeric_getters():
@@ -122,6 +125,9 @@ def test_plain_numeric_getters():
         number({"x": "word"}, "x")
     with pytest.raises(ValueError, match="numeric"):
         number({"x": True}, "x")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            number({"x": bad}, "x")
     assert integer({"n": 10}, "n") == 10
     with pytest.raises(ValueError, match="integer"):
         integer({"n": 2.5}, "n")

@@ -39,11 +39,9 @@ from snvsim.photon_budget import (
     budget_report,
     calibrate_readout_model,
     mean_signal_counts,
-    merge_histograms,
     nfold_coincidence_expectation,
     optimal_threshold,
     poisson_reference_histogram,
-    readout_partition_seed,
     simulate_readout,
     single_pass_from_roundtrip,
     taper_half_angle_deg,
@@ -236,16 +234,6 @@ def test_poisson_reference_histogram_folds_a_tail_that_holds_the_peak():
         poisson_reference_histogram(math.nan)
 
 
-def test_merge_histograms_adds_counts_and_trials():
-    a = PhotonHistogram(counts=(1.0, 2.0), total_trials=3.0)
-    b = PhotonHistogram(counts=(0.0, 1.0, 4.0), total_trials=5.0)
-    merged = merge_histograms([a, b])
-    assert merged.counts == (1.0, 3.0, 4.0)
-    assert merged.total_trials == 8.0
-    with pytest.raises(ValueError, match="nothing"):
-        merge_histograms([])
-
-
 # --------------------------------------------------------------------------
 # Threshold discrimination
 # --------------------------------------------------------------------------
@@ -339,14 +327,6 @@ def test_simulate_readout_is_bit_reproducible():
     assert first["bright"].counts != different["bright"].counts
 
 
-def test_partition_seeds_are_distinct_and_deterministic():
-    a0 = readout_partition_seed(7, 0).generate_state(4)
-    a0_again = readout_partition_seed(7, 0).generate_state(4)
-    a1 = readout_partition_seed(7, 1).generate_state(4)
-    assert np.array_equal(a0, a0_again)
-    assert not np.array_equal(a0, a1)
-
-
 def test_monte_carlo_matches_binomial_when_flips_and_background_off():
     """Spec invariant: mean and variance within 4 sigma of Binomial(n, p)."""
     n_pulses, p, trials = 40, 0.05, 100_000
@@ -421,6 +401,16 @@ def test_calibration_root_matches_scipy_brentq():
 
     q_star = brentq(fidelity_error, 1e-12, 0.1, xtol=1e-14)
     assert abs(model.p_flip_bright - q_star) <= 1e-12
+
+
+def test_calibration_returns_the_smallest_root_past_a_fidelity_dip():
+    # For these means F(k=1) dips to ~0.783 near q ~ 0.03 and recovers, so 0.79
+    # has roots at q ~ 0.0149 and q ~ 0.0743; the smaller one is returned.
+    model = calibrate_readout_model(1.83, 0.13, 0.79, n_pulses=150)
+    assert math.isclose(analytic_threshold_fidelity_k1(model), 0.79, rel_tol=1e-10)
+    signal = mean_signal_counts(model.p_detect, model.p_flip_bright, model.n_pulses)
+    assert math.isclose(signal + model.dark_rate, 1.83, rel_tol=1e-9)
+    assert 0.0 < model.p_flip_bright < 0.03
 
 
 def test_calibration_rejects_unreachable_targets():

@@ -1,0 +1,88 @@
+"""The experiment scripts under ``scripts/``, each loaded by path and run via ``main(argv)``."""
+
+from __future__ import annotations
+
+import csv
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from snvsim import spin_hamiltonian
+from snvsim.scenarios import field_sweep
+from snvsim.spectra import frequency_grid
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"script_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(autouse=True)
+def _isolated_cwd(tmp_path, monkeypatch):
+    """Keep default-path writes out of the working tree."""
+    monkeypatch.chdir(tmp_path)
+
+
+def test_field_sweep_study_row_equals_a_direct_field_sweep(tmp_path, capsys):
+    study = _load("field_sweep_study")
+    out = tmp_path / "sweep"
+    argv = ["--snr", "10", "--repeats", "1", "--n-scans", "6", "--output-dir", str(out)]
+    assert study.main(argv) == 0
+    assert "wrote" in capsys.readouterr().out
+    with open(out / "sweep_results.csv", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert rows[0] == ["snr", "repeat", "slope_ghz_per_t", "intercept_mhz"]
+    assert len(rows) == 2
+
+    # The script's defaults, converted as the script converts them: 452 MHz,
+    # 5.41 GHz/T, 70 MHz lines, 2.4 GHz span in 5 MHz steps, 4.3 mT field steps,
+    # seed 2026; the noise streams are keyed by (seed, snr * 1000, repeat, scan).
+    transition = spin_hamiltonian.OpticalTransitionParams.from_cyclic_hz(452.0 * 1e6, 5.41 * 1e9)
+    span = 2.4 * 1e9
+    x = frequency_grid(-span / 2.0, span / 2.0, 5.0 * 1e6)
+    seeds = [np.random.SeedSequence([2026, 10_000, 0, k]) for k in range(6)]
+    sweep = field_sweep(transition, np.arange(6) * 4.3 * 1e-3, x, 70.0 * 1e6, 1.0 / 10.0, seeds)
+    slope, intercept = sweep.coeffs
+    assert float(rows[1][2]) == float(slope) / 1e9
+    assert float(rows[1][3]) == float(intercept) / 1e6
+
+    summary = json.loads((out / "sweep_summary.json").read_text())
+    assert [entry["snr"] for entry in summary["per_snr"]] == [10.0]
+
+
+def test_field_sweep_study_needs_three_scans(tmp_path):
+    study = _load("field_sweep_study")
+    with pytest.raises(ValueError, match="at least 3 scans"):
+        study.main(["--n-scans", "2", "--repeats", "1", "--output-dir", str(tmp_path)])
+
+
+def test_readout_threshold_study_table_and_poisson_optimum(tmp_path, capsys):
+    study = _load("readout_threshold_study")
+    argv = ["--trials", "2000", "--k-max", "4", "--output-dir", str(tmp_path)]
+    assert study.main(argv) == 0
+    capsys.readouterr()
+    payload = json.loads((tmp_path / "threshold_study.json").read_text())
+    assert [row["k"] for row in payload["threshold_table"]] == [0, 1, 2, 3, 4]
+    assert payload["optimal_poisson"]["k"] == 1
+    assert payload["threshold_table"][0]["fidelity_mc"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["g2", "isotopes"], 0),
+        (["no_such_scenario"], 2),
+        (["g2", "--set", "background=0.6"], 1),
+    ],
+)
+def test_run_all_scenarios_exit_codes(tmp_path, capsys, argv, code):
+    runner = _load("run_all_scenarios")
+    assert runner.main([*argv, "--output-dir", str(tmp_path)]) == code
+    capsys.readouterr()
