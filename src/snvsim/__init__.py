@@ -15,8 +15,8 @@ Layers (each imports only the ones above it):
 * :mod:`snvsim.fitting` — damped least-squares engine and the named model
   registry.
 * :mod:`snvsim.spectra` — spectrum synthesis, drift, averaging, CSV io.
-* :mod:`snvsim.config` — declarative key-value configs with unit-annotated
-  keys.
+* :mod:`snvsim.config` — key-value configs and the domains their values are
+  checked against.
 * :mod:`snvsim.scenarios` — named desk-scale experiment reproductions.
 * :mod:`snvsim.cli` — the ``snvsim`` command-line interface.
 """

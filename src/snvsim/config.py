@@ -1,27 +1,24 @@
-"""Declarative key-value configuration with unit-annotated keys.
+"""Key-value configuration and the domains its values are checked against.
 
 Config files are plain ``key = value`` lines (``#`` comments, blank lines
-ignored); values parse as int, float, bool, or string.  Dimensioned
-quantities annotate their unit in the key suffix — ``lambda_so_ghz = 850``,
-``pulse_spacing_ns = 100`` — and the typed getters below locate whichever
-annotated spelling is present and convert to base units (Hz, s, T, W).
-Insertion order is preserved, which ordered consumers (efficiency budgets,
-loss chains) rely on.
+ignored); values parse as int, float, bool, or string.  Insertion order is
+preserved, which ordered consumers (efficiency budgets, loss chains) rely
+on.  Command-line overrides use the same ``key=value`` syntax.
 
-Command-line overrides use the same ``key=value`` syntax.
+Each scenario key has one spelling and a :class:`Domain`; a dimensioned
+key carries its unit in the suffix (``linewidth_mhz``, ``step_ns``), and
+:func:`in_base_units` strips the suffix and converts the value to base
+units (Hz, s, T, W, 1/s).  A value outside its domain is a ``ValueError``
+that names the key.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .photon_budget import EfficiencyBudget, LossChain, LossCorrection
-
-FREQUENCY_SUFFIXES = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9, "thz": 1e12}
-TIME_SUFFIXES = {"s": 1.0, "ms": 1e-3, "us": 1e-6, "ns": 1e-9, "ps": 1e-12}
-FIELD_SUFFIXES = {"t": 1.0, "mt": 1e-3, "ut": 1e-6}
-POWER_SUFFIXES = {"w": 1.0, "mw": 1e-3, "uw": 1e-6, "nw": 1e-9, "pw": 1e-12}
 
 
 def parse_value(text: str):
@@ -86,74 +83,71 @@ def merged(base: dict, overrides: dict) -> dict:
     return out
 
 
-def _dimensioned(config: dict, base_key: str, suffixes: dict, default, unit: str):
-    matches = [
-        (suffix, factor)
-        for suffix, factor in suffixes.items()
-        if f"{base_key}_{suffix}" in config
-    ]
-    if not matches:
-        if default is not None:
-            return default
-        spellings = ", ".join(f"{base_key}_{s}" for s in suffixes)
-        raise KeyError(f"missing {unit} key {base_key!r} (looked for {spellings})")
-    if len(matches) > 1:
-        keys = ", ".join(f"{base_key}_{s}" for s, _ in matches)
-        raise ValueError(f"ambiguous {unit} key {base_key!r}: {keys} all present")
-    suffix, factor = matches[0]
-    return number(config, f"{base_key}_{suffix}") * factor
+class Domain(NamedTuple):
+    """What one config key may hold: a Python type, a range test and its wording."""
+
+    kind: type  # int, float or str; a float key also takes an int
+    test: Callable[[object], bool]
+    text: str
+
+    def check(self, key: str, value):
+        """``value`` converted to ``kind``, or a ``ValueError`` naming ``key``."""
+        types = (int, float) if self.kind is float else self.kind
+        try:
+            ok = isinstance(value, types) and not isinstance(value, bool) and self.test(value)
+        except OverflowError:  # an integer too large for a float
+            ok = False
+        if not ok:
+            raise ValueError(f"config key {key!r} must be {self.text}, got {value!r}")
+        return self.kind(value)
 
 
-def frequency_hz(config: dict, base_key: str, default: float | None = None) -> float:
-    """Frequency named ``<base_key>_<hz|khz|mhz|ghz|thz>``, converted to Hz."""
-    return _dimensioned(config, base_key, FREQUENCY_SUFFIXES, default, "frequency")
+SEED = Domain(int, lambda v: v >= 0, "an integer >= 0")
+REAL = Domain(float, math.isfinite, "a finite number")
+POSITIVE = Domain(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+NON_NEGATIVE = Domain(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
+FRACTION = Domain(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
+OPEN_FRACTION = Domain(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 
 
-def time_s(config: dict, base_key: str, default: float | None = None) -> float:
-    """Duration named ``<base_key>_<s|ms|us|ns|ps>``, converted to seconds."""
-    return _dimensioned(config, base_key, TIME_SUFFIXES, default, "time")
+def count(minimum: int) -> Domain:
+    """Integers from ``minimum`` up."""
+    return Domain(int, lambda v: v >= minimum, f"an integer >= {minimum}")
 
 
-def field_t(config: dict, base_key: str, default: float | None = None) -> float:
-    """Magnetic field named ``<base_key>_<t|mt|ut>``, converted to tesla."""
-    return _dimensioned(config, base_key, FIELD_SUFFIXES, default, "field")
+def choice(*options: str) -> Domain:
+    """One of the given strings."""
+    return Domain(str, lambda v: v in options, "one of " + ", ".join(options))
 
 
-def power_w(config: dict, base_key: str, default: float | None = None) -> float:
-    """Power named ``<base_key>_<w|mw|uw|nw|pw>``, converted to watts."""
-    return _dimensioned(config, base_key, POWER_SUFFIXES, default, "power")
+def _is_finite_number(token: str) -> bool:
+    try:
+        return math.isfinite(float(token))
+    except ValueError:
+        return False
 
 
-def number(config: dict, key: str, default: float | None = None) -> float:
-    """Finite numeric value; booleans, strings, NaN and infinities are rejected."""
-    if key not in config:
-        if default is not None:
-            return default
-        raise KeyError(f"missing config key {key!r}")
-    value = config[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"config key {key!r} must be finite and numeric, got {value!r}")
-    return float(value)
+#: A loss-chain correction; :class:`~snvsim.photon_budget.LossCorrection`
+#: judges the kind and the range.
+CORRECTION = Domain(
+    str,
+    lambda v: len(v.split()) in (2, 3) and all(map(_is_finite_number, v.split()[1:])),
+    "'<kind> <value> [length_m]' with finite numbers",
+)
+
+#: Factor from each unit suffix a scenario key carries to base units.
+UNIT_FACTORS = {
+    "ghz": 1e9, "mhz": 1e6, "ghz_per_t": 1e9, "mcps": 1e6,
+    "s": 1.0, "us": 1e-6, "ns": 1e-9, "mt": 1e-3, "pw": 1e-12,
+}
 
 
-def integer(config: dict, key: str, default: int | None = None) -> int:
-    """Integer value (counts, seeds)."""
-    if key not in config:
-        if default is not None:
-            return default
-        raise KeyError(f"missing config key {key!r}")
-    value = config[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def fraction(config: dict, key: str, default: float | None = None) -> float:
-    """Numeric value validated to lie in [0, 1]."""
-    value = number(config, key, default)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"config key {key!r} must be in [0, 1], got {value}")
-    return value
+def in_base_units(key: str, value) -> tuple[str, object]:
+    """``(name, value)``: a unit suffix stripped from ``key`` and applied to ``value``."""
+    for suffix, factor in UNIT_FACTORS.items():
+        if key.endswith("_" + suffix):
+            return key[: -len(suffix) - 1], value * factor
+    return key, value
 
 
 #: Prefix marking ordered efficiency stages in a budget config.
@@ -166,7 +160,7 @@ CORRECTION_PREFIX = "correction_"
 def budget_from_config(config: dict) -> EfficiencyBudget:
     """Build an efficiency budget from ``stage_<name> = fraction`` keys, in file order."""
     stages = [
-        (key[len(STAGE_PREFIX):], float(value))
+        (key[len(STAGE_PREFIX):], OPEN_FRACTION.check(key, value))
         for key, value in config.items()
         if key.startswith(STAGE_PREFIX)
     ]
@@ -182,19 +176,17 @@ def loss_chain_from_config(config: dict) -> LossChain:
     ``correction_<name> = <kind> <value> [length_m]`` with kind one of
     fraction / db / db_per_km.
     """
-    roundtrip = number(config, "measured_roundtrip")
+    roundtrip = OPEN_FRACTION.check("measured_roundtrip", config.get("measured_roundtrip"))
     corrections = []
     for key, value in config.items():
-        if not key.startswith(CORRECTION_PREFIX):
-            continue
-        name = key[len(CORRECTION_PREFIX):]
-        parts = str(value).split()
-        if len(parts) not in (2, 3):
-            raise ValueError(
-                f"correction {name!r} must be '<kind> <value> [length_m]', got {value!r}"
+        if key.startswith(CORRECTION_PREFIX):
+            kind, *numbers = CORRECTION.check(key, value).split()
+            corrections.append(
+                LossCorrection(
+                    name=key[len(CORRECTION_PREFIX):],
+                    kind=kind,
+                    value=float(numbers[0]),
+                    length_m=float(numbers[1]) if len(numbers) == 2 else 0.0,
+                )
             )
-        kind = parts[0]
-        magnitude = float(parts[1])
-        length_m = float(parts[2]) if len(parts) == 3 else 0.0
-        corrections.append(LossCorrection(name=name, kind=kind, value=magnitude, length_m=length_m))
     return LossChain(measured_roundtrip=roundtrip, corrections=tuple(corrections))

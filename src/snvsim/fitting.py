@@ -114,16 +114,20 @@ class FitResult:
     message: str = ""
 
     def as_dict(self) -> dict:
-        """JSON-ready summary of the fit."""
+        """JSON-ready summary of the fit; a non-finite number becomes ``None``."""
         return {
-            "params": list(self.params),
-            "uncertainties": list(self.uncertainties),
-            "cost": self.cost,
-            "residual_norm": self.residual_norm,
+            "params": [_finite_or_none(v) for v in self.params],
+            "uncertainties": [_finite_or_none(v) for v in self.uncertainties],
+            "cost": _finite_or_none(self.cost),
+            "residual_norm": _finite_or_none(self.residual_norm),
             "status": self.status,
             "iterations": self.iterations,
             "message": self.message,
         }
+
+
+def _finite_or_none(value: float) -> float | None:
+    return value if math.isfinite(value) else None
 
 
 def poisson_sigma(y) -> np.ndarray:

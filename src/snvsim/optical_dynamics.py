@@ -189,9 +189,9 @@ def pumping_fidelity(t_s, pm: PumpingModel):
 
 def pumping_time_constant(t_s: float, fidelity: float, f_infinity: float, f0: float = 0.5) -> float:
     """Calibrate the pumping time constant from one (duration, fidelity) point."""
-    if not f0 <= fidelity < f_infinity:
+    if not f0 < fidelity < f_infinity:
         raise ValueError(
-            f"fidelity {fidelity} must lie in [{f0}, {f_infinity}) to be reachable"
+            f"fidelity {fidelity} must lie in ({f0}, {f_infinity}) to be reachable"
         )
     return t_s / math.log((f_infinity - f0) / (f_infinity - fidelity))
 

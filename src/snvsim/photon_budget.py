@@ -130,7 +130,10 @@ def apply_loss_chain(chain: LossChain) -> float:
     """
     efficiency = single_pass_from_roundtrip(chain.measured_roundtrip)
     for correction in chain.corrections:
-        efficiency /= correction.transmission()
+        transmission = correction.transmission()
+        if transmission == 0.0:  # a dB loss so large that 10^(-dB/10) underflows
+            raise ValueError(f"loss chain inconsistent: correction {correction.name!r} transmits 0")
+        efficiency /= transmission
     if efficiency > 1.0:
         raise ValueError(
             f"loss chain inconsistent: corrections imply coupling efficiency {efficiency:.4g} > 1"

@@ -24,10 +24,13 @@ Output locations
 
 Configuration
 -------------
-Every scenario has a complete built-in default config (dimensioned keys
-carry unit suffixes, e.g. ``linewidth_mhz``).  A config file selects its
-scenario with a ``scenario = <name>`` key; command-line ``key=value``
-pairs override both.  Unknown keys are rejected.
+Every scenario declares its keys once, in one table: key -> (default,
+domain).  Each key has one spelling; a dimensioned key carries its unit in
+the suffix (``linewidth_mhz``).  A config file selects its scenario with a
+``scenario = <name>`` key; command-line ``key=value`` pairs override both.
+Unknown keys and values outside their domain are rejected before anything
+is written; the runner gets the checked values in base units, under the
+key with its unit suffix stripped (``cfg["linewidth"]`` in Hz).
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ import numpy as np
 
 from . import config as config_mod
 from . import optical_dynamics, photon_budget, spin_hamiltonian, waveguide_qed
-from .config import field_t, fraction, frequency_hz, integer, number, time_s
+from .config import (
+    CORRECTION, FRACTION, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, REAL, SEED, choice, count,
+)
 from .fitting import (
     FitResult,
     fit,
@@ -104,7 +109,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a NaN or infinity left in ``payload`` is an error, not output."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path.name}: {exc}") from None
+    path.write_text(text + "\n")
 
 
 def summary_row(
@@ -144,8 +154,13 @@ class Scenario:
 
     name: str
     description: str
-    defaults: dict
+    keys: dict  # key -> (default, Domain), in config order
     runner: Callable[[dict, Path], tuple[list, dict, list]]
+
+    @property
+    def defaults(self) -> dict:
+        """``{key: default}`` in config order."""
+        return {key: default for key, (default, _) in self.keys.items()}
 
 
 @dataclass(frozen=True)
@@ -167,24 +182,23 @@ class ScenarioResult:
 # fig1d — inhomogeneous ensemble
 
 
-_FIG1D_DEFAULTS = {
-    "seed": 11,
-    "n_emitters": 10000,
-    "inhomogeneous_fwhm_ghz": 90.0,
-    "hyperfine_splitting_mhz": 452.0,
-    "bin_width_ghz": 2.0,
+_FIG1D_KEYS = {
+    "seed": (11, SEED),
+    "n_emitters": (10000, count(2)),
+    "inhomogeneous_fwhm_ghz": (90.0, POSITIVE),
+    "hyperfine_splitting_mhz": (452.0, REAL),
+    "bin_width_ghz": (2.0, POSITIVE),
 }
 
 
 def _run_fig1d(cfg: dict, out_dir: Path):
     """Streams: 0 = emitter ensemble draw."""
-    seed = integer(cfg, "seed")
-    n = integer(cfg, "n_emitters")
-    fwhm = frequency_hz(cfg, "inhomogeneous_fwhm")
-    split = frequency_hz(cfg, "hyperfine_splitting")
-    bin_width = frequency_hz(cfg, "bin_width")
+    n = cfg["n_emitters"]
+    fwhm = cfg["inhomogeneous_fwhm"]
+    split = cfg["hyperfine_splitting"]
+    bin_width = cfg["bin_width"]
 
-    pairs = sample_inhomogeneous_ensemble(0.0, fwhm, n, split, seed=_stream(seed, 0))
+    pairs = sample_inhomogeneous_ensemble(0.0, fwhm, n, split, seed=_stream(cfg["seed"], 0))
     centers = np.array([(lo.center_hz + hi.center_hz) / 2.0 for lo, hi in pairs])
     empirical_fwhm = sigma_to_fwhm(float(np.std(centers, ddof=1)))
     edges = np.arange(-2.5 * fwhm, 2.5 * fwhm + bin_width, bin_width)
@@ -216,37 +230,34 @@ def _run_fig1d(cfg: dict, out_dir: Path):
 # fig1e — zero-field doublet
 
 
-_FIG1E_DEFAULTS = {
-    "seed": 12,
-    "zero_field_splitting_mhz": 452.0,
-    "slope_ghz_per_t": 5.41,
-    "linewidth_mhz": 70.0,
-    "snr": 20.0,
-    "grid_span_mhz": 1600.0,
-    "grid_step_mhz": 2.0,
+_FIG1E_KEYS = {
+    "seed": (12, SEED),
+    "zero_field_splitting_mhz": (452.0, POSITIVE),
+    "slope_ghz_per_t": (5.41, REAL),  # unused at zero field
+    "linewidth_mhz": (70.0, POSITIVE),
+    "snr": (20.0, POSITIVE),
+    "grid_span_mhz": (1600.0, POSITIVE),
+    "grid_step_mhz": (2.0, POSITIVE),
 }
 
 
 def _run_fig1e(cfg: dict, out_dir: Path):
     """Streams: 0 = spectrum noise."""
-    seed = integer(cfg, "seed")
-    split = frequency_hz(cfg, "zero_field_splitting")
-    slope = number(cfg, "slope_ghz_per_t") * 1e9
-    fwhm = frequency_hz(cfg, "linewidth")
-    snr = number(cfg, "snr")
-    span = frequency_hz(cfg, "grid_span")
-    step = frequency_hz(cfg, "grid_step")
+    seed = cfg["seed"]
+    split = cfg["zero_field_splitting"]
+    fwhm = cfg["linewidth"]
+    span = cfg["grid_span"]
 
     params = spin_hamiltonian.sn117_ground()
     hamiltonian = spin_hamiltonian.build_ground_hamiltonian(params, (0.0, 0.0, 0.0))
     energies = spin_hamiltonian.eigenenergies_hz(hamiltonian)
     _write_csv(out_dir / "levels.csv", ["level", "energy_hz"], enumerate(energies))
 
-    transition = spin_hamiltonian.OpticalTransitionParams.from_cyclic_hz(split, slope)
+    transition = spin_hamiltonian.OpticalTransitionParams.from_cyclic_hz(split, cfg["slope"])
     detunings = spin_hamiltonian.optical_transition_detunings(transition, 0.0)
     lines = [SpectralLine(center_hz=c, fwhm_hz=fwhm, amplitude=0.5) for c in detunings]
-    x = frequency_grid(-span / 2.0, span / 2.0, step)
-    spectrum = synthesize_spectrum(lines, x, noise_sigma=1.0 / snr, seed=_stream(seed, 0))
+    x = frequency_grid(-span / 2.0, span / 2.0, cfg["grid_step"])
+    spectrum = synthesize_spectrum(lines, x, noise_sigma=1.0 / cfg["snr"], seed=_stream(seed, 0))
     write_spectrum_csv(spectrum, out_dir / "spectrum.csv")
 
     model = make_lorentzian_multi(n_lines=2).with_init(
@@ -278,17 +289,17 @@ def _run_fig1e(cfg: dict, out_dir: Path):
 # fig2a — field sweep of the optical quartet
 
 
-_FIG2A_DEFAULTS = {
-    "seed": 21,
-    "n_scans": 35,
-    "field_start_mt": 0.0,
-    "field_step_mt": 4.3,
-    "zero_field_splitting_mhz": 452.0,
-    "slope_ghz_per_t": 5.41,
-    "linewidth_mhz": 70.0,
-    "snr": 15.0,
-    "grid_span_ghz": 2.4,
-    "grid_step_mhz": 5.0,
+_FIG2A_KEYS = {
+    "seed": (21, SEED),
+    "n_scans": (35, count(3)),
+    "field_start_mt": (0.0, REAL),
+    "field_step_mt": (4.3, POSITIVE),
+    "zero_field_splitting_mhz": (452.0, POSITIVE),
+    "slope_ghz_per_t": (5.41, POSITIVE),
+    "linewidth_mhz": (70.0, POSITIVE),
+    "snr": (15.0, POSITIVE),
+    "grid_span_ghz": (2.4, POSITIVE),
+    "grid_step_mhz": (5.0, POSITIVE),
 }
 
 
@@ -336,23 +347,16 @@ def field_sweep(transition, fields_t, x_hz, fwhm_hz, noise_sigma, seeds) -> Fiel
 
 def _run_fig2a(cfg: dict, out_dir: Path):
     """Streams: k = noise of scan k (k = 0 .. n_scans-1)."""
-    seed = integer(cfg, "seed")
-    n_scans = integer(cfg, "n_scans")
-    b_start = field_t(cfg, "field_start")
-    b_step = field_t(cfg, "field_step")
-    split = frequency_hz(cfg, "zero_field_splitting")
-    slope = number(cfg, "slope_ghz_per_t") * 1e9
-    fwhm = frequency_hz(cfg, "linewidth")
-    snr = number(cfg, "snr")
-    span = frequency_hz(cfg, "grid_span")
-    step = frequency_hz(cfg, "grid_step")
+    n_scans = cfg["n_scans"]
+    span = cfg["grid_span"]
 
-    transition = spin_hamiltonian.OpticalTransitionParams.from_cyclic_hz(split, slope)
-    x = frequency_grid(-span / 2.0, span / 2.0, step)
-    fields = np.array([b_start + k * b_step for k in range(n_scans)])
-    sweep = field_sweep(
-        transition, fields, x, fwhm, 1.0 / snr, [_stream(seed, k) for k in range(n_scans)]
+    transition = spin_hamiltonian.OpticalTransitionParams.from_cyclic_hz(
+        cfg["zero_field_splitting"], cfg["slope"]
     )
+    x = frequency_grid(-span / 2.0, span / 2.0, cfg["grid_step"])
+    fields = np.array([cfg["field_start"] + k * cfg["field_step"] for k in range(n_scans)])
+    seeds = [_stream(cfg["seed"], k) for k in range(n_scans)]
+    sweep = field_sweep(transition, fields, x, cfg["linewidth"], 1.0 / cfg["snr"], seeds)
     slope_fit, intercept_fit = sweep.coeffs
     slope_se, intercept_se = sweep.std_errors
     crossing_mt = spin_hamiltonian.inner_line_crossing_field_t(transition) * 1e3
@@ -408,28 +412,27 @@ def _run_fig2a(cfg: dict, out_dir: Path):
 # fig2b — splitting across emitters
 
 
-_FIG2B_DEFAULTS = {
-    "seed": 22,
-    "n_emitters": 12,
-    "splitting_mean_mhz": 452.0,
-    "splitting_sigma_mhz": 7.0,
-    "linewidth_mhz": 70.0,
-    "snr": 15.0,
-    "grid_span_mhz": 1200.0,
-    "grid_step_mhz": 2.0,
+_FIG2B_KEYS = {
+    "seed": (22, SEED),
+    "n_emitters": (12, count(2)),
+    "splitting_mean_mhz": (452.0, NON_NEGATIVE),
+    "splitting_sigma_mhz": (7.0, NON_NEGATIVE),
+    "linewidth_mhz": (70.0, POSITIVE),
+    "snr": (15.0, POSITIVE),
+    "grid_span_mhz": (1200.0, POSITIVE),
+    "grid_step_mhz": (2.0, POSITIVE),
 }
 
 
 def _run_fig2b(cfg: dict, out_dir: Path):
     """Streams: 0 = ensemble draw, 1+k = spectrum noise of emitter k."""
-    seed = integer(cfg, "seed")
-    n = integer(cfg, "n_emitters")
-    split_mean = frequency_hz(cfg, "splitting_mean")
-    split_sigma = frequency_hz(cfg, "splitting_sigma")
-    fwhm = frequency_hz(cfg, "linewidth")
-    snr = number(cfg, "snr")
-    span = frequency_hz(cfg, "grid_span")
-    step = frequency_hz(cfg, "grid_step")
+    seed = cfg["seed"]
+    n = cfg["n_emitters"]
+    split_mean = cfg["splitting_mean"]
+    split_sigma = cfg["splitting_sigma"]
+    fwhm = cfg["linewidth"]
+    snr = cfg["snr"]
+    span = cfg["grid_span"]
 
     pairs = sample_inhomogeneous_ensemble(
         0.0,
@@ -440,7 +443,7 @@ def _run_fig2b(cfg: dict, out_dir: Path):
         split_sigma_hz=split_sigma,
         line_fwhm_hz=fwhm,
     )
-    x = frequency_grid(-span / 2.0, span / 2.0, step)
+    x = frequency_grid(-span / 2.0, span / 2.0, cfg["grid_step"])
     spectra_dir = out_dir / "spectra"
     spectra_dir.mkdir(exist_ok=True)
 
@@ -483,32 +486,29 @@ def _run_fig2b(cfg: dict, out_dir: Path):
 # fig2c — optical pumping initialization
 
 
-_FIG2C_DEFAULTS = {
-    "seed": 23,
-    "steady_fidelity": 0.986,
-    "calibration_time_us": 30.0,
-    "calibration_fidelity": 0.980,
-    "n_points": 60,
-    "max_time_us": 30.0,
-    "noise_sigma": 0.003,
+_FIG2C_KEYS = {
+    "seed": (23, SEED),
+    "steady_fidelity": (0.986, FRACTION),
+    "calibration_time_us": (30.0, POSITIVE),
+    "calibration_fidelity": (0.980, FRACTION),
+    "n_points": (60, count(3)),
+    "max_time_us": (30.0, POSITIVE),
+    "noise_sigma": (0.003, POSITIVE),
 }
 
 
 def _run_fig2c(cfg: dict, out_dir: Path):
     """Streams: 0 = trace noise."""
-    seed = integer(cfg, "seed")
-    f_inf = fraction(cfg, "steady_fidelity")
-    t_cal = time_s(cfg, "calibration_time")
-    f_cal = fraction(cfg, "calibration_fidelity")
-    n_points = integer(cfg, "n_points")
-    t_max = time_s(cfg, "max_time")
-    noise = number(cfg, "noise_sigma")
+    f_inf = cfg["steady_fidelity"]
+    t_cal = cfg["calibration_time"]
+    f_cal = cfg["calibration_fidelity"]
+    noise = cfg["noise_sigma"]
 
     tau = optical_dynamics.pumping_time_constant(t_cal, f_cal, f_inf)
     pump = optical_dynamics.PumpingModel(f_infinity=f_inf, tau_pump=tau)
-    t = np.linspace(0.0, t_max, n_points)
+    t = np.linspace(0.0, cfg["max_time"], cfg["n_points"])
     y_true = optical_dynamics.pumping_fidelity(t, pump)
-    y = y_true + _rng(seed, 0).normal(0.0, noise, size=t.size)
+    y = y_true + _rng(cfg["seed"], 0).normal(0.0, noise, size=t.size)
     y_err = np.full(t.size, noise)
 
     t_us = t * 1e6
@@ -542,28 +542,24 @@ def _run_fig2c(cfg: dict, out_dir: Path):
 # fig2d — nuclear depolarization
 
 
-_FIG2D_DEFAULTS = {
-    "seed": 24,
-    "nuclear_t1_s": 1.25,
-    "initial_fidelity": 0.986,
-    "max_time_s": 5.0,
-    "n_points": 40,
-    "noise_sigma": 0.01,
+_FIG2D_KEYS = {
+    "seed": (24, SEED),
+    "nuclear_t1_s": (1.25, POSITIVE),
+    "initial_fidelity": (0.986, FRACTION),
+    "max_time_s": (5.0, POSITIVE),
+    "n_points": (40, count(3)),
+    "noise_sigma": (0.01, POSITIVE),
 }
 
 
 def _run_fig2d(cfg: dict, out_dir: Path):
     """Streams: 0 = trace noise."""
-    seed = integer(cfg, "seed")
-    t1n = time_s(cfg, "nuclear_t1")
-    f_init = fraction(cfg, "initial_fidelity")
-    t_max = time_s(cfg, "max_time")
-    n_points = integer(cfg, "n_points")
-    noise = number(cfg, "noise_sigma")
+    t1n = cfg["nuclear_t1"]
+    noise = cfg["noise_sigma"]
 
-    t = np.linspace(0.0, t_max, n_points)
-    y_true = optical_dynamics.nuclear_polarization_decay(t, t1n, f_init)
-    y = y_true + _rng(seed, 0).normal(0.0, noise, size=t.size)
+    t = np.linspace(0.0, cfg["max_time"], cfg["n_points"])
+    y_true = optical_dynamics.nuclear_polarization_decay(t, t1n, cfg["initial_fidelity"])
+    y = y_true + _rng(cfg["seed"], 0).normal(0.0, noise, size=t.size)
     y_err = np.full(t.size, noise)
 
     model = make_exponential(init=(0.5, 0.5, 1.0))
@@ -588,31 +584,26 @@ def _run_fig2d(cfg: dict, out_dir: Path):
 # fig3a — fluorescence saturation
 
 
-_FIG3A_DEFAULTS = {
-    "seed": 31,
-    "saturation_power_pw": 120.0,
-    "max_rate_mcps": 1.34,
-    "power_min_pw": 1.0,
-    "power_max_pw": 2000.0,
-    "n_points": 30,
-    "noise_rel": 0.03,
+_FIG3A_KEYS = {
+    "seed": (31, SEED),
+    "saturation_power_pw": (120.0, POSITIVE),
+    "max_rate_mcps": (1.34, POSITIVE),
+    "power_min_pw": (1.0, POSITIVE),
+    "power_max_pw": (2000.0, POSITIVE),
+    "n_points": (30, count(2)),
+    "noise_rel": (0.03, POSITIVE),
 }
 
 
 def _run_fig3a(cfg: dict, out_dir: Path):
     """Streams: 0 = relative rate noise."""
-    seed = integer(cfg, "seed")
-    p_sat = config_mod.power_w(cfg, "saturation_power")
-    i_inf = number(cfg, "max_rate_mcps") * 1e6
-    p_min = config_mod.power_w(cfg, "power_min")
-    p_max = config_mod.power_w(cfg, "power_max")
-    n_points = integer(cfg, "n_points")
-    noise_rel = number(cfg, "noise_rel")
+    p_sat = cfg["saturation_power"]
+    noise_rel = cfg["noise_rel"]
 
-    sp = optical_dynamics.SaturationParams(p_sat=p_sat, i_infinity=i_inf)
-    powers = np.geomspace(p_min, p_max, n_points)
+    sp = optical_dynamics.SaturationParams(p_sat=p_sat, i_infinity=cfg["max_rate"])
+    powers = np.geomspace(cfg["power_min"], cfg["power_max"], cfg["n_points"])
     y_true = optical_dynamics.saturation_intensity(powers, sp)
-    y = y_true * (1.0 + _rng(seed, 0).normal(0.0, noise_rel, size=powers.size))
+    y = y_true * (1.0 + _rng(cfg["seed"], 0).normal(0.0, noise_rel, size=powers.size))
     y_err = noise_rel * y_true
 
     powers_pw = powers * 1e12
@@ -635,13 +626,13 @@ def _run_fig3a(cfg: dict, out_dir: Path):
 # fig3b — single-shot readout
 
 
-_FIG3B_DEFAULTS = {
-    "seed": 32,
-    "mean_bright": 1.83,
-    "mean_dark": 0.13,
-    "fidelity_target": 0.80,
-    "n_pulses": 150,
-    "trials": 100000,
+_FIG3B_KEYS = {
+    "seed": (32, SEED),
+    "mean_bright": (1.83, POSITIVE),
+    "mean_dark": (0.13, NON_NEGATIVE),
+    "fidelity_target": (0.80, FRACTION),
+    "n_pulses": (150, count(1)),
+    "trials": (100000, count(1)),
 }
 
 
@@ -649,15 +640,14 @@ def _run_fig3b(cfg: dict, out_dir: Path):
     """Streams: the readout simulator spawns SeedSequence(seed) children 0/1
     for the bright/dark ensembles (same spawn convention as the module rule).
     """
-    seed = integer(cfg, "seed")
-    mean_bright = number(cfg, "mean_bright")
-    mean_dark = number(cfg, "mean_dark")
-    target = fraction(cfg, "fidelity_target")
-    n_pulses = integer(cfg, "n_pulses")
-    trials = integer(cfg, "trials")
+    seed = cfg["seed"]
+    mean_bright = cfg["mean_bright"]
+    mean_dark = cfg["mean_dark"]
+    target = cfg["fidelity_target"]
+    n_pulses = cfg["n_pulses"]
 
     model = photon_budget.calibrate_readout_model(mean_bright, mean_dark, target, n_pulses)
-    histograms = photon_budget.simulate_readout(model, trials, seed)
+    histograms = photon_budget.simulate_readout(model, cfg["trials"], seed)
     bright, dark = histograms["bright"], histograms["dark"]
 
     fidelity_k1 = photon_budget.threshold_fidelity(bright, dark, 1)
@@ -722,24 +712,23 @@ def _run_fig3b(cfg: dict, out_dir: Path):
 # fig3c — N-photon coincidences
 
 
-_FIG3C_DEFAULTS = {
-    "repetition_rate_mhz": 0.38,
-    "duty_cycle": 0.40,
-    "efficiency": 0.014,
-    "duration_s": 86400.0,
-    "max_fold": 5,
+_FIG3C_KEYS = {
+    "repetition_rate_mhz": (0.38, POSITIVE),
+    "duty_cycle": (0.40, OPEN_FRACTION),
+    "efficiency": (0.014, OPEN_FRACTION),
+    "duration_s": (86400.0, POSITIVE),
+    "max_fold": (5, count(1)),
 }
 
 
 def _run_fig3c(cfg: dict, out_dir: Path):
     """Deterministic (no random streams)."""
-    rate = number(cfg, "repetition_rate_mhz") * 1e6
-    duty = fraction(cfg, "duty_cycle")
-    eta = fraction(cfg, "efficiency")
-    duration = time_s(cfg, "duration")
-    max_fold = integer(cfg, "max_fold")
+    rate = cfg["repetition_rate"]
+    duty = cfg["duty_cycle"]
+    eta = cfg["efficiency"]
+    duration = cfg["duration"]
 
-    folds = list(range(1, max_fold + 1))
+    folds = list(range(1, cfg["max_fold"] + 1))
     expected = [
         photon_budget.nfold_coincidence_expectation(rate, eta, duty, duration, n) for n in folds
     ]
@@ -768,36 +757,34 @@ def _run_fig3c(cfg: dict, out_dir: Path):
 # fig4b — waveguide reflection dip
 
 
-_FIG4B_DEFAULTS = {
-    "seed": 42,
-    "cooperativity": 0.027,
-    "input_coupling": 0.95,
-    "linewidth_mhz": 70.0,
-    "grid_span_mhz": 1000.0,
-    "grid_step_mhz": 2.0,
-    "noise_sigma": 0.01,
+_FIG4B_KEYS = {
+    "seed": (42, SEED),
+    "cooperativity": (0.027, NON_NEGATIVE),
+    "input_coupling": (0.95, OPEN_FRACTION),
+    "linewidth_mhz": (70.0, POSITIVE),
+    "grid_span_mhz": (1000.0, POSITIVE),
+    "grid_step_mhz": (2.0, POSITIVE),
+    "noise_sigma": (0.01, POSITIVE),
 }
 
 
 def _run_fig4b(cfg: dict, out_dir: Path):
     """Streams: 0 = raw-trace noise."""
-    seed = integer(cfg, "seed")
-    coop = number(cfg, "cooperativity")
-    f_in = fraction(cfg, "input_coupling")
-    gamma_h = frequency_hz(cfg, "linewidth")
-    span = frequency_hz(cfg, "grid_span")
-    step = frequency_hz(cfg, "grid_step")
-    noise = number(cfg, "noise_sigma")
+    f_in = cfg["input_coupling"]
+    span = cfg["grid_span"]
+    noise = cfg["noise_sigma"]
 
-    model = waveguide_qed.ReflectionModel(cooperativity=coop, f_in=f_in, gamma_h_hz=gamma_h)
-    delta = frequency_grid(-span / 2.0, span / 2.0, step)
+    model = waveguide_qed.ReflectionModel(
+        cooperativity=cfg["cooperativity"], f_in=f_in, gamma_h_hz=cfg["linewidth"]
+    )
+    delta = frequency_grid(-span / 2.0, span / 2.0, cfg["grid_step"])
     r_norm = waveguide_qed.normalized_reflection(delta, model)
 
     # The sideband-modulation measurement sees half signal, half static
     # background; synthesize the raw trace, then correct it back out.
     reference = Spectrum(x=delta, y=np.ones_like(delta))
     raw_clean = reference.y * (r_norm + 1.0) / 2.0
-    raw = raw_clean + _rng(seed, 0).normal(0.0, noise / 2.0, size=delta.size)
+    raw = raw_clean + _rng(cfg["seed"], 0).normal(0.0, noise / 2.0, size=delta.size)
     raw_spectrum = Spectrum(x=delta, y=raw)
     corrected = eom_background_correction(raw_spectrum, reference)
     corrected = Spectrum(x=delta, y=corrected.y, y_err=np.full(delta.size, noise))
@@ -847,31 +834,28 @@ def _run_fig4b(cfg: dict, out_dir: Path):
 # fig4c — contrast vs saturation
 
 
-_FIG4C_DEFAULTS = {
-    "seed": 43,
-    "cooperativity": 0.027,
-    "input_coupling": 0.95,
-    "s_min": 0.01,
-    "s_max": 10.0,
-    "n_points": 25,
-    "noise_sigma": 0.005,
+_FIG4C_KEYS = {
+    "seed": (43, SEED),
+    "cooperativity": (0.027, NON_NEGATIVE),
+    "input_coupling": (0.95, OPEN_FRACTION),
+    "s_min": (0.01, POSITIVE),
+    "s_max": (10.0, POSITIVE),
+    "n_points": (25, count(1)),
+    "noise_sigma": (0.005, POSITIVE),
 }
 
 
 def _run_fig4c(cfg: dict, out_dir: Path):
     """Streams: 0 = contrast noise."""
-    seed = integer(cfg, "seed")
-    coop = number(cfg, "cooperativity")
-    f_in = fraction(cfg, "input_coupling")
-    s_min = number(cfg, "s_min")
-    s_max = number(cfg, "s_max")
-    n_points = integer(cfg, "n_points")
-    noise = number(cfg, "noise_sigma")
+    f_in = cfg["input_coupling"]
+    noise = cfg["noise_sigma"]
 
-    model = waveguide_qed.ReflectionModel(cooperativity=coop, f_in=f_in, gamma_h_hz=70.0e6)
+    model = waveguide_qed.ReflectionModel(
+        cooperativity=cfg["cooperativity"], f_in=f_in, gamma_h_hz=70.0e6
+    )
     r0 = waveguide_qed.dip_contrast(model)
-    s = np.geomspace(s_min, s_max, n_points)
-    y = waveguide_qed.contrast_vs_saturation(s, r0) + _rng(seed, 0).normal(
+    s = np.geomspace(cfg["s_min"], cfg["s_max"], cfg["n_points"])
+    y = waveguide_qed.contrast_vs_saturation(s, r0) + _rng(cfg["seed"], 0).normal(
         0.0, noise, size=s.size
     )
     y_err = np.full(s.size, noise)
@@ -900,22 +884,22 @@ def _run_fig4c(cfg: dict, out_dir: Path):
 # table_s1 — detection-efficiency budget
 
 
-_TABLE_S1_DEFAULTS = {
-    "stage_pi_pulse_fidelity": 0.80,
-    "stage_quantum_efficiency": 0.79,
-    "stage_phonon_sideband_fraction": 0.43,
-    "stage_waveguide_coupling": 0.325,
-    "stage_fibre_coupling": 0.57,
-    "stage_setup_transmission": 0.51,
-    "stage_detector_efficiency": 0.68,
-    "measured_efficiency": 0.0140,
+_TABLE_S1_KEYS = {
+    "stage_pi_pulse_fidelity": (0.80, OPEN_FRACTION),
+    "stage_quantum_efficiency": (0.79, OPEN_FRACTION),
+    "stage_phonon_sideband_fraction": (0.43, OPEN_FRACTION),
+    "stage_waveguide_coupling": (0.325, OPEN_FRACTION),
+    "stage_fibre_coupling": (0.57, OPEN_FRACTION),
+    "stage_setup_transmission": (0.51, OPEN_FRACTION),
+    "stage_detector_efficiency": (0.68, OPEN_FRACTION),
+    "measured_efficiency": (0.0140, OPEN_FRACTION),
 }
 
 
 def _run_table_s1(cfg: dict, out_dir: Path):
     """Deterministic (no random streams)."""
     budget = config_mod.budget_from_config(cfg)
-    measured = fraction(cfg, "measured_efficiency")
+    measured = cfg["measured_efficiency"]
     report = photon_budget.budget_report(budget)
     total = report["total_fraction"]
 
@@ -953,13 +937,13 @@ def _run_table_s1(cfg: dict, out_dir: Path):
 # loss_chain — fibre-coupling loss accounting
 
 
-_LOSS_CHAIN_DEFAULTS = {
-    "measured_roundtrip": 0.27,
-    "correction_splice": "db 0.04",
-    "correction_facet_scattering": "fraction 0.96",
-    "correction_fibre_attenuation": "db_per_km 12 15",
-    "taper_etch_rate_um_min": 1.5,
-    "taper_pull_rate_um_min": 55.0,
+_LOSS_CHAIN_KEYS = {
+    "measured_roundtrip": (0.27, OPEN_FRACTION),
+    "correction_splice": ("db 0.04", CORRECTION),
+    "correction_facet_scattering": ("fraction 0.96", CORRECTION),
+    "correction_fibre_attenuation": ("db_per_km 12 15", CORRECTION),
+    "taper_etch_rate_um_min": (1.5, NON_NEGATIVE),
+    "taper_pull_rate_um_min": (55.0, POSITIVE),
 }
 
 
@@ -969,7 +953,7 @@ def _run_loss_chain(cfg: dict, out_dir: Path):
     single_pass = photon_budget.single_pass_from_roundtrip(chain.measured_roundtrip)
     corrected = photon_budget.apply_loss_chain(chain)
     taper = photon_budget.taper_half_angle_deg(
-        number(cfg, "taper_etch_rate_um_min"), number(cfg, "taper_pull_rate_um_min")
+        cfg["taper_etch_rate_um_min"], cfg["taper_pull_rate_um_min"]
     )
 
     _write_json(
@@ -1010,28 +994,25 @@ def _run_loss_chain(cfg: dict, out_dir: Path):
 # rabi — damped optical Rabi oscillation
 
 
-_RABI_DEFAULTS = {
-    "seed": 51,
-    "rabi_frequency_mhz": 230.0,
-    "optical_t1_ns": 4.7,
-    "max_time_ns": 15.0,
-    "n_points": 301,
-    "noise_sigma": 0.02,
+_RABI_KEYS = {
+    "seed": (51, SEED),
+    "rabi_frequency_mhz": (230.0, POSITIVE),
+    "optical_t1_ns": (4.7, POSITIVE),
+    "max_time_ns": (15.0, POSITIVE),
+    "n_points": (301, count(2)),
+    "noise_sigma": (0.02, POSITIVE),
 }
 
 
 def _run_rabi(cfg: dict, out_dir: Path):
     """Streams: 0 = trace noise."""
-    seed = integer(cfg, "seed")
-    omega = TWO_PI * frequency_hz(cfg, "rabi_frequency")
-    t1 = time_s(cfg, "optical_t1")
-    t_max = time_s(cfg, "max_time")
-    n_points = integer(cfg, "n_points")
-    noise = number(cfg, "noise_sigma")
+    omega = TWO_PI * cfg["rabi_frequency"]
+    t1 = cfg["optical_t1"]
+    noise = cfg["noise_sigma"]
 
     calibration = optical_dynamics.pi_pulse_calibration(omega, t1)
-    t = np.linspace(0.0, t_max, n_points)
-    y = optical_dynamics.rabi_population(t, omega, t1) + _rng(seed, 0).normal(
+    t = np.linspace(0.0, cfg["max_time"], cfg["n_points"])
+    y = optical_dynamics.rabi_population(t, omega, t1) + _rng(cfg["seed"], 0).normal(
         0.0, noise, size=t.size
     )
     y_err = np.full(t.size, noise)
@@ -1084,26 +1065,23 @@ def _run_rabi(cfg: dict, out_dir: Path):
 # lifetime — spontaneous emission decay
 
 
-_LIFETIME_DEFAULTS = {
-    "seed": 52,
-    "lifetime_ns": 5.56,
-    "max_time_ns": 30.0,
-    "n_points": 120,
-    "peak_counts": 3000.0,
+_LIFETIME_KEYS = {
+    "seed": (52, SEED),
+    "lifetime_ns": (5.56, POSITIVE),
+    "max_time_ns": (30.0, POSITIVE),
+    "n_points": (120, count(3)),
+    "peak_counts": (3000.0, POSITIVE),
 }
 
 
 def _run_lifetime(cfg: dict, out_dir: Path):
     """Streams: 0 = Poisson counting noise."""
-    seed = integer(cfg, "seed")
-    tau = time_s(cfg, "lifetime")
-    t_max = time_s(cfg, "max_time")
-    n_points = integer(cfg, "n_points")
-    peak = number(cfg, "peak_counts")
+    tau = cfg["lifetime"]
+    peak = cfg["peak_counts"]
 
-    t = np.linspace(0.0, t_max, n_points)
+    t = np.linspace(0.0, cfg["max_time"], cfg["n_points"])
     expected = peak * optical_dynamics.spontaneous_decay(t, tau)
-    counts = _rng(seed, 0).poisson(expected).astype(float)
+    counts = _rng(cfg["seed"], 0).poisson(expected).astype(float)
 
     t_ns = t * 1e9
     model = make_exponential(init=(0.0, peak * 0.8, 5.0))
@@ -1130,31 +1108,29 @@ def _run_lifetime(cfg: dict, out_dir: Path):
 # g2 — intensity autocorrelation
 
 
-_G2_DEFAULTS = {
-    "seed": 53,
-    "rabi_frequency_mhz": 230.0,
-    "optical_t1_ns": 4.7,
-    "background": 0.052,
-    "max_delay_ns": 20.0,
-    "step_ns": 0.1,
-    "noise_sigma": 0.03,
+_G2_KEYS = {
+    "seed": (53, SEED),
+    "rabi_frequency_mhz": (230.0, POSITIVE),
+    "optical_t1_ns": (4.7, POSITIVE),
+    "background": (0.052, FRACTION),
+    "max_delay_ns": (20.0, NON_NEGATIVE),
+    "step_ns": (0.1, POSITIVE),
+    "noise_sigma": (0.03, NON_NEGATIVE),
 }
 
 
 def _run_g2(cfg: dict, out_dir: Path):
     """Streams: 0 = correlation noise."""
-    seed = integer(cfg, "seed")
-    omega = TWO_PI * frequency_hz(cfg, "rabi_frequency")
-    t1 = time_s(cfg, "optical_t1")
-    background = fraction(cfg, "background")
-    max_delay = time_s(cfg, "max_delay")
-    step = time_s(cfg, "step")
-    noise = number(cfg, "noise_sigma")
+    omega = TWO_PI * cfg["rabi_frequency"]
+    t1 = cfg["optical_t1"]
+    background = cfg["background"]
+    step = cfg["step"]
+    noise = cfg["noise_sigma"]
 
-    n_side = int(round(max_delay / step))
+    n_side = int(round(cfg["max_delay"] / step))
     tau = np.arange(-n_side, n_side + 1) * step
     y = optical_dynamics.g2_autocorrelation(tau, omega, t1, background)
-    y_noisy = y + _rng(seed, 0).normal(0.0, noise, size=tau.size)
+    y_noisy = y + _rng(cfg["seed"], 0).normal(0.0, noise, size=tau.size)
 
     g2_zero = optical_dynamics.g2_autocorrelation(0.0, omega, t1, background)
 
@@ -1183,18 +1159,17 @@ def _run_g2(cfg: dict, out_dir: Path):
 # isotopes — splitting predictions
 
 
-_ISOTOPES_DEFAULTS = {
-    "reference_splitting_mhz": 452.0,
-    "reference_isotope": "sn117",
+_ISOTOPES_KEYS = {
+    "reference_splitting_mhz": (452.0, REAL),
+    "reference_isotope": ("sn117", choice(*spin_hamiltonian.NUCLEAR_GYROMAGNETIC_HZ_PER_T)),
 }
 
 
 def _run_isotopes(cfg: dict, out_dir: Path):
     """Deterministic (no random streams)."""
-    split_ref = frequency_hz(cfg, "reference_splitting")
-    isotope_ref = str(cfg.get("reference_isotope", "sn117"))
-
-    predictions = spin_hamiltonian.isotope_splitting_predictions_hz(split_ref, isotope_ref)
+    predictions = spin_hamiltonian.isotope_splitting_predictions_hz(
+        cfg["reference_splitting"], cfg["reference_isotope"]
+    )
     _write_csv(
         out_dir / "isotope_splittings.csv",
         ["isotope", "gamma_n_mhz_per_t", "splitting_mhz"],
@@ -1229,103 +1204,103 @@ _SCENARIOS = [
     Scenario(
         name="fig1d",
         description="Inhomogeneous distribution of emitter optical frequencies with Gaussian fit (Fig. 1d).",
-        defaults=_FIG1D_DEFAULTS,
+        keys=_FIG1D_KEYS,
         runner=_run_fig1d,
     ),
     Scenario(
         name="fig1e",
         description="Zero-field resonant-excitation doublet of a single register, with the ground-manifold level table (Fig. 1e).",
-        defaults=_FIG1E_DEFAULTS,
+        keys=_FIG1E_KEYS,
         runner=_run_fig1e,
     ),
     Scenario(
         name="fig2a",
         description="Optical line quartet versus magnetic field; slope and zero-field splitting from the outer-line span (Fig. 2a).",
-        defaults=_FIG2A_DEFAULTS,
+        keys=_FIG2A_KEYS,
         runner=_run_fig2a,
     ),
     Scenario(
         name="fig2b",
         description="Hyperfine splitting across an ensemble of emitters (Fig. 2b).",
-        defaults=_FIG2B_DEFAULTS,
+        keys=_FIG2B_KEYS,
         runner=_run_fig2b,
     ),
     Scenario(
         name="fig2c",
         description="Nuclear-spin initialization fidelity versus optical pumping time (Fig. 2c).",
-        defaults=_FIG2C_DEFAULTS,
+        keys=_FIG2C_KEYS,
         runner=_run_fig2c,
     ),
     Scenario(
         name="fig2d",
         description="Nuclear polarization relaxation toward the unpolarized state (Fig. 2d).",
-        defaults=_FIG2D_DEFAULTS,
+        keys=_FIG2D_KEYS,
         runner=_run_fig2d,
     ),
     Scenario(
         name="fig3a",
         description="Detected fluorescence saturation versus resonant drive power (Fig. 3a).",
-        defaults=_FIG3A_DEFAULTS,
+        keys=_FIG3A_KEYS,
         runner=_run_fig3a,
     ),
     Scenario(
         name="fig3b",
         description="Single-shot spin-readout photon histograms and threshold fidelity (Fig. 3b).",
-        defaults=_FIG3B_DEFAULTS,
+        keys=_FIG3B_KEYS,
         runner=_run_fig3b,
     ),
     Scenario(
         name="fig3c",
         description="Expected N-photon coincidence events per day of acquisition (Fig. 3c).",
-        defaults=_FIG3C_DEFAULTS,
+        keys=_FIG3C_KEYS,
         runner=_run_fig3c,
     ),
     Scenario(
         name="fig4b",
         description="Waveguide reflection dip with sideband-background correction and model fit (Fig. 4b).",
-        defaults=_FIG4B_DEFAULTS,
+        keys=_FIG4B_KEYS,
         runner=_run_fig4b,
     ),
     Scenario(
         name="fig4c",
         description="Reflection-dip contrast versus drive saturation (Fig. 4c).",
-        defaults=_FIG4C_DEFAULTS,
+        keys=_FIG4C_KEYS,
         runner=_run_fig4c,
     ),
     Scenario(
         name="table_s1",
         description="End-to-end detection-efficiency budget, stage by stage (Table S1).",
-        defaults=_TABLE_S1_DEFAULTS,
+        keys=_TABLE_S1_KEYS,
         runner=_run_table_s1,
     ),
     Scenario(
         name="loss_chain",
         description="Fibre-coupling efficiency from a roundtrip transmission with documented loss corrections (Table S1 supporting analysis).",
-        defaults=_LOSS_CHAIN_DEFAULTS,
+        keys=_LOSS_CHAIN_KEYS,
         runner=_run_loss_chain,
     ),
     Scenario(
         name="rabi",
         description="Damped optical Rabi oscillation with pi-pulse calibration and model fit (optical pulse calibration, supporting Fig. 2).",
-        defaults=_RABI_DEFAULTS,
+        keys=_RABI_KEYS,
         runner=_run_rabi,
     ),
     Scenario(
         name="lifetime",
         description="Excited-state lifetime decay and the Fourier-limited linewidth it implies (supporting measurement for Fig. 1e).",
-        defaults=_LIFETIME_DEFAULTS,
+        keys=_LIFETIME_KEYS,
         runner=_run_lifetime,
     ),
     Scenario(
         name="g2",
         description="Second-order intensity autocorrelation with background floor (single-emitter check for Fig. 1).",
-        defaults=_G2_DEFAULTS,
+        keys=_G2_KEYS,
         runner=_run_g2,
     ),
     Scenario(
         name="isotopes",
         description="Predicted optical splittings for the sibling spin-1/2 isotopes (isotope assignment analysis, supporting Fig. 2b).",
-        defaults=_ISOTOPES_DEFAULTS,
+        keys=_ISOTOPES_KEYS,
         runner=_run_isotopes,
     ),
 ]
@@ -1359,15 +1334,22 @@ def _resolve(target: str) -> tuple[Scenario, dict]:
     )
 
 
-def _validated_config(scenario: Scenario, file_cfg: dict, overrides: dict) -> dict:
+def _validated_config(scenario: Scenario, file_cfg: dict, overrides: dict) -> tuple[dict, dict]:
+    """The merged config, and the runner's values: each checked against its
+    key's domain, unit suffix stripped and applied (``linewidth_mhz`` -> ``linewidth`` in Hz).
+    """
     cfg = config_mod.merged(config_mod.merged(scenario.defaults, file_cfg), overrides)
-    unknown = sorted(set(cfg) - set(scenario.defaults))
+    unknown = sorted(set(cfg) - set(scenario.keys))
     if unknown:
         raise ValueError(
             f"unknown config keys for scenario {scenario.name!r}: {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(scenario.defaults))}"
+            f"allowed: {', '.join(sorted(scenario.keys))}"
         )
-    return cfg
+    values = dict(
+        config_mod.in_base_units(key, scenario.keys[key][1].check(key, value))
+        for key, value in cfg.items()
+    )
+    return cfg, values
 
 
 def _write_report(
@@ -1399,12 +1381,12 @@ def run_scenario(target: str, overrides: dict | None = None, output_root=None) -
     ``key=value`` pairs through :func:`snvsim.config.parse_overrides`).
     """
     scenario, file_cfg = _resolve(target)
-    cfg = _validated_config(scenario, file_cfg, dict(overrides or {}))
+    cfg, values = _validated_config(scenario, file_cfg, dict(overrides or {}))
     root = Path(output_root or os.environ.get(OUTPUT_DIR_ENV, _DEFAULT_OUTPUT_ROOT))
     out_dir = root / scenario.name
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows, artifacts, notes = scenario.runner(cfg, out_dir)
+    rows, artifacts, notes = scenario.runner(values, out_dir)
     summary = {
         "scenario": scenario.name,
         "description": scenario.description,

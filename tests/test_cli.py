@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from snvsim.cli import main
-from snvsim.scenarios import OUTPUT_DIR_ENV, available_scenarios
+from snvsim.scenarios import OUTPUT_DIR_ENV, SCENARIOS, available_scenarios
 from snvsim.spectra import SpectralLine, frequency_grid, synthesize_spectrum, write_spectrum_csv
 
 FIVE_FOLD_PER_DAY = 7.0631350272
@@ -29,6 +35,13 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 # --------------------------------------------------------------------------
@@ -94,11 +107,7 @@ def test_run_exits_1_when_a_summary_entry_fails(capsys, tmp_path):
         ["run", "table_s1", "stage_detector_efficiency=1.0", "--output-dir", str(tmp_path)],
     )
     assert code == 1 and err == ""
-
-    def reject(token):
-        raise ValueError(f"non-standard JSON constant {token}")
-
-    summary = json.loads(out, parse_constant=reject)
+    summary = _strict_json(out)
     assert summary["all_pass"] is False
     failed = [e["quantity"] for e in summary["entries"] if not e["pass"]]
     assert failed == ["total_efficiency_pct"]
@@ -144,8 +153,116 @@ def test_fig2a_with_too_few_scans_fails_with_a_plain_error(capsys, tmp_path):
         )
         assert code == 2 and out == ""
         message = json.loads(err)["error"]
-        assert "at least 3 scans" in message
+        assert "'n_scans' must be an integer >= 3" in message
         assert "SVD" not in message and "covariance" not in message
+
+
+# Overrides outside their key's domain.  Before domains were checked up
+# front, the first eight ended in a traceback, the next two in exit 0 with a
+# header-only CSV, the next in numpy's SVD text plus LAPACK lines, and the
+# last two in a NaN summary (exit 1) and a ZeroDivisionError.
+OUT_OF_DOMAIN = [
+    ("fig1d", "bin_width_ghz=0"),
+    ("fig1e", "snr=0"),
+    ("fig2a", "snr=0"),
+    ("fig2a", "slope_ghz_per_t=0"),
+    ("fig2b", "snr=0"),
+    ("fig3b", "n_pulses=0"),
+    ("table_s1", "measured_efficiency=0"),
+    ("g2", "step_ns=0"),
+    ("g2", "step_ns=-1"),
+    ("fig3c", "max_fold=0"),
+    ("fig2a", "field_step_mt=0"),
+    ("loss_chain", "correction_splice=db nan"),
+    ("loss_chain", "correction_splice=db inf"),
+]
+
+
+@pytest.mark.parametrize("scenario, override", OUT_OF_DOMAIN)
+def test_out_of_domain_value_exits_2_before_any_output(capsys, tmp_path, scenario, override):
+    key = override.partition("=")[0]
+    code, out, err = _run(capsys, ["run", scenario, override, "--output-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert f"'{key}'" in json.loads(err)["error"]
+    assert not (tmp_path / scenario).exists()
+
+
+def test_fig2c_calibration_at_the_unpumped_fidelity_exits_2(capsys, tmp_path):
+    code, out, err = _run(
+        capsys, ["run", "fig2c", "calibration_fidelity=0.5", "--output-dir", str(tmp_path)]
+    )
+    assert code == 2 and out == ""
+    assert "fidelity 0.5 must lie in (0.5, 0.986)" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "scenario, override, fit_file",
+    [
+        ("fig1e", "linewidth_mhz=1e-9", "doublet_fit.json"),
+        ("rabi", "max_time_ns=1e-9", "rabi_fit.json"),
+    ],
+)
+def test_non_finite_fit_values_are_written_as_null(capsys, tmp_path, scenario, override, fit_file):
+    code, out, _ = _run(capsys, ["run", scenario, override, "--output-dir", str(tmp_path)])
+    assert code in (0, 1)
+    _strict_json(out)
+    payload = _strict_json((tmp_path / scenario / fit_file).read_text())
+    assert None in payload["params"] + payload["uncertainties"]
+
+
+NUMERIC_KEYS = {
+    name: [key for key, default in SCENARIOS[name].defaults.items() if not isinstance(default, str)]
+    for name in available_scenarios()
+}
+PROBE_VALUES = ["-1", "-0.5", "0", "0.5", "1", "2", "3"]
+# Fewer scans / emitters run the same code; at the defaults one fig2a draw
+# with a sub-step linewidth takes ~8 s.  A drawn value for the key wins.
+SMALLER = {"fig2a": ["n_scans=3"], "fig2b": ["n_emitters=3"]}
+
+
+@st.composite
+def _scenario_override(draw):
+    name = draw(st.sampled_from(available_scenarios()))
+    key = draw(st.sampled_from(NUMERIC_KEYS[name]))
+    return name, f"{key}={draw(st.sampled_from(PROBE_VALUES))}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_scenario_override())
+@example(case=("fig1d", "bin_width_ghz=0"))
+@example(case=("fig1e", "snr=0"))
+@example(case=("fig2a", "snr=0"))
+@example(case=("fig2a", "slope_ghz_per_t=0"))
+@example(case=("fig2b", "snr=0"))
+@example(case=("fig3b", "n_pulses=0"))
+@example(case=("table_s1", "measured_efficiency=0"))
+@example(case=("g2", "step_ns=0"))
+@example(case=("g2", "step_ns=-1"))
+@example(case=("fig3c", "max_fold=0"))
+@example(case=("fig2a", "field_step_mt=0"))
+@example(case=("fig2c", "calibration_fidelity=0.5"))
+@example(case=("loss_chain", "correction_splice=db nan"))
+@example(case=("loss_chain", "correction_splice=db inf"))
+@example(case=("fig1e", "linewidth_mhz=1e-9"))
+@example(case=("rabi", "max_time_ns=1e-9"))
+@example(case=("fig1d", "n_emitters=1"))
+def test_every_run_ends_in_strict_json_or_a_validation_error(case):
+    """Exit 0/1 with strict JSON on stdout and in every artifact, or exit 2
+    with empty stdout and ``{"error": ...}`` on stderr; never an exception."""
+    scenario, override = case
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as root:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True):  # numeric warnings are not the contract
+                argv = ["run", scenario, *SMALLER.get(scenario, []), override]
+                code = main(argv + ["--output-dir", root])
+        if code in (0, 1):
+            _strict_json(out.getvalue())
+            for path in Path(root).rglob("*.json"):
+                _strict_json(path.read_text())
+        else:
+            assert code == 2 and out.getvalue() == ""
+            assert "error" in json.loads(err.getvalue())
 
 
 def test_output_dir_env_var_and_flag_precedence(capsys, tmp_path, monkeypatch):
@@ -280,6 +397,10 @@ def test_budget_subcommand_error_paths(capsys, tmp_path):
     code, _, err = _run(capsys, ["budget", str(no_stages)])
     assert code == 2
     assert "stage_" in json.loads(err)["error"]
+
+    code, out, err = _run(capsys, ["budget", TABLE_S1_CFG, "stage_detector_efficiency=true"])
+    assert code == 2 and out == ""
+    assert "'stage_detector_efficiency'" in json.loads(err)["error"]
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Key-value config parsing, unit-suffixed getters, and ordered builders."""
+"""Key-value config parsing, value domains, unit suffixes, and ordered builders."""
 
 from __future__ import annotations
 
@@ -7,20 +7,24 @@ import math
 import pytest
 
 from snvsim.config import (
+    CORRECTION,
+    FRACTION,
+    NON_NEGATIVE,
+    OPEN_FRACTION,
+    POSITIVE,
+    REAL,
+    SEED,
+    UNIT_FACTORS,
     budget_from_config,
-    field_t,
-    fraction,
-    frequency_hz,
-    integer,
+    choice,
+    count,
+    in_base_units,
     load_config,
     loss_chain_from_config,
     merged,
-    number,
     parse_config_text,
     parse_overrides,
     parse_value,
-    power_w,
-    time_s,
 )
 from snvsim.photon_budget import apply_loss_chain, total_detection_efficiency
 
@@ -84,58 +88,78 @@ def test_parse_overrides_and_precedence():
 
 
 # --------------------------------------------------------------------------
-# Dimensioned getters
+# Domains and unit suffixes
 # --------------------------------------------------------------------------
 
 def test_frequency_getter_converts_each_suffix():
-    assert frequency_hz({"lambda_so_ghz": 850}, "lambda_so") == 850e9
-    assert frequency_hz({"split_mhz": 452}, "split") == 452e6
-    assert frequency_hz({"rate_khz": 3}, "rate") == 3e3
-    assert frequency_hz({"f_hz": 28.6e6}, "f") == 28.6e6
-    assert frequency_hz({"comb_thz": 0.4}, "comb") == 0.4e12
+    assert in_base_units("linewidth_mhz", 70.0) == ("linewidth", 70e6)
+    assert in_base_units("inhomogeneous_fwhm_ghz", 90.0) == ("inhomogeneous_fwhm", 90e9)
+    assert in_base_units("slope_ghz_per_t", 5.41) == ("slope", 5.41 * 1e9)
+    assert in_base_units("max_rate_mcps", 1.34) == ("max_rate", 1.34 * 1e6)
 
 
 def test_time_field_power_getters():
-    assert time_s({"t1_ns": 4.7}, "t1") == pytest.approx(4.7e-9, rel=1e-15)
-    assert time_s({"window_us": 13.9}, "window") == pytest.approx(13.9e-6, rel=1e-15)
-    assert time_s({"duration_s": 86400}, "duration") == 86400.0
-    assert field_t({"bias_mt": 83.5}, "bias") == pytest.approx(0.0835, rel=1e-15)
-    assert field_t({"bias_t": 0.1}, "bias") == 0.1
-    assert power_w({"p_sat_pw": 120}, "p_sat") == pytest.approx(120e-12, rel=1e-15)
-    assert power_w({"drive_nw": 2.5}, "drive") == pytest.approx(2.5e-9, rel=1e-15)
+    assert in_base_units("duration_s", 86400.0) == ("duration", 86400.0)
+    assert in_base_units("calibration_time_us", 30.0) == ("calibration_time", 30.0 * 1e-6)
+    assert in_base_units("optical_t1_ns", 4.7) == ("optical_t1", 4.7 * 1e-9)
+    assert in_base_units("field_step_mt", 4.3) == ("field_step", 4.3 * 1e-3)
+    assert in_base_units("saturation_power_pw", 120.0) == ("saturation_power", 120.0 * 1e-12)
 
 
-def test_dimensioned_getter_defaults_ambiguity_and_missing():
-    assert frequency_hz({}, "linewidth", default=70e6) == 70e6
-    with pytest.raises(KeyError, match="missing frequency key"):
-        frequency_hz({}, "linewidth")
-    with pytest.raises(ValueError, match="ambiguous"):
-        frequency_hz({"linewidth_mhz": 70, "linewidth_ghz": 0.07}, "linewidth")
-    for bad in (True, "70", math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="linewidth_mhz"):
-            frequency_hz({"linewidth_mhz": bad}, "linewidth")
+def test_unit_suffix_is_stripped_and_applied_as_float_times_factor():
+    # Keys without a unit suffix pass through untouched.
+    for key in ("n_points", "s_max", "snr", "taper_etch_rate_um_min", "correction_splice"):
+        assert in_base_units(key, 1.5) == (key, 1.5)
+    # No suffix is the underscore-suffix of another, so one key has one reading.
+    for suffix in UNIT_FACTORS:
+        matches = [s for s in UNIT_FACTORS if f"x_{suffix}".endswith("_" + s)]
+        assert matches == [suffix]
 
 
-def test_plain_numeric_getters():
-    assert number({"x": 3}, "x") == 3.0
-    assert number({}, "x", default=1.5) == 1.5
-    with pytest.raises(KeyError):
-        number({}, "x")
-    with pytest.raises(ValueError, match="numeric"):
-        number({"x": "word"}, "x")
-    with pytest.raises(ValueError, match="numeric"):
-        number({"x": True}, "x")
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="finite"):
-            number({"x": bad}, "x")
-    assert integer({"n": 10}, "n") == 10
-    with pytest.raises(ValueError, match="integer"):
-        integer({"n": 2.5}, "n")
-    with pytest.raises(ValueError, match="integer"):
-        integer({"n": True}, "n")
-    assert fraction({"f": 0.95}, "f") == 0.95
+def test_numeric_domains_reject_booleans_strings_and_non_finite_values():
+    for domain in (REAL, POSITIVE, NON_NEGATIVE, FRACTION, OPEN_FRACTION):
+        for bad in (True, False, "70", math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="'linewidth_mhz'"):
+                domain.check("linewidth_mhz", bad)
+    # An integer too large for a float is rejected, not an OverflowError.
+    with pytest.raises(ValueError, match="'x'"):
+        REAL.check("x", 10**400)
+    for domain in (SEED, count(1)):
+        for bad in (2.5, True, "3", math.nan):
+            with pytest.raises(ValueError, match="integer"):
+                domain.check("n", bad)
+
+
+def test_domains_check_ranges_and_convert():
+    assert REAL.check("x", 3) == 3.0 and isinstance(REAL.check("x", 3), float)
+    assert REAL.check("x", -2.5) == -2.5
+    assert POSITIVE.check("x", 1e-300) == 1e-300
+    with pytest.raises(ValueError, match=r"> 0"):
+        POSITIVE.check("x", 0)
+    assert NON_NEGATIVE.check("x", 0) == 0.0
+    with pytest.raises(ValueError, match=r">= 0"):
+        NON_NEGATIVE.check("x", -0.5)
+    assert FRACTION.check("f", 0) == 0.0 and FRACTION.check("f", 1) == 1.0
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        fraction({"f": 1.5}, "f")
+        FRACTION.check("f", 1.5)
+    assert OPEN_FRACTION.check("f", 1) == 1.0
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        OPEN_FRACTION.check("f", 0)
+    assert SEED.check("seed", 0) == 0
+    with pytest.raises(ValueError, match=">= 0"):
+        SEED.check("seed", -1)
+    assert count(3).check("n_scans", 3) == 3
+    with pytest.raises(ValueError, match="'n_scans' must be an integer >= 3, got 2"):
+        count(3).check("n_scans", 2)
+    isotope = choice("sn115", "sn117")
+    assert isotope.check("reference_isotope", "sn115") == "sn115"
+    for bad in ("sn116", 117, True):
+        with pytest.raises(ValueError, match="one of sn115, sn117"):
+            isotope.check("reference_isotope", bad)
+    assert CORRECTION.check("correction_a", "db_per_km 12 15") == "db_per_km 12 15"
+    for bad in ("db", "db 1 2 3", "db nan", "db inf", "db_per_km 12 -inf", "db x", 0.5):
+        with pytest.raises(ValueError, match="'correction_a'"):
+            CORRECTION.check("correction_a", bad)
 
 
 # --------------------------------------------------------------------------
@@ -176,6 +200,20 @@ def test_loss_chain_from_shipped_config():
 
 
 def test_loss_chain_rejects_malformed_correction():
-    cfg = {"measured_roundtrip": 0.27, "correction_bad": "db"}
-    with pytest.raises(ValueError, match="kind"):
-        loss_chain_from_config(cfg)
+    for correction in ("db", "db nan", "db inf"):
+        cfg = {"measured_roundtrip": 0.27, "correction_bad": correction}
+        with pytest.raises(ValueError, match="'correction_bad'.*kind.*finite numbers"):
+            loss_chain_from_config(cfg)
+
+
+def test_loss_chain_rejects_a_correction_that_transmits_nothing():
+    # 10^(-5000/10) underflows to 0; dividing by it must not end in ZeroDivisionError.
+    chain = loss_chain_from_config({"measured_roundtrip": 0.27, "correction_big": "db 5000"})
+    with pytest.raises(ValueError, match="'big' transmits 0"):
+        apply_loss_chain(chain)
+
+
+def test_budget_stage_values_go_through_the_numeric_check():
+    for bad in (True, "high", math.nan, 0, 1.5):
+        with pytest.raises(ValueError, match="'stage_detector'"):
+            budget_from_config({"stage_detector": bad})

@@ -478,3 +478,20 @@ def test_line_sum_matches_lorentzian_model():
     assert np.allclose(
         line_sum(lines, x), model.evaluator(np.array([70e6, -226e6, 1.0]), x), rtol=1e-12
     )
+
+
+def test_as_dict_writes_non_finite_numbers_as_none():
+    result = FitResult(
+        params=(1.0, math.inf),
+        uncertainties=(math.nan, 0.5),
+        covariance=np.zeros((2, 2)),
+        cost=math.inf,
+        residual_norm=2.0,
+        status="max-iterations",
+        iterations=3,
+        cost_trace=(4.0,),
+    )
+    payload = result.as_dict()
+    assert payload["params"] == [1.0, None]
+    assert payload["uncertainties"] == [None, 0.5]
+    assert payload["cost"] is None and payload["residual_norm"] == 2.0

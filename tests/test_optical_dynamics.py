@@ -206,8 +206,10 @@ def test_pumping_time_constant_frozen_calibration_point():
 
 
 def test_pumping_time_constant_rejects_unreachable_fidelity():
-    with pytest.raises(ValueError, match="reachable"):
-        pumping_time_constant(30e-6, 0.99, 0.986)
+    # fidelity == f0 would divide by log(1) = 0.
+    for fidelity in (0.99, 0.5):
+        with pytest.raises(ValueError, match=r"must lie in \(0.5, 0.986\) to be reachable"):
+            pumping_time_constant(30e-6, fidelity, 0.986)
 
 
 def test_nuclear_polarization_decays_to_one_half():

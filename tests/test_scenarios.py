@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from snvsim.config import in_base_units
+from snvsim import scenarios
 from snvsim.scenarios import (
     SCENARIOS,
     available_scenarios,
@@ -54,6 +56,16 @@ def test_registry_is_complete_and_ordered():
     for name in ALL_NAMES:
         assert SCENARIOS[name].description
         assert SCENARIOS[name].defaults
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_defaults_lie_in_their_domains_and_base_names_are_unique(name):
+    keys = SCENARIOS[name].keys
+    assert SCENARIOS[name].defaults == {key: default for key, (default, _) in keys.items()}
+    for key, (default, domain) in keys.items():
+        assert domain.check(key, default) == default
+    names = [in_base_units(key, 1.0)[0] for key in keys]
+    assert len(set(names)) == len(names)
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)
@@ -166,3 +178,9 @@ def test_summary_row_pass_logic():
     assert noted["note"] == "window check"
     with pytest.raises(ValueError, match="explicit pass"):
         summary_row("x", 1.0, None, None)
+
+
+def test_json_artifacts_refuse_nan_and_name_the_file(tmp_path):
+    with pytest.raises(ValueError, match="fit.json"):
+        scenarios._write_json(tmp_path / "fit.json", {"x": math.nan})
+    assert not (tmp_path / "fit.json").exists()
