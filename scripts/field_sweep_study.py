@@ -16,7 +16,6 @@ Example:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import statistics
 import sys
@@ -26,7 +25,7 @@ import numpy as np
 
 from snvsim import spin_hamiltonian
 from snvsim.scenarios import field_sweep
-from snvsim.spectra import frequency_grid
+from snvsim.spectra import frequency_grid, write_csv
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
@@ -87,10 +86,8 @@ def main(argv: list[str] | None = None) -> int:
             }
         )
 
-    with open(args.output_dir / "sweep_results.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["snr", "repeat", "slope_ghz_per_t", "intercept_mhz"])
-        writer.writerows(rows)
+    header = ["snr", "repeat", "slope_ghz_per_t", "intercept_mhz"]
+    write_csv(args.output_dir / "sweep_results.csv", header, rows)
     payload = {
         "true_slope_ghz_per_t": args.slope_ghz_per_t,
         "true_splitting_mhz": args.splitting_mhz,

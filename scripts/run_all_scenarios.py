@@ -3,8 +3,9 @@
 
 Each scenario writes its artifacts (summary.json, report.txt, CSVs) under a
 per-scenario directory; this script adds a one-line verdict per scenario and
-exits nonzero if any summary entry fails, so it doubles as a quick
-whole-stack regression check.
+exits 1 if any summary entry fails, so it doubles as a quick whole-stack
+regression check.  Bad input (an unknown scenario, a malformed or
+out-of-domain override) prints the error to stderr and exits 2.
 
 Examples:
     python3 scripts/run_all_scenarios.py
@@ -63,13 +64,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.overrides and len(names) != 1:
         print("--set overrides require exactly one scenario", file=sys.stderr)
         return 2
-    overrides = parse_overrides(args.overrides)
-
     width = max(len(n) for n in names)
     failures = 0
     for name in names:
         start = time.perf_counter()
-        result = run_scenario(name, overrides=overrides or None, output_root=args.output_dir)
+        try:
+            overrides = parse_overrides(args.overrides)
+            result = run_scenario(name, overrides=overrides or None, output_root=args.output_dir)
+        except ValueError as exc:
+            print(f"{name}: {exc}", file=sys.stderr)
+            return 2
         elapsed = time.perf_counter() - start
         verdict = "pass" if result.all_pass else "FAIL"
         n_pass = sum(row["pass"] for row in result.rows)

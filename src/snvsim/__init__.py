@@ -18,11 +18,10 @@ Layers (each imports only the ones above it):
 * :mod:`snvsim.config` — key-value configs and the domains their values are
   checked against.
 * :mod:`snvsim.scenarios` — named desk-scale experiment reproductions.
-* :mod:`snvsim.cli` — the ``snvsim`` command-line interface.
+* :mod:`snvsim.cli` — the ``snvsim`` command line (``import snvsim`` leaves it out).
 """
 
 from . import (
-    cli,
     config,
     fitting,
     optical_dynamics,
@@ -38,7 +37,6 @@ from .scenarios import available_scenarios, run_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "cli",
     "config",
     "fitting",
     "optical_dynamics",

@@ -219,65 +219,67 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
         residual = (y - _checked_eval(model.evaluator, p, x)) / y_err
         return float(residual @ residual), residual
 
-    cost, residual = cost_of(params)
-    cost_trace = [cost]
-    damping = opts.damping_init
-    status = "max-iterations"
-    message = ""
-    iterations = 0
+    # _checked_eval rejects non-finite output, so numpy's warnings add nothing.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        cost, residual = cost_of(params)
+        cost_trace = [cost]
+        damping = opts.damping_init
+        status = "max-iterations"
+        message = ""
+        iterations = 0
 
-    for iterations in range(1, opts.max_iter + 1):
-        jacobian = numeric_jacobian(model.evaluator, params, x) / y_err[:, None]
-        normal = jacobian.T @ jacobian
-        gradient = jacobian.T @ residual
-        normal_diag = np.diag(normal).copy()
+        for iterations in range(1, opts.max_iter + 1):
+            jacobian = numeric_jacobian(model.evaluator, params, x) / y_err[:, None]
+            normal = jacobian.T @ jacobian
+            gradient = jacobian.T @ residual
+            normal_diag = np.diag(normal).copy()
 
-        if _scaled_gradient_norm(gradient, normal_diag) < opts.tol:
-            status = "converged"
-            message = "gradient below tolerance"
-            break
-
-        # Floor the Marquardt scaling so frozen/degenerate directions stay solvable.
-        diag_floor = max(float(normal_diag.max()), 1e-300) * 1e-14
-        scaling = np.maximum(normal_diag, diag_floor)
-
-        stepped = False
-        while True:
-            try:
-                step = np.linalg.solve(normal + damping * np.diag(scaling), gradient)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and np.all(np.isfinite(step)):
-                candidate = np.clip(params + step, lo, hi)
-                new_cost, new_residual = cost_of(candidate)
-                if new_cost <= cost:
-                    relative_drop = (cost - new_cost) / max(cost, 1e-300)
-                    params, cost, residual = candidate, new_cost, new_residual
-                    cost_trace.append(cost)
-                    damping = max(damping / 10.0, 1e-300)
-                    stepped = True
-                    if relative_drop < opts.tol:
-                        status = "converged"
-                        message = "relative cost reduction below tolerance"
-                    break
-            # Rejected (or unsolvable) step: escalate the damping.
-            damping *= 10.0
-            if damping > 1e15:
+            if _scaled_gradient_norm(gradient, normal_diag) < opts.tol:
+                status = "converged"
+                message = "gradient below tolerance"
                 break
 
-        if not stepped and status != "converged":
-            if cost_trace[-1] != cost:  # pragma: no cover - defensive
-                cost_trace.append(cost)
-            status = "singular"
-            message = (
-                "normal equations remained unsolvable or made no progress up to "
-                f"damping {damping:.1e}"
-            )
-            break
-        if status == "converged":
-            break
+            # Floor the Marquardt scaling so frozen/degenerate directions stay solvable.
+            diag_floor = max(float(normal_diag.max()), 1e-300) * 1e-14
+            scaling = np.maximum(normal_diag, diag_floor)
 
-    uncertainties, covariance = _curvature_uncertainties(model, params, x, y_err, cost)
+            stepped = False
+            while True:
+                try:
+                    step = np.linalg.solve(normal + damping * np.diag(scaling), gradient)
+                except np.linalg.LinAlgError:
+                    step = None
+                if step is not None and np.all(np.isfinite(step)):
+                    candidate = np.clip(params + step, lo, hi)
+                    new_cost, new_residual = cost_of(candidate)
+                    if new_cost <= cost:
+                        relative_drop = (cost - new_cost) / max(cost, 1e-300)
+                        params, cost, residual = candidate, new_cost, new_residual
+                        cost_trace.append(cost)
+                        damping = max(damping / 10.0, 1e-300)
+                        stepped = True
+                        if relative_drop < opts.tol:
+                            status = "converged"
+                            message = "relative cost reduction below tolerance"
+                        break
+                # Rejected (or unsolvable) step: escalate the damping.
+                damping *= 10.0
+                if damping > 1e15:
+                    break
+
+            if not stepped and status != "converged":
+                if cost_trace[-1] != cost:  # pragma: no cover - defensive
+                    cost_trace.append(cost)
+                status = "singular"
+                message = (
+                    "normal equations remained unsolvable or made no progress up to "
+                    f"damping {damping:.1e}"
+                )
+                break
+            if status == "converged":
+                break
+
+        uncertainties, covariance = _curvature_uncertainties(model, params, x, y_err, cost)
     return FitResult(
         params=tuple(float(p) for p in params),
         uncertainties=uncertainties,

@@ -2,10 +2,9 @@
 
 Each scenario reproduces one published panel or table at synthetic-data
 scale: it synthesizes data from the model stack, runs the same analysis an
-experiment would (fits, thresholds, budgets), writes its data artifacts as
-CSV, and records a machine-readable ``summary.json`` whose entries each
-carry ``{quantity, simulated, paper_value, tolerance, pass}`` plus a plain
-``report.txt``.
+experiment would (fits, thresholds, budgets), and reports summary entries
+``{quantity, simulated, paper_value, tolerance, pass}`` together with its
+data artifacts.
 
 Reproducibility
 ---------------
@@ -18,9 +17,14 @@ every artifact file.
 
 Output locations
 ----------------
-``run_scenario`` writes to ``<root>/<scenario-name>/``, where the root is
-(in precedence order) the explicit ``output_root`` argument, the
-``SNVSIM_OUTPUT_DIR`` environment variable, or ``./snvsim_output``.
+Runners compute and write nothing.  A runner returns ``(rows, artifacts,
+notes)``; ``artifacts`` maps an index key to ``(name, payload)``, a payload
+being a ``(header, rows)`` table, a ``Spectrum``, a JSON object or, for a
+directory, ``{file name: payload}``.  ``run_scenario`` alone writes: after
+the runner returns, it replaces ``<root>/<scenario-name>/`` with exactly the
+artifacts plus ``summary.json`` and ``report.txt``, which index them by key.
+Every CSV ends its lines with ``\n``.  The root is (in precedence order) the
+``output_root`` argument, ``$SNVSIM_OUTPUT_DIR``, or ``./snvsim_output``.
 
 Configuration
 -------------
@@ -38,6 +42,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -64,10 +69,12 @@ from .fitting import (
 from .spectra import (
     SpectralLine,
     Spectrum,
+    _check_points,
     eom_background_correction,
     frequency_grid,
     sample_inhomogeneous_ensemble,
     synthesize_spectrum,
+    write_csv,
     write_spectrum_csv,
 )
 from .units import TWO_PI, sigma_to_fwhm
@@ -91,30 +98,22 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(_stream(seed, index))
 
 
-def _fmt_cell(value) -> str:
-    """Deterministic CSV cell rendering (floats via repr round-trip)."""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _write(path: Path, payload) -> None:
+    """Write one file from a Spectrum, a ``(header, rows)`` table, a JSON object or text.
 
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt_cell(cell) for cell in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_json(path: Path, payload) -> None:
-    """Strict JSON: a NaN or infinity left in ``payload`` is an error, not output."""
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise ValueError(f"{path.name}: {exc}") from None
-    path.write_text(text + "\n")
+    JSON is strict: a NaN or infinity left in ``payload`` is an error, not output.
+    """
+    if isinstance(payload, Spectrum):
+        write_spectrum_csv(payload, path)
+    elif path.suffix == ".csv":
+        write_csv(path, *payload)
+    else:
+        if path.suffix == ".json":
+            try:
+                payload = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            except ValueError as exc:
+                raise ValueError(f"{path.name}: {exc}") from None
+        path.write_text(payload)
 
 
 def summary_row(
@@ -155,7 +154,7 @@ class Scenario:
     name: str
     description: str
     keys: dict  # key -> (default, Domain), in config order
-    runner: Callable[[dict, Path], tuple[list, dict, list]]
+    runner: Callable[[dict], tuple[list, dict, list]]
 
     @property
     def defaults(self) -> dict:
@@ -191,7 +190,7 @@ _FIG1D_KEYS = {
 }
 
 
-def _run_fig1d(cfg: dict, out_dir: Path):
+def _run_fig1d(cfg: dict):
     """Streams: 0 = emitter ensemble draw."""
     n = cfg["n_emitters"]
     fwhm = cfg["inhomogeneous_fwhm"]
@@ -201,6 +200,7 @@ def _run_fig1d(cfg: dict, out_dir: Path):
     pairs = sample_inhomogeneous_ensemble(0.0, fwhm, n, split, seed=_stream(cfg["seed"], 0))
     centers = np.array([(lo.center_hz + hi.center_hz) / 2.0 for lo, hi in pairs])
     empirical_fwhm = sigma_to_fwhm(float(np.std(centers, ddof=1)))
+    _check_points(5.0 * fwhm / bin_width, "histogram")
     edges = np.arange(-2.5 * fwhm, 2.5 * fwhm + bin_width, bin_width)
     counts, edges = np.histogram(centers, bins=edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -211,13 +211,13 @@ def _run_fig1d(cfg: dict, out_dir: Path):
     result = fit(model, (mids, counts.astype(float)))
     fitted_fwhm = abs(result.params[1])
 
-    _write_csv(out_dir / "distribution.csv", ["freq_hz", "intensity"], zip(mids, counts))
-    _write_json(out_dir / "gaussian_fit.json", _fit_payload(result, model.param_names))
-
     rows = [
         summary_row("inhomogeneous_fwhm_ghz", empirical_fwhm / 1e9, 90.0, 1.8),
     ]
-    artifacts = {"distribution": "distribution.csv", "gaussian_fit": "gaussian_fit.json"}
+    artifacts = {
+        "distribution": ("distribution.csv", (["freq_hz", "intensity"], zip(mids, counts))),
+        "gaussian_fit": ("gaussian_fit.json", _fit_payload(result, model.param_names)),
+    }
     notes = [
         f"{n} emitter centers drawn from the inhomogeneous distribution and histogrammed "
         f"in {bin_width / 1e9:g} GHz bins; the summary row uses the moment estimator of "
@@ -241,7 +241,7 @@ _FIG1E_KEYS = {
 }
 
 
-def _run_fig1e(cfg: dict, out_dir: Path):
+def _run_fig1e(cfg: dict):
     """Streams: 0 = spectrum noise."""
     seed = cfg["seed"]
     split = cfg["zero_field_splitting"]
@@ -251,14 +251,12 @@ def _run_fig1e(cfg: dict, out_dir: Path):
     params = spin_hamiltonian.sn117_ground()
     hamiltonian = spin_hamiltonian.build_ground_hamiltonian(params, (0.0, 0.0, 0.0))
     energies = spin_hamiltonian.eigenenergies_hz(hamiltonian)
-    _write_csv(out_dir / "levels.csv", ["level", "energy_hz"], enumerate(energies))
 
     transition = spin_hamiltonian.OpticalTransitionParams.from_cyclic_hz(split, cfg["slope"])
     detunings = spin_hamiltonian.optical_transition_detunings(transition, 0.0)
     lines = [SpectralLine(center_hz=c, fwhm_hz=fwhm, amplitude=0.5) for c in detunings]
     x = frequency_grid(-span / 2.0, span / 2.0, cfg["grid_step"])
     spectrum = synthesize_spectrum(lines, x, noise_sigma=1.0 / cfg["snr"], seed=_stream(seed, 0))
-    write_spectrum_csv(spectrum, out_dir / "spectrum.csv")
 
     model = make_lorentzian_multi(n_lines=2).with_init(
         (fwhm, -split / 2.0, 1.0, split / 2.0, 1.0)
@@ -266,16 +264,15 @@ def _run_fig1e(cfg: dict, out_dir: Path):
     result = fit(model, spectrum)
     fitted_split = result.params[3] - result.params[1]
     fitted_fwhm = result.params[0]
-    _write_json(out_dir / "doublet_fit.json", _fit_payload(result, model.param_names))
 
     rows = [
         summary_row("hyperfine_splitting_mhz", fitted_split / 1e6, 452.0, 7.0),
         summary_row("optical_linewidth_mhz", fitted_fwhm / 1e6, 70.0, 3.5),
     ]
     artifacts = {
-        "levels": "levels.csv",
-        "spectrum": "spectrum.csv",
-        "doublet_fit": "doublet_fit.json",
+        "levels": ("levels.csv", (["level", "energy_hz"], enumerate(energies))),
+        "spectrum": ("spectrum.csv", spectrum),
+        "doublet_fit": ("doublet_fit.json", _fit_payload(result, model.param_names)),
     }
     notes = [
         "levels.csv lists the eight zero-field eigenenergies of the full "
@@ -345,7 +342,7 @@ def field_sweep(transition, fields_t, x_hz, fwhm_hz, noise_sigma, seeds) -> Fiel
     return FieldSweep(scans, fits, centers, spans, coeffs, np.sqrt(np.diag(cov)))
 
 
-def _run_fig2a(cfg: dict, out_dir: Path):
+def _run_fig2a(cfg: dict):
     """Streams: k = noise of scan k (k = 0 .. n_scans-1)."""
     n_scans = cfg["n_scans"]
     span = cfg["grid_span"]
@@ -361,31 +358,19 @@ def _run_fig2a(cfg: dict, out_dir: Path):
     slope_se, intercept_se = sweep.std_errors
     crossing_mt = spin_hamiltonian.inner_line_crossing_field_t(transition) * 1e3
 
-    (out_dir / "scans").mkdir(exist_ok=True)
-    files = [f"scans/scan_{k:02d}.csv" for k in range(n_scans)]
-    for scan, name in zip(sweep.scans, files):
-        write_spectrum_csv(scan, out_dir / name)
-    manifest = zip(range(n_scans), files, fields * 1e3)
-    _write_csv(out_dir / "manifest.csv", ["order", "file", "field_mt"], manifest)
-    _write_csv(
-        out_dir / "line_centers.csv",
-        ["scan", "field_mt", "center_1_hz", "center_2_hz", "center_3_hz", "center_4_hz",
-         "span_hz", "fit_status"],
-        [
-            (k, fields[k] * 1e3, *sweep.centers[k], sweep.spans[k], sweep.fits[k].status)
-            for k in range(n_scans)
-        ],
-    )
-    _write_json(
-        out_dir / "span_regression.json",
-        {
-            "slope_hz_per_t": float(slope_fit),
-            "slope_se_hz_per_t": float(slope_se),
-            "intercept_hz": float(intercept_fit),
-            "intercept_se_hz": float(intercept_se),
-            "n_scans": n_scans,
-        },
-    )
+    names = [f"scan_{k:02d}.csv" for k in range(n_scans)]
+    manifest = zip(range(n_scans), [f"scans/{name}" for name in names], fields * 1e3)
+    line_centers = [
+        (k, fields[k] * 1e3, *sweep.centers[k], sweep.spans[k], sweep.fits[k].status)
+        for k in range(n_scans)
+    ]
+    regression = {
+        "slope_hz_per_t": float(slope_fit),
+        "slope_se_hz_per_t": float(slope_se),
+        "intercept_hz": float(intercept_fit),
+        "intercept_se_hz": float(intercept_se),
+        "n_scans": n_scans,
+    }
 
     rows = [
         summary_row("splitting_slope_ghz_per_t", slope_fit / 1e9, 5.41, 0.1623),
@@ -393,9 +378,14 @@ def _run_fig2a(cfg: dict, out_dir: Path):
         summary_row("inner_line_crossing_mt", crossing_mt, 84.0, 2.0),
     ]
     artifacts = {
-        "scan_manifest": "manifest.csv",
-        "line_centers": "line_centers.csv",
-        "span_regression": "span_regression.json",
+        "scans": ("scans", dict(zip(names, sweep.scans))),
+        "scan_manifest": ("manifest.csv", (["order", "file", "field_mt"], manifest)),
+        "line_centers": (
+            "line_centers.csv",
+            (["scan", "field_mt", "center_1_hz", "center_2_hz", "center_3_hz", "center_4_hz",
+              "span_hz", "fit_status"], line_centers),
+        ),
+        "span_regression": ("span_regression.json", regression),
     }
     notes = [
         "The outer-line span equals splitting + slope * field at every field, on "
@@ -424,7 +414,7 @@ _FIG2B_KEYS = {
 }
 
 
-def _run_fig2b(cfg: dict, out_dir: Path):
+def _run_fig2b(cfg: dict):
     """Streams: 0 = ensemble draw, 1+k = spectrum noise of emitter k."""
     seed = cfg["seed"]
     n = cfg["n_emitters"]
@@ -444,14 +434,12 @@ def _run_fig2b(cfg: dict, out_dir: Path):
         line_fwhm_hz=fwhm,
     )
     x = frequency_grid(-span / 2.0, span / 2.0, cfg["grid_step"])
-    spectra_dir = out_dir / "spectra"
-    spectra_dir.mkdir(exist_ok=True)
 
-    emitter_rows = []
+    spectra, emitter_rows = {}, []
     fitted_splits = np.empty(n)
     for k, (lo, hi) in enumerate(pairs):
         spectrum = synthesize_spectrum([lo, hi], x, noise_sigma=1.0 / snr, seed=_stream(seed, 1 + k))
-        write_spectrum_csv(spectrum, spectra_dir / f"emitter_{k:02d}.csv")
+        spectra[f"emitter_{k:02d}.csv"] = spectrum
         model = make_lorentzian_multi(n_lines=2).with_init(
             (fwhm, -split_mean / 2.0, 1.0, split_mean / 2.0, 1.0)
         )
@@ -462,17 +450,15 @@ def _run_fig2b(cfg: dict, out_dir: Path):
 
     mean_split = float(np.mean(fitted_splits))
     std_split = float(np.std(fitted_splits, ddof=1))
-    _write_csv(
-        out_dir / "emitters.csv",
-        ["emitter", "true_split_hz", "fitted_split_hz"],
-        emitter_rows,
-    )
 
     tolerance = 3.0 * (split_sigma / 1e6) / math.sqrt(n)
     rows = [
         summary_row("mean_splitting_mhz", mean_split / 1e6, split_mean / 1e6, tolerance),
     ]
-    artifacts = {"emitters": "emitters.csv", "spectra_dir": "spectra"}
+    artifacts = {
+        "emitters": ("emitters.csv", (["emitter", "true_split_hz", "fitted_split_hz"], emitter_rows)),
+        "spectra_dir": ("spectra", spectra),
+    }
     notes = [
         f"Sample standard deviation of the fitted splittings: {std_split / 1e6:.2f} MHz "
         f"(ensemble sigma {split_sigma / 1e6:g} MHz, n = {n}).",
@@ -497,7 +483,7 @@ _FIG2C_KEYS = {
 }
 
 
-def _run_fig2c(cfg: dict, out_dir: Path):
+def _run_fig2c(cfg: dict):
     """Streams: 0 = trace noise."""
     f_inf = cfg["steady_fidelity"]
     t_cal = cfg["calibration_time"]
@@ -517,9 +503,6 @@ def _run_fig2c(cfg: dict, out_dir: Path):
     fitted_f_inf = result.params[0]
     fitted_tau_us = result.params[2]
 
-    _write_csv(out_dir / "pumping.csv", ["t_ns", "value"], zip(t * 1e9, y))
-    _write_json(out_dir / "exponential_fit.json", _fit_payload(result, model.param_names))
-
     rows = [
         summary_row("steady_state_fidelity", fitted_f_inf, f_inf, 0.005),
         summary_row(
@@ -530,7 +513,10 @@ def _run_fig2c(cfg: dict, out_dir: Path):
             note="reference derived from the calibration point, not directly reported",
         ),
     ]
-    artifacts = {"pumping": "pumping.csv", "exponential_fit": "exponential_fit.json"}
+    artifacts = {
+        "pumping": ("pumping.csv", (["t_ns", "value"], zip(t * 1e9, y))),
+        "exponential_fit": ("exponential_fit.json", _fit_payload(result, model.param_names)),
+    }
     notes = [
         f"Pump time constant calibrated to {tau * 1e6:.2f} us from the single "
         f"({t_cal * 1e6:g} us, {f_cal:g}) endpoint measurement.",
@@ -552,7 +538,7 @@ _FIG2D_KEYS = {
 }
 
 
-def _run_fig2d(cfg: dict, out_dir: Path):
+def _run_fig2d(cfg: dict):
     """Streams: 0 = trace noise."""
     t1n = cfg["nuclear_t1"]
     noise = cfg["noise_sigma"]
@@ -565,16 +551,13 @@ def _run_fig2d(cfg: dict, out_dir: Path):
     model = make_exponential(init=(0.5, 0.5, 1.0))
     result = fit(model, (t, y, y_err))
 
-    _write_csv(out_dir / "depolarization.csv", ["t_ns", "value"], zip(t * 1e9, y))
-    _write_json(out_dir / "exponential_fit.json", _fit_payload(result, model.param_names))
-
     rows = [
         summary_row("nuclear_t1_s", result.params[2], t1n, 0.1 * t1n),
         summary_row("equilibrium_fidelity", result.params[0], 0.5, 0.02),
     ]
     artifacts = {
-        "depolarization": "depolarization.csv",
-        "exponential_fit": "exponential_fit.json",
+        "depolarization": ("depolarization.csv", (["t_ns", "value"], zip(t * 1e9, y))),
+        "exponential_fit": ("exponential_fit.json", _fit_payload(result, model.param_names)),
     }
     notes = ["The polarization relaxes to the unpolarized value 1/2, not to zero."]
     return rows, artifacts, notes
@@ -595,7 +578,7 @@ _FIG3A_KEYS = {
 }
 
 
-def _run_fig3a(cfg: dict, out_dir: Path):
+def _run_fig3a(cfg: dict):
     """Streams: 0 = relative rate noise."""
     p_sat = cfg["saturation_power"]
     noise_rel = cfg["noise_rel"]
@@ -610,14 +593,14 @@ def _run_fig3a(cfg: dict, out_dir: Path):
     model = make_saturation(init=(8.0e5, 60.0))
     result = fit(model, (powers_pw, y, y_err))
 
-    _write_csv(out_dir / "saturation.csv", ["power_pw", "rate_cps"], zip(powers_pw, y))
-    _write_json(out_dir / "saturation_fit.json", _fit_payload(result, model.param_names))
-
     rows = [
         summary_row("saturation_power_pw", result.params[1], 120.0, 12.0),
         summary_row("max_rate_mcps", result.params[0] / 1e6, 1.34, 0.07),
     ]
-    artifacts = {"saturation": "saturation.csv", "saturation_fit": "saturation_fit.json"}
+    artifacts = {
+        "saturation": ("saturation.csv", (["power_pw", "rate_cps"], zip(powers_pw, y))),
+        "saturation_fit": ("saturation_fit.json", _fit_payload(result, model.param_names)),
+    }
     notes = []
     return rows, artifacts, notes
 
@@ -636,7 +619,7 @@ _FIG3B_KEYS = {
 }
 
 
-def _run_fig3b(cfg: dict, out_dir: Path):
+def _run_fig3b(cfg: dict):
     """Streams: the readout simulator spawns SeedSequence(seed) children 0/1
     for the bright/dark ensembles (same spawn convention as the module rule).
     """
@@ -665,23 +648,15 @@ def _run_fig3b(cfg: dict, out_dir: Path):
         )
         for n in range(width)
     ]
-    _write_csv(out_dir / "histograms.csv", ["n", "count_bright", "count_dark"], hist_rows)
-    _write_csv(
-        out_dir / "thresholds.csv",
-        ["k", "fidelity"],
-        [(k, photon_budget.threshold_fidelity(bright, dark, k)) for k in range(width + 1)],
-    )
-    _write_json(
-        out_dir / "calibration.json",
-        {
-            "p_detect": model.p_detect,
-            "p_flip_bright": model.p_flip_bright,
-            "p_flip_dark": model.p_flip_dark,
-            "dark_rate": model.dark_rate,
-            "n_pulses": model.n_pulses,
-            "analytic_fidelity_k1": photon_budget.analytic_threshold_fidelity_k1(model),
-        },
-    )
+    thresholds = [(k, photon_budget.threshold_fidelity(bright, dark, k)) for k in range(width + 1)]
+    calibration = {
+        "p_detect": model.p_detect,
+        "p_flip_bright": model.p_flip_bright,
+        "p_flip_dark": model.p_flip_dark,
+        "dark_rate": model.dark_rate,
+        "n_pulses": model.n_pulses,
+        "analytic_fidelity_k1": photon_budget.analytic_threshold_fidelity_k1(model),
+    }
 
     rows = [
         summary_row("readout_fidelity_k1", fidelity_k1, target, 0.01),
@@ -697,9 +672,9 @@ def _run_fig3b(cfg: dict, out_dir: Path):
         summary_row("mean_dark_counts", dark.mean(), mean_dark, 0.005),
     ]
     artifacts = {
-        "histograms": "histograms.csv",
-        "thresholds": "thresholds.csv",
-        "calibration": "calibration.json",
+        "histograms": ("histograms.csv", (["n", "count_bright", "count_dark"], hist_rows)),
+        "thresholds": ("thresholds.csv", (["k", "fidelity"], thresholds)),
+        "calibration": ("calibration.json", calibration),
     }
     notes = [
         "The spin-flip tail during readout pushes the threshold-1 fidelity below "
@@ -721,7 +696,7 @@ _FIG3C_KEYS = {
 }
 
 
-def _run_fig3c(cfg: dict, out_dir: Path):
+def _run_fig3c(cfg: dict):
     """Deterministic (no random streams)."""
     rate = cfg["repetition_rate"]
     duty = cfg["duty_cycle"]
@@ -732,7 +707,6 @@ def _run_fig3c(cfg: dict, out_dir: Path):
     expected = [
         photon_budget.nfold_coincidence_expectation(rate, eta, duty, duration, n) for n in folds
     ]
-    _write_csv(out_dir / "coincidences.csv", ["n", "expected_events"], zip(folds, expected))
 
     five_fold = photon_budget.nfold_coincidence_expectation(rate, eta, duty, 86400.0, 5)
     rows = [
@@ -745,7 +719,9 @@ def _run_fig3c(cfg: dict, out_dir: Path):
             note="reported qualitatively as multiple events per day; pass window [3, 15]",
         ),
     ]
-    artifacts = {"coincidences": "coincidences.csv"}
+    artifacts = {
+        "coincidences": ("coincidences.csv", (["n", "expected_events"], zip(folds, expected))),
+    }
     notes = [
         "The expectation is log-linear in the fold number with slope ln(efficiency); "
         "each extra simultaneous photon costs a factor of the end-to-end efficiency.",
@@ -768,7 +744,7 @@ _FIG4B_KEYS = {
 }
 
 
-def _run_fig4b(cfg: dict, out_dir: Path):
+def _run_fig4b(cfg: dict):
     """Streams: 0 = raw-trace noise."""
     f_in = cfg["input_coupling"]
     span = cfg["grid_span"]
@@ -796,20 +772,13 @@ def _run_fig4b(cfg: dict, out_dir: Path):
     contrast_fit = 1.0 - r0_fit
     fwhm_fit = gamma_fit * (1.0 + c_fit)
 
-    _write_csv(out_dir / "reflection_raw.csv", ["delta_mhz", "r_norm"], zip(delta / 1e6, raw))
-    _write_csv(
-        out_dir / "reflection.csv", ["delta_mhz", "r_norm"], zip(delta / 1e6, corrected.y)
-    )
-    _write_json(
-        out_dir / "reflection_fit.json",
-        {
-            "c": float(c_fit),
-            "f": float(f_in),
-            "gamma_h_mhz": float(gamma_fit / 1e6),
-            "contrast": float(contrast_fit),
-            "residual_norm": float(result.residual_norm),
-        },
-    )
+    reflection_fit = {
+        "c": float(c_fit),
+        "f": float(f_in),
+        "gamma_h_mhz": float(gamma_fit / 1e6),
+        "contrast": float(contrast_fit),
+        "residual_norm": float(result.residual_norm),
+    }
 
     rows = [
         summary_row("cooperativity", c_fit, 0.027, 0.004),
@@ -817,9 +786,11 @@ def _run_fig4b(cfg: dict, out_dir: Path):
         summary_row("dip_fwhm_mhz", fwhm_fit / 1e6, 72.0, 4.0),
     ]
     artifacts = {
-        "reflection_raw": "reflection_raw.csv",
-        "reflection": "reflection.csv",
-        "reflection_fit": "reflection_fit.json",
+        "reflection_raw": ("reflection_raw.csv", (["delta_mhz", "r_norm"], zip(delta / 1e6, raw))),
+        "reflection": (
+            "reflection.csv", (["delta_mhz", "r_norm"], zip(delta / 1e6, corrected.y))
+        ),
+        "reflection_fit": ("reflection_fit.json", reflection_fit),
     }
     notes = [
         "reflection_raw.csv carries the halved dip of the sideband-modulated "
@@ -845,7 +816,7 @@ _FIG4C_KEYS = {
 }
 
 
-def _run_fig4c(cfg: dict, out_dir: Path):
+def _run_fig4c(cfg: dict):
     """Streams: 0 = contrast noise."""
     f_in = cfg["input_coupling"]
     noise = cfg["noise_sigma"]
@@ -863,15 +834,14 @@ def _run_fig4c(cfg: dict, out_dir: Path):
     fit_model = make_contrast_saturation(init=(0.05,))
     result = fit(fit_model, (s, y, y_err))
 
-    _write_csv(out_dir / "contrast_saturation.csv", ["saturation", "contrast"], zip(s, y))
-    _write_json(out_dir / "contrast_fit.json", _fit_payload(result, fit_model.param_names))
-
     rows = [
         summary_row("low_power_contrast", result.params[0], 0.11, 0.017),
     ]
     artifacts = {
-        "contrast_saturation": "contrast_saturation.csv",
-        "contrast_fit": "contrast_fit.json",
+        "contrast_saturation": (
+            "contrast_saturation.csv", (["saturation", "contrast"], zip(s, y))
+        ),
+        "contrast_fit": ("contrast_fit.json", _fit_payload(result, fit_model.param_names)),
     }
     notes = [
         "Contrast rolls off as 1/(1+s) with the saturation parameter; the fit "
@@ -896,22 +866,15 @@ _TABLE_S1_KEYS = {
 }
 
 
-def _run_table_s1(cfg: dict, out_dir: Path):
+def _run_table_s1(cfg: dict):
     """Deterministic (no random streams)."""
     budget = config_mod.budget_from_config(cfg)
     measured = cfg["measured_efficiency"]
     report = photon_budget.budget_report(budget)
     total = report["total_fraction"]
 
-    _write_json(out_dir / "budget.json", report)
-    _write_csv(
-        out_dir / "budget.csv",
-        ["stage", "fraction", "loss_db", "cumulative_fraction", "cumulative_loss_db"],
-        [
-            (r["stage"], r["fraction"], r["loss_db"], r["cumulative_fraction"], r["cumulative_loss_db"])
-            for r in report["stages"]
-        ],
-    )
+    columns = ["stage", "fraction", "loss_db", "cumulative_fraction", "cumulative_loss_db"]
+    table = [[r[column] for column in columns] for r in report["stages"]]
 
     ratio = total / measured
     rows = [
@@ -925,7 +888,10 @@ def _run_table_s1(cfg: dict, out_dir: Path):
             note="measured end-to-end efficiency 1.40(5)%; agreement expected within a factor ~2",
         ),
     ]
-    artifacts = {"budget": "budget.json", "budget_table": "budget.csv"}
+    artifacts = {
+        "budget": ("budget.json", report),
+        "budget_table": ("budget.csv", (columns, table)),
+    }
     notes = [
         f"Stage product {total * 100.0:.3f}% vs measured {measured * 100.0:.2f}% "
         f"(ratio {ratio:.2f}).",
@@ -947,7 +913,7 @@ _LOSS_CHAIN_KEYS = {
 }
 
 
-def _run_loss_chain(cfg: dict, out_dir: Path):
+def _run_loss_chain(cfg: dict):
     """Deterministic (no random streams)."""
     chain = config_mod.loss_chain_from_config(cfg)
     single_pass = photon_budget.single_pass_from_roundtrip(chain.measured_roundtrip)
@@ -956,32 +922,29 @@ def _run_loss_chain(cfg: dict, out_dir: Path):
         cfg["taper_etch_rate_um_min"], cfg["taper_pull_rate_um_min"]
     )
 
-    _write_json(
-        out_dir / "loss_chain.json",
-        {
-            "measured_roundtrip": chain.measured_roundtrip,
-            "single_pass": single_pass,
-            "corrections": [
-                {
-                    "name": c.name,
-                    "kind": c.kind,
-                    "value": c.value,
-                    "length_m": c.length_m,
-                    "transmission": c.transmission(),
-                }
-                for c in chain.corrections
-            ],
-            "corrected_coupling": corrected,
-            "taper_half_angle_deg": taper,
-        },
-    )
+    accounting = {
+        "measured_roundtrip": chain.measured_roundtrip,
+        "single_pass": single_pass,
+        "corrections": [
+            {
+                "name": c.name,
+                "kind": c.kind,
+                "value": c.value,
+                "length_m": c.length_m,
+                "transmission": c.transmission(),
+            }
+            for c in chain.corrections
+        ],
+        "corrected_coupling": corrected,
+        "taper_half_angle_deg": taper,
+    }
 
     rows = [
         summary_row("single_pass_pct", single_pass * 100.0, 52.0, 2.0),
         summary_row("corrected_coupling_pct", corrected * 100.0, 57.0, 6.0),
         summary_row("taper_half_angle_deg", taper, 1.5, 0.5),
     ]
-    artifacts = {"loss_chain": "loss_chain.json"}
+    artifacts = {"loss_chain": ("loss_chain.json", accounting)}
     notes = [
         "The corrected value divides documented per-pass losses (splice, facet "
         "scattering, fibre attenuation) out of the square-rooted roundtrip "
@@ -1004,7 +967,7 @@ _RABI_KEYS = {
 }
 
 
-def _run_rabi(cfg: dict, out_dir: Path):
+def _run_rabi(cfg: dict):
     """Streams: 0 = trace noise."""
     omega = TWO_PI * cfg["rabi_frequency"]
     t1 = cfg["optical_t1"]
@@ -1022,13 +985,6 @@ def _run_rabi(cfg: dict, out_dir: Path):
     result = fit(model, (t_ns, y, y_err))
     fitted_omega_mhz = result.params[0] * 1e3 / TWO_PI
     fitted_t1_ns = result.params[1]
-
-    _write_csv(out_dir / "rabi.csv", ["t_ns", "value"], zip(t_ns, y))
-    _write_json(out_dir / "rabi_fit.json", _fit_payload(result, model.param_names))
-    _write_json(
-        out_dir / "pi_calibration.json",
-        {"t_pi_ns": calibration["t_pi"] * 1e9, "fidelity": calibration["fidelity"]},
-    )
 
     rows = [
         summary_row(
@@ -1049,9 +1005,12 @@ def _run_rabi(cfg: dict, out_dir: Path):
         summary_row("fitted_optical_t1_ns", fitted_t1_ns, 4.7, 0.47),
     ]
     artifacts = {
-        "rabi": "rabi.csv",
-        "rabi_fit": "rabi_fit.json",
-        "pi_calibration": "pi_calibration.json",
+        "rabi": ("rabi.csv", (["t_ns", "value"], zip(t_ns, y))),
+        "rabi_fit": ("rabi_fit.json", _fit_payload(result, model.param_names)),
+        "pi_calibration": (
+            "pi_calibration.json",
+            {"t_pi_ns": calibration["t_pi"] * 1e9, "fidelity": calibration["fidelity"]},
+        ),
     }
     notes = [
         "The measured optimal pulse (~1.8 ns) is shorter than this rate-equation "
@@ -1074,7 +1033,7 @@ _LIFETIME_KEYS = {
 }
 
 
-def _run_lifetime(cfg: dict, out_dir: Path):
+def _run_lifetime(cfg: dict):
     """Streams: 0 = Poisson counting noise."""
     tau = cfg["lifetime"]
     peak = cfg["peak_counts"]
@@ -1089,14 +1048,14 @@ def _run_lifetime(cfg: dict, out_dir: Path):
     fitted_tau_ns = result.params[2]
     fourier_mhz = optical_dynamics.fourier_limit(tau) / 1e6
 
-    _write_csv(out_dir / "decay.csv", ["t_ns", "value"], zip(t_ns, counts))
-    _write_json(out_dir / "decay_fit.json", _fit_payload(result, model.param_names))
-
     rows = [
         summary_row("fitted_lifetime_ns", fitted_tau_ns, tau * 1e9, 0.02 * tau * 1e9),
         summary_row("fourier_limit_mhz", fourier_mhz, 28.6, 0.1),
     ]
-    artifacts = {"decay": "decay.csv", "decay_fit": "decay_fit.json"}
+    artifacts = {
+        "decay": ("decay.csv", (["t_ns", "value"], zip(t_ns, counts))),
+        "decay_fit": ("decay_fit.json", _fit_payload(result, model.param_names)),
+    }
     notes = [
         "The Fourier-limited linewidth 1/(2 pi tau) uses the configured lifetime; "
         "the fitted lifetime checks the synthetic counting pipeline against it.",
@@ -1119,7 +1078,7 @@ _G2_KEYS = {
 }
 
 
-def _run_g2(cfg: dict, out_dir: Path):
+def _run_g2(cfg: dict):
     """Streams: 0 = correlation noise."""
     omega = TWO_PI * cfg["rabi_frequency"]
     t1 = cfg["optical_t1"]
@@ -1127,14 +1086,13 @@ def _run_g2(cfg: dict, out_dir: Path):
     step = cfg["step"]
     noise = cfg["noise_sigma"]
 
+    _check_points(2.0 * cfg["max_delay"] / step + 1.0, "delay axis")
     n_side = int(round(cfg["max_delay"] / step))
     tau = np.arange(-n_side, n_side + 1) * step
     y = optical_dynamics.g2_autocorrelation(tau, omega, t1, background)
     y_noisy = y + _rng(cfg["seed"], 0).normal(0.0, noise, size=tau.size)
 
     g2_zero = optical_dynamics.g2_autocorrelation(0.0, omega, t1, background)
-
-    _write_csv(out_dir / "g2.csv", ["t_ns", "value"], zip(tau * 1e9, y_noisy))
 
     rows = [
         summary_row("g2_zero", g2_zero, 0.052, 0.004),
@@ -1147,7 +1105,7 @@ def _run_g2(cfg: dict, out_dir: Path):
             note="g2(0) < 0.5 certifies a single emitter",
         ),
     ]
-    artifacts = {"g2": "g2.csv"}
+    artifacts = {"g2": ("g2.csv", (["t_ns", "value"], zip(tau * 1e9, y_noisy)))}
     notes = [
         "g2(0) equals the uncorrelated-background fraction exactly in this model; "
         "the Rabi ringing at short delay reflects coherent re-excitation.",
@@ -1165,29 +1123,29 @@ _ISOTOPES_KEYS = {
 }
 
 
-def _run_isotopes(cfg: dict, out_dir: Path):
+def _run_isotopes(cfg: dict):
     """Deterministic (no random streams)."""
     predictions = spin_hamiltonian.isotope_splitting_predictions_hz(
         cfg["reference_splitting"], cfg["reference_isotope"]
     )
-    _write_csv(
-        out_dir / "isotope_splittings.csv",
-        ["isotope", "gamma_n_mhz_per_t", "splitting_mhz"],
-        [
-            (
-                isotope,
-                spin_hamiltonian.NUCLEAR_GYROMAGNETIC_HZ_PER_T[isotope] / 1e6,
-                predictions[isotope] / 1e6,
-            )
-            for isotope in sorted(predictions)
-        ],
-    )
+    table = [
+        (
+            isotope,
+            spin_hamiltonian.NUCLEAR_GYROMAGNETIC_HZ_PER_T[isotope] / 1e6,
+            predictions[isotope] / 1e6,
+        )
+        for isotope in sorted(predictions)
+    ]
 
     rows = [
         summary_row("sn115_predicted_splitting_mhz", predictions["sn115"] / 1e6, 415.0, 5.0),
         summary_row("sn119_predicted_splitting_mhz", predictions["sn119"] / 1e6, 475.0, 5.0),
     ]
-    artifacts = {"isotope_splittings": "isotope_splittings.csv"}
+    artifacts = {
+        "isotope_splittings": (
+            "isotope_splittings.csv", (["isotope", "gamma_n_mhz_per_t", "splitting_mhz"], table)
+        ),
+    }
     notes = [
         "The contact hyperfine coupling scales with the nuclear gyromagnetic "
         "ratio, so sibling-isotope splittings follow from the measured one and "
@@ -1352,9 +1310,7 @@ def _validated_config(scenario: Scenario, file_cfg: dict, overrides: dict) -> tu
     return cfg, values
 
 
-def _write_report(
-    out_dir: Path, scenario: Scenario, rows: list, artifacts: dict, notes: list
-) -> None:
+def _report(scenario: Scenario, rows: list, index: dict, notes: list) -> str:
     lines = [f"scenario: {scenario.name}", scenario.description, ""]
     header = f"{'quantity':<34} {'simulated':>14} {'reference':>12} {'tolerance':>10}  pass"
     lines += [header, "-" * len(header)]
@@ -1368,36 +1324,52 @@ def _write_report(
     if notes:
         lines += ["", "notes:"]
         lines += [f"  - {note}" for note in notes]
-    if artifacts:
+    if index:
         lines += ["", "artifacts:"]
-        lines += [f"  - {key}: {value}" for key, value in artifacts.items()]
-    (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
+        lines += [f"  - {key}: {value}" for key, value in index.items()]
+    return "\n".join(lines) + "\n"
 
 
 def run_scenario(target: str, overrides: dict | None = None, output_root=None) -> ScenarioResult:
-    """Run one scenario by name or config-file path and write its artifacts.
+    """Run one scenario by name or config-file path, then write its artifact tree.
 
     ``overrides`` are already-parsed config values (the CLI passes its
     ``key=value`` pairs through :func:`snvsim.config.parse_overrides`).
+    Nothing is written until the runner has returned; then
+    ``<root>/<name>/`` is replaced as a whole.
     """
     scenario, file_cfg = _resolve(target)
     cfg, values = _validated_config(scenario, file_cfg, dict(overrides or {}))
-    root = Path(output_root or os.environ.get(OUTPUT_DIR_ENV, _DEFAULT_OUTPUT_ROOT))
-    out_dir = root / scenario.name
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    rows, artifacts, notes = scenario.runner(values, out_dir)
+    rows, artifacts, notes = scenario.runner(values)
+    index = {key: name for key, (name, _) in artifacts.items()}
     summary = {
         "scenario": scenario.name,
         "description": scenario.description,
         "config": cfg,
         "entries": rows,
-        "artifacts": artifacts,
+        "artifacts": index,
         "notes": notes,
         "all_pass": all(row["pass"] for row in rows),
     }
-    _write_json(out_dir / "summary.json", summary)
-    _write_report(out_dir, scenario, rows, artifacts, notes)
+
+    root = Path(output_root or os.environ.get(OUTPUT_DIR_ENV, _DEFAULT_OUTPUT_ROOT))
+    out_dir = root / scenario.name
+    shutil.rmtree(out_dir, ignore_errors=True)
+    out_dir.mkdir(parents=True)
+    try:
+        for name, payload in artifacts.values():
+            path = out_dir / name
+            if path.suffix:
+                _write(path, payload)
+            else:  # a directory: {file name: payload}
+                path.mkdir()
+                for file_name, item in payload.items():
+                    _write(path / file_name, item)
+        _write(out_dir / "summary.json", summary)
+        _write(out_dir / "report.txt", _report(scenario, rows, index, notes))
+    except BaseException:
+        shutil.rmtree(out_dir, ignore_errors=True)  # no partial tree
+        raise
     return ScenarioResult(
-        name=scenario.name, out_dir=out_dir, rows=rows, artifacts=artifacts, notes=notes
+        name=scenario.name, out_dir=out_dir, rows=rows, artifacts=index, notes=notes
     )

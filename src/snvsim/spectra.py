@@ -70,12 +70,23 @@ class SpectralLine:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
 
 
+#: Most points a sampled axis may have; a larger one is refused before it is allocated.
+MAX_GRID_POINTS = 10**6
+
+
+def _check_points(n: float, axis: str) -> None:
+    """Refuse an axis of ``n`` points, ``n`` a float that may be inf, above the cap."""
+    if n > MAX_GRID_POINTS:
+        raise ValueError(f"{axis} of {n:.3g} points exceeds the cap of {MAX_GRID_POINTS}")
+
+
 def frequency_grid(start_hz: float, stop_hz: float, step_hz: float) -> np.ndarray:
     """Ascending grid from start to stop (inclusive within half a step)."""
     if step_hz <= 0.0 or stop_hz <= start_hz:
         raise ValueError("need stop > start and a positive step")
-    n = int(round((stop_hz - start_hz) / step_hz))
-    return start_hz + step_hz * np.arange(n + 1)
+    n = (stop_hz - start_hz) / step_hz  # inf when the ratio overflows
+    _check_points(n + 1, "frequency grid")
+    return start_hz + step_hz * np.arange(int(round(n)) + 1)
 
 
 def line_sum(lines, x_hz) -> np.ndarray:
@@ -322,18 +333,31 @@ def eom_background_inverse(corrected: Spectrum, reference: Spectrum) -> Spectrum
     return Spectrum(x=corrected.x, y=reference.y * (corrected.y + 1.0) / 2.0)
 
 
+def _fmt_cell(value) -> str:
+    """Deterministic CSV cell rendering (floats via repr round-trip)."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a headered CSV; every line, the last included, ends in ``\\n``."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt_cell(cell) for cell in row) for row in rows]
+    with open(path, "w", newline="") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:
     """Write a spectrum as CSV ``freq_hz,intensity[,err]``."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        if spectrum.y_err is None:
-            writer.writerow(["freq_hz", "intensity"])
-            for x, y in zip(spectrum.x, spectrum.y):
-                writer.writerow([repr(float(x)), repr(float(y))])
-        else:
-            writer.writerow(["freq_hz", "intensity", "err"])
-            for x, y, e in zip(spectrum.x, spectrum.y, spectrum.y_err):
-                writer.writerow([repr(float(x)), repr(float(y)), repr(float(e))])
+    columns = [spectrum.x, spectrum.y]
+    if spectrum.y_err is not None:
+        columns.append(spectrum.y_err)
+    write_csv(path, ["freq_hz", "intensity", "err"][: len(columns)], zip(*columns))
 
 
 def read_spectrum_csv(path) -> Spectrum:

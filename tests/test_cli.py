@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -193,6 +194,24 @@ def test_fig2c_calibration_at_the_unpumped_fidelity_exits_2(capsys, tmp_path):
     )
     assert code == 2 and out == ""
     assert "fidelity 0.5 must lie in (0.5, 0.986)" in json.loads(err)["error"]
+    assert not (tmp_path / "fig2c").exists()
+
+
+# Axes that would need more than MAX_GRID_POINTS points; refused before allocation.
+OVER_THE_CAP = [
+    ("fig2a", "grid_step_mhz=1e-9"),
+    ("fig1e", "grid_step_mhz=1e-300"),
+    ("g2", "step_ns=1e-12"),
+    ("fig1d", "bin_width_ghz=1e-9"),
+]
+
+
+@pytest.mark.parametrize("scenario, override", OVER_THE_CAP)
+def test_axes_over_the_point_cap_exit_2_before_any_output(capsys, tmp_path, scenario, override):
+    code, out, err = _run(capsys, ["run", scenario, override, "--output-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert "exceeds the cap" in json.loads(err)["error"]
+    assert not (tmp_path / scenario).exists()
 
 
 @pytest.mark.parametrize(
@@ -246,6 +265,10 @@ def _scenario_override(draw):
 @example(case=("fig1e", "linewidth_mhz=1e-9"))
 @example(case=("rabi", "max_time_ns=1e-9"))
 @example(case=("fig1d", "n_emitters=1"))
+@example(case=("fig2a", "grid_step_mhz=1e-9"))
+@example(case=("fig1e", "grid_step_mhz=1e-300"))
+@example(case=("g2", "step_ns=1e-12"))
+@example(case=("fig1d", "bin_width_ghz=1e-9"))
 def test_every_run_ends_in_strict_json_or_a_validation_error(case):
     """Exit 0/1 with strict JSON on stdout and in every artifact, or exit 2
     with empty stdout and ``{"error": ...}`` on stderr; never an exception."""
@@ -419,3 +442,27 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert completed.stdout.strip() == "[]"
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def _module_run(*args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_python_m_snvsim_cli_runs_without_a_runpy_warning():
+    completed = _module_run("-W", "error::RuntimeWarning", "-m", "snvsim.cli", "list")
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stderr == ""
+
+
+def test_stderr_of_a_failed_fit_is_one_json_object(tmp_path):
+    completed = _module_run(
+        "-m", "snvsim.cli", "run", "fig2c", "calibration_time_us=0.5", "--output-dir", str(tmp_path)
+    )
+    assert completed.returncode == 2 and completed.stdout == ""
+    assert "error" in json.loads(completed.stderr)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -87,9 +88,13 @@ def test_scenario_runs_green_with_contract_artifacts(name, scenario_output_root)
         assert isinstance(entry["pass"], bool)
         assert isinstance(entry["simulated"], (int, float))
 
-    for relative in result.artifacts.values():
-        # Artifacts may be single files or directories of per-scan outputs.
-        assert (result.out_dir / relative).exists()
+    # The tree holds exactly the indexed artifacts; a directory artifact
+    # (per-scan spectra) holds files only.
+    assert summary["artifacts"] == result.artifacts
+    top = {p.name for p in result.out_dir.iterdir()}
+    assert top == {"summary.json", "report.txt", *result.artifacts.values()}
+    for path in result.out_dir.rglob("*"):
+        assert path.is_file() or (path.parent == result.out_dir and any(path.iterdir()))
 
     # The human-readable report carries a pass column for every entry.
     report = report_path.read_text()
@@ -182,5 +187,41 @@ def test_summary_row_pass_logic():
 
 def test_json_artifacts_refuse_nan_and_name_the_file(tmp_path):
     with pytest.raises(ValueError, match="fit.json"):
-        scenarios._write_json(tmp_path / "fit.json", {"x": math.nan})
+        scenarios._write(tmp_path / "fit.json", {"x": math.nan})
     assert not (tmp_path / "fit.json").exists()
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_runners_compute_without_writing(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    scenario = SCENARIOS[name]
+    _, values = scenarios._validated_config(scenario, {}, {})
+    rows, artifacts, notes = scenario.runner(values)
+    assert list(tmp_path.iterdir()) == []
+    assert rows and isinstance(notes, list)
+    for key, (relative, payload) in artifacts.items():
+        assert isinstance(key, str) and isinstance(relative, str) and payload is not None
+
+
+def test_rerun_replaces_the_tree_and_leaves_no_stale_files(tmp_path):
+    run_scenario("fig2b", output_root=tmp_path)
+    assert len(list((tmp_path / "fig2b" / "spectra").iterdir())) == 12
+    result = run_scenario("fig2b", {"n_emitters": 3}, output_root=tmp_path)
+    spectra = sorted(p.name for p in (result.out_dir / "spectra").iterdir())
+    assert spectra == ["emitter_00.csv", "emitter_01.csv", "emitter_02.csv"]
+    with open(result.out_dir / "emitters.csv", newline="") as handle:
+        assert len(list(csv.reader(handle))) == 1 + 3
+
+
+def test_a_failed_write_leaves_no_tree(tmp_path, monkeypatch):
+    g2 = SCENARIOS["g2"]
+
+    def runner(values):
+        rows, artifacts, notes = g2.runner(values)
+        return rows, {**artifacts, "bad": ("bad.json", {"x": math.nan})}, notes
+
+    run_scenario("g2", output_root=tmp_path)
+    monkeypatch.setitem(SCENARIOS, "g2", dataclasses.replace(g2, runner=runner))
+    with pytest.raises(ValueError, match="bad.json"):
+        run_scenario("g2", output_root=tmp_path)
+    assert not (tmp_path / "g2").exists()

@@ -80,6 +80,7 @@ def test_readout_threshold_study_table_and_poisson_optimum(tmp_path, capsys):
         (["g2", "isotopes"], 0),
         (["no_such_scenario"], 2),
         (["g2", "--set", "background=0.6"], 1),
+        (["g2", "--set", "background=2"], 2),
     ],
 )
 def test_run_all_scenarios_exit_codes(tmp_path, capsys, argv, code):

@@ -10,6 +10,7 @@ from scipy import stats
 
 from snvsim.fitting import fit, make_lorentzian_multi
 from snvsim.spectra import (
+    MAX_GRID_POINTS,
     RecenterResult,
     SpectralLine,
     Spectrum,
@@ -27,6 +28,7 @@ from snvsim.spectra import (
     sample_inhomogeneous_ensemble,
     shift_spectrum,
     synthesize_spectrum,
+    write_csv,
     write_spectrum_csv,
 )
 from snvsim.units import fwhm_to_sigma
@@ -311,3 +313,27 @@ def test_csv_round_trip_without_uncertainties(tmp_path):
     loaded = read_spectrum_csv(path)
     assert loaded.y_err is None
     assert np.array_equal(loaded.y, spectrum.y)
+
+
+def test_csv_lines_end_in_a_bare_newline(tmp_path):
+    spectrum = synthesize_spectrum([LINE], frequency_grid(-50e6, 50e6, 10e6), noise_sigma=0.1, seed=1)
+    write_spectrum_csv(spectrum, tmp_path / "spectrum.csv")
+    write_csv(tmp_path / "table.csv", ["k", "value", "ok", "label"], [(np.int64(2), 0.1, True, "a")])
+    text = (tmp_path / "spectrum.csv").read_bytes()
+    assert b"\r" not in text and text.endswith(b"\n")
+    assert text.count(b"\n") == 1 + spectrum.x.size
+    assert (tmp_path / "table.csv").read_bytes() == b"k,value,ok,label\n2,0.1,true,a\n"
+
+
+@pytest.mark.parametrize("step_hz", [1e-3, 1e-300, 5e-324])
+def test_frequency_grid_refuses_more_points_than_the_cap(step_hz):
+    # 2.4 GHz in these steps is 2.4e12 points or an overflow to inf: refused
+    # from the ratio alone, before numpy is asked for the array.
+    with pytest.raises(ValueError, match="cap"):
+        frequency_grid(-1.2e9, 1.2e9, step_hz)
+
+
+def test_frequency_grid_allows_exactly_the_cap():
+    assert frequency_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0).size == MAX_GRID_POINTS
+    with pytest.raises(ValueError, match="cap"):
+        frequency_grid(0.0, float(MAX_GRID_POINTS), 1.0)
