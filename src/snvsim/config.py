@@ -110,9 +110,10 @@ FRACTION = Domain(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 OPEN_FRACTION = Domain(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 
 
-def count(minimum: int) -> Domain:
-    """Integers from ``minimum`` up."""
-    return Domain(int, lambda v: v >= minimum, f"an integer >= {minimum}")
+def count(minimum: int, maximum: float = math.inf) -> Domain:
+    """Integers from ``minimum`` up to ``maximum``."""
+    text = f"an integer >= {minimum}" + (f" and <= {maximum}" if maximum < math.inf else "")
+    return Domain(int, lambda v: minimum <= v <= maximum, text)
 
 
 def choice(*options: str) -> Domain:

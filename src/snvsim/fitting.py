@@ -15,12 +15,21 @@ Convergence is declared when an accepted step reduces the cost by less than
 max_i |g_i|/sqrt((J'J)_ii) falls below ``tol``.  Everything is pure and
 deterministic: identical inputs produce bit-identical results.
 
+Each iteration needs the Jacobian d model / d params.  A model that
+supplies ``ModelSpec.jacobian`` gives it in closed form; any other model
+gets central differences (:func:`numeric_jacobian`), whose step turns
+one-sided at a bound so the stencil never leaves the bounds box.  A trial
+step whose evaluation raises ``ValueError`` or is non-finite counts as a
+rejected step; only the initial guess may raise.
+
 The registry provides the eight named model functions used across the
 toolkit; shapes owned by the physics modules delegate to them so a fitted
 curve and the forward model can never drift apart.  Registry conventions:
-``damped_rabi`` works in nanoseconds and ``saturation`` in picowatts so
-that default finite-difference steps (1e-6 * max(|p|, 1)) stay well inside
-parameter scale.
+``damped_rabi`` works in nanoseconds and ``saturation`` in picowatts, so
+their parameters are O(1) or larger.  The difference step
+1e-6 * max(|p|, 1) is relative only from |p| = 1 up; below that it is an
+absolute 1e-6 in the parameter's own unit, which would swamp a time in
+seconds or a power in watts.
 """
 
 from __future__ import annotations
@@ -44,6 +53,10 @@ class ModelSpec:
     ``evaluator(params, x) -> y`` must be finite on the data domain for any
     in-bounds parameter vector.  ``bounds`` are inclusive per-parameter
     (lo, hi) boxes; a degenerate box (lo == hi) freezes a parameter.
+    ``jacobian(params, x) -> (x.size, n_params)``, when given, is the exact
+    d evaluator / d params that :func:`fit` uses in place of
+    :func:`numeric_jacobian`; it must be finite wherever the evaluator is,
+    unless the derivative itself lies beyond the float range.
     """
 
     name: str
@@ -51,6 +64,7 @@ class ModelSpec:
     init: tuple[float, ...]
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bounds: tuple[tuple[float, float], ...] | None = None
+    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self) -> None:
         if len(self.init) != len(self.param_names):
@@ -168,23 +182,41 @@ def numeric_jacobian(
     params,
     x,
     step_scale: float = 1e-6,
+    bounds: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Central-difference Jacobian d model / d params on the grid ``x``.
 
     Per-parameter step h_i = step_scale * max(|p_i|, 1); the truncation
-    error of each entry is O(h_i^2).
+    error of each entry is O(h_i^2).  With ``bounds`` = (lo, hi) a stencil
+    point beyond a bound is pulled back onto it, so within h_i of a bound
+    the difference is one-sided (error O(h_i)) and every evaluation stays
+    in the box.  A frozen parameter (lo == hi) keeps the central stencil.
     """
     p = np.asarray(params, dtype=float)
     x = np.asarray(x, dtype=float)
+    if bounds is None:
+        bounds = (np.full(p.size, -math.inf), np.full(p.size, math.inf))
+    lo, hi = bounds
     jacobian = np.empty((x.size, p.size))
     for i in range(p.size):
         h = step_scale * max(abs(p[i]), 1.0)
+        up, down, span = p[i] + h, p[i] - h, 2.0 * h
+        if lo[i] < hi[i] and (up > hi[i] or down < lo[i]):
+            up, down = min(up, hi[i]), max(down, lo[i])
+            span = up - down
         p_hi = p.copy()
         p_lo = p.copy()
-        p_hi[i] += h
-        p_lo[i] -= h
-        jacobian[:, i] = (_checked_eval(evaluator, p_hi, x) - _checked_eval(evaluator, p_lo, x)) / (2.0 * h)
+        p_hi[i] = up
+        p_lo[i] = down
+        jacobian[:, i] = (_checked_eval(evaluator, p_hi, x) - _checked_eval(evaluator, p_lo, x)) / span
     return jacobian
+
+
+def _jacobian(model: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The model's own Jacobian if it has one, else central differences in its bounds."""
+    if model.jacobian is not None:
+        return model.jacobian(params, x)
+    return numeric_jacobian(model.evaluator, params, x, bounds=model.bounds_arrays())
 
 
 def _scaled_gradient_norm(gradient: np.ndarray, normal_diag: np.ndarray) -> float:
@@ -229,7 +261,7 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
         iterations = 0
 
         for iterations in range(1, opts.max_iter + 1):
-            jacobian = numeric_jacobian(model.evaluator, params, x) / y_err[:, None]
+            jacobian = _jacobian(model, params, x) / y_err[:, None]
             normal = jacobian.T @ jacobian
             gradient = jacobian.T @ residual
             normal_diag = np.diag(normal).copy()
@@ -251,7 +283,10 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
                     step = None
                 if step is not None and np.all(np.isfinite(step)):
                     candidate = np.clip(params + step, lo, hi)
-                    new_cost, new_residual = cost_of(candidate)
+                    try:
+                        new_cost, new_residual = cost_of(candidate)
+                    except ValueError:  # the trial left the model's domain
+                        new_cost = math.inf
                     if new_cost <= cost:
                         relative_drop = (cost - new_cost) / max(cost, 1e-300)
                         params, cost, residual = candidate, new_cost, new_residual
@@ -262,7 +297,7 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
                             status = "converged"
                             message = "relative cost reduction below tolerance"
                         break
-                # Rejected (or unsolvable) step: escalate the damping.
+                # Rejected, unsolvable or out-of-domain step: escalate the damping.
                 damping *= 10.0
                 if damping > 1e15:
                     break
@@ -302,7 +337,7 @@ def _curvature_uncertainties(
 ) -> tuple[tuple[float, ...], np.ndarray]:
     """1-sigma uncertainties from the residual-weighted normal-equations curvature."""
     n_params = params.size
-    jacobian = numeric_jacobian(model.evaluator, params, x) / y_err[:, None]
+    jacobian = _jacobian(model, params, x) / y_err[:, None]
     normal = jacobian.T @ jacobian
     dof = max(x.size - n_params, 1)
     variance_scale = cost / dof
@@ -319,10 +354,35 @@ def _curvature_uncertainties(
 # Model registry
 # --------------------------------------------------------------------------
 
-def lorentzian_profile(x, center: float, fwhm: float, amplitude: float):
-    """Peak-normalized Lorentzian amplitude / (1 + (2 (x - center)/fwhm)^2)."""
-    u = 2.0 * (np.asarray(x, dtype=float) - center) / fwhm
-    return amplitude / (1.0 + u * u)
+def lorentzian_sum(x, centers, fwhms, amplitudes, derivatives: bool = False):
+    """Sum over lines k of amplitude_k / (1 + u_k^2), u_k = 2 (x - center_k) / fwhm_k.
+
+    ``x`` is a 1-d grid; ``centers`` and ``amplitudes`` hold one entry per
+    line, ``fwhms`` one per line or one shared by all.  The lines are laid
+    out along the first axis of one (n_lines, x.size) array and added in
+    order.  With ``derivatives`` the result is ``(total, d_center, d_fwhm,
+    d_amplitude)``, each partial of shape (n_lines, x.size).  The partials
+    are built from 1/(1 + u^2) and u/(1 + u^2) = 1/(u + 1/u), both bounded
+    by 1 for every u including 0 and +-inf, so none is NaN: at fwhm = 1e-300
+    or |x - center|/fwhm ~ 1e200 they only tend to 0.  A partial is at most
+    ~1.3 |amplitude|/fwhm, so it can leave the float range only where that
+    bound does (amplitude 1e8 at fwhm 1e-300).
+    """
+    x = np.asarray(x, dtype=float)
+    centers = np.asarray(centers, dtype=float)[:, None]
+    fwhms = np.asarray(fwhms, dtype=float)[..., None]
+    amplitudes = np.asarray(amplitudes, dtype=float)[:, None]
+    u = 2.0 * (x - centers) / fwhms
+    total = (amplitudes / (1.0 + u * u)).sum(axis=0)
+    if not derivatives:
+        return total
+    with np.errstate(over="ignore", divide="ignore"):
+        even = 1.0 / (1.0 + u * u)
+        odd = 1.0 / (u + 1.0 / u)
+    # Bounded factors first: amplitude / fwhm alone may overflow where odd = 0.
+    d_center = amplitudes * odd * even * (4.0 / fwhms)
+    d_fwhm = amplitudes * odd * odd * (2.0 / fwhms)
+    return total, d_center, d_fwhm, even
 
 
 def gaussian_profile(x, center: float, fwhm: float, amplitude: float):
@@ -353,14 +413,7 @@ def make_lorentzian_multi(
             offset = (i - (n_lines + 1) / 2.0) / max(n_lines - 1, 1)
             defaults += [452.0e6 * offset, 1.0]
             bounds += [_UNBOUNDED, _UNBOUNDED]
-
-        def evaluator(params, x, n=n_lines):
-            fwhm = params[0]
-            total = np.zeros_like(np.asarray(x, dtype=float))
-            for k in range(n):
-                total = total + lorentzian_profile(x, params[1 + 2 * k], fwhm, params[2 + 2 * k])
-            return total
-
+        centers, fwhms, amplitudes = slice(1, None, 2), 0, slice(2, None, 2)
     else:
         names, defaults, bounds = [], [], []
         for i in range(1, n_lines + 1):
@@ -368,14 +421,20 @@ def make_lorentzian_multi(
             offset = (i - (n_lines + 1) / 2.0) / max(n_lines - 1, 1)
             defaults += [452.0e6 * offset, 70.0e6, 1.0]
             bounds += [_UNBOUNDED, (1e-300, math.inf), _UNBOUNDED]
+        centers, fwhms, amplitudes = slice(0, None, 3), slice(1, None, 3), slice(2, None, 3)
 
-        def evaluator(params, x, n=n_lines):
-            total = np.zeros_like(np.asarray(x, dtype=float))
-            for k in range(n):
-                total = total + lorentzian_profile(
-                    x, params[3 * k], params[3 * k + 1], params[3 * k + 2]
-                )
-            return total
+    def evaluator(params, x):
+        return lorentzian_sum(x, params[centers], params[fwhms], params[amplitudes])
+
+    def jacobian(params, x):
+        _, d_center, d_fwhm, d_amplitude = lorentzian_sum(
+            x, params[centers], params[fwhms], params[amplitudes], derivatives=True
+        )
+        jac = np.empty((d_center.shape[1], params.size))
+        jac[:, centers] = d_center.T
+        jac[:, fwhms] = d_fwhm.sum(axis=0) if shared_fwhm else d_fwhm.T
+        jac[:, amplitudes] = d_amplitude.T
+        return jac
 
     return ModelSpec(
         name="lorentzian_multi",
@@ -383,6 +442,7 @@ def make_lorentzian_multi(
         init=tuple(init) if init is not None else tuple(defaults),
         evaluator=evaluator,
         bounds=tuple(bounds),
+        jacobian=jacobian,
     )
 
 
@@ -403,12 +463,27 @@ def make_exponential(init: Sequence[float] | None = None) -> ModelSpec:
     x and tau share whatever unit the caller picks (ns for optical decay,
     s for nuclear depolarization).
     """
+
+    def evaluator(p, x):
+        return p[0] + p[1] * np.exp(-np.asarray(x, dtype=float) / p[2])
+
+    def jacobian(p, x):
+        # d/dtau = amplitude * r e^(-r) / tau with r = x/tau; r e^(-r) is
+        # written as 0 where e^(-r) underflows, so r = inf gives no inf * 0.
+        x = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = x / p[2]
+            decay = np.exp(-r)
+            r_decay = np.where(decay > 0.0, r * decay, 0.0)
+        return np.column_stack([np.ones_like(x), decay, p[1] * r_decay / p[2]])
+
     return ModelSpec(
         name="exponential",
         param_names=("baseline", "amplitude", "tau"),
         init=tuple(init) if init is not None else (0.0, 1.0, 5.56),
-        evaluator=lambda p, x: p[0] + p[1] * np.exp(-np.asarray(x, dtype=float) / p[2]),
+        evaluator=evaluator,
         bounds=(_UNBOUNDED, _UNBOUNDED, (1e-300, math.inf)),
+        jacobian=jacobian,
     )
 
 
@@ -432,12 +507,23 @@ def make_saturation(init: Sequence[float] | None = None) -> ModelSpec:
         power = np.asarray(x, dtype=float)
         return p[0] / (1.0 + p[1] / power)
 
+    def jacobian(p, x):
+        # d/dp_sat = -i_inf * x / (x + p_sat)^2 = -i_inf * g (1 - g) / p_sat with
+        # g = x / (x + p_sat); both g and 1 - g are taken as 1 / (1 + ratio)
+        # so neither cancels nor turns into inf / inf.
+        power = np.asarray(x, dtype=float)
+        with np.errstate(over="ignore", divide="ignore"):
+            g = 1.0 / (1.0 + p[1] / power)
+            one_minus_g = 1.0 / (1.0 + power / p[1])
+        return np.column_stack([g, -(p[0] * g * one_minus_g) / p[1]])
+
     return ModelSpec(
         name="saturation",
         param_names=("i_infinity", "p_sat_pw"),
         init=tuple(init) if init is not None else (1.34e6, 120.0),
         evaluator=evaluator,
         bounds=((1e-300, math.inf), (1e-300, math.inf)),
+        jacobian=jacobian,
     )
 
 

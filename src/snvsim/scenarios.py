@@ -43,6 +43,7 @@ import json
 import math
 import os
 import shutil
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -67,6 +68,7 @@ from .fitting import (
     poisson_sigma,
 )
 from .spectra import (
+    MAX_GRID_POINTS,
     SpectralLine,
     Spectrum,
     _check_points,
@@ -83,6 +85,15 @@ from .units import TWO_PI, sigma_to_fwhm
 OUTPUT_DIR_ENV = "SNVSIM_OUTPUT_DIR"
 
 _DEFAULT_OUTPUT_ROOT = "snvsim_output"
+
+# Upper bounds of the integer counts that size what a run allocates; a
+# sampled axis (``n_points``) is capped like every grid, at MAX_GRID_POINTS.
+#: fig2a scans and fig2b emitters: each is a spectrum held until written, a fit and a CSV.
+_MAX_FITTED_SPECTRA = 1000
+#: fig1d emitters: each is a pair of line objects.
+_MAX_ENSEMBLE = 10**5
+#: fig3b readouts per state: each pulse draws three random arrays of this length.
+_MAX_TRIALS = 10**6
 
 
 # --------------------------------------------------------------------------
@@ -183,7 +194,7 @@ class ScenarioResult:
 
 _FIG1D_KEYS = {
     "seed": (11, SEED),
-    "n_emitters": (10000, count(2)),
+    "n_emitters": (10000, count(2, _MAX_ENSEMBLE)),
     "inhomogeneous_fwhm_ghz": (90.0, POSITIVE),
     "hyperfine_splitting_mhz": (452.0, REAL),
     "bin_width_ghz": (2.0, POSITIVE),
@@ -288,7 +299,7 @@ def _run_fig1e(cfg: dict):
 
 _FIG2A_KEYS = {
     "seed": (21, SEED),
-    "n_scans": (35, count(3)),
+    "n_scans": (35, count(3, _MAX_FITTED_SPECTRA)),
     "field_start_mt": (0.0, REAL),
     "field_step_mt": (4.3, POSITIVE),
     "zero_field_splitting_mhz": (452.0, POSITIVE),
@@ -404,7 +415,7 @@ def _run_fig2a(cfg: dict):
 
 _FIG2B_KEYS = {
     "seed": (22, SEED),
-    "n_emitters": (12, count(2)),
+    "n_emitters": (12, count(2, _MAX_FITTED_SPECTRA)),
     "splitting_mean_mhz": (452.0, NON_NEGATIVE),
     "splitting_sigma_mhz": (7.0, NON_NEGATIVE),
     "linewidth_mhz": (70.0, POSITIVE),
@@ -477,7 +488,7 @@ _FIG2C_KEYS = {
     "steady_fidelity": (0.986, FRACTION),
     "calibration_time_us": (30.0, POSITIVE),
     "calibration_fidelity": (0.980, FRACTION),
-    "n_points": (60, count(3)),
+    "n_points": (60, count(3, MAX_GRID_POINTS)),
     "max_time_us": (30.0, POSITIVE),
     "noise_sigma": (0.003, POSITIVE),
 }
@@ -533,7 +544,7 @@ _FIG2D_KEYS = {
     "nuclear_t1_s": (1.25, POSITIVE),
     "initial_fidelity": (0.986, FRACTION),
     "max_time_s": (5.0, POSITIVE),
-    "n_points": (40, count(3)),
+    "n_points": (40, count(3, MAX_GRID_POINTS)),
     "noise_sigma": (0.01, POSITIVE),
 }
 
@@ -573,7 +584,7 @@ _FIG3A_KEYS = {
     "max_rate_mcps": (1.34, POSITIVE),
     "power_min_pw": (1.0, POSITIVE),
     "power_max_pw": (2000.0, POSITIVE),
-    "n_points": (30, count(2)),
+    "n_points": (30, count(2, MAX_GRID_POINTS)),
     "noise_rel": (0.03, POSITIVE),
 }
 
@@ -615,7 +626,7 @@ _FIG3B_KEYS = {
     "mean_dark": (0.13, NON_NEGATIVE),
     "fidelity_target": (0.80, FRACTION),
     "n_pulses": (150, count(1)),
-    "trials": (100000, count(1)),
+    "trials": (100000, count(1, _MAX_TRIALS)),
 }
 
 
@@ -811,7 +822,7 @@ _FIG4C_KEYS = {
     "input_coupling": (0.95, OPEN_FRACTION),
     "s_min": (0.01, POSITIVE),
     "s_max": (10.0, POSITIVE),
-    "n_points": (25, count(1)),
+    "n_points": (25, count(1, MAX_GRID_POINTS)),
     "noise_sigma": (0.005, POSITIVE),
 }
 
@@ -962,7 +973,7 @@ _RABI_KEYS = {
     "rabi_frequency_mhz": (230.0, POSITIVE),
     "optical_t1_ns": (4.7, POSITIVE),
     "max_time_ns": (15.0, POSITIVE),
-    "n_points": (301, count(2)),
+    "n_points": (301, count(2, MAX_GRID_POINTS)),
     "noise_sigma": (0.02, POSITIVE),
 }
 
@@ -1028,7 +1039,7 @@ _LIFETIME_KEYS = {
     "seed": (52, SEED),
     "lifetime_ns": (5.56, POSITIVE),
     "max_time_ns": (30.0, POSITIVE),
-    "n_points": (120, count(3)),
+    "n_points": (120, count(3, MAX_GRID_POINTS)),
     "peak_counts": (3000.0, POSITIVE),
 }
 
@@ -1294,7 +1305,8 @@ def _resolve(target: str) -> tuple[Scenario, dict]:
 
 def _validated_config(scenario: Scenario, file_cfg: dict, overrides: dict) -> tuple[dict, dict]:
     """The merged config, and the runner's values: each checked against its
-    key's domain, unit suffix stripped and applied (``linewidth_mhz`` -> ``linewidth`` in Hz).
+    key's domain, unit suffix stripped and applied (``linewidth_mhz`` -> ``linewidth`` in Hz),
+    then checked again in base units.
     """
     cfg = config_mod.merged(config_mod.merged(scenario.defaults, file_cfg), overrides)
     unknown = sorted(set(cfg) - set(scenario.keys))
@@ -1303,10 +1315,18 @@ def _validated_config(scenario: Scenario, file_cfg: dict, overrides: dict) -> tu
             f"unknown config keys for scenario {scenario.name!r}: {', '.join(unknown)}; "
             f"allowed: {', '.join(sorted(scenario.keys))}"
         )
-    values = dict(
-        config_mod.in_base_units(key, scenario.keys[key][1].check(key, value))
-        for key, value in cfg.items()
-    )
+    values = {}
+    for key, value in cfg.items():
+        domain = scenario.keys[key][1]
+        name, base = config_mod.in_base_units(key, domain.check(key, value))
+        # Check again in base units: step_ns=1e-320 is 0.0 s, and a subnormal
+        # width such as linewidth_mhz=1e-320 overflows wherever it divides.
+        if name != key and (not domain.test(base) or 0.0 < abs(base) < sys.float_info.min):
+            raise ValueError(
+                f"config key {key!r} must be {domain.text} and a normal float in base "
+                f"units; {value!r} becomes {base!r}"
+            )
+        values[name] = base
     return cfg, values
 
 

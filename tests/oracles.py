@@ -158,6 +158,12 @@ def convolve_with_poisson(signal_pmf: np.ndarray, mu: float, n_max: int) -> np.n
 # Analytic derivatives and closed forms
 # --------------------------------------------------------------------------
 
+def lorentzian(x, center: float, fwhm: float, amplitude: float) -> np.ndarray:
+    """One peak-normalized Lorentzian line, written out term by term."""
+    x = np.asarray(x, dtype=float)
+    return amplitude / (1.0 + (2.0 * (x - center) / fwhm) ** 2)
+
+
 def lorentzian_shared_jacobian(params, x) -> np.ndarray:
     """Analytic Jacobian of the shared-width Lorentzian [fwhm, center, amplitude]."""
     w, c, a = params

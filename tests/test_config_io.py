@@ -151,6 +151,9 @@ def test_domains_check_ranges_and_convert():
     assert count(3).check("n_scans", 3) == 3
     with pytest.raises(ValueError, match="'n_scans' must be an integer >= 3, got 2"):
         count(3).check("n_scans", 2)
+    assert count(3, 1000).check("n_scans", 1000) == 1000
+    with pytest.raises(ValueError, match="'n_scans' must be an integer >= 3 and <= 1000, got 1001"):
+        count(3, 1000).check("n_scans", 1001)
     isotope = choice("sn115", "sn117")
     assert isotope.check("reference_isotope", "sn115") == "sn115"
     for bad in ("sn116", 117, True):

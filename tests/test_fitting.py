@@ -2,6 +2,7 @@
 
 Dual routes:
 - numeric Jacobian vs hand-coded analytic Lorentzian derivatives,
+- each model's own closed-form Jacobian vs the numeric one,
 - the hand-rolled minimizer vs scipy.optimize.curve_fit on the same data,
 - curvature covariance vs explicit weighted normal equations for a line.
 """
@@ -12,19 +13,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
-from oracles import lorentzian_shared_jacobian, weighted_linear_covariance
-from snvsim import optical_dynamics, spin_hamiltonian, waveguide_qed
+from oracles import lorentzian, lorentzian_shared_jacobian, weighted_linear_covariance
+from snvsim import fitting, optical_dynamics, spin_hamiltonian, waveguide_qed
 from snvsim.fitting import (
     FitOptions,
     FitResult,
     ModelSpec,
     fit,
     gaussian_profile,
-    lorentzian_profile,
     make_abs_cosine,
     make_contrast_saturation,
     make_damped_rabi,
@@ -144,11 +144,10 @@ def test_scale_equivariance_of_data_and_weights():
     scaled_model = model.with_init([80e6, -200e6, 0.9 * c, 210e6, 1.1 * c])
     scaled = fit(scaled_model, (spectrum.x, c * spectrum.y, c * spectrum.y_err))
 
-    # Equivariance is exact in exact arithmetic, but two floating-point effects
-    # leave ~3e-10 of scatter: the finite-difference step floor
-    # h = step_scale * max(|p|, 1) is not scale-covariant for |p| < 1, and the
-    # normal-equations solve has weighted columns spanning ~8 orders of
-    # magnitude.  1e-8 keeps a 30x margin over the observed worst case.
+    # Equivariance is exact in exact arithmetic.  The Lorentzian Jacobian is
+    # analytic, but the normal-equations solve has weighted columns spanning
+    # ~8 orders of magnitude, and its rounding leaves ~3e-10 of scatter.
+    # 1e-8 keeps a 30x margin over the observed worst case.
     shape_idx = [0, 1, 3]  # fwhm and the two centers
     amplitude_idx = [2, 4]
     for i in shape_idx:
@@ -211,6 +210,110 @@ def test_jacobian_truncation_error_is_second_order():
         numeric_jacobian(model.evaluator, params, x, step_scale=5e-4) - analytic
     ).max()
     assert 2.5 < err_h / err_half < 6.0  # halving the step cuts the error ~4x
+
+
+def test_numeric_jacobian_steps_one_sided_at_a_bound():
+    def evaluator(p, x):
+        if p[0] < 0.0:
+            raise ValueError("outside the model's domain")
+        return np.sqrt(p[0] + 1.0) * x
+
+    x = np.linspace(0.0, 1.0, 11)
+    bounds = (np.array([0.0]), np.array([math.inf]))
+    with pytest.raises(ValueError):  # the central stencil steps to -1e-6
+        numeric_jacobian(evaluator, [0.0], x)
+    jac = numeric_jacobian(evaluator, [0.0], x, bounds=bounds)
+    # One-sided: first-order error ~ h |f''| / 2 = 1e-6 / 8.
+    assert np.allclose(jac[:, 0], 0.5 * x, rtol=0.0, atol=1e-6)
+
+
+# Each model with a closed-form Jacobian, with parameters on an O(1) scale so
+# the central differences it is checked against are accurate to ~1e-9.
+GRID = np.linspace(-8.0, 8.0, 81)
+
+
+@st.composite
+def _model_with_params(draw):
+    case = draw(st.sampled_from(["shared", "independent", "exponential", "saturation"]))
+    real = st.floats(min_value=-3.0, max_value=3.0)
+    width = st.floats(min_value=0.5, max_value=5.0)
+    height = st.floats(min_value=0.1, max_value=10.0)
+    if case in ("shared", "independent"):
+        n_lines = draw(st.integers(min_value=1, max_value=4))
+        model = make_lorentzian_multi(n_lines, shared_fwhm=case == "shared")
+        if case == "shared":
+            params = [draw(width)] + [draw(s) for _ in range(n_lines) for s in (real, height)]
+        else:
+            params = [draw(s) for _ in range(n_lines) for s in (real, width, height)]
+        return model, np.array(params), GRID
+    if case == "exponential":
+        params = [draw(real), draw(height), draw(st.floats(min_value=0.5, max_value=20.0))]
+        return make_exponential(), np.array(params), np.linspace(0.0, 20.0, 81)
+    params = [draw(st.floats(min_value=0.5, max_value=5e6)), draw(st.floats(1.0, 1e3))]
+    return make_saturation(), np.array(params), np.geomspace(1.0, 2000.0, 81)
+
+
+@settings(max_examples=200)
+@given(case=_model_with_params())
+def test_closed_form_jacobians_match_central_differences(case):
+    model, params, x = case
+    analytic = model.jacobian(params, x)
+    numeric = numeric_jacobian(model.evaluator, params, x, bounds=model.bounds_arrays())
+    assert analytic.shape == (x.size, params.size)
+    column_scale = np.abs(analytic).max(axis=0)
+    assert np.all(np.abs(analytic - numeric) <= 1e-6 * column_scale)
+
+
+@given(
+    st.floats(min_value=0.5, max_value=5.0),
+    st.floats(min_value=-3.0, max_value=3.0),
+    st.floats(min_value=0.1, max_value=10.0),
+)
+def test_shared_lorentzian_jacobian_matches_the_oracle(w, c, a):
+    x = np.linspace(-8.0, 8.0, 81)
+    analytic = make_lorentzian_multi(1).jacobian(np.array([w, c, a]), x)
+    oracle = lorentzian_shared_jacobian([w, c, a], x)
+    assert np.allclose(analytic, oracle, rtol=1e-10, atol=1e-10 * np.abs(oracle).max())
+
+
+@pytest.mark.parametrize(
+    "model, params, x",
+    [
+        # fwhm at its lower bound: u = 0, 2 and ~2e300 on one grid.
+        (make_lorentzian_multi(2), [1e-300, 0.0, 1.0, 1e-6, 2.0], [-1.0, 0.0, 1e-300, 1e-6, 1.0]),
+        (make_lorentzian_multi(1, shared_fwhm=False), [0.0, 1e-300, 1.0], [-1e10, 0.0, 1e-300, 1e10]),
+        # |x - c| / fwhm ~ 1e200, and beyond the float range (u = inf).
+        (make_lorentzian_multi(1), [1e-100, 0.0, 1.0], [-1e100, 0.0, 1e100, 1e300]),
+        (make_exponential(), [0.5, 2.0, 1e-300], [0.0, 1e-300, 1.0, 1e10]),
+        (make_saturation(), [1e6, 1e-300], [0.0, 1e-300, 1.0, 1e300]),
+    ],
+)
+def test_closed_form_jacobians_are_finite_where_the_model_is(model, params, x):
+    params, x = np.array(params), np.array(x)
+    with np.errstate(over="ignore", divide="ignore"):  # u itself may overflow to inf
+        assert np.all(np.isfinite(model.evaluator(params, x)))
+        assert np.all(np.isfinite(model.jacobian(params, x)))
+
+
+def test_closed_form_jacobians_replace_the_numeric_one(monkeypatch):
+    calls = []
+    numeric = fitting.numeric_jacobian
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return numeric(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "numeric_jacobian", counting)
+    x = np.linspace(-800e6, 800e6, 401)
+    quartet = make_lorentzian_multi(n_lines=4)
+    fit(quartet, (x, quartet.evaluator(np.asarray(quartet.init) * 1.01, x)))
+    t = np.linspace(0.0, 20.0, 81)
+    fit(make_exponential(), (t, 0.1 + np.exp(-t / 4.0)))
+    assert calls == []
+
+    t_ns = np.linspace(0.0, 15.0, 151)
+    fit(make_damped_rabi(), (t_ns, make_damped_rabi().evaluator(np.array([1.5, 5.0]), t_ns)))
+    assert calls
 
 
 # --------------------------------------------------------------------------
@@ -302,6 +405,38 @@ def test_nan_evaluation_raises_naming_parameters():
         fit(model, (x, x))
 
 
+def _domain_limited(kind: str) -> ModelSpec:
+    """y = gain * x, whose evaluation fails for gain > 1.5 although it is unbounded.
+
+    The closed-form Jacobian keeps difference stencils out of the failing
+    region, so only trial steps reach it.
+    """
+
+    def evaluator(p, x):
+        if p[0] > 1.5:
+            if kind == "raises":
+                raise ValueError("gain out of range")
+            return np.full_like(x, np.nan)
+        return p[0] * x
+
+    return ModelSpec(
+        name=kind,
+        param_names=("gain",),
+        init=(1.0,),
+        evaluator=evaluator,
+        jacobian=lambda p, x: x[:, None],
+    )
+
+
+@pytest.mark.parametrize("kind", ["raises", "non-finite"])
+def test_a_trial_step_out_of_the_model_domain_is_a_rejected_step(kind):
+    x = np.linspace(0.0, 1.0, 20)
+    result = fit(_domain_limited(kind), (x, 2.0 * x))
+    assert result.params[0] <= 1.5
+    assert result.params[0] > 1.4  # it still moved as far as the domain allows
+    _assert_monotonic_trace(result)
+
+
 def test_data_validation():
     model = make_lorentzian_multi(1)
     with pytest.raises(ValueError, match="constrain"):
@@ -375,10 +510,10 @@ def test_registry_contains_exactly_the_eight_models():
 def test_registry_evaluators_match_owning_modules():
     x_hz = np.linspace(-3e8, 3e8, 11)
 
-    lorentzian = make_lorentzian_multi(1)
+    single_line = make_lorentzian_multi(1)
     assert np.allclose(
-        lorentzian.evaluator(np.array([70e6, 1e7, 2.0]), x_hz),
-        lorentzian_profile(x_hz, 1e7, 70e6, 2.0),
+        single_line.evaluator(np.array([70e6, 1e7, 2.0]), x_hz),
+        lorentzian(x_hz, 1e7, 70e6, 2.0),
         rtol=1e-12,
     )
 
@@ -467,7 +602,7 @@ def test_independent_width_lorentzian_layout():
     )
     x = np.linspace(-1e9, 1e9, 21)
     params = np.array([-226e6, 60e6, 1.0, 226e6, 90e6, 0.5])
-    expected = lorentzian_profile(x, -226e6, 60e6, 1.0) + lorentzian_profile(x, 226e6, 90e6, 0.5)
+    expected = lorentzian(x, -226e6, 60e6, 1.0) + lorentzian(x, 226e6, 90e6, 0.5)
     assert np.allclose(model.evaluator(params, x), expected, rtol=1e-12)
 
 
