@@ -3,10 +3,11 @@
 
 Given measured bright/dark mean counts and a target single-shot fidelity, the
 study calibrates a readout model (detection probability + bright-state flip
-probability per pulse), Monte-Carlo simulates photon-number histograms, and
-scans the classification threshold.  The table contrasts the flip-free Poisson
-reference with the calibrated model, showing how spin flips cap the fidelity
-and where the optimal threshold sits.
+probability per pulse), samples photon-number histograms from the model's
+exact count distribution, and scans the classification threshold.  The table
+contrasts the flip-free Poisson reference with the calibrated model, showing
+how spin flips cap the fidelity and where the optimal threshold sits.  In the
+JSON output, ``fidelity_mc`` and ``optimal_mc`` refer to the sampled histograms.
 
 Example:
     python3 scripts/readout_threshold_study.py --mean-bright 1.83 --mean-dark 0.13 \
@@ -57,7 +58,7 @@ def main(argv: list[str] | None = None) -> int:
 
     poisson_bright = poisson_reference_histogram(args.mean_bright)
     poisson_dark = poisson_reference_histogram(args.mean_dark)
-    mc = simulate_readout(model, trials=args.trials, seed=args.seed)
+    sampled = simulate_readout(model, trials=args.trials, seed=args.seed)
 
     table = []
     for k in range(args.k_max + 1):
@@ -65,20 +66,20 @@ def main(argv: list[str] | None = None) -> int:
             {
                 "k": k,
                 "fidelity_poisson": threshold_fidelity(poisson_bright, poisson_dark, k),
-                "fidelity_mc": threshold_fidelity(mc["bright"], mc["dark"], k),
+                "fidelity_mc": threshold_fidelity(sampled["bright"], sampled["dark"], k),
             }
         )
 
     best_poisson = optimal_threshold(poisson_bright, poisson_dark)
-    best_mc = optimal_threshold(mc["bright"], mc["dark"])
+    best_mc = optimal_threshold(sampled["bright"], sampled["dark"])
 
-    print(f"\n{'k':>3}  {'F (Poisson, no flips)':>22}  {'F (Monte Carlo)':>16}")
+    print(f"\n{'k':>3}  {'F (Poisson, no flips)':>22}  {'F (sampled)':>16}")
     for row in table:
         marks = ""
         if row["k"] == best_poisson["k"]:
             marks += " <- poisson optimum"
         if row["k"] == best_mc["k"]:
-            marks += " <- mc optimum"
+            marks += " <- sampled optimum"
         print(f"{row['k']:>3}  {row['fidelity_poisson']:>22.4f}  {row['fidelity_mc']:>16.4f}{marks}")
     print(
         f"\nspin flips cost {best_poisson['fidelity'] - best_mc['fidelity']:.4f} "

@@ -6,7 +6,8 @@ Four related pieces of bookkeeping around detected photons:
   the end-to-end detection efficiency),
 * loss-chain extraction of a single coupling efficiency from a measured
   roundtrip transmission with documented corrections,
-* Monte-Carlo single-shot spin readout with threshold discrimination, and
+* single-shot spin readout: the exact photon-count distribution of the
+  pulse chain, histograms sampled from it, and threshold discrimination, and
 * expected N-photon coincidence counts.
 
 All efficiencies are linear power fractions in (0, 1]; dB values convert
@@ -207,12 +208,6 @@ class PhotonHistogram:
                 f"histogram counts sum to {total}, expected total_trials = {self.total_trials}"
             )
 
-    @classmethod
-    def from_samples(cls, photon_numbers: np.ndarray) -> "PhotonHistogram":
-        samples = np.asarray(photon_numbers, dtype=int)
-        counts = np.bincount(samples)
-        return cls(counts=tuple(float(c) for c in counts), total_trials=float(samples.size))
-
     def probabilities(self) -> np.ndarray:
         return np.asarray(self.counts, dtype=float) / self.total_trials
 
@@ -222,9 +217,7 @@ class PhotonHistogram:
 
     def variance(self) -> float:
         p = self.probabilities()
-        n = np.arange(p.size)
-        mean = float(np.dot(n, p))
-        return float(np.dot((n - mean) ** 2, p))
+        return float(np.dot((np.arange(p.size) - self.mean()) ** 2, p))
 
     def tail_probability(self, k: int) -> float:
         """P(n >= k) under this histogram."""
@@ -284,39 +277,46 @@ def _poisson_tail_after(n: int, mu: float, log_mu: float) -> float:
         j += 1
 
 
-def _simulate_photon_counts(
-    model: ReadoutModel,
-    trials: int,
-    start_bright: bool,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    bright = np.full(trials, start_bright)
-    signal = np.zeros(trials, dtype=np.int64)
+def readout_count_pmf(model: ReadoutModel, start_bright: bool) -> np.ndarray:
+    """Exact distribution P(n = 0, 1, ...) of the counts detected in one readout window.
+
+    A forward recursion over the pulses carries the signal-count
+    distribution jointly with a bright and a dark spin, so it covers flips
+    both ways, in O(n_pulses^2).  It is convolved with the Poisson
+    background of :func:`poisson_reference_histogram`, whose top bin folds
+    in the tail and so stands for the wrong count: the background is
+    extended until that bin holds less than 1e-17, and the bin is dropped.
+    """
+    p, up, down = model.p_detect, model.p_flip_dark, model.p_flip_bright
+    bright, dark = np.zeros((2, model.n_pulses + 1))
+    (bright if start_bright else dark)[0] = 1.0
     for _ in range(model.n_pulses):
-        detected = bright & (rng.random(trials) < model.p_detect)
-        signal += detected
-        flips_down = bright & (rng.random(trials) < model.p_flip_bright)
-        flips_up = ~bright & (rng.random(trials) < model.p_flip_dark)
-        bright = (bright & ~flips_down) | flips_up
-    background = rng.poisson(model.dark_rate, size=trials)
-    return signal + background
+        after = bright * (1.0 - p)
+        after[1:] += bright[:-1] * p  # a detected photon shifts the count up one
+        bright, dark = after * (1.0 - down) + dark * up, after * down + dark * (1.0 - up)
+    background = poisson_reference_histogram(model.dark_rate).probabilities()
+    while background[-1] >= 1e-17:
+        background = poisson_reference_histogram(model.dark_rate, 2 * background.size).probabilities()
+    pmf = np.convolve(bright + dark, background[:-1])
+    return pmf / pmf.sum()
 
 
 def simulate_readout(model: ReadoutModel, trials: int, seed: int) -> dict[str, PhotonHistogram]:
-    """Monte-Carlo photon-count histograms for bright- and dark-prepared spins.
+    """Photon-count histograms of ``trials`` bright- and dark-prepared readouts.
 
-    Deterministic for a fixed ``seed``; the bright and dark ensembles use
-    independent child streams of the same seed.
+    Each is one multinomial draw from :func:`readout_count_pmf`, ending at
+    its largest drawn count.  The bright and dark ensembles use independent
+    child streams of ``seed``, so a fixed seed fixes both.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    bright_seq, dark_seq = np.random.SeedSequence(seed).spawn(2)
-    bright_counts = _simulate_photon_counts(model, trials, True, np.random.default_rng(bright_seq))
-    dark_counts = _simulate_photon_counts(model, trials, False, np.random.default_rng(dark_seq))
-    return {
-        "bright": PhotonHistogram.from_samples(bright_counts),
-        "dark": PhotonHistogram.from_samples(dark_counts),
-    }
+    histograms = {}
+    for key, seq in zip(("bright", "dark"), np.random.SeedSequence(seed).spawn(2)):
+        pmf = readout_count_pmf(model, start_bright=key == "bright")
+        counts = np.random.default_rng(seq).multinomial(trials, pmf)
+        counts = counts[: np.flatnonzero(counts)[-1] + 1]
+        histograms[key] = PhotonHistogram(tuple(map(float, counts)), float(trials))
+    return histograms
 
 
 def threshold_fidelity(bright: PhotonHistogram, dark: PhotonHistogram, k: int) -> float:

@@ -88,12 +88,17 @@ _DEFAULT_OUTPUT_ROOT = "snvsim_output"
 
 # Upper bounds of the integer counts that size what a run allocates; a
 # sampled axis (``n_points``) is capped like every grid, at MAX_GRID_POINTS.
-#: fig2a scans and fig2b emitters: each is a spectrum held until written, a fit and a CSV.
+#: fig2a scans and fig2b emitters: each is a spectrum held until written, a fit and a CSV;
+#: the points of all of them together are capped at MAX_GRID_POINTS as well.
 _MAX_FITTED_SPECTRA = 1000
 #: fig1d emitters: each is a pair of line objects.
 _MAX_ENSEMBLE = 10**5
-#: fig3b readouts per state: each pulse draws three random arrays of this length.
+#: fig3b readouts per state: one multinomial draw each, so this bounds counts, not arrays.
 _MAX_TRIALS = 10**6
+#: fig3b pulses per readout window: the exact count distribution takes n_pulses^2 work.
+_MAX_PULSES = 10**4
+#: fig3c coincidence orders: each is a row of the table.
+_MAX_FOLD = 10**3
 
 
 # --------------------------------------------------------------------------
@@ -331,10 +336,12 @@ def field_sweep(transition, fields_t, x_hz, fwhm_hz, noise_sigma, seeds) -> Fiel
     stream layout and a scan is reproducible on its own.  Each scan gets a
     shared-width four-line Lorentzian fit started from the true detunings,
     and the outer-line span is regressed linearly on field.  The regression
-    needs at least 3 scans to estimate standard errors.
+    needs at least 3 scans to estimate standard errors, and the scans, all
+    kept in the result, may hold at most MAX_GRID_POINTS points together.
     """
     if len(fields_t) < 3:
         raise ValueError(f"a field sweep needs at least 3 scans, got {len(fields_t)}")
+    _check_points(len(fields_t) * len(x_hz), "n_scans x frequency grid")
     scans, fits, centers = [], [], []
     for bz, seed in zip(fields_t, seeds, strict=True):
         detunings = spin_hamiltonian.optical_transition_detunings(transition, bz)
@@ -445,6 +452,7 @@ def _run_fig2b(cfg: dict):
         line_fwhm_hz=fwhm,
     )
     x = frequency_grid(-span / 2.0, span / 2.0, cfg["grid_step"])
+    _check_points(n * x.size, "n_emitters x frequency grid")
 
     spectra, emitter_rows = {}, []
     fitted_splits = np.empty(n)
@@ -625,7 +633,7 @@ _FIG3B_KEYS = {
     "mean_bright": (1.83, POSITIVE),
     "mean_dark": (0.13, NON_NEGATIVE),
     "fidelity_target": (0.80, FRACTION),
-    "n_pulses": (150, count(1)),
+    "n_pulses": (150, count(1, _MAX_PULSES)),
     "trials": (100000, count(1, _MAX_TRIALS)),
 }
 
@@ -703,7 +711,7 @@ _FIG3C_KEYS = {
     "duty_cycle": (0.40, OPEN_FRACTION),
     "efficiency": (0.014, OPEN_FRACTION),
     "duration_s": (86400.0, POSITIVE),
-    "max_fold": (5, count(1)),
+    "max_fold": (5, count(1, _MAX_FOLD)),
 }
 
 

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fitting import (
-    FitOptions,
     lorentzian_sum,
     make_lorentzian_multi,
     fit,
@@ -258,7 +257,7 @@ def fit_line_center(spectrum: Spectrum, n_lines: int = 1) -> float:
     model = make_lorentzian_multi(n_lines=n_lines).with_init(
         initial_line_guesses(spectrum, n_lines)
     )
-    result = fit(model, spectrum, FitOptions(max_iter=200))
+    result = fit(model, spectrum)
     if result.status == "singular":
         raise RuntimeError(f"line fit failed: {result.message}")
     centers = [result.params[1 + 2 * k] for k in range(n_lines)]

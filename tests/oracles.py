@@ -6,8 +6,10 @@ between the two routes is meaningful:
 
 - eigenvalues via hand-coded cyclic Jacobi rotations (vs LAPACK),
 - Poisson probabilities via explicit series (vs scipy.stats),
-- the photon-counting pulse chain via exact dynamic programming over the
-  spin state (vs the vectorized Monte-Carlo loop),
+- the photon-counting pulse chain two ways: an exact dynamic program over
+  the spin state with a term-by-term Poisson convolution, and a per-pulse
+  sampler of single readouts (vs the package's vectorized recursion and
+  its multinomial histograms),
 - analytic Lorentzian derivatives (vs central differences),
 - closed-form damped-Rabi quantities (vs numeric maximization).
 
@@ -152,6 +154,31 @@ def convolve_with_poisson(signal_pmf: np.ndarray, mu: float, n_max: int) -> np.n
         # background beyond the enumerated range lands in the top bin
         out[n_max] += ps * poisson_tail(n_max + 1, mu)
     return out
+
+
+def sample_readout_counts(
+    p_detect: float,
+    p_flip_bright: float,
+    p_flip_dark: float,
+    n_pulses: int,
+    dark_rate: float,
+    start_bright: bool,
+    trials: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Detected counts of ``trials`` readouts, simulated pulse by pulse.
+
+    Each pulse draws, per readout, whether a bright spin yields a photon
+    and then whether the spin flips; a Poisson background is added last.
+    """
+    bright = np.full(trials, start_bright)
+    signal = np.zeros(trials, dtype=np.int64)
+    for _ in range(n_pulses):
+        signal += bright & (rng.random(trials) < p_detect)
+        flips_down = bright & (rng.random(trials) < p_flip_bright)
+        flips_up = ~bright & (rng.random(trials) < p_flip_dark)
+        bright = (bright & ~flips_down) | flips_up
+    return signal + rng.poisson(dark_rate, size=trials)
 
 
 # --------------------------------------------------------------------------

@@ -212,7 +212,7 @@ def test_criterion_09_readout_statistics():
     with reported(
         9,
         f"Poisson oracle F {poisson_fidelity:.4f} (k={best['k']}); "
-        f"Monte Carlo F {mc_best['fidelity']:.4f} (k={mc_best['k']}) in {elapsed:.2f} s",
+        f"sampled F {mc_best['fidelity']:.4f} (k={mc_best['k']}) in {elapsed:.2f} s",
     ):
         assert best["k"] == 1
         assert math.isclose(poisson_fidelity, oracle, rel_tol=1e-12)

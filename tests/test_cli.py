@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -162,7 +163,7 @@ def test_fig2a_with_too_few_scans_fails_with_a_plain_error(capsys, tmp_path):
 HUGE_COUNTS = [
     (name, f"{key}={10**12}")
     for name in available_scenarios()
-    for key in ("n_points", "n_emitters", "n_scans", "trials")
+    for key in ("n_points", "n_emitters", "n_scans", "trials", "n_pulses", "max_fold")
     if key in SCENARIOS[name].defaults
 ]
 
@@ -226,6 +227,31 @@ def test_axes_over_the_point_cap_exit_2_before_any_output(capsys, tmp_path, scen
     assert code == 2 and out == ""
     assert "exceeds the cap" in json.loads(err)["error"]
     assert not (tmp_path / scenario).exists()
+
+
+# Spectra held at once: each count and each grid is under its cap, the
+# product is not.  Refused before the first spectrum is synthesized.
+POINTS_HELD = [
+    ("fig2a", ["n_scans=1000", "grid_step_mhz=1"], "n_scans"),
+    ("fig2b", ["n_emitters=1000", "grid_step_mhz=1"], "n_emitters"),
+]
+
+
+@pytest.mark.parametrize("scenario, overrides, key", POINTS_HELD)
+def test_points_held_by_a_run_are_capped_before_any_synthesis(
+    capsys, tmp_path, scenario, overrides, key
+):
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, ["run", scenario, *overrides, "--output-dir", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    message = json.loads(err)["error"]
+    assert key in message and "exceeds the cap" in message
+    assert not (tmp_path / scenario).exists()
+    assert peak < 4_000_000  # one grid; 1000 spectra on it would be ~20-40 MB
 
 
 @pytest.mark.parametrize(

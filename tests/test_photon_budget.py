@@ -4,8 +4,10 @@ Dual routes:
 - stage products vs exp(sum of logs),
 - closed-form pulse-chain mean / zero-count probability vs an exact
   dynamic-programming enumeration (tests/oracles.py),
-- the Monte-Carlo sampler vs both the Binomial limit and the general DP
-  distribution at 4-sigma sampling bounds,
+- the exact readout count distribution vs the DP oracle convolved term by
+  term with a Poisson background, and vs the closed-form mean and zero count,
+- sampled readout histograms vs the Binomial limit and the DP distribution
+  at 4-sigma sampling bounds, and vs a per-pulse sampler by a chi-square test,
 - Poisson reference histograms vs hand-summed Poisson series and scipy.stats,
 - the calibration bisection vs scipy.optimize.brentq on the same function.
 """
@@ -13,13 +15,14 @@ Dual routes:
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
-from scipy.stats import poisson
+from scipy.stats import chi2_contingency, poisson
 
 from oracles import (
     binomial_pmf,
@@ -27,6 +30,7 @@ from oracles import (
     poisson_pmf,
     poisson_tail,
     readout_signal_distribution,
+    sample_readout_counts,
 )
 from snvsim.photon_budget import (
     EfficiencyBudget,
@@ -42,6 +46,7 @@ from snvsim.photon_budget import (
     nfold_coincidence_expectation,
     optimal_threshold,
     poisson_reference_histogram,
+    readout_count_pmf,
     simulate_readout,
     single_pass_from_roundtrip,
     taper_half_angle_deg,
@@ -188,14 +193,11 @@ def test_histogram_moments_on_known_distribution():
     assert h.tail_probability(2) == 0.0
 
 
-def test_histogram_validation_and_from_samples():
+def test_histogram_validation():
     with pytest.raises(ValueError, match="sum"):
         PhotonHistogram(counts=(1.0, 1.0), total_trials=3.0)
     with pytest.raises(ValueError, match=">= 0"):
         PhotonHistogram(counts=(-1.0, 2.0), total_trials=1.0)
-    h = PhotonHistogram.from_samples(np.array([0, 1, 1, 3]))
-    assert h.counts == (1.0, 2.0, 0.0, 1.0)
-    assert h.total_trials == 4.0
 
 
 def test_poisson_reference_histogram_matches_series_oracle():
@@ -313,8 +315,98 @@ def test_analytic_k1_fidelity_matches_dp_oracle():
 
 
 # --------------------------------------------------------------------------
-# Monte-Carlo sampler
+# Exact readout count distribution
 # --------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=1, max_value=30),
+    st.floats(min_value=0.0, max_value=20.0),
+    st.booleans(),
+)
+@example(0.3, 0.02, 0.01, 20, 0.7, True)
+@example(0.3, 0.02, 0.01, 20, 0.7, False)
+@example(0.02, 0.015, 0.0, 30, 1.83, True)
+@example(1.0, 1.0, 1.0, 5, 0.0, True)
+def test_readout_count_pmf_matches_dp_oracle_convolved_with_poisson(
+    p_detect, p_flip_bright, p_flip_dark, n_pulses, dark_rate, start_bright
+):
+    model = ReadoutModel(p_detect, p_flip_bright, p_flip_dark, n_pulses, dark_rate)
+    pmf = readout_count_pmf(model, start_bright)
+    assert abs(math.fsum(pmf) - 1.0) <= 1e-15
+    assert np.all(pmf >= 0.0)
+    signal = readout_signal_distribution(
+        p_detect, p_flip_bright, p_flip_dark, n_pulses, start_bright
+    )
+    # The oracle folds its tail into bin n_max, well past the library's last
+    # bin.  The library drops background counts whose total mass is below
+    # 1e-17, so a bin is exact to that much absolutely, and to 1e-12 relatively.
+    oracle = convolve_with_poisson(signal, dark_rate, pmf.size + 10)
+    np.testing.assert_allclose(pmf, oracle[: pmf.size], rtol=1e-12, atol=1e-17)
+    assert math.fsum(oracle[pmf.size :]) <= 1e-17
+
+
+@pytest.mark.parametrize("n_pulses", [1, 150, 2000])
+@pytest.mark.parametrize("dark_rate", [0.0, 0.13, 2.99, 40.0])
+def test_readout_count_pmf_mean_and_zero_match_the_closed_forms(n_pulses, dark_rate):
+    model = ReadoutModel(
+        p_detect=0.02, p_flip_bright=0.015, n_pulses=n_pulses, dark_rate=dark_rate
+    )
+    for start_bright in (True, False):
+        pmf = readout_count_pmf(model, start_bright)
+        assert abs(math.fsum(pmf) - 1.0) <= 1e-15
+        signal_mean = mean_signal_counts(0.02, 0.015, n_pulses) if start_bright else 0.0
+        p_no_signal = zero_signal_probability(0.02, 0.015, n_pulses) if start_bright else 1.0
+        mean = math.fsum(np.arange(pmf.size) * pmf)
+        assert math.isclose(mean, signal_mean + dark_rate, rel_tol=1e-12, abs_tol=1e-15)
+        assert math.isclose(pmf[0], p_no_signal * math.exp(-dark_rate), rel_tol=1e-12)
+
+
+# --------------------------------------------------------------------------
+# Sampled readout histograms
+# --------------------------------------------------------------------------
+
+def test_simulate_readout_matches_a_per_pulse_sampler_by_chi_square():
+    p_detect, p_flip_bright, p_flip_dark, n_pulses, dark_rate = 0.3, 0.05, 0.03, 20, 0.7
+    trials = 20_000
+    model = ReadoutModel(p_detect, p_flip_bright, p_flip_dark, n_pulses, dark_rate)
+    histograms = simulate_readout(model, trials=trials, seed=11)
+    rng = np.random.default_rng(12)
+    for start_bright, key in ((True, "bright"), (False, "dark")):
+        sampled = np.bincount(
+            sample_readout_counts(
+                p_detect, p_flip_bright, p_flip_dark, n_pulses, dark_rate, start_bright, trials, rng
+            )
+        )
+        drawn = np.asarray(histograms[key].counts)
+        table = np.zeros((2, max(sampled.size, drawn.size)))
+        table[0, : sampled.size] = sampled
+        table[1, : drawn.size] = drawn
+        # Pool the sparse top bins so every pooled bin holds at least 20 readouts.
+        while table[:, -1].sum() < 20.0:
+            table[:, -2] += table[:, -1]
+            table = table[:, :-1]
+        p_value = chi2_contingency(table, correction=False).pvalue
+        assert p_value > 1e-3, f"{key}: chi-square p = {p_value:.2e} over {table.shape[1]} bins"
+
+
+def test_simulate_readout_ends_at_the_largest_drawn_count_and_sizes_no_array():
+    model = ReadoutModel(p_detect=0.02, p_flip_bright=0.015, n_pulses=150, dark_rate=0.13)
+    tracemalloc.start()
+    try:
+        histograms = simulate_readout(model, trials=10**6, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A per-pulse sampler holds several arrays of 10^6 readouts (8 MB each).
+    assert peak < 1_000_000
+    for histogram in histograms.values():
+        assert histogram.counts[-1] > 0.0
+        assert math.fsum(histogram.counts) == histogram.total_trials == 10**6
+        assert all(float(c).is_integer() for c in histogram.counts)
 
 def test_simulate_readout_is_bit_reproducible():
     model = ReadoutModel(p_detect=0.02, p_flip_bright=0.015, n_pulses=50, dark_rate=0.1)
