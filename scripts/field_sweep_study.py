@@ -7,7 +7,8 @@ sweep of the optical quartet, fits every scan with a shared-width four-line
 model, and regresses the outer-line span against field.  The study records the
 recovered splitting slope and zero-field splitting.  Repeats with independent
 seeds give the spread.  Results land in sweep_results.csv / sweep_summary.json
-and a console table.
+and a console table.  Bad input (a non-positive SNR, no repeats, fewer than 3
+scans, ...) prints the error to stderr and exits 2.
 
 Example:
     python3 scripts/field_sweep_study.py --snr 3 5 10 15 30 --repeats 5
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -41,7 +43,12 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--grid-span-ghz", type=float, default=2.4)
     parser.add_argument("--grid-step-mhz", type=float, default=5.0)
     parser.add_argument("--output-dir", type=Path, default=Path("field_sweep_study"))
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if not all(0.0 < snr < math.inf for snr in args.snr):
+        parser.error("--snr values must be positive and finite")
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    return args
 
 
 def run_sweep(args: argparse.Namespace, snr: float, repeat: int) -> tuple[float, float]:
@@ -63,8 +70,6 @@ def run_sweep(args: argparse.Namespace, snr: float, repeat: int) -> tuple[float,
 
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-
     true_slope = args.slope_ghz_per_t * 1e9
     true_split = args.splitting_mhz * 1e6
     rows = []
@@ -72,7 +77,11 @@ def main(argv: list[str] | None = None) -> int:
     for snr in args.snr:
         slope_errs, split_errs = [], []
         for repeat in range(args.repeats):
-            slope, intercept = run_sweep(args, snr, repeat)
+            try:
+                slope, intercept = run_sweep(args, snr, repeat)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             rows.append((snr, repeat, slope / 1e9, intercept / 1e6))
             slope_errs.append(abs(slope - true_slope) / true_slope)
             split_errs.append(abs(intercept - true_split))
@@ -86,6 +95,7 @@ def main(argv: list[str] | None = None) -> int:
             }
         )
 
+    args.output_dir.mkdir(parents=True, exist_ok=True)
     header = ["snr", "repeat", "slope_ghz_per_t", "intercept_mhz"]
     write_csv(args.output_dir / "sweep_results.csv", header, rows)
     payload = {

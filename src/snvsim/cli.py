@@ -30,19 +30,17 @@ Errors are emitted to stderr as one JSON object ``{"error": ...}``.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import config as config_mod
 from .fitting import FitOptions, fit, model_registry
 from .photon_budget import budget_report
 from .scenarios import available_scenarios, run_scenario, SCENARIOS
+from .spectra import read_xy_csv
 
 _EXIT_OK = 0
 _EXIT_FIT_FAILED = 1
@@ -60,6 +58,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         overrides = config_mod.parse_overrides(args.overrides)
         result = run_scenario(args.target, overrides, output_root=args.output_dir)
     except (ValueError, KeyError) as exc:
+        if args.target in SCENARIOS or Path(args.target).is_file():
+            return _fail(str(exc))
         return _fail(str(exc), available_scenarios=available_scenarios())
     summary_path = result.out_dir / "summary.json"
     print(summary_path.read_text(), end="")
@@ -71,19 +71,6 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     for name in available_scenarios():
         print(f"{name:<{width}}  {SCENARIOS[name].description}")
     return _EXIT_OK
-
-
-def _read_xy_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Read any headered 2- or 3-column numeric CSV as (x, y[, y_err])."""
-    with open(path, newline="") as handle:
-        rows = list(csv.reader(handle))
-    if len(rows) < 2:
-        raise ValueError(f"{path}: expected a header row plus data rows")
-    n_cols = len(rows[0])
-    if n_cols not in (2, 3):
-        raise ValueError(f"{path}: expected 2 or 3 columns, found {n_cols}")
-    data = np.array([[float(cell) for cell in row] for row in rows[1:]])
-    return data[:, 0], data[:, 1], (data[:, 2] if n_cols == 3 else None)
 
 
 _FIT_REQUEST_KEYS = {"model", "data_file", "init", "bounds", "options", "model_args"}
@@ -126,14 +113,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         if request.get("bounds") is not None:
             model = replace(model, bounds=_parse_bounds(request["bounds"]))
         options = FitOptions(**(request.get("options") or {}))
-        x, y, y_err = _read_xy_csv(Path(request["data_file"]))
+        _, x, y, y_err = read_xy_csv(Path(request["data_file"]))
         data = (x, y, y_err) if y_err is not None else (x, y)
         result = fit(model, data, options)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     payload = result.as_dict()
     payload["model"] = model.name
-    payload["param_names"] = list(model.param_names)
     print(json.dumps(payload, indent=2, sort_keys=True))
     if result.status == "singular":
         return _fail(f"fit failed: {result.message}", code=_EXIT_FIT_FAILED)

@@ -115,6 +115,7 @@ class FitResult:
     every accepted step (rejected proposals do not appear), so it is
     non-increasing by construction.  ``residual_norm`` is sqrt(cost).
     ``status`` is one of converged / max-iterations / singular.
+    ``param_names`` are the fitted model's, in ``params`` order.
     """
 
     params: tuple[float, ...]
@@ -126,6 +127,7 @@ class FitResult:
     iterations: int
     cost_trace: tuple[float, ...]
     message: str = ""
+    param_names: tuple[str, ...] = ()
 
     def as_dict(self) -> dict:
         """JSON-ready summary of the fit; a non-finite number becomes ``None``."""
@@ -137,6 +139,7 @@ class FitResult:
             "status": self.status,
             "iterations": self.iterations,
             "message": self.message,
+            "param_names": list(self.param_names),
         }
 
 
@@ -302,9 +305,7 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
                 if damping > 1e15:
                     break
 
-            if not stepped and status != "converged":
-                if cost_trace[-1] != cost:  # pragma: no cover - defensive
-                    cost_trace.append(cost)
+            if not stepped:
                 status = "singular"
                 message = (
                     "normal equations remained unsolvable or made no progress up to "
@@ -325,6 +326,7 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
         iterations=iterations,
         cost_trace=tuple(cost_trace),
         message=message,
+        param_names=model.param_names,
     )
 
 

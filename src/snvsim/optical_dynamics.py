@@ -57,7 +57,7 @@ class EmitterOpticalParams:
                 f"homogeneous linewidth {self.gamma_h_hz} Hz cannot be below the "
                 f"Fourier limit {self.gamma0_hz} Hz"
             )
-        limit = fourier_limit(self.tau_sp)
+        limit = fourier_limited_fwhm_hz(self.tau_sp)
         if abs(self.gamma0_hz - limit) > 0.10 * limit:
             warnings.warn(
                 f"gamma0_hz = {self.gamma0_hz:.4g} deviates more than 10% from the "
@@ -102,11 +102,6 @@ def spontaneous_decay(t_s, tau_s: float):
         raise ValueError("time must be non-negative")
     out = np.exp(-t / tau_s)
     return float(out) if np.isscalar(t_s) else out
-
-
-def fourier_limit(tau_sp: float) -> float:
-    """Fourier-limited linewidth 1/(2 pi tau) in cyclic Hz."""
-    return fourier_limited_fwhm_hz(tau_sp)
 
 
 def rabi_population(t_s, omega: float, t1: float):

@@ -42,14 +42,6 @@ class EfficiencyBudget:
         return cls(stages=tuple((str(name), float(value)) for name, value in pairs))
 
 
-def total_detection_efficiency(budget: EfficiencyBudget) -> float:
-    """Product of all budget stages: the end-to-end detection efficiency."""
-    product = 1.0
-    for _, value in budget.stages:
-        product *= value
-    return product
-
-
 def budget_report(budget: EfficiencyBudget) -> dict:
     """Per-stage and cumulative budget values in fraction and dB."""
     rows = []

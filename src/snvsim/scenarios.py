@@ -73,13 +73,14 @@ from .spectra import (
     Spectrum,
     _check_points,
     eom_background_correction,
+    eom_background_inverse,
     frequency_grid,
     sample_inhomogeneous_ensemble,
     synthesize_spectrum,
     write_csv,
     write_spectrum_csv,
 )
-from .units import TWO_PI, sigma_to_fwhm
+from .units import TWO_PI, fourier_limited_fwhm_hz, sigma_to_fwhm
 
 #: Environment variable overriding the default artifact root directory.
 OUTPUT_DIR_ENV = "SNVSIM_OUTPUT_DIR"
@@ -157,12 +158,6 @@ def summary_row(
     return row
 
 
-def _fit_payload(result: FitResult, param_names) -> dict:
-    payload = result.as_dict()
-    payload["param_names"] = list(param_names)
-    return payload
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A named, self-configured scenario runner."""
@@ -232,7 +227,7 @@ def _run_fig1d(cfg: dict):
     ]
     artifacts = {
         "distribution": ("distribution.csv", (["freq_hz", "intensity"], zip(mids, counts))),
-        "gaussian_fit": ("gaussian_fit.json", _fit_payload(result, model.param_names)),
+        "gaussian_fit": ("gaussian_fit.json", result.as_dict()),
     }
     notes = [
         f"{n} emitter centers drawn from the inhomogeneous distribution and histogrammed "
@@ -288,7 +283,7 @@ def _run_fig1e(cfg: dict):
     artifacts = {
         "levels": ("levels.csv", (["level", "energy_hz"], enumerate(energies))),
         "spectrum": ("spectrum.csv", spectrum),
-        "doublet_fit": ("doublet_fit.json", _fit_payload(result, model.param_names)),
+        "doublet_fit": ("doublet_fit.json", result.as_dict()),
     }
     notes = [
         "levels.csv lists the eight zero-field eigenenergies of the full "
@@ -534,7 +529,7 @@ def _run_fig2c(cfg: dict):
     ]
     artifacts = {
         "pumping": ("pumping.csv", (["t_ns", "value"], zip(t * 1e9, y))),
-        "exponential_fit": ("exponential_fit.json", _fit_payload(result, model.param_names)),
+        "exponential_fit": ("exponential_fit.json", result.as_dict()),
     }
     notes = [
         f"Pump time constant calibrated to {tau * 1e6:.2f} us from the single "
@@ -576,7 +571,7 @@ def _run_fig2d(cfg: dict):
     ]
     artifacts = {
         "depolarization": ("depolarization.csv", (["t_ns", "value"], zip(t * 1e9, y))),
-        "exponential_fit": ("exponential_fit.json", _fit_payload(result, model.param_names)),
+        "exponential_fit": ("exponential_fit.json", result.as_dict()),
     }
     notes = ["The polarization relaxes to the unpolarized value 1/2, not to zero."]
     return rows, artifacts, notes
@@ -618,7 +613,7 @@ def _run_fig3a(cfg: dict):
     ]
     artifacts = {
         "saturation": ("saturation.csv", (["power_pw", "rate_cps"], zip(powers_pw, y))),
-        "saturation_fit": ("saturation_fit.json", _fit_payload(result, model.param_names)),
+        "saturation_fit": ("saturation_fit.json", result.as_dict()),
     }
     notes = []
     return rows, artifacts, notes
@@ -667,7 +662,14 @@ def _run_fig3b(cfg: dict):
         )
         for n in range(width)
     ]
-    thresholds = [(k, photon_budget.threshold_fidelity(bright, dark, k)) for k in range(width + 1)]
+    thresholds = [
+        (
+            k,
+            photon_budget.threshold_fidelity(bright, dark, k),
+            photon_budget.threshold_fidelity(poisson_bright, poisson_dark, k),
+        )
+        for k in range(width + 1)
+    ]
     calibration = {
         "p_detect": model.p_detect,
         "p_flip_bright": model.p_flip_bright,
@@ -692,7 +694,7 @@ def _run_fig3b(cfg: dict):
     ]
     artifacts = {
         "histograms": ("histograms.csv", (["n", "count_bright", "count_dark"], hist_rows)),
-        "thresholds": ("thresholds.csv", (["k", "fidelity"], thresholds)),
+        "thresholds": ("thresholds.csv", (["k", "fidelity", "fidelity_poisson"], thresholds)),
         "calibration": ("calibration.json", calibration),
     }
     notes = [
@@ -778,7 +780,7 @@ def _run_fig4b(cfg: dict):
     # The sideband-modulation measurement sees half signal, half static
     # background; synthesize the raw trace, then correct it back out.
     reference = Spectrum(x=delta, y=np.ones_like(delta))
-    raw_clean = reference.y * (r_norm + 1.0) / 2.0
+    raw_clean = eom_background_inverse(Spectrum(x=delta, y=r_norm), reference).y
     raw = raw_clean + _rng(cfg["seed"], 0).normal(0.0, noise / 2.0, size=delta.size)
     raw_spectrum = Spectrum(x=delta, y=raw)
     corrected = eom_background_correction(raw_spectrum, reference)
@@ -860,7 +862,7 @@ def _run_fig4c(cfg: dict):
         "contrast_saturation": (
             "contrast_saturation.csv", (["saturation", "contrast"], zip(s, y))
         ),
-        "contrast_fit": ("contrast_fit.json", _fit_payload(result, fit_model.param_names)),
+        "contrast_fit": ("contrast_fit.json", result.as_dict()),
     }
     notes = [
         "Contrast rolls off as 1/(1+s) with the saturation parameter; the fit "
@@ -1025,7 +1027,7 @@ def _run_rabi(cfg: dict):
     ]
     artifacts = {
         "rabi": ("rabi.csv", (["t_ns", "value"], zip(t_ns, y))),
-        "rabi_fit": ("rabi_fit.json", _fit_payload(result, model.param_names)),
+        "rabi_fit": ("rabi_fit.json", result.as_dict()),
         "pi_calibration": (
             "pi_calibration.json",
             {"t_pi_ns": calibration["t_pi"] * 1e9, "fidelity": calibration["fidelity"]},
@@ -1065,7 +1067,7 @@ def _run_lifetime(cfg: dict):
     model = make_exponential(init=(0.0, peak * 0.8, 5.0))
     result = fit(model, (t_ns, counts, poisson_sigma(counts)))
     fitted_tau_ns = result.params[2]
-    fourier_mhz = optical_dynamics.fourier_limit(tau) / 1e6
+    fourier_mhz = fourier_limited_fwhm_hz(tau) / 1e6
 
     rows = [
         summary_row("fitted_lifetime_ns", fitted_tau_ns, tau * 1e9, 0.02 * tau * 1e9),
@@ -1073,7 +1075,7 @@ def _run_lifetime(cfg: dict):
     ]
     artifacts = {
         "decay": ("decay.csv", (["t_ns", "value"], zip(t_ns, counts))),
-        "decay_fit": ("decay_fit.json", _fit_payload(result, model.param_names)),
+        "decay_fit": ("decay_fit.json", result.as_dict()),
     }
     notes = [
         "The Fourier-limited linewidth 1/(2 pi tau) uses the configured lifetime; "

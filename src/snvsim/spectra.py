@@ -286,16 +286,10 @@ def recenter_scans(scans: list[Spectrum], n_lines: int = 1) -> RecenterResult:
     kept = sorted(centers)
     reference = centers[kept[0]]
     shifts = np.zeros(len(scans))
-    aligned_ys = []
     for i in kept:
         shifts[i] = centers[i] - reference
-        aligned_ys.append(shift_spectrum(scans[i], -shifts[i]).y)
-    mean_y = np.mean(np.asarray(aligned_ys), axis=0)
-    return RecenterResult(
-        aligned=Spectrum(x=scans[0].x, y=mean_y),
-        shifts=shifts,
-        excluded=tuple(excluded),
-    )
+    aligned = average_spectra([shift_spectrum(scans[i], -shifts[i]) for i in kept])
+    return RecenterResult(aligned=aligned, shifts=shifts, excluded=tuple(excluded))
 
 
 def average_spectra(scans: list[Spectrum]) -> Spectrum:
@@ -361,16 +355,27 @@ def write_spectrum_csv(spectrum: Spectrum, path) -> None:
     write_csv(path, ["freq_hz", "intensity", "err"][: len(columns)], zip(*columns))
 
 
-def read_spectrum_csv(path) -> Spectrum:
-    """Read a spectrum from CSV ``freq_hz,intensity[,err]``."""
+def read_xy_csv(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray | None]:
+    """Read any headered 2- or 3-column numeric CSV as (header, x, y, y_err or None).
+
+    The rows are kept in file order; x need not be sorted.
+    """
     with open(path, newline="") as handle:
         rows = list(csv.reader(handle))
-    if not rows or rows[0][0] != "freq_hz":
+    if len(rows) < 2:
+        raise ValueError(f"{path}: expected a header row plus data rows")
+    n_cols = len(rows[0])
+    if n_cols not in (2, 3):
+        raise ValueError(f"{path}: expected 2 or 3 columns, found {n_cols}")
+    data = np.array([[float(cell) for cell in row] for row in rows[1:]])
+    if data.shape[1] != n_cols:
+        raise ValueError(f"{path}: header has {n_cols} columns, data rows {data.shape[1]}")
+    return rows[0], data[:, 0], data[:, 1], (data[:, 2] if n_cols == 3 else None)
+
+
+def read_spectrum_csv(path) -> Spectrum:
+    """Read a spectrum from CSV ``freq_hz,intensity[,err]``."""
+    header, x, y, y_err = read_xy_csv(path)
+    if header[0] != "freq_hz":
         raise ValueError(f"{path}: expected a freq_hz,intensity[,err] CSV header")
-    has_err = len(rows[0]) >= 3
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
-    return Spectrum(
-        x=data[:, 0],
-        y=data[:, 1],
-        y_err=data[:, 2] if has_err else None,
-    )
+    return Spectrum(x=x, y=y, y_err=y_err)

@@ -43,18 +43,6 @@ SPIN_X = 0.5 * PAULI_X
 SPIN_Y = 0.5 * PAULI_Y
 SPIN_Z = 0.5 * PAULI_Z
 
-#: Basis labels of the 8-dimensional product space, tensor order
-#: orbital {e+, e-} x electron {up, down} x nucleus {Up, Dn}.
-BASIS_LABELS_8 = tuple(
-    f"{orb}:{el}{nu}"
-    for orb in ("e+", "e-")
-    for el in ("up", "dn")
-    for nu in ("Up", "Dn")
-)
-
-#: Basis labels of the reduced 4-dimensional electron x nucleus space.
-BASIS_LABELS_4 = ("upUp", "upDn", "dnUp", "dnDn")
-
 #: Nuclear gyromagnetic ratios gamma_n / 2pi in Hz per tesla for the
 #: spin-1/2 tin isotopes, from standard NMR reference tables.
 NUCLEAR_GYROMAGNETIC_HZ_PER_T = {

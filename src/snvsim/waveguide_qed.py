@@ -80,11 +80,15 @@ class BetaDecomposition:
         return self.beta_cav * self.eta_dw * self.eta_qe * self.eta_orb
 
 
+def _amplitude(delta_hz, cooperativity: float, f_in: float, gamma_h_hz: float) -> np.ndarray:
+    """r(delta) from bare parameters, unvalidated so optimizers may probe freely."""
+    delta = np.asarray(delta_hz, dtype=float)
+    return 1.0 - 2.0 * f_in / (1.0 + cooperativity / (1.0 + 2.0j * delta / gamma_h_hz))
+
+
 def reflection_amplitude(delta_hz, model: ReflectionModel):
     """Complex reflected amplitude r(delta) at detuning ``delta_hz`` (cyclic Hz)."""
-    delta = np.asarray(delta_hz, dtype=float)
-    emitter = 1.0 + model.cooperativity / (1.0 + 2.0j * delta / model.gamma_h_hz)
-    out = 1.0 - 2.0 * model.f_in / emitter
+    out = _amplitude(delta_hz, model.cooperativity, model.f_in, model.gamma_h_hz)
     return complex(out) if np.isscalar(delta_hz) else out
 
 
@@ -97,9 +101,7 @@ def normalized_reflection_params(delta_hz, cooperativity: float, f_in: float, ga
     reference = 1.0 - 2.0 * f_in
     if reference == 0.0:
         raise ValueError("f_in = 0.5 makes the far-detuned reference intensity zero")
-    delta = np.asarray(delta_hz, dtype=float)
-    r = 1.0 - 2.0 * f_in / (1.0 + cooperativity / (1.0 + 2.0j * delta / gamma_h_hz))
-    out = np.abs(r) ** 2 / reference**2
+    out = np.abs(_amplitude(delta_hz, cooperativity, f_in, gamma_h_hz)) ** 2 / reference**2
     return float(out) if np.isscalar(delta_hz) else out
 
 

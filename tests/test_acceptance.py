@@ -58,7 +58,7 @@ def reported(number: int, summary: str):
 
 def test_criterion_01_detection_budget_product():
     budget = budget_from_config(load_config("configs/table_s1.cfg"))
-    total = photon_budget.total_detection_efficiency(budget)
+    total = photon_budget.budget_report(budget)["total_fraction"]
     stage_values = [value for _, value in budget.stages]
     oracle = math.exp(math.fsum(math.log(v) for v in stage_values))
     with reported(1, f"stage product {total * 100:.4f}% vs reference ~1.7%"):

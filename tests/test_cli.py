@@ -128,7 +128,9 @@ def test_run_unknown_override_key_fails(capsys, tmp_path):
         capsys, ["run", "g2", "not_a_key=1", "--output-dir", str(tmp_path)]
     )
     assert code == 2
-    assert "not_a_key" in json.loads(err)["error"]
+    payload = json.loads(err)
+    assert "not_a_key" in payload["error"]
+    assert set(payload) == {"error"}  # the scenario resolved, so no catalog
 
 
 def test_run_malformed_override_fails(capsys, tmp_path):
@@ -248,8 +250,9 @@ def test_points_held_by_a_run_are_capped_before_any_synthesis(
     finally:
         tracemalloc.stop()
     assert code == 2 and out == ""
-    message = json.loads(err)["error"]
-    assert key in message and "exceeds the cap" in message
+    payload = json.loads(err)
+    assert key in payload["error"] and "exceeds the cap" in payload["error"]
+    assert set(payload) == {"error"}  # the scenario resolved, so no catalog
     assert not (tmp_path / scenario).exists()
     assert peak < 4_000_000  # one grid; 1000 spectra on it would be ~20-40 MB
 
@@ -439,6 +442,39 @@ def test_fit_respects_bounds_with_null_endpoints(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["status"] == "converged"
     assert abs(payload["params"][1]) < 2e6
+
+
+def test_fit_reads_any_two_column_header_and_unsorted_x(capsys, tmp_path):
+    assert _run(capsys, ["run", "lifetime", "--output-dir", str(tmp_path)])[0] == 0
+    decay = tmp_path / "lifetime" / "decay.csv"
+    header, *rows = decay.read_text().splitlines()
+    assert header == "t_ns,value"
+    reversed_decay = tmp_path / "decay_reversed.csv"
+    reversed_decay.write_text("\n".join([header, *rows[::-1]]) + "\n")
+    for data_file in (decay, reversed_decay):
+        request = {"model": "exponential", "data_file": str(data_file), "init": [0.0, 800.0, 5.0]}
+        path = tmp_path / "exponential.json"
+        path.write_text(json.dumps(request))
+        code, out, err = _run(capsys, ["fit", str(path)])
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["status"] == "converged"
+        assert payload["param_names"] == ["baseline", "amplitude", "tau"]
+        assert abs(payload["params"][2] - 5.56) < 0.11  # ns
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [("a,b,c,d", "expected 2 or 3 columns, found 4"), ("t,v", "header has 2 columns, data rows 4")],
+)
+def test_fit_rejects_four_data_columns(capsys, tmp_path, header, message):
+    data = tmp_path / "four.csv"
+    data.write_text(header + "\n" + "".join(f"{i},{i},1,0\n" for i in range(5)))
+    path = tmp_path / "four.json"
+    path.write_text(json.dumps({"model": "exponential", "data_file": str(data)}))
+    code, out, err = _run(capsys, ["fit", str(path)])
+    assert code == 2 and out == ""
+    assert message in json.loads(err)["error"]
 
 
 def _singlet_csv(tmp_path):

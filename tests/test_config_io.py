@@ -26,7 +26,7 @@ from snvsim.config import (
     parse_overrides,
     parse_value,
 )
-from snvsim.photon_budget import apply_loss_chain, total_detection_efficiency
+from snvsim.photon_budget import apply_loss_chain, budget_report
 
 
 # --------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def test_budget_from_config_preserves_file_order(tmp_path):
     budget = budget_from_config(load_config(path))
     assert [name for name, _ in budget.stages] == ["first", "second", "third"]
     assert math.isclose(
-        total_detection_efficiency(budget), 0.5 * 0.25 * 0.8, rel_tol=1e-15
+        budget_report(budget)["total_fraction"], 0.5 * 0.25 * 0.8, rel_tol=1e-15
     )
     with pytest.raises(ValueError, match="stage_"):
         budget_from_config({"other": 1})
@@ -186,7 +186,7 @@ def test_budget_from_config_preserves_file_order(tmp_path):
 def test_budget_from_shipped_config():
     budget = budget_from_config(load_config("configs/table_s1.cfg"))
     assert len(budget.stages) == 7
-    assert abs(total_detection_efficiency(budget) - 0.017459139672) < 1e-12
+    assert abs(budget_report(budget)["total_fraction"] - 0.017459139672) < 1e-12
 
 
 def test_loss_chain_from_shipped_config():

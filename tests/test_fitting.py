@@ -85,6 +85,8 @@ def test_doublet_round_trip_recovers_centers_and_width():
     assert abs(c2 - (+226e6)) < 2e6
     assert abs(fwhm - 70e6) / 70e6 < 0.05
     assert all(u >= 0.0 for u in result.uncertainties)
+    assert result.param_names == model.param_names
+    assert result.as_dict()["param_names"] == list(model.param_names)
 
 
 def test_engine_agrees_with_scipy_curve_fit():

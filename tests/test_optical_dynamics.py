@@ -20,7 +20,6 @@ from snvsim.optical_dynamics import (
     EmitterOpticalParams,
     PumpingModel,
     SaturationParams,
-    fourier_limit,
     g2_autocorrelation,
     nuclear_polarization_decay,
     pi_pulse_calibration,
@@ -144,15 +143,6 @@ def test_spontaneous_decay_is_pure_exponential():
     assert math.isclose(spontaneous_decay(5.56e-9, 5.56e-9), math.exp(-1.0), rel_tol=1e-15)
     with pytest.raises(ValueError, match="lifetime"):
         spontaneous_decay(1e-9, 0.0)
-
-
-@given(st.floats(min_value=1e3, max_value=1e12))
-def test_fourier_limit_involution(f_hz):
-    assert math.isclose(fourier_limit(1.0 / (TWO_PI * f_hz)), f_hz, rel_tol=1e-12)
-
-
-def test_fourier_limit_frozen():
-    assert math.isclose(fourier_limit(5.56e-9) / 1e6, 28.62498976472938, rel_tol=1e-12)
 
 
 def test_saturation_half_rate_at_saturation_power():

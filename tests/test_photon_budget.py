@@ -71,9 +71,7 @@ TABLE_STAGES = [
 
 def test_table_budget_product_frozen():
     budget = EfficiencyBudget.from_pairs(TABLE_STAGES)
-    from snvsim.photon_budget import total_detection_efficiency
-
-    total = total_detection_efficiency(budget)
+    total = budget_report(budget)["total_fraction"]
     assert abs(total - 0.017459139672) < 1e-12
     oracle = math.exp(math.fsum(math.log(v) for _, v in TABLE_STAGES))
     assert abs(total - oracle) < 1e-12
@@ -84,13 +82,11 @@ def test_table_budget_product_frozen():
     st.randoms(use_true_random=False),
 )
 def test_budget_product_is_permutation_invariant(values, rng):
-    from snvsim.photon_budget import total_detection_efficiency
-
     pairs = [(f"s{i}", v) for i, v in enumerate(values)]
     shuffled = pairs[:]
     rng.shuffle(shuffled)
-    straight = total_detection_efficiency(EfficiencyBudget.from_pairs(pairs))
-    permuted = total_detection_efficiency(EfficiencyBudget.from_pairs(shuffled))
+    straight = budget_report(EfficiencyBudget.from_pairs(pairs))["total_fraction"]
+    permuted = budget_report(EfficiencyBudget.from_pairs(shuffled))["total_fraction"]
     oracle = math.exp(math.fsum(math.log(v) for v in values))
     assert abs(straight - permuted) < 1e-12
     assert abs(straight - oracle) < 1e-12 * max(1.0, straight)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from snvsim.config import in_base_units
-from snvsim import scenarios
+from snvsim import photon_budget, scenarios
 from snvsim.scenarios import (
     SCENARIOS,
     available_scenarios,
@@ -149,6 +149,19 @@ def test_fig4b_fit_artifact_contract(scenario_output_root):
     assert payload["f"] == 0.95
     assert abs(payload["c"] - 0.027) < 0.004
     assert abs(payload["gamma_h_mhz"] - 70.0) < 7.0
+
+
+def test_fig3b_thresholds_carry_the_poisson_reference(scenario_output_root):
+    result = run_scenario("fig3b", output_root=scenario_output_root / "fig3b_thresholds")
+    with open(result.out_dir / "thresholds.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    defaults = SCENARIOS["fig3b"].defaults
+    bright = photon_budget.poisson_reference_histogram(defaults["mean_bright"])
+    dark = photon_budget.poisson_reference_histogram(defaults["mean_dark"])
+    assert [int(row["k"]) for row in rows] == list(range(len(rows)))
+    poisson = [float(row["fidelity_poisson"]) for row in rows]
+    assert poisson == [photon_budget.threshold_fidelity(bright, dark, k) for k in range(len(rows))]
+    assert poisson.index(max(poisson)) == 1
 
 
 def test_fig2a_manifest_lists_every_scan(scenario_output_root):

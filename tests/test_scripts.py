@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,8 @@ from snvsim import spin_hamiltonian
 from snvsim.scenarios import field_sweep
 from snvsim.spectra import frequency_grid
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+REPO = Path(__file__).resolve().parents[1]
+SCRIPTS = REPO / "scripts"
 
 
 def _load(name: str):
@@ -57,21 +59,40 @@ def test_field_sweep_study_row_equals_a_direct_field_sweep(tmp_path, capsys):
     assert [entry["snr"] for entry in summary["per_snr"]] == [10.0]
 
 
-def test_field_sweep_study_needs_three_scans(tmp_path):
+def test_field_sweep_study_needs_three_scans(tmp_path, capsys):
     study = _load("field_sweep_study")
-    with pytest.raises(ValueError, match="at least 3 scans"):
-        study.main(["--n-scans", "2", "--repeats", "1", "--output-dir", str(tmp_path)])
+    out = tmp_path / "sweep"
+    assert study.main(["--n-scans", "2", "--repeats", "1", "--output-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "error: a field sweep needs at least 3 scans, got 2"
+    ]
+    assert not out.exists()
 
 
-def test_readout_threshold_study_table_and_poisson_optimum(tmp_path, capsys):
-    study = _load("readout_threshold_study")
-    argv = ["--trials", "2000", "--k-max", "4", "--output-dir", str(tmp_path)]
-    assert study.main(argv) == 0
-    capsys.readouterr()
-    payload = json.loads((tmp_path / "threshold_study.json").read_text())
-    assert [row["k"] for row in payload["threshold_table"]] == [0, 1, 2, 3, 4]
-    assert payload["optimal_poisson"]["k"] == 1
-    assert payload["threshold_table"][0]["fidelity_mc"] == 0.5
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["--snr", "5", "0"], "--snr"),
+        (["--snr", "nan"], "--snr"),
+        (["--repeats", "0"], "--repeats"),
+    ],
+)
+def test_field_sweep_study_rejects_bad_options(tmp_path, capsys, argv, option):
+    study = _load("field_sweep_study")
+    with pytest.raises(SystemExit) as exit_info:
+        study.main([*argv, "--output-dir", str(tmp_path / "sweep")])
+    assert exit_info.value.code == 2
+    assert option in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+
+
+def test_readme_lists_exactly_the_scripts():
+    readme = (REPO / "README.md").read_text()
+    section = readme.split("## Experiment scripts", 1)[1].split("\n## ", 1)[0]
+    listed = set(re.findall(r"`scripts/([\w.]+\.py)`", section))
+    assert listed == {path.name for path in SCRIPTS.glob("*.py")}
 
 
 @pytest.mark.parametrize(
