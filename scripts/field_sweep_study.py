@@ -8,7 +8,7 @@ model, and regresses the outer-line span against field.  The study records the
 recovered splitting slope and zero-field splitting.  Repeats with independent
 seeds give the spread.  Results land in sweep_results.csv / sweep_summary.json
 and a console table.  Bad input (a non-positive SNR, no repeats, fewer than 3
-scans, ...) prints the error to stderr and exits 2.
+scans or more than fig2a allows, ...) prints the error to stderr and exits 2.
 
 Example:
     python3 scripts/field_sweep_study.py --snr 3 5 10 15 30 --repeats 5
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from snvsim import spin_hamiltonian
-from snvsim.scenarios import field_sweep
+from snvsim.scenarios import MAX_FITTED_SPECTRA, field_sweep
 from snvsim.spectra import frequency_grid, write_csv
 
 
@@ -48,6 +48,8 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
         parser.error("--snr values must be positive and finite")
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if args.n_scans > MAX_FITTED_SPECTRA:  # refused before any per-scan array exists
+        parser.error(f"--n-scans must be at most {MAX_FITTED_SPECTRA}")
     return args
 
 

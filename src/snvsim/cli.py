@@ -14,9 +14,10 @@ Subcommands
 
 ``snvsim fit <request.json>``
     Run a registry model fit described by a JSON request with keys
-    ``model``, ``data_file``, ``init``, ``bounds``, ``options`` (plus
-    optional ``model_args`` forwarded to the model factory) and print the
-    result as JSON.
+    ``model``, ``data_file``, ``init``, ``bounds``, ``options`` and
+    ``model_args``, and print the result as JSON.  ``model_args`` takes the
+    model's layout arguments only (``n_lines``, ``shared_fwhm``,
+    ``fix_f_in``); the start of the fit goes in ``init``.
 
 ``snvsim budget <config> [key=value ...]``
     Evaluate an efficiency-budget config (ordered ``stage_*`` keys) and
@@ -114,8 +115,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             model = replace(model, bounds=_parse_bounds(request["bounds"]))
         options = FitOptions(**(request.get("options") or {}))
         _, x, y, y_err = read_xy_csv(Path(request["data_file"]))
-        data = (x, y, y_err) if y_err is not None else (x, y)
-        result = fit(model, data, options)
+        result = fit(model, (x, y, y_err), options)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     payload = result.as_dict()

@@ -66,13 +66,16 @@ def load_config(path) -> dict:
 
 
 def parse_overrides(pairs) -> dict:
-    """Parse command-line ``key=value`` override tokens."""
+    """Parse command-line ``key=value`` override tokens; a key may appear once."""
     overrides: dict = {}
     for pair in pairs:
         if "=" not in pair:
             raise ValueError(f"override {pair!r} must have the form key=value")
         key, _, value = pair.partition("=")
-        overrides[key.strip()] = parse_value(value)
+        key = key.strip()
+        if key in overrides:
+            raise ValueError(f"override {pair!r}: duplicate key {key!r}")
+        overrides[key] = parse_value(value)
     return overrides
 
 
@@ -110,9 +113,9 @@ FRACTION = Domain(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 OPEN_FRACTION = Domain(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 
 
-def count(minimum: int, maximum: float = math.inf) -> Domain:
+def count(minimum: int, maximum: int) -> Domain:
     """Integers from ``minimum`` up to ``maximum``."""
-    text = f"an integer >= {minimum}" + (f" and <= {maximum}" if maximum < math.inf else "")
+    text = f"an integer >= {minimum} and <= {maximum}"
     return Domain(int, lambda v: minimum <= v <= maximum, text)
 
 

@@ -23,7 +23,9 @@ step whose evaluation raises ``ValueError`` or is non-finite counts as a
 rejected step; only the initial guess may raise.
 
 The registry provides the eight named model functions used across the
-toolkit; shapes owned by the physics modules delegate to them so a fitted
+toolkit.  A factory takes layout arguments only and gives its model a
+default start; :meth:`ModelSpec.with_init` is the one way to set another.
+Shapes owned by the physics modules are evaluated by them, so a fitted
 curve and the forward model can never drift apart.  Registry conventions:
 ``damped_rabi`` works in nanoseconds and ``saturation`` in picowatts, so
 their parameters are O(1) or larger.  The difference step
@@ -393,11 +395,7 @@ def gaussian_profile(x, center: float, fwhm: float, amplitude: float):
     return amplitude * np.exp(-4.0 * math.log(2.0) * u * u)
 
 
-def make_lorentzian_multi(
-    n_lines: int = 1,
-    shared_fwhm: bool = True,
-    init: Sequence[float] | None = None,
-) -> ModelSpec:
+def make_lorentzian_multi(n_lines: int = 1, shared_fwhm: bool = True) -> ModelSpec:
     """Sum of Lorentzian lines on a flat zero baseline (x in Hz).
 
     Shared-width layout (default, one homogeneous linewidth):
@@ -441,25 +439,25 @@ def make_lorentzian_multi(
     return ModelSpec(
         name="lorentzian_multi",
         param_names=tuple(names),
-        init=tuple(init) if init is not None else tuple(defaults),
+        init=tuple(defaults),
         evaluator=evaluator,
         bounds=tuple(bounds),
         jacobian=jacobian,
     )
 
 
-def make_gaussian(init: Sequence[float] | None = None) -> ModelSpec:
+def make_gaussian() -> ModelSpec:
     """Single Gaussian [center, fwhm, amplitude] (x in Hz)."""
     return ModelSpec(
         name="gaussian",
         param_names=("center", "fwhm", "amplitude"),
-        init=tuple(init) if init is not None else (0.0, 90.0e9, 1.0),
+        init=(0.0, 90.0e9, 1.0),
         evaluator=lambda p, x: gaussian_profile(x, p[0], p[1], p[2]),
         bounds=(_UNBOUNDED, (1e-300, math.inf), _UNBOUNDED),
     )
 
 
-def make_exponential(init: Sequence[float] | None = None) -> ModelSpec:
+def make_exponential() -> ModelSpec:
     """Exponential relaxation [baseline, amplitude, tau]: y = baseline + amplitude e^(-x/tau).
 
     x and tau share whatever unit the caller picks (ns for optical decay,
@@ -482,19 +480,19 @@ def make_exponential(init: Sequence[float] | None = None) -> ModelSpec:
     return ModelSpec(
         name="exponential",
         param_names=("baseline", "amplitude", "tau"),
-        init=tuple(init) if init is not None else (0.0, 1.0, 5.56),
+        init=(0.0, 1.0, 5.56),
         evaluator=evaluator,
         bounds=(_UNBOUNDED, _UNBOUNDED, (1e-300, math.inf)),
         jacobian=jacobian,
     )
 
 
-def make_damped_rabi(init: Sequence[float] | None = None) -> ModelSpec:
+def make_damped_rabi() -> ModelSpec:
     """Damped Rabi population [omega_rad_per_ns, t1_ns] (x = time in ns)."""
     return ModelSpec(
         name="damped_rabi",
         param_names=("omega_rad_per_ns", "t1_ns"),
-        init=tuple(init) if init is not None else (TWO_PI * 0.230, 4.7),
+        init=(TWO_PI * 0.230, 4.7),
         evaluator=lambda p, x: optical_dynamics.rabi_population(
             np.asarray(x, dtype=float) * 1e-9, p[0] * 1e9, p[1] * 1e-9
         ),
@@ -502,12 +500,8 @@ def make_damped_rabi(init: Sequence[float] | None = None) -> ModelSpec:
     )
 
 
-def make_saturation(init: Sequence[float] | None = None) -> ModelSpec:
+def make_saturation() -> ModelSpec:
     """Fluorescence saturation [i_infinity, p_sat_pw] (x = power in pW)."""
-
-    def evaluator(p, x):
-        power = np.asarray(x, dtype=float)
-        return p[0] / (1.0 + p[1] / power)
 
     def jacobian(p, x):
         # d/dp_sat = -i_inf * x / (x + p_sat)^2 = -i_inf * g (1 - g) / p_sat with
@@ -522,28 +516,25 @@ def make_saturation(init: Sequence[float] | None = None) -> ModelSpec:
     return ModelSpec(
         name="saturation",
         param_names=("i_infinity", "p_sat_pw"),
-        init=tuple(init) if init is not None else (1.34e6, 120.0),
-        evaluator=evaluator,
+        init=(1.34e6, 120.0),
+        evaluator=lambda p, x: optical_dynamics.saturation_rate(x, p[1], p[0]),
         bounds=((1e-300, math.inf), (1e-300, math.inf)),
         jacobian=jacobian,
     )
 
 
-def make_abs_cosine(init: Sequence[float] | None = None) -> ModelSpec:
+def make_abs_cosine() -> ModelSpec:
     """Rectified cosine [amplitude, phi0]: y = |amplitude cos(x + phi0)| (x in rad)."""
     return ModelSpec(
         name="abs_cosine",
         param_names=("amplitude", "phi0"),
-        init=tuple(init) if init is not None else (5.41, 0.0),
+        init=(5.41, 0.0),
         evaluator=lambda p, x: spin_hamiltonian.angular_splitting_rate(p[0], p[1], x),
         bounds=((0.0, math.inf), (-TWO_PI, TWO_PI)),
     )
 
 
-def make_reflection_dip(
-    init: Sequence[float] | None = None,
-    fix_f_in: float | None = None,
-) -> ModelSpec:
+def make_reflection_dip(fix_f_in: float | None = None) -> ModelSpec:
     """Normalized reflection dip (x = detuning in Hz).
 
     Full layout [cooperativity, f_in, gamma_h_hz]; passing ``fix_f_in``
@@ -554,7 +545,7 @@ def make_reflection_dip(
         return ModelSpec(
             name="reflection_dip",
             param_names=("cooperativity", "f_in", "gamma_h_hz"),
-            init=tuple(init) if init is not None else (0.027, 0.95, 70.0e6),
+            init=(0.027, 0.95, 70.0e6),
             evaluator=lambda p, x: waveguide_qed.normalized_reflection_params(x, p[0], p[1], p[2]),
             bounds=((0.0, math.inf), (0.500001, 1.0), (1e-300, math.inf)),
         )
@@ -562,18 +553,18 @@ def make_reflection_dip(
     return ModelSpec(
         name="reflection_dip",
         param_names=("cooperativity", "gamma_h_hz"),
-        init=tuple(init) if init is not None else (0.027, 70.0e6),
+        init=(0.027, 70.0e6),
         evaluator=lambda p, x: waveguide_qed.normalized_reflection_params(x, p[0], f_in, p[1]),
         bounds=((0.0, math.inf), (1e-300, math.inf)),
     )
 
 
-def make_contrast_saturation(init: Sequence[float] | None = None) -> ModelSpec:
+def make_contrast_saturation() -> ModelSpec:
     """Contrast roll-off [r0_contrast] vs saturation parameter (x = s)."""
     return ModelSpec(
         name="contrast_saturation",
         param_names=("r0_contrast",),
-        init=tuple(init) if init is not None else (0.11,),
+        init=(0.11,),
         evaluator=lambda p, x: waveguide_qed.contrast_vs_saturation(x, p[0]),
         bounds=((0.0, 1.0),),
     )

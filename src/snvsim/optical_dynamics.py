@@ -16,63 +16,17 @@ pulse is therefore (1 + exp(-pi/(Omega T1))) / 2.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .units import TWO_PI, fourier_limited_fwhm_hz
-
-
-@dataclass(frozen=True)
-class EmitterOpticalParams:
-    """Optical parameters of the emitter.
-
-    Attributes
-    ----------
-    tau_sp:
-        Spontaneous (radiative) lifetime in seconds.
-    gamma0_hz:
-        Fourier-limited linewidth in cyclic Hz; should equal
-        1/(2 pi tau_sp) — a >10% violation triggers a warning.
-    gamma_h_hz:
-        Homogeneous linewidth in cyclic Hz; cannot beat the Fourier limit.
-    rabi_omega:
-        Resonant Rabi frequency in rad/s.
-    t1_optical:
-        Optical relaxation time entering the damped Rabi model, seconds.
-    """
-
-    tau_sp: float = 5.56e-9
-    gamma0_hz: float = 28.6e6
-    gamma_h_hz: float = 70.0e6
-    rabi_omega: float = TWO_PI * 230.0e6
-    t1_optical: float = 4.7e-9
-
-    def __post_init__(self) -> None:
-        if self.tau_sp <= 0.0 or self.t1_optical <= 0.0:
-            raise ValueError("lifetimes must be positive")
-        if self.gamma_h_hz < self.gamma0_hz:
-            raise ValueError(
-                f"homogeneous linewidth {self.gamma_h_hz} Hz cannot be below the "
-                f"Fourier limit {self.gamma0_hz} Hz"
-            )
-        limit = fourier_limited_fwhm_hz(self.tau_sp)
-        if abs(self.gamma0_hz - limit) > 0.10 * limit:
-            warnings.warn(
-                f"gamma0_hz = {self.gamma0_hz:.4g} deviates more than 10% from the "
-                f"Fourier limit 1/(2 pi tau_sp) = {limit:.4g} Hz",
-                stacklevel=2,
-            )
-
 
 @dataclass(frozen=True)
 class PumpingModel:
-    """Exponential optical-pumping approach to a steady-state fidelity."""
+    """Exponential optical-pumping approach from the unpolarized 1/2 to a steady-state fidelity."""
 
     f_infinity: float
     tau_pump: float
-    f0: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.5 <= self.f_infinity <= 1.0:
@@ -160,35 +114,39 @@ def g2_autocorrelation(tau_s, omega: float, t1: float, background: float = 0.0):
     return float(out) if np.isscalar(tau_s) else out
 
 
+def saturation_rate(p, p_sat: float, i_infinity: float) -> np.ndarray:
+    """i_infinity / (1 + p_sat/p) from bare parameters; unvalidated, so a fit may probe freely."""
+    return i_infinity / (1.0 + p_sat / np.asarray(p, dtype=float))
+
+
 def saturation_intensity(p_w, sp: SaturationParams):
     """Detected fluorescence rate i_infinity / (1 + p_sat/p) at drive power ``p_w``."""
     p = np.asarray(p_w, dtype=float)
     if np.any(p <= 0.0):
         raise ValueError("power must be positive")
-    out = sp.i_infinity / (1.0 + sp.p_sat / p)
+    out = saturation_rate(p, sp.p_sat, sp.i_infinity)
     return float(out) if np.isscalar(p_w) else out
 
 
 def pumping_fidelity(t_s, pm: PumpingModel):
     """Initialization fidelity after pumping for ``t_s`` seconds.
 
-    Single-exponential approach from the unpolarized start ``pm.f0`` to the
+    Single-exponential approach from the unpolarized start 1/2 to the
     steady state ``pm.f_infinity``.
     """
     t = np.asarray(t_s, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("time must be non-negative")
-    out = pm.f_infinity - (pm.f_infinity - pm.f0) * np.exp(-t / pm.tau_pump)
+    out = pm.f_infinity - (pm.f_infinity - 0.5) * np.exp(-t / pm.tau_pump)
     return float(out) if np.isscalar(t_s) else out
 
 
-def pumping_time_constant(t_s: float, fidelity: float, f_infinity: float, f0: float = 0.5) -> float:
-    """Calibrate the pumping time constant from one (duration, fidelity) point."""
-    if not f0 < fidelity < f_infinity:
-        raise ValueError(
-            f"fidelity {fidelity} must lie in ({f0}, {f_infinity}) to be reachable"
-        )
-    return t_s / math.log((f_infinity - f0) / (f_infinity - fidelity))
+def pumping_time_constant(t_s: float, fidelity: float, f_infinity: float) -> float:
+    """Calibrate the pumping time constant from one (duration, fidelity) point,
+    pumped from the unpolarized start 1/2."""
+    if not 0.5 < fidelity < f_infinity:
+        raise ValueError(f"fidelity {fidelity} must lie in (0.5, {f_infinity}) to be reachable")
+    return t_s / math.log((f_infinity - 0.5) / (f_infinity - fidelity))
 
 
 def nuclear_polarization_decay(t_s, t1n: float, f_init: float):

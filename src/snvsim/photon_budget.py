@@ -183,7 +183,7 @@ class PhotonHistogram:
     """Counts of readout windows by detected photon number 0, 1, 2, ...
 
     ``counts`` may be fractional so exact reference distributions (e.g.
-    Poisson probabilities times trials) fit the same container.
+    Poisson probabilities over ``total_trials`` = 1) fit the same container.
     """
 
     counts: tuple[float, ...]
@@ -221,11 +221,11 @@ class PhotonHistogram:
         return float(np.sum(p[k:]))
 
 
-def poisson_reference_histogram(mu: float, n_max: int | None = None, total_trials: float = 1.0) -> PhotonHistogram:
-    """Poisson(mu) photon-number distribution in histogram form.
+def poisson_reference_histogram(mu: float, n_max: int | None = None) -> PhotonHistogram:
+    """Poisson(mu) photon-number distribution as a histogram of probabilities.
 
     Bins run to ``n_max`` with all residual tail mass folded into the last
-    bin so the counts still sum to ``total_trials`` exactly.
+    bin so the counts still sum to 1.
 
     The pmf is evaluated in log space, exp(k log mu - mu - lgamma(k+1)),
     because exp(-mu) mu^k / k! underflows for mu above ~745.  The tail
@@ -242,9 +242,7 @@ def poisson_reference_histogram(mu: float, n_max: int | None = None, total_trial
         log_mu = math.log(mu)
         pmf = [_poisson_pmf(k, mu, log_mu) for k in range(n_max + 1)]
         pmf[-1] += _poisson_tail_after(n_max, mu, log_mu)
-    return PhotonHistogram(
-        counts=tuple(p * total_trials for p in pmf), total_trials=float(total_trials)
-    )
+    return PhotonHistogram(counts=tuple(pmf), total_trials=1.0)
 
 
 def _poisson_pmf(k: int, mu: float, log_mu: float) -> float:

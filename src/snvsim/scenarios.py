@@ -91,7 +91,7 @@ _DEFAULT_OUTPUT_ROOT = "snvsim_output"
 # sampled axis (``n_points``) is capped like every grid, at MAX_GRID_POINTS.
 #: fig2a scans and fig2b emitters: each is a spectrum held until written, a fit and a CSV;
 #: the points of all of them together are capped at MAX_GRID_POINTS as well.
-_MAX_FITTED_SPECTRA = 1000
+MAX_FITTED_SPECTRA = 1000
 #: fig1d emitters: each is a pair of line objects.
 _MAX_ENSEMBLE = 10**5
 #: fig3b readouts per state: one multinomial draw each, so this bounds counts, not arrays.
@@ -196,7 +196,6 @@ _FIG1D_KEYS = {
     "seed": (11, SEED),
     "n_emitters": (10000, count(2, _MAX_ENSEMBLE)),
     "inhomogeneous_fwhm_ghz": (90.0, POSITIVE),
-    "hyperfine_splitting_mhz": (452.0, REAL),
     "bin_width_ghz": (2.0, POSITIVE),
 }
 
@@ -205,11 +204,11 @@ def _run_fig1d(cfg: dict):
     """Streams: 0 = emitter ensemble draw."""
     n = cfg["n_emitters"]
     fwhm = cfg["inhomogeneous_fwhm"]
-    split = cfg["hyperfine_splitting"]
     bin_width = cfg["bin_width"]
 
-    pairs = sample_inhomogeneous_ensemble(0.0, fwhm, n, split, seed=_stream(cfg["seed"], 0))
-    centers = np.array([(lo.center_hz + hi.center_hz) / 2.0 for lo, hi in pairs])
+    # Only the emitter centers are histogrammed, so the doublets are drawn unsplit.
+    pairs = sample_inhomogeneous_ensemble(0.0, fwhm, n, 0.0, seed=_stream(cfg["seed"], 0))
+    centers = np.array([lo.center_hz for lo, _ in pairs])
     empirical_fwhm = sigma_to_fwhm(float(np.std(centers, ddof=1)))
     _check_points(5.0 * fwhm / bin_width, "histogram")
     edges = np.arange(-2.5 * fwhm, 2.5 * fwhm + bin_width, bin_width)
@@ -218,7 +217,7 @@ def _run_fig1d(cfg: dict):
 
     # Unweighted fit: weighting by observed counts would bias the width low
     # (downward-fluctuating bins get overweighted at these count levels).
-    model = make_gaussian(init=(0.0, fwhm, float(counts.max())))
+    model = make_gaussian().with_init((0.0, fwhm, float(counts.max())))
     result = fit(model, (mids, counts.astype(float)))
     fitted_fwhm = abs(result.params[1])
 
@@ -244,7 +243,6 @@ def _run_fig1d(cfg: dict):
 _FIG1E_KEYS = {
     "seed": (12, SEED),
     "zero_field_splitting_mhz": (452.0, POSITIVE),
-    "slope_ghz_per_t": (5.41, REAL),  # unused at zero field
     "linewidth_mhz": (70.0, POSITIVE),
     "snr": (20.0, POSITIVE),
     "grid_span_mhz": (1600.0, POSITIVE),
@@ -263,7 +261,8 @@ def _run_fig1e(cfg: dict):
     hamiltonian = spin_hamiltonian.build_ground_hamiltonian(params, (0.0, 0.0, 0.0))
     energies = spin_hamiltonian.eigenenergies_hz(hamiltonian)
 
-    transition = spin_hamiltonian.OpticalTransitionParams.from_cyclic_hz(split, cfg["slope"])
+    # At zero field the lines do not depend on the field slope.
+    transition = spin_hamiltonian.OpticalTransitionParams.from_cyclic_hz(split)
     detunings = spin_hamiltonian.optical_transition_detunings(transition, 0.0)
     lines = [SpectralLine(center_hz=c, fwhm_hz=fwhm, amplitude=0.5) for c in detunings]
     x = frequency_grid(-span / 2.0, span / 2.0, cfg["grid_step"])
@@ -299,7 +298,7 @@ def _run_fig1e(cfg: dict):
 
 _FIG2A_KEYS = {
     "seed": (21, SEED),
-    "n_scans": (35, count(3, _MAX_FITTED_SPECTRA)),
+    "n_scans": (35, count(3, MAX_FITTED_SPECTRA)),
     "field_start_mt": (0.0, REAL),
     "field_step_mt": (4.3, POSITIVE),
     "zero_field_splitting_mhz": (452.0, POSITIVE),
@@ -417,7 +416,7 @@ def _run_fig2a(cfg: dict):
 
 _FIG2B_KEYS = {
     "seed": (22, SEED),
-    "n_emitters": (12, count(2, _MAX_FITTED_SPECTRA)),
+    "n_emitters": (12, count(2, MAX_FITTED_SPECTRA)),
     "splitting_mean_mhz": (452.0, NON_NEGATIVE),
     "splitting_sigma_mhz": (7.0, NON_NEGATIVE),
     "linewidth_mhz": (70.0, POSITIVE),
@@ -512,7 +511,7 @@ def _run_fig2c(cfg: dict):
     y_err = np.full(t.size, noise)
 
     t_us = t * 1e6
-    model = make_exponential(init=(0.9, -0.4, 5.0))
+    model = make_exponential().with_init((0.9, -0.4, 5.0))
     result = fit(model, (t_us, y, y_err))
     fitted_f_inf = result.params[0]
     fitted_tau_us = result.params[2]
@@ -562,7 +561,7 @@ def _run_fig2d(cfg: dict):
     y = y_true + _rng(cfg["seed"], 0).normal(0.0, noise, size=t.size)
     y_err = np.full(t.size, noise)
 
-    model = make_exponential(init=(0.5, 0.5, 1.0))
+    model = make_exponential().with_init((0.5, 0.5, 1.0))
     result = fit(model, (t, y, y_err))
 
     rows = [
@@ -604,7 +603,7 @@ def _run_fig3a(cfg: dict):
     y_err = noise_rel * y_true
 
     powers_pw = powers * 1e12
-    model = make_saturation(init=(8.0e5, 60.0))
+    model = make_saturation().with_init((8.0e5, 60.0))
     result = fit(model, (powers_pw, y, y_err))
 
     rows = [
@@ -786,12 +785,12 @@ def _run_fig4b(cfg: dict):
     corrected = eom_background_correction(raw_spectrum, reference)
     corrected = Spectrum(x=delta, y=corrected.y, y_err=np.full(delta.size, noise))
 
-    fit_model = make_reflection_dip(init=(0.05, 100.0e6), fix_f_in=f_in)
+    fit_model = make_reflection_dip(fix_f_in=f_in).with_init((0.05, 100.0e6))
     result = fit(fit_model, corrected)
     c_fit, gamma_fit = result.params
-    r0_fit = waveguide_qed.on_resonance_reflection(c_fit, f_in)
-    contrast_fit = 1.0 - r0_fit
-    fwhm_fit = gamma_fit * (1.0 + c_fit)
+    fitted = waveguide_qed.ReflectionModel(cooperativity=c_fit, f_in=f_in, gamma_h_hz=gamma_fit)
+    contrast_fit = waveguide_qed.dip_contrast(fitted)
+    fwhm_fit = waveguide_qed.dip_fwhm_hz(fitted)
 
     reflection_fit = {
         "c": float(c_fit),
@@ -852,7 +851,7 @@ def _run_fig4c(cfg: dict):
     )
     y_err = np.full(s.size, noise)
 
-    fit_model = make_contrast_saturation(init=(0.05,))
+    fit_model = make_contrast_saturation().with_init((0.05,))
     result = fit(fit_model, (s, y, y_err))
 
     rows = [
@@ -1002,7 +1001,7 @@ def _run_rabi(cfg: dict):
     y_err = np.full(t.size, noise)
 
     t_ns = t * 1e9
-    model = make_damped_rabi(init=(TWO_PI * 0.2, 6.0))
+    model = make_damped_rabi().with_init((TWO_PI * 0.2, 6.0))
     result = fit(model, (t_ns, y, y_err))
     fitted_omega_mhz = result.params[0] * 1e3 / TWO_PI
     fitted_t1_ns = result.params[1]
@@ -1064,7 +1063,7 @@ def _run_lifetime(cfg: dict):
     counts = _rng(cfg["seed"], 0).poisson(expected).astype(float)
 
     t_ns = t * 1e9
-    model = make_exponential(init=(0.0, peak * 0.8, 5.0))
+    model = make_exponential().with_init((0.0, peak * 0.8, 5.0))
     result = fit(model, (t_ns, counts, poisson_sigma(counts)))
     fitted_tau_ns = result.params[2]
     fourier_mhz = fourier_limited_fwhm_hz(tau) / 1e6

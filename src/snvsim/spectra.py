@@ -126,13 +126,13 @@ def sample_inhomogeneous_ensemble(
     seed=None,
     split_sigma_hz: float = 0.0,
     line_fwhm_hz: float = 70.0e6,
-    amplitude: float = 1.0,
 ) -> list[tuple[SpectralLine, SpectralLine]]:
     """Draw ``n`` emitters from a Gaussian inhomogeneous distribution.
 
     Emitter centers are normal with the given FWHM around ``center_hz``;
-    each emitter becomes a hyperfine doublet at center +- split/2, with the
-    per-emitter split optionally spread by ``split_sigma_hz``.
+    each emitter becomes a hyperfine doublet of unit-amplitude lines at
+    center +- split/2, with the per-emitter split optionally spread by
+    ``split_sigma_hz``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -147,8 +147,8 @@ def sample_inhomogeneous_ensemble(
     )
     return [
         (
-            SpectralLine(c - s / 2.0, line_fwhm_hz, amplitude),
-            SpectralLine(c + s / 2.0, line_fwhm_hz, amplitude),
+            SpectralLine(c - s / 2.0, line_fwhm_hz, 1.0),
+            SpectralLine(c + s / 2.0, line_fwhm_hz, 1.0),
         )
         for c, s in zip(centers, splits)
     ]

@@ -167,19 +167,17 @@ def sn117_ground() -> SpinSystemParams:
 
 
 def excited_params_from_ground(
-    ground: SpinSystemParams,
-    transition: OpticalTransitionParams,
-    lambda_so_excited: float | None = None,
+    ground: SpinSystemParams, transition: OpticalTransitionParams
 ) -> SpinSystemParams:
     """Excited-manifold parameters implied by the measured differences.
 
     Only the difference of longitudinal hyperfine couplings is measured, so
-    the excited manifold defaults to a_par(exc) = a_par(gnd) - delta_a_par
-    with an unchanged transverse coupling.  This split between the
+    the excited manifold takes a_par(exc) = a_par(gnd) - delta_a_par with
+    unchanged spin-orbit and transverse couplings.  This split between the
     manifolds is an assumption, not a measurement.
     """
     return SpinSystemParams(
-        lambda_so=ground.lambda_so if lambda_so_excited is None else lambda_so_excited,
+        lambda_so=ground.lambda_so,
         gamma_e=ground.gamma_e + transition.delta_gamma_eff,
         gamma_n=ground.gamma_n,
         a_par=ground.a_par - transition.delta_a_par,

@@ -65,15 +65,12 @@ class BetaDecomposition:
     eta_dw: float = 0.57
     eta_qe: float = 1.0
     eta_orb: float = 0.65
-    gamma0_hz: float = 28.6e6
 
     def __post_init__(self) -> None:
         for name in ("beta_cav", "eta_dw", "eta_qe", "eta_orb"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-        if self.gamma0_hz <= 0.0:
-            raise ValueError(f"gamma0_hz must be positive, got {self.gamma0_hz}")
 
     @property
     def beta_tot(self) -> float:

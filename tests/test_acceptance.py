@@ -117,7 +117,7 @@ def test_criterion_05_pi_pulse_fidelity_and_rabi_round_trip():
         0.0, 0.03, size=t_ns.size
     )
     result = fit(
-        make_damped_rabi(init=(TWO_PI * 0.2, 6.0)),
+        make_damped_rabi().with_init((TWO_PI * 0.2, 6.0)),
         (t_ns, y, np.full(t_ns.size, 0.03)),
     )
     omega_err = abs(result.params[0] - truth[0]) / truth[0]

@@ -133,6 +133,30 @@ def test_run_unknown_override_key_fails(capsys, tmp_path):
     assert set(payload) == {"error"}  # the scenario resolved, so no catalog
 
 
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["run", "g2", "seed=1", "seed=60"], "seed"),
+        (["budget", TABLE_S1_CFG, "stage_fibre_coupling=0.5", "stage_fibre_coupling=0.6"],
+         "stage_fibre_coupling"),
+    ],
+)
+def test_a_repeated_override_key_exits_2_and_names_it(capsys, tmp_path, argv, key):
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"duplicate key '{key}'" in json.loads(err)["error"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "scenario, key", [("fig1e", "slope_ghz_per_t"), ("fig1d", "hyperfine_splitting_mhz")]
+)
+def test_keys_that_changed_no_artifact_are_unknown(capsys, tmp_path, scenario, key):
+    code, out, err = _run(capsys, ["run", scenario, f"{key}=452", "--output-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert f"unknown config keys for scenario '{scenario}': {key}" in json.loads(err)["error"]
+
+
 def test_run_malformed_override_fails(capsys, tmp_path):
     code, _, err = _run(capsys, ["run", "g2", "seed:7", "--output-dir", str(tmp_path)])
     assert code == 2
@@ -425,6 +449,19 @@ def test_fit_request_validation_errors(capsys, tmp_path):
     not_json.write_text("{broken")
     code, _, _ = _run(capsys, ["fit", str(not_json)])
     assert code == 2
+
+
+def test_fit_start_goes_in_init_not_in_model_args(capsys, tmp_path):
+    request = {
+        "model": "lorentzian_multi",
+        "model_args": {"n_lines": 2, "init": [80e6, -200e6, 0.9, 210e6, 1.1]},
+        "data_file": str(_doublet_csv(tmp_path)),
+    }
+    path = tmp_path / "init_in_model_args.json"
+    path.write_text(json.dumps(request))
+    code, out, err = _run(capsys, ["fit", str(path)])
+    assert code == 2 and out == ""
+    assert "'init'" in json.loads(err)["error"]
 
 
 def test_fit_respects_bounds_with_null_endpoints(capsys, tmp_path):

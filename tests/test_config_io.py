@@ -124,7 +124,7 @@ def test_numeric_domains_reject_booleans_strings_and_non_finite_values():
     # An integer too large for a float is rejected, not an OverflowError.
     with pytest.raises(ValueError, match="'x'"):
         REAL.check("x", 10**400)
-    for domain in (SEED, count(1)):
+    for domain in (SEED, count(1, 10)):
         for bad in (2.5, True, "3", math.nan):
             with pytest.raises(ValueError, match="integer"):
                 domain.check("n", bad)
@@ -148,9 +148,9 @@ def test_domains_check_ranges_and_convert():
     assert SEED.check("seed", 0) == 0
     with pytest.raises(ValueError, match=">= 0"):
         SEED.check("seed", -1)
-    assert count(3).check("n_scans", 3) == 3
-    with pytest.raises(ValueError, match="'n_scans' must be an integer >= 3, got 2"):
-        count(3).check("n_scans", 2)
+    assert count(3, 1000).check("n_scans", 3) == 3
+    with pytest.raises(ValueError, match="'n_scans' must be an integer >= 3 and <= 1000, got 2"):
+        count(3, 1000).check("n_scans", 2)
     assert count(3, 1000).check("n_scans", 1000) == 1000
     with pytest.raises(ValueError, match="'n_scans' must be an integer >= 3 and <= 1000, got 1001"):
         count(3, 1000).check("n_scans", 1001)

@@ -116,7 +116,7 @@ def test_damped_rabi_round_trip():
     clean = optical_dynamics.rabi_population(t_ns * 1e-9, omega_true * 1e9, t1_true * 1e-9)
     rng = np.random.default_rng(88)
     y = clean + rng.normal(0.0, 0.03, size=t_ns.size)
-    result = fit(make_damped_rabi(init=(TWO_PI * 0.2, 6.0)), (t_ns, y))
+    result = fit(make_damped_rabi().with_init((TWO_PI * 0.2, 6.0)), (t_ns, y))
     assert result.status == "converged"
     omega_fit, t1_fit = result.params
     assert abs(omega_fit - omega_true) / omega_true < 0.02

@@ -8,7 +8,6 @@ tests/oracles.py.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 
 from oracles import damped_rabi_population, pi_fidelity_closed_form
 from snvsim.optical_dynamics import (
-    EmitterOpticalParams,
     PumpingModel,
     SaturationParams,
     g2_autocorrelation,
@@ -191,12 +189,12 @@ def test_pumping_time_constant_inverts_pumping_fidelity(tau, f_infinity):
 
 
 def test_pumping_time_constant_frozen_calibration_point():
-    tau = pumping_time_constant(30e-6, 0.98, 0.986, f0=0.5)
+    tau = pumping_time_constant(30e-6, 0.98, 0.986)
     assert math.isclose(tau * 1e6, 6.826794199701282, rel_tol=1e-12)
 
 
 def test_pumping_time_constant_rejects_unreachable_fidelity():
-    # fidelity == f0 would divide by log(1) = 0.
+    # fidelity == 1/2, the unpolarized start, would divide by log(1) = 0.
     for fidelity in (0.99, 0.5):
         with pytest.raises(ValueError, match=r"must lie in \(0.5, 0.986\) to be reachable"):
             pumping_time_constant(30e-6, fidelity, 0.986)
@@ -211,12 +209,3 @@ def test_nuclear_polarization_decays_to_one_half():
         rel_tol=1e-15,
     )
 
-
-def test_emitter_params_warn_on_inconsistent_linewidth():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        EmitterOpticalParams()  # defaults are mutually consistent
-    with pytest.warns(UserWarning, match="Fourier limit"):
-        EmitterOpticalParams(gamma0_hz=40.0e6, gamma_h_hz=70.0e6)
-    with pytest.raises(ValueError, match="Fourier"):
-        EmitterOpticalParams(gamma0_hz=28.6e6, gamma_h_hz=10.0e6)

@@ -208,8 +208,7 @@ def test_poisson_reference_histogram_matches_series_oracle():
 
 @pytest.mark.parametrize("mu", [0.0, 1e-3, 1.83, 50.0, 800.0])
 def test_poisson_reference_histogram_matches_scipy(mu):
-    total = 1000.0
-    h = poisson_reference_histogram(mu, total_trials=total)
+    h = poisson_reference_histogram(mu)
     n_max = len(h.counts) - 1
     probabilities = h.probabilities()
     pmf = poisson.pmf(np.arange(n_max + 1), mu)
@@ -222,7 +221,7 @@ def test_poisson_reference_histogram_matches_scipy(mu):
             assert math.isclose(probabilities[k], pmf[k], rel_tol=rel_tol)
     folded = pmf[n_max] + poisson.sf(n_max, mu)
     assert math.isclose(probabilities[n_max], folded, rel_tol=1e-9, abs_tol=1e-300)
-    assert math.isclose(math.fsum(h.counts), total, rel_tol=1e-12)
+    assert math.isclose(math.fsum(h.counts), 1.0, rel_tol=1e-12)
 
 
 def test_poisson_reference_histogram_folds_a_tail_that_holds_the_peak():

@@ -7,12 +7,13 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
-from snvsim.config import in_base_units
-from snvsim import photon_budget, scenarios
+from snvsim.config import CORRECTION, in_base_units
+from snvsim import photon_budget, scenarios, spin_hamiltonian
 from snvsim.scenarios import (
     SCENARIOS,
     available_scenarios,
@@ -57,6 +58,58 @@ def test_registry_is_complete_and_ordered():
     for name in ALL_NAMES:
         assert SCENARIOS[name].description
         assert SCENARIOS[name].defaults
+
+
+def test_readme_scenario_table_lists_the_registry_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("Scenarios (`snvsim list`):", 1)[1].split("\n## ", 1)[0]
+    assert re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE) == available_scenarios()
+
+
+def _artifact_digest(out_dir: Path) -> dict:
+    """``_tree_digest`` of a run, with the config echoed in summary.json left out."""
+    digest = _tree_digest(out_dir)
+    summary = json.loads((out_dir / "summary.json").read_text())
+    del summary["config"]
+    digest["summary.json"] = json.dumps(summary, sort_keys=True)
+    return digest
+
+
+def _nearby(default, domain) -> list:
+    """Small changes of ``default``, nearest first; not all need lie in ``domain``."""
+    if domain is CORRECTION:
+        kind, value, *rest = default.split()
+        return [" ".join([kind, repr(float(value) * f), *rest]) for f in (1.01, 0.99)]
+    if isinstance(default, str):  # the only other string keys choose an isotope
+        return [name for name in spin_hamiltonian.NUCLEAR_GYROMAGNETIC_HZ_PER_T if name != default]
+    if domain.kind is int:
+        return [default + 1, default - 1]
+    return [default * 1.01, default * 0.99] if default else [0.01, -0.01]
+
+
+@pytest.fixture(scope="module")
+def default_digests(scenario_output_root):
+    root = scenario_output_root / "key_probe_defaults"
+    return {name: _artifact_digest(run_scenario(name, output_root=root).out_dir) for name in ALL_NAMES}
+
+
+ALL_KEYS = [(name, key) for name in ALL_NAMES for key in SCENARIOS[name].keys]
+
+
+@pytest.mark.parametrize("name, key", ALL_KEYS)
+def test_every_key_changes_some_artifact(name, key, default_digests, scenario_output_root):
+    """A key whose value reaches no artifact is a setting that does nothing."""
+    default, domain = SCENARIOS[name].keys[key]
+    root = scenario_output_root / "key_probe" / key
+    for value in _nearby(default, domain):
+        try:
+            domain.check(key, value)
+            result = run_scenario(name, {key: value}, output_root=root)
+        except ValueError:  # outside the key's domain, or not allowed with the other defaults
+            continue
+        assert _artifact_digest(result.out_dir) != default_digests[name], f"{key}={value!r}"
+        return
+    pytest.fail(f"no small change of {key} runs")
 
 
 @pytest.mark.parametrize("name", ALL_NAMES)

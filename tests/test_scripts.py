@@ -6,13 +6,14 @@ import csv
 import importlib.util
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from snvsim import spin_hamiltonian
-from snvsim.scenarios import field_sweep
+from snvsim.scenarios import MAX_FITTED_SPECTRA, field_sweep
 from snvsim.spectra import frequency_grid
 
 REPO = Path(__file__).resolve().parents[1]
@@ -71,6 +72,21 @@ def test_field_sweep_study_needs_three_scans(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_field_sweep_study_refuses_more_scans_than_fig2a_before_allocating(tmp_path, capsys):
+    study = _load("field_sweep_study")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exit_info:
+            study.main(["--n-scans", str(10**7), "--output-dir", str(tmp_path / "sweep")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exit_info.value.code == 2
+    assert f"--n-scans must be at most {MAX_FITTED_SPECTRA}" in capsys.readouterr().err
+    assert peak < 1_000_000
+    assert not (tmp_path / "sweep").exists()
+
+
 @pytest.mark.parametrize(
     "argv, option",
     [
@@ -108,3 +124,11 @@ def test_run_all_scenarios_exit_codes(tmp_path, capsys, argv, code):
     runner = _load("run_all_scenarios")
     assert runner.main([*argv, "--output-dir", str(tmp_path)]) == code
     capsys.readouterr()
+
+
+def test_run_all_scenarios_refuses_a_repeated_override_key(tmp_path, capsys):
+    runner = _load("run_all_scenarios")
+    argv = ["g2", "--set", "seed=1", "--set", "seed=60", "--output-dir", str(tmp_path)]
+    assert runner.main(argv) == 2
+    assert "duplicate key 'seed'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

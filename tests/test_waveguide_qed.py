@@ -190,8 +190,6 @@ def test_beta_decomposition_product_and_validation():
     assert math.isclose(d.beta_tot, 0.32 * 0.57 * 0.51 * 0.65, rel_tol=1e-15)
     with pytest.raises(ValueError, match="eta_dw"):
         BetaDecomposition(eta_dw=1.2)
-    with pytest.raises(ValueError, match="gamma0_hz"):
-        BetaDecomposition(gamma0_hz=0.0)
 
 
 def test_reflection_model_validation():
