@@ -7,8 +7,9 @@ sweep of the optical quartet, fits every scan with a shared-width four-line
 model, and regresses the outer-line span against field.  The study records the
 recovered splitting slope and zero-field splitting.  Repeats with independent
 seeds give the spread.  Results land in sweep_results.csv / sweep_summary.json
-and a console table.  Bad input (a non-positive SNR, no repeats, fewer than 3
-scans or more than fig2a allows, ...) prints the error to stderr and exits 2.
+and a console table.  An option that restates a fig2a key is checked by that
+key's domain: bad input (a zero slope, no repeats, fewer than 3 scans or more
+than fig2a allows, ...) prints the error to stderr and exits 2 before any scan.
 
 Example:
     python3 scripts/field_sweep_study.py --snr 3 5 10 15 30 --repeats 5
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import statistics
 import sys
 from pathlib import Path
@@ -26,30 +26,39 @@ from pathlib import Path
 import numpy as np
 
 from snvsim import spin_hamiltonian
-from snvsim.scenarios import MAX_FITTED_SPECTRA, field_sweep
+from snvsim.scenarios import SCENARIOS, field_sweep
 from snvsim.spectra import frequency_grid, write_csv
+
+
+def fig2a(key: str):
+    """Argument type of an option that restates fig2a's ``key``: checked by that key's domain."""
+    domain = SCENARIOS["fig2a"].keys[key][1]
+
+    def convert(text: str):
+        try:
+            return domain.check(key, domain.kind(text))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {domain.text}, got {text!r}") from None
+
+    return convert
 
 
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--snr", type=float, nargs="+", default=[3.0, 5.0, 10.0, 15.0, 30.0])
+    parser.add_argument("--snr", type=fig2a("snr"), nargs="+", default=[3.0, 5.0, 10.0, 15.0, 30.0])
     parser.add_argument("--repeats", type=int, default=5, help="independent sweeps per SNR")
-    parser.add_argument("--seed", type=int, default=2026, help="base seed for all noise streams")
-    parser.add_argument("--n-scans", type=int, default=35)
-    parser.add_argument("--field-step-mt", type=float, default=4.3)
-    parser.add_argument("--splitting-mhz", type=float, default=452.0)
-    parser.add_argument("--slope-ghz-per-t", type=float, default=5.41)
-    parser.add_argument("--linewidth-mhz", type=float, default=70.0)
-    parser.add_argument("--grid-span-ghz", type=float, default=2.4)
-    parser.add_argument("--grid-step-mhz", type=float, default=5.0)
+    parser.add_argument("--seed", type=fig2a("seed"), default=2026, help="base seed of all noise")
+    parser.add_argument("--n-scans", type=fig2a("n_scans"), default=35)
+    parser.add_argument("--field-step-mt", type=fig2a("field_step_mt"), default=4.3)
+    parser.add_argument("--splitting-mhz", type=fig2a("zero_field_splitting_mhz"), default=452.0)
+    parser.add_argument("--slope-ghz-per-t", type=fig2a("slope_ghz_per_t"), default=5.41)
+    parser.add_argument("--linewidth-mhz", type=fig2a("linewidth_mhz"), default=70.0)
+    parser.add_argument("--grid-span-ghz", type=fig2a("grid_span_ghz"), default=2.4)
+    parser.add_argument("--grid-step-mhz", type=fig2a("grid_step_mhz"), default=5.0)
     parser.add_argument("--output-dir", type=Path, default=Path("field_sweep_study"))
     args = parser.parse_args(argv)
-    if not all(0.0 < snr < math.inf for snr in args.snr):
-        parser.error("--snr values must be positive and finite")
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    if args.n_scans > MAX_FITTED_SPECTRA:  # refused before any per-scan array exists
-        parser.error(f"--n-scans must be at most {MAX_FITTED_SPECTRA}")
     return args
 
 
@@ -99,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
 
     args.output_dir.mkdir(parents=True, exist_ok=True)
     header = ["snr", "repeat", "slope_ghz_per_t", "intercept_mhz"]
-    write_csv(args.output_dir / "sweep_results.csv", header, rows)
+    write_csv(args.output_dir / "sweep_results.csv", header, zip(*rows))
     payload = {
         "true_slope_ghz_per_t": args.slope_ghz_per_t,
         "true_splitting_mhz": args.splitting_mhz,

@@ -12,7 +12,8 @@ identically when data and model are expressed in rescaled units.
 
 Convergence is declared when an accepted step reduces the cost by less than
 ``tol`` relatively, or when the scale-invariant gradient
-max_i |g_i|/sqrt((J'J)_ii) falls below ``tol``.  Everything is pure and
+max_i |g_i|/sqrt((J'J)_ii) falls below ``tol``, but a fit whose final J'J
+cannot be inverted is ``singular`` instead.  Everything is pure and
 deterministic: identical inputs produce bit-identical results.
 
 Each iteration needs the Jacobian d model / d params.  A model that
@@ -318,6 +319,14 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
                 break
 
         uncertainties, covariance = _curvature_uncertainties(model, params, x, y_err, cost)
+        if status == "converged" and not all(map(math.isfinite, uncertainties)):
+            # Clipped onto a bound where the model ignores it: zero gradient, no minimum.
+            jacobian = _jacobian(model, params, x)
+            stuck = [name for i, name in enumerate(model.param_names)
+                     if params[i] in (lo[i], hi[i]) and not np.any(jacobian[:, i])]
+            status, message = "singular", "curvature is singular at the final parameters"
+            if stuck:
+                message += f"; at a bound with a vanishing Jacobian column: {', '.join(stuck)}"
     return FitResult(
         params=tuple(float(p) for p in params),
         uncertainties=uncertainties,

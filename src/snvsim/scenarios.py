@@ -19,7 +19,7 @@ Output locations
 ----------------
 Runners compute and write nothing.  A runner returns ``(rows, artifacts,
 notes)``; ``artifacts`` maps an index key to ``(name, payload)``, a payload
-being a ``(header, rows)`` table, a ``Spectrum``, a JSON object or, for a
+being a ``(header, columns)`` table, a ``Spectrum``, a JSON object or, for a
 directory, ``{file name: payload}``.  ``run_scenario`` alone writes: after
 the runner returns, it replaces ``<root>/<scenario-name>/`` with exactly the
 artifacts plus ``summary.json`` and ``report.txt``, which index them by key.
@@ -92,7 +92,7 @@ _DEFAULT_OUTPUT_ROOT = "snvsim_output"
 #: fig2a scans and fig2b emitters: each is a spectrum held until written, a fit and a CSV;
 #: the points of all of them together are capped at MAX_GRID_POINTS as well.
 MAX_FITTED_SPECTRA = 1000
-#: fig1d emitters: each is a pair of line objects.
+#: fig1d emitters: each is a center and a splitting in two float arrays.
 _MAX_ENSEMBLE = 10**5
 #: fig3b readouts per state: one multinomial draw each, so this bounds counts, not arrays.
 _MAX_TRIALS = 10**6
@@ -116,7 +116,7 @@ def _rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _write(path: Path, payload) -> None:
-    """Write one file from a Spectrum, a ``(header, rows)`` table, a JSON object or text.
+    """Write one file from a Spectrum, a ``(header, columns)`` table, a JSON object or text.
 
     JSON is strict: a NaN or infinity left in ``payload`` is an error, not output.
     """
@@ -207,8 +207,7 @@ def _run_fig1d(cfg: dict):
     bin_width = cfg["bin_width"]
 
     # Only the emitter centers are histogrammed, so the doublets are drawn unsplit.
-    pairs = sample_inhomogeneous_ensemble(0.0, fwhm, n, 0.0, seed=_stream(cfg["seed"], 0))
-    centers = np.array([lo.center_hz for lo, _ in pairs])
+    centers, _ = sample_inhomogeneous_ensemble(0.0, fwhm, n, 0.0, seed=_stream(cfg["seed"], 0))
     empirical_fwhm = sigma_to_fwhm(float(np.std(centers, ddof=1)))
     _check_points(5.0 * fwhm / bin_width, "histogram")
     edges = np.arange(-2.5 * fwhm, 2.5 * fwhm + bin_width, bin_width)
@@ -225,7 +224,7 @@ def _run_fig1d(cfg: dict):
         summary_row("inhomogeneous_fwhm_ghz", empirical_fwhm / 1e9, 90.0, 1.8),
     ]
     artifacts = {
-        "distribution": ("distribution.csv", (["freq_hz", "intensity"], zip(mids, counts))),
+        "distribution": ("distribution.csv", (["freq_hz", "intensity"], (mids, counts))),
         "gaussian_fit": ("gaussian_fit.json", result.as_dict()),
     }
     notes = [
@@ -280,7 +279,7 @@ def _run_fig1e(cfg: dict):
         summary_row("optical_linewidth_mhz", fitted_fwhm / 1e6, 70.0, 3.5),
     ]
     artifacts = {
-        "levels": ("levels.csv", (["level", "energy_hz"], enumerate(energies))),
+        "levels": ("levels.csv", (["level", "energy_hz"], (range(len(energies)), energies))),
         "spectrum": ("spectrum.csv", spectrum),
         "doublet_fit": ("doublet_fit.json", result.as_dict()),
     }
@@ -371,11 +370,9 @@ def _run_fig2a(cfg: dict):
     crossing_mt = spin_hamiltonian.inner_line_crossing_field_t(transition) * 1e3
 
     names = [f"scan_{k:02d}.csv" for k in range(n_scans)]
-    manifest = zip(range(n_scans), [f"scans/{name}" for name in names], fields * 1e3)
-    line_centers = [
-        (k, fields[k] * 1e3, *sweep.centers[k], sweep.spans[k], sweep.fits[k].status)
-        for k in range(n_scans)
-    ]
+    manifest = (range(n_scans), [f"scans/{name}" for name in names], fields * 1e3)
+    statuses = [result.status for result in sweep.fits]
+    line_centers = (range(n_scans), fields * 1e3, *sweep.centers.T, sweep.spans, statuses)
     regression = {
         "slope_hz_per_t": float(slope_fit),
         "slope_se_hz_per_t": float(slope_se),
@@ -436,30 +433,24 @@ def _run_fig2b(cfg: dict):
     snr = cfg["snr"]
     span = cfg["grid_span"]
 
-    pairs = sample_inhomogeneous_ensemble(
-        0.0,
-        0.0,
-        n,
-        split_mean,
-        seed=_stream(seed, 0),
-        split_sigma_hz=split_sigma,
-        line_fwhm_hz=fwhm,
+    centers, splits = sample_inhomogeneous_ensemble(
+        0.0, 0.0, n, split_mean, seed=_stream(seed, 0), split_sigma_hz=split_sigma
     )
+    lows, highs = centers - splits / 2.0, centers + splits / 2.0
     x = frequency_grid(-span / 2.0, span / 2.0, cfg["grid_step"])
     _check_points(n * x.size, "n_emitters x frequency grid")
 
-    spectra, emitter_rows = {}, []
+    spectra = {}
     fitted_splits = np.empty(n)
-    for k, (lo, hi) in enumerate(pairs):
-        spectrum = synthesize_spectrum([lo, hi], x, noise_sigma=1.0 / snr, seed=_stream(seed, 1 + k))
+    for k in range(n):
+        lines = [SpectralLine(lows[k], fwhm, 1.0), SpectralLine(highs[k], fwhm, 1.0)]
+        spectrum = synthesize_spectrum(lines, x, noise_sigma=1.0 / snr, seed=_stream(seed, 1 + k))
         spectra[f"emitter_{k:02d}.csv"] = spectrum
         model = make_lorentzian_multi(n_lines=2).with_init(
             (fwhm, -split_mean / 2.0, 1.0, split_mean / 2.0, 1.0)
         )
         result = fit(model, spectrum)
         fitted_splits[k] = result.params[3] - result.params[1]
-        true_split = hi.center_hz - lo.center_hz
-        emitter_rows.append((k, true_split, fitted_splits[k]))
 
     mean_split = float(np.mean(fitted_splits))
     std_split = float(np.std(fitted_splits, ddof=1))
@@ -468,8 +459,9 @@ def _run_fig2b(cfg: dict):
     rows = [
         summary_row("mean_splitting_mhz", mean_split / 1e6, split_mean / 1e6, tolerance),
     ]
+    emitters = (range(n), highs - lows, fitted_splits)
     artifacts = {
-        "emitters": ("emitters.csv", (["emitter", "true_split_hz", "fitted_split_hz"], emitter_rows)),
+        "emitters": ("emitters.csv", (["emitter", "true_split_hz", "fitted_split_hz"], emitters)),
         "spectra_dir": ("spectra", spectra),
     }
     notes = [
@@ -527,7 +519,7 @@ def _run_fig2c(cfg: dict):
         ),
     ]
     artifacts = {
-        "pumping": ("pumping.csv", (["t_ns", "value"], zip(t * 1e9, y))),
+        "pumping": ("pumping.csv", (["t_ns", "value"], (t * 1e9, y))),
         "exponential_fit": ("exponential_fit.json", result.as_dict()),
     }
     notes = [
@@ -569,7 +561,7 @@ def _run_fig2d(cfg: dict):
         summary_row("equilibrium_fidelity", result.params[0], 0.5, 0.02),
     ]
     artifacts = {
-        "depolarization": ("depolarization.csv", (["t_ns", "value"], zip(t * 1e9, y))),
+        "depolarization": ("depolarization.csv", (["t_ns", "value"], (t * 1e9, y))),
         "exponential_fit": ("exponential_fit.json", result.as_dict()),
     }
     notes = ["The polarization relaxes to the unpolarized value 1/2, not to zero."]
@@ -611,7 +603,7 @@ def _run_fig3a(cfg: dict):
         summary_row("max_rate_mcps", result.params[0] / 1e6, 1.34, 0.07),
     ]
     artifacts = {
-        "saturation": ("saturation.csv", (["power_pw", "rate_cps"], zip(powers_pw, y))),
+        "saturation": ("saturation.csv", (["power_pw", "rate_cps"], (powers_pw, y))),
         "saturation_fit": ("saturation_fit.json", result.as_dict()),
     }
     notes = []
@@ -653,22 +645,17 @@ def _run_fig3b(cfg: dict):
     poisson_f = photon_budget.threshold_fidelity(poisson_bright, poisson_dark, 1)
 
     width = max(len(bright.counts), len(dark.counts))
-    hist_rows = [
-        (
-            n,
-            bright.counts[n] if n < len(bright.counts) else 0.0,
-            dark.counts[n] if n < len(dark.counts) else 0.0,
-        )
-        for n in range(width)
-    ]
-    thresholds = [
-        (
-            k,
-            photon_budget.threshold_fidelity(bright, dark, k),
-            photon_budget.threshold_fidelity(poisson_bright, poisson_dark, k),
-        )
-        for k in range(width + 1)
-    ]
+    hist_columns = (
+        range(width),
+        [*bright.counts, *[0.0] * (width - len(bright.counts))],
+        [*dark.counts, *[0.0] * (width - len(dark.counts))],
+    )
+    ks = range(width + 1)
+    thresholds = (
+        ks,
+        [photon_budget.threshold_fidelity(bright, dark, k) for k in ks],
+        [photon_budget.threshold_fidelity(poisson_bright, poisson_dark, k) for k in ks],
+    )
     calibration = {
         "p_detect": model.p_detect,
         "p_flip_bright": model.p_flip_bright,
@@ -692,7 +679,7 @@ def _run_fig3b(cfg: dict):
         summary_row("mean_dark_counts", dark.mean(), mean_dark, 0.005),
     ]
     artifacts = {
-        "histograms": ("histograms.csv", (["n", "count_bright", "count_dark"], hist_rows)),
+        "histograms": ("histograms.csv", (["n", "count_bright", "count_dark"], hist_columns)),
         "thresholds": ("thresholds.csv", (["k", "fidelity", "fidelity_poisson"], thresholds)),
         "calibration": ("calibration.json", calibration),
     }
@@ -740,7 +727,7 @@ def _run_fig3c(cfg: dict):
         ),
     ]
     artifacts = {
-        "coincidences": ("coincidences.csv", (["n", "expected_events"], zip(folds, expected))),
+        "coincidences": ("coincidences.csv", (["n", "expected_events"], (folds, expected))),
     }
     notes = [
         "The expectation is log-linear in the fold number with slope ln(efficiency); "
@@ -806,9 +793,9 @@ def _run_fig4b(cfg: dict):
         summary_row("dip_fwhm_mhz", fwhm_fit / 1e6, 72.0, 4.0),
     ]
     artifacts = {
-        "reflection_raw": ("reflection_raw.csv", (["delta_mhz", "r_norm"], zip(delta / 1e6, raw))),
+        "reflection_raw": ("reflection_raw.csv", (["delta_mhz", "r_norm"], (delta / 1e6, raw))),
         "reflection": (
-            "reflection.csv", (["delta_mhz", "r_norm"], zip(delta / 1e6, corrected.y))
+            "reflection.csv", (["delta_mhz", "r_norm"], (delta / 1e6, corrected.y))
         ),
         "reflection_fit": ("reflection_fit.json", reflection_fit),
     }
@@ -859,7 +846,7 @@ def _run_fig4c(cfg: dict):
     ]
     artifacts = {
         "contrast_saturation": (
-            "contrast_saturation.csv", (["saturation", "contrast"], zip(s, y))
+            "contrast_saturation.csv", (["saturation", "contrast"], (s, y))
         ),
         "contrast_fit": ("contrast_fit.json", result.as_dict()),
     }
@@ -894,7 +881,7 @@ def _run_table_s1(cfg: dict):
     total = report["total_fraction"]
 
     columns = ["stage", "fraction", "loss_db", "cumulative_fraction", "cumulative_loss_db"]
-    table = [[r[column] for column in columns] for r in report["stages"]]
+    table = [[r[column] for r in report["stages"]] for column in columns]
 
     ratio = total / measured
     rows = [
@@ -1025,7 +1012,7 @@ def _run_rabi(cfg: dict):
         summary_row("fitted_optical_t1_ns", fitted_t1_ns, 4.7, 0.47),
     ]
     artifacts = {
-        "rabi": ("rabi.csv", (["t_ns", "value"], zip(t_ns, y))),
+        "rabi": ("rabi.csv", (["t_ns", "value"], (t_ns, y))),
         "rabi_fit": ("rabi_fit.json", result.as_dict()),
         "pi_calibration": (
             "pi_calibration.json",
@@ -1073,7 +1060,7 @@ def _run_lifetime(cfg: dict):
         summary_row("fourier_limit_mhz", fourier_mhz, 28.6, 0.1),
     ]
     artifacts = {
-        "decay": ("decay.csv", (["t_ns", "value"], zip(t_ns, counts))),
+        "decay": ("decay.csv", (["t_ns", "value"], (t_ns, counts))),
         "decay_fit": ("decay_fit.json", result.as_dict()),
     }
     notes = [
@@ -1125,7 +1112,7 @@ def _run_g2(cfg: dict):
             note="g2(0) < 0.5 certifies a single emitter",
         ),
     ]
-    artifacts = {"g2": ("g2.csv", (["t_ns", "value"], zip(tau * 1e9, y_noisy)))}
+    artifacts = {"g2": ("g2.csv", (["t_ns", "value"], (tau * 1e9, y_noisy)))}
     notes = [
         "g2(0) equals the uncorrelated-background fraction exactly in this model; "
         "the Rabi ringing at short delay reflects coherent re-excitation.",
@@ -1148,14 +1135,12 @@ def _run_isotopes(cfg: dict):
     predictions = spin_hamiltonian.isotope_splitting_predictions_hz(
         cfg["reference_splitting"], cfg["reference_isotope"]
     )
-    table = [
-        (
-            isotope,
-            spin_hamiltonian.NUCLEAR_GYROMAGNETIC_HZ_PER_T[isotope] / 1e6,
-            predictions[isotope] / 1e6,
-        )
-        for isotope in sorted(predictions)
-    ]
+    isotopes = sorted(predictions)
+    table = (
+        isotopes,
+        [spin_hamiltonian.NUCLEAR_GYROMAGNETIC_HZ_PER_T[isotope] / 1e6 for isotope in isotopes],
+        [predictions[isotope] / 1e6 for isotope in isotopes],
+    )
 
     rows = [
         summary_row("sn115_predicted_splitting_mhz", predictions["sn115"] / 1e6, 415.0, 5.0),

@@ -3,8 +3,8 @@
 Spectra are (frequency grid, intensity) pairs with optional per-point
 uncertainties.  Synthesis sums peak-normalized Lorentzian lines and adds
 seeded Gaussian noise; ensembles draw emitter centers from a Gaussian
-inhomogeneous distribution and expand each emitter into a hyperfine
-doublet.  Slow spectral drift is modeled as a bounded random walk applied
+inhomogeneous distribution and a hyperfine splitting per emitter, as
+arrays.  Slow spectral drift is modeled as a bounded random walk applied
 by grid re-interpolation, and undone by per-scan line fits
 (``recenter_scans``).  The electro-optic sideband background correction and
 its exact inverse live here too.
@@ -125,14 +125,14 @@ def sample_inhomogeneous_ensemble(
     split_hz: float,
     seed=None,
     split_sigma_hz: float = 0.0,
-    line_fwhm_hz: float = 70.0e6,
-) -> list[tuple[SpectralLine, SpectralLine]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``n`` emitters from a Gaussian inhomogeneous distribution.
 
+    Returns ``(centers, splits)``, two float arrays of shape ``(n,)``.
     Emitter centers are normal with the given FWHM around ``center_hz``;
-    each emitter becomes a hyperfine doublet of unit-amplitude lines at
-    center +- split/2, with the per-emitter split optionally spread by
-    ``split_sigma_hz``.
+    each emitter's hyperfine splitting is ``split_hz``, optionally spread
+    by ``split_sigma_hz``, so emitter k is a doublet at
+    ``centers[k] -+ splits[k] / 2``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -145,13 +145,7 @@ def sample_inhomogeneous_ensemble(
     splits = split_hz + (
         rng.normal(0.0, split_sigma_hz, size=n) if split_sigma_hz > 0.0 else np.zeros(n)
     )
-    return [
-        (
-            SpectralLine(c - s / 2.0, line_fwhm_hz, 1.0),
-            SpectralLine(c + s / 2.0, line_fwhm_hz, 1.0),
-        )
-        for c, s in zip(centers, splits)
-    ]
+    return centers, splits
 
 
 def shift_spectrum(spectrum: Spectrum, shift_hz: float) -> Spectrum:
@@ -330,8 +324,8 @@ def eom_background_inverse(corrected: Spectrum, reference: Spectrum) -> Spectrum
 
 def _fmt_cell(value) -> str:
     """Deterministic CSV cell rendering (floats via repr round-trip)."""
-    if isinstance(value, bool):
-        return str(value).lower()
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -339,20 +333,29 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a headered CSV; every line, the last included, ends in ``\\n``."""
-    lines = [",".join(header)]
-    lines += [",".join(_fmt_cell(cell) for cell in row) for row in rows]
+def _fmt_column(column) -> list[str]:
+    """A float array through ``repr`` as a whole, any other column cell by cell."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return list(map(repr, column.tolist()))
+    return [_fmt_cell(cell) for cell in column]
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a headered CSV of equal-length columns (unequal ones are a ``ValueError``).
+
+    Every line, the last included, ends in ``\\n``; a float renders as its
+    ``repr``, the shortest string that round-trips.
+    """
+    cells = [_fmt_column(column) for column in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
     with open(path, "w", newline="") as handle:
         handle.write("\n".join(lines) + "\n")
 
 
 def write_spectrum_csv(spectrum: Spectrum, path) -> None:
     """Write a spectrum as CSV ``freq_hz,intensity[,err]``."""
-    columns = [spectrum.x, spectrum.y]
-    if spectrum.y_err is not None:
-        columns.append(spectrum.y_err)
-    write_csv(path, ["freq_hz", "intensity", "err"][: len(columns)], zip(*columns))
+    columns = [c for c in (spectrum.x, spectrum.y, spectrum.y_err) if c is not None]
+    write_csv(path, ["freq_hz", "intensity", "err"][: len(columns)], columns)
 
 
 def read_xy_csv(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray | None]:
@@ -371,11 +374,3 @@ def read_xy_csv(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray | N
     if data.shape[1] != n_cols:
         raise ValueError(f"{path}: header has {n_cols} columns, data rows {data.shape[1]}")
     return rows[0], data[:, 0], data[:, 1], (data[:, 2] if n_cols == 3 else None)
-
-
-def read_spectrum_csv(path) -> Spectrum:
-    """Read a spectrum from CSV ``freq_hz,intensity[,err]``."""
-    header, x, y, y_err = read_xy_csv(path)
-    if header[0] != "freq_hz":
-        raise ValueError(f"{path}: expected a freq_hz,intensity[,err] CSV header")
-    return Spectrum(x=x, y=y, y_err=y_err)

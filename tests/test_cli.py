@@ -378,6 +378,17 @@ def test_a_fit_that_leaves_its_domain_ends_in_a_summary(capsys, tmp_path, scenar
     assert _strict_json(out)["scenario"] == scenario
 
 
+@pytest.mark.parametrize("scenario, override", FITS_THAT_LEAVE_THEIR_DOMAIN)
+def test_a_fit_stuck_at_a_degenerate_bound_is_not_converged(capsys, tmp_path, scenario, override):
+    _run(capsys, ["run", scenario, override, "--output-dir", str(tmp_path)])
+    (fit_file,) = (tmp_path / scenario).glob("*_fit.json")
+    payload = json.loads(fit_file.read_text())
+    assert payload["status"] == "singular"
+    assert payload["uncertainties"] == [None] * len(payload["params"])
+    stuck = {"rabi": "t1_ns", "fig2c": "tau", "lifetime": "tau"}[scenario]
+    assert payload["message"].endswith(f"at a bound with a vanishing Jacobian column: {stuck}")
+
+
 def test_output_dir_env_var_and_flag_precedence(capsys, tmp_path, monkeypatch):
     env_root = tmp_path / "from_env"
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(env_root))

@@ -63,12 +63,14 @@ def test_field_sweep_study_row_equals_a_direct_field_sweep(tmp_path, capsys):
 def test_field_sweep_study_needs_three_scans(tmp_path, capsys):
     study = _load("field_sweep_study")
     out = tmp_path / "sweep"
-    assert study.main(["--n-scans", "2", "--repeats", "1", "--output-dir", str(out)]) == 2
+    with pytest.raises(SystemExit) as exit_info:
+        study.main(["--n-scans", "2", "--repeats", "1", "--output-dir", str(out)])
+    assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.strip().splitlines() == [
-        "error: a field sweep needs at least 3 scans, got 2"
-    ]
+    assert captured.err.strip().splitlines()[-1].endswith(
+        "error: argument --n-scans: must be an integer >= 3 and <= 1000, got '2'"
+    )
     assert not out.exists()
 
 
@@ -82,7 +84,8 @@ def test_field_sweep_study_refuses_more_scans_than_fig2a_before_allocating(tmp_p
     finally:
         tracemalloc.stop()
     assert exit_info.value.code == 2
-    assert f"--n-scans must be at most {MAX_FITTED_SPECTRA}" in capsys.readouterr().err
+    expected = f"--n-scans: must be an integer >= 3 and <= {MAX_FITTED_SPECTRA}"
+    assert expected in capsys.readouterr().err
     assert peak < 1_000_000
     assert not (tmp_path / "sweep").exists()
 
@@ -93,14 +96,23 @@ def test_field_sweep_study_refuses_more_scans_than_fig2a_before_allocating(tmp_p
         (["--snr", "5", "0"], "--snr"),
         (["--snr", "nan"], "--snr"),
         (["--repeats", "0"], "--repeats"),
+        (["--slope-ghz-per-t", "0"], "--slope-ghz-per-t"),
+        (["--field-step-mt", "0"], "--field-step-mt"),
+        (["--field-step-mt", "-4.3"], "--field-step-mt"),
+        (["--seed", "-1"], "--seed"),
     ],
 )
-def test_field_sweep_study_rejects_bad_options(tmp_path, capsys, argv, option):
+def test_field_sweep_study_rejects_bad_options(tmp_path, capfd, argv, option):
     study = _load("field_sweep_study")
+    small = ["--snr", "5", "--repeats", "1", "--n-scans", "3"]  # overridden by argv
     with pytest.raises(SystemExit) as exit_info:
-        study.main([*argv, "--output-dir", str(tmp_path / "sweep")])
+        study.main([*small, *argv, "--output-dir", str(tmp_path / "sweep")])
     assert exit_info.value.code == 2
-    assert option in capsys.readouterr().err
+    captured = capfd.readouterr()  # file-descriptor level, so LAPACK's own prints show too
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and option in errors[0]
+    assert "DLASCL" not in captured.err and "Traceback" not in captured.err
     assert not (tmp_path / "sweep").exists()
 
 

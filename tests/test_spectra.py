@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from snvsim.fitting import fit, make_lorentzian_multi
@@ -23,13 +26,14 @@ from snvsim.spectra import (
     frequency_grid,
     initial_line_guesses,
     line_sum,
-    read_spectrum_csv,
+    read_xy_csv,
     recenter_scans,
     sample_inhomogeneous_ensemble,
     shift_spectrum,
     synthesize_spectrum,
     write_csv,
     write_spectrum_csv,
+    _fmt_cell,
 )
 from snvsim.units import fwhm_to_sigma
 
@@ -84,26 +88,25 @@ def test_spectrum_validation():
 # --------------------------------------------------------------------------
 
 def test_ensemble_doublet_structure():
-    pairs = sample_inhomogeneous_ensemble(
+    centers, splits = sample_inhomogeneous_ensemble(
         center_hz=0.0, fwhm_hz=90e9, n=50, split_hz=452e6, seed=3
     )
-    assert len(pairs) == 50
-    for lo, hi in pairs:
-        assert math.isclose(hi.center_hz - lo.center_hz, 452e6, rel_tol=1e-12)
-        assert lo.fwhm_hz == hi.fwhm_hz == 70e6
+    assert centers.shape == splits.shape == (50,)
+    assert np.all(splits == 452e6)
+    lows, highs = centers - splits / 2.0, centers + splits / 2.0
+    assert np.allclose(highs - lows, 452e6, rtol=1e-12, atol=0.0)
 
 
 def test_ensemble_with_zero_inhomogeneity_is_degenerate():
-    pairs = sample_inhomogeneous_ensemble(0.0, 0.0, n=5, split_hz=452e6, seed=1)
-    midpoints = [(lo.center_hz + hi.center_hz) / 2.0 for lo, hi in pairs]
-    assert all(m == 0.0 for m in midpoints)
+    centers, splits = sample_inhomogeneous_ensemble(0.0, 0.0, n=5, split_hz=452e6, seed=1)
+    assert np.all(centers == 0.0)
+    assert np.all(splits == 452e6)
 
 
 def test_ensemble_center_distribution_passes_ks_test():
     """Sampler honors FWHM = 2 sqrt(2 ln 2) sigma: KS vs the target normal law."""
     fwhm = 90e9
-    pairs = sample_inhomogeneous_ensemble(0.0, fwhm, n=10_000, split_hz=0.0, seed=11)
-    centers = np.array([(lo.center_hz + hi.center_hz) / 2.0 for lo, hi in pairs])
+    centers, _ = sample_inhomogeneous_ensemble(0.0, fwhm, n=10_000, split_hz=0.0, seed=11)
     result = stats.kstest(centers, "norm", args=(0.0, fwhm_to_sigma(fwhm)))
     assert result.pvalue > 0.01
 
@@ -113,6 +116,20 @@ def test_ensemble_validation():
         sample_inhomogeneous_ensemble(0.0, 1.0, n=0, split_hz=1.0)
     with pytest.raises(ValueError, match="widths"):
         sample_inhomogeneous_ensemble(0.0, -1.0, n=1, split_hz=1.0)
+
+
+def test_largest_ensemble_is_two_arrays_and_no_objects():
+    tracemalloc.start()
+    try:
+        centers, splits = sample_inhomogeneous_ensemble(
+            0.0, 90e9, n=10**5, split_hz=452e6, seed=2, split_sigma_hz=7e6
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for array in (centers, splits):
+        assert isinstance(array, np.ndarray) and array.dtype == float and array.shape == (10**5,)
+    assert peak < 8_000_000
 
 
 # --------------------------------------------------------------------------
@@ -296,12 +313,13 @@ def test_csv_round_trip_is_lossless_and_byte_stable(tmp_path):
     spectrum = synthesize_spectrum([LINE], x, noise_sigma=0.05, seed=4)
     path = tmp_path / "spectrum.csv"
     write_spectrum_csv(spectrum, path)
-    loaded = read_spectrum_csv(path)
-    assert np.array_equal(loaded.x, spectrum.x)
-    assert np.array_equal(loaded.y, spectrum.y)
-    assert np.array_equal(loaded.y_err, spectrum.y_err)
+    header, x_read, y_read, err_read = read_xy_csv(path)
+    assert header == ["freq_hz", "intensity", "err"]
+    assert np.array_equal(x_read, spectrum.x)
+    assert np.array_equal(y_read, spectrum.y)
+    assert np.array_equal(err_read, spectrum.y_err)
     second = tmp_path / "again.csv"
-    write_spectrum_csv(loaded, second)
+    write_spectrum_csv(Spectrum(x=x_read, y=y_read, y_err=err_read), second)
     assert path.read_bytes() == second.read_bytes()
 
 
@@ -310,19 +328,84 @@ def test_csv_round_trip_without_uncertainties(tmp_path):
     spectrum = synthesize_spectrum([LINE], x)
     path = tmp_path / "clean.csv"
     write_spectrum_csv(spectrum, path)
-    loaded = read_spectrum_csv(path)
-    assert loaded.y_err is None
-    assert np.array_equal(loaded.y, spectrum.y)
+    header, _, y_read, err_read = read_xy_csv(path)
+    assert header == ["freq_hz", "intensity"]
+    assert err_read is None
+    assert np.array_equal(y_read, spectrum.y)
 
 
 def test_csv_lines_end_in_a_bare_newline(tmp_path):
     spectrum = synthesize_spectrum([LINE], frequency_grid(-50e6, 50e6, 10e6), noise_sigma=0.1, seed=1)
     write_spectrum_csv(spectrum, tmp_path / "spectrum.csv")
-    write_csv(tmp_path / "table.csv", ["k", "value", "ok", "label"], [(np.int64(2), 0.1, True, "a")])
+    columns = [[np.int64(2)], [0.1], [True], ["a"]]
+    write_csv(tmp_path / "table.csv", ["k", "value", "ok", "label"], columns)
     text = (tmp_path / "spectrum.csv").read_bytes()
     assert b"\r" not in text and text.endswith(b"\n")
     assert text.count(b"\n") == 1 + spectrum.x.size
     assert (tmp_path / "table.csv").read_bytes() == b"k,value,ok,label\n2,0.1,true,a\n"
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]
+
+
+def _row_wise_csv(header, columns) -> bytes:
+    """The bytes of a CSV built one row and one cell at a time."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt_cell(cell) for cell in row) for row in zip(*columns)]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _column(kind, n_rows):
+    floats = st.floats() | st.sampled_from(EDGE_FLOATS)
+    if kind == "float64":
+        return st.lists(floats, min_size=n_rows, max_size=n_rows).map(np.array)
+    if kind == "float32":
+        return st.lists(st.floats(width=32), min_size=n_rows, max_size=n_rows).map(
+            lambda v: np.array(v, dtype=np.float32)
+        )
+    if kind == "float list":
+        return st.lists(floats, min_size=n_rows, max_size=n_rows)
+    if kind == "int":
+        ints = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n_rows, max_size=n_rows)
+        return ints | ints.map(lambda v: np.array(v, dtype=np.int64))
+    if kind == "bool":
+        bools = st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)
+        return bools | bools.map(lambda v: np.array(v, dtype=bool))
+    return st.lists(st.text("abc xyz_-./"), min_size=n_rows, max_size=n_rows)
+
+
+@given(st.data())
+def test_column_wise_csv_writes_the_bytes_of_the_row_wise_join(tmp_path_factory, data):
+    n_rows = data.draw(st.integers(0, 12))
+    kinds = data.draw(st.lists(
+        st.sampled_from(["float64", "float32", "float list", "int", "bool", "str"]),
+        min_size=1, max_size=5,
+    ))
+    columns = [data.draw(_column(kind, n_rows)) for kind in kinds]
+    header = [f"c{i}" for i in range(len(columns))]
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    write_csv(path, header, columns)
+    assert path.read_bytes() == _row_wise_csv(header, columns)
+
+
+def test_edge_floats_render_as_their_repr(tmp_path):
+    write_csv(tmp_path / "edge.csv", ["v"], [np.array(EDGE_FLOATS)])
+    lines = (tmp_path / "edge.csv").read_text().splitlines()
+    assert lines == ["v", "-0.0", "5e-324", "1.7976931348623157e+308", "nan", "inf", "-inf"]
+
+
+def test_numpy_and_python_booleans_render_alike():
+    assert [_fmt_cell(v) for v in (True, False, np.bool_(True), np.bool_(False))] == [
+        "true", "false", "true", "false"
+    ]
+
+
+@pytest.mark.parametrize(
+    "columns", [[np.zeros(3), np.zeros(2)], [[1, 2], ["a"]], [np.zeros(2), [True, False, True]]]
+)
+def test_ragged_columns_are_refused(tmp_path, columns):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "ragged.csv", ["a", "b"], columns)
 
 
 @pytest.mark.parametrize("step_hz", [1e-3, 1e-300, 5e-324])
