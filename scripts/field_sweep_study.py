@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -43,9 +44,19 @@ def fig2a(key: str):
     return convert
 
 
+def snr_option(text: str) -> float:
+    """An SNR as fig2a checks it, small enough that its stream key ``int(snr * 1000)`` exists."""
+    snr = fig2a("snr")(text)
+    if not math.isfinite(snr * 1000):
+        raise argparse.ArgumentTypeError(
+            f"must be at most {sys.float_info.max / 1000:.6g}, got {text!r}"
+        )
+    return snr
+
+
 def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--snr", type=fig2a("snr"), nargs="+", default=[3.0, 5.0, 10.0, 15.0, 30.0])
+    parser.add_argument("--snr", type=snr_option, nargs="+", default=[3.0, 5.0, 10.0, 15.0, 30.0])
     parser.add_argument("--repeats", type=int, default=5, help="independent sweeps per SNR")
     parser.add_argument("--seed", type=fig2a("seed"), default=2026, help="base seed of all noise")
     parser.add_argument("--n-scans", type=fig2a("n_scans"), default=35)

@@ -12,9 +12,14 @@ identically when data and model are expressed in rescaled units.
 
 Convergence is declared when an accepted step reduces the cost by less than
 ``tol`` relatively, or when the scale-invariant gradient
-max_i |g_i|/sqrt((J'J)_ii) falls below ``tol``, but a fit whose final J'J
-cannot be inverted is ``singular`` instead.  Everything is pure and
-deterministic: identical inputs produce bit-identical results.
+max_i |g_i|/sqrt((J'J)_ii) falls below ``tol``.  A fit is ``singular`` in
+two cases only: the damped steps made no progress, or the final J'J is
+rank-deficient because a parameter sits at a bound with a vanishing
+Jacobian column (then every uncertainty is infinite).  Any other
+rank-deficient J'J (lines that coincide, say) leaves the status alone and
+gives infinite uncertainties to the parameters its null space touches
+only.  Everything is pure and deterministic: identical inputs produce
+bit-identical results.
 
 Each iteration needs the Jacobian d model / d params.  A model that
 supplies ``ModelSpec.jacobian`` gives it in closed form; any other model
@@ -117,7 +122,11 @@ class FitResult:
     ``cost_trace`` lists the cost after the initial evaluation and after
     every accepted step (rejected proposals do not appear), so it is
     non-increasing by construction.  ``residual_norm`` is sqrt(cost).
-    ``status`` is one of converged / max-iterations / singular.
+    ``status`` is one of converged / max-iterations / singular; singular
+    means the steps made no progress, or a parameter is stuck at a bound
+    with a vanishing Jacobian column, and then every uncertainty is
+    infinite.  Otherwise an infinite uncertainty marks a parameter in the
+    null space of a rank-deficient J'J, and the others stay finite.
     ``param_names`` are the fitted model's, in ``params`` order.
     """
 
@@ -318,15 +327,22 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
             if status == "converged":
                 break
 
-        uncertainties, covariance = _curvature_uncertainties(model, params, x, y_err, cost)
-        if status == "converged" and not all(map(math.isfinite, uncertainties)):
+        uncertainties, covariance, undetermined = _curvature_uncertainties(
+            model, params, x, y_err, cost
+        )
+        if status == "converged" and undetermined.any():
             # Clipped onto a bound where the model ignores it: zero gradient, no minimum.
             jacobian = _jacobian(model, params, x)
             stuck = [name for i, name in enumerate(model.param_names)
                      if params[i] in (lo[i], hi[i]) and not np.any(jacobian[:, i])]
-            status, message = "singular", "curvature is singular at the final parameters"
             if stuck:
-                message += f"; at a bound with a vanishing Jacobian column: {', '.join(stuck)}"
+                status = "singular"
+                message = (
+                    "curvature is singular at the final parameters; at a bound with a "
+                    f"vanishing Jacobian column: {', '.join(stuck)}"
+                )
+                uncertainties = tuple(math.inf for _ in params)
+                covariance = np.full((params.size, params.size), np.inf)
     return FitResult(
         params=tuple(float(p) for p in params),
         uncertainties=uncertainties,
@@ -347,20 +363,48 @@ def _curvature_uncertainties(
     x: np.ndarray,
     y_err: np.ndarray,
     cost: float,
-) -> tuple[tuple[float, ...], np.ndarray]:
-    """1-sigma uncertainties from the residual-weighted normal-equations curvature."""
+) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """1-sigma uncertainties from the residual-weighted normal-equations curvature.
+
+    Returns ``(uncertainties, covariance, undetermined)``.  A rank test on the
+    correlation-scaled J'J (unit diagonal, so the test does not depend on the
+    parameters' units) counts an eigenvalue at or below n * eps of the largest
+    as zero, the threshold of ``numpy.linalg.matrix_rank``.  A full-rank J'J
+    is inverted.  Otherwise a parameter is ``undetermined`` when its share of
+    the null space, divided by that threshold, exceeds the variance the other
+    eigenvalues give it: a null eigenvalue anywhere below the threshold could
+    then dominate its variance.  Undetermined parameters get infinite
+    uncertainties and covariance rows; every other parameter gets its
+    variance from the pseudo-inverse.  A zero Jacobian column is a null
+    direction of its own, and a non-finite J'J leaves every parameter
+    undetermined.
+    """
     n_params = params.size
     jacobian = _jacobian(model, params, x) / y_err[:, None]
     normal = jacobian.T @ jacobian
     dof = max(x.size - n_params, 1)
     variance_scale = cost / dof
-    try:
+    if not np.all(np.isfinite(normal)):
+        undetermined = np.ones(n_params, dtype=bool)
+        return (math.inf,) * n_params, np.full((n_params, n_params), np.inf), undetermined
+    scale = np.sqrt(np.diag(normal))
+    scale[scale == 0.0] = 1.0
+    eigenvalues, vectors = np.linalg.eigh(normal / np.outer(scale, scale))
+    threshold = eigenvalues[-1] * n_params * np.finfo(float).eps
+    null = eigenvalues <= threshold
+    if not null.any():
         covariance = variance_scale * np.linalg.inv(normal)
-        uncertainties = tuple(float(v) for v in np.sqrt(np.maximum(np.diag(covariance), 0.0)))
-    except np.linalg.LinAlgError:
-        covariance = np.full((n_params, n_params), np.inf)
-        uncertainties = tuple(math.inf for _ in range(n_params))
-    return uncertainties, covariance
+        undetermined = np.zeros(n_params, dtype=bool)
+    else:
+        kept = vectors[:, ~null]
+        pseudo_inverse = (kept / eigenvalues[~null]) @ kept.T
+        null_share = np.sum(vectors[:, null] ** 2, axis=1)
+        undetermined = null_share > threshold * np.diag(pseudo_inverse)
+        covariance = variance_scale * pseudo_inverse / np.outer(scale, scale)
+        covariance[undetermined, :] = np.inf
+        covariance[:, undetermined] = np.inf
+    uncertainties = tuple(float(v) for v in np.sqrt(np.maximum(np.diag(covariance), 0.0)))
+    return uncertainties, covariance, undetermined
 
 
 # --------------------------------------------------------------------------

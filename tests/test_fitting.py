@@ -37,7 +37,9 @@ from snvsim.fitting import (
     numeric_jacobian,
     poisson_sigma,
 )
-from snvsim.spectra import Spectrum, line_sum, SpectralLine, synthesize_spectrum
+from snvsim.spectra import (
+    Spectrum, SpectralLine, frequency_grid, line_sum, synthesize_spectrum,
+)
 from snvsim.units import TWO_PI
 
 
@@ -393,6 +395,41 @@ def test_singular_status_on_overflowing_normal_equations():
     result = fit(model, (x, x))
     assert result.status == "singular"
     assert "damping" in result.message
+
+
+@pytest.mark.parametrize("entropy", [[2048, 30000, 4, 0], [2027, 30000, 48, 0]])
+def test_coincident_lines_leave_the_fit_converged_with_the_pairs_undetermined(entropy):
+    """At B = 0 the quartet's lines coincide in pairs, so J'J is exactly rank-deficient.
+
+    Both noise draws (SNR 30, the field-sweep study's stream layout) once
+    ended ``singular`` because inverting J'J hit an exact zero pivot.
+    """
+    transition = spin_hamiltonian.OpticalTransitionParams.from_cyclic_hz(452e6, 5.41e9)
+    detunings = spin_hamiltonian.optical_transition_detunings(transition, 0.0)
+    lines = [SpectralLine(center_hz=c, fwhm_hz=70e6, amplitude=1.0) for c in detunings]
+    x = frequency_grid(-1.2e9, 1.2e9, 5e6)
+    scan = synthesize_spectrum(lines, x, noise_sigma=1.0 / 30.0, seed=np.random.SeedSequence(entropy))
+    init = [70e6]
+    for c in detunings:
+        init += [c, 1.0]
+    result = fit(make_lorentzian_multi(n_lines=4).with_init(init), scan)
+    assert result.status == "converged"
+    fwhm_se, *pair_se = result.uncertainties
+    assert math.isfinite(fwhm_se) and 0.0 < fwhm_se < 1e6
+    assert pair_se == [math.inf] * 8
+
+
+def test_a_parameter_the_model_ignores_is_undetermined_not_singular():
+    model = ModelSpec(
+        name="ignores_offset",
+        param_names=("gain", "offset"),
+        init=(1.0, 0.0),
+        evaluator=lambda p, x: p[0] * x,
+    )
+    x = np.linspace(0.0, 1.0, 20)
+    result = fit(model, (x, 2.0 * x + 0.01 * np.sin(7.0 * x)))
+    assert result.status == "converged"
+    assert math.isfinite(result.uncertainties[0]) and result.uncertainties[1] == math.inf
 
 
 def test_nan_evaluation_raises_naming_parameters():

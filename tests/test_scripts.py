@@ -95,6 +95,7 @@ def test_field_sweep_study_refuses_more_scans_than_fig2a_before_allocating(tmp_p
     [
         (["--snr", "5", "0"], "--snr"),
         (["--snr", "nan"], "--snr"),
+        (["--snr", "1e306"], "--snr"),
         (["--repeats", "0"], "--repeats"),
         (["--slope-ghz-per-t", "0"], "--slope-ghz-per-t"),
         (["--field-step-mt", "0"], "--field-step-mt"),
