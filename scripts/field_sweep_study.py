@@ -27,8 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from snvsim import spin_hamiltonian
-from snvsim.scenarios import SCENARIOS, field_sweep
-from snvsim.spectra import frequency_grid, write_csv
+from snvsim.artifacts import write_csv
+from snvsim.registry import SCENARIOS
+from snvsim.scenarios import field_sweep
+from snvsim.spectra import frequency_grid
 
 
 def fig2a(key: str):

@@ -3,50 +3,64 @@ register coupled to a nanophotonic waveguide.
 
 Layers (each imports only the ones above it):
 
-* :mod:`snvsim.units` — unit conventions and conversions.
+* :mod:`snvsim.units` — unit conventions and conversions, the isotope table.
+* :mod:`snvsim.config` — key-value configs and the domains their values are
+  checked against.
+* :mod:`snvsim.artifacts` — CSV, spectrum and strict-JSON writers, summary rows.
+* :mod:`snvsim.efficiency` — efficiency budgets, loss chains, the fibre
+  taper, and the ``table_s1`` and ``loss_chain`` runners.
+* :mod:`snvsim.registry` — scenario names, descriptions and key tables, and
+  ``run_scenario``; it imports a scenario's runner module only when the
+  scenario runs.
 * :mod:`snvsim.spin_hamiltonian` — static spin Hamiltonians, eigenstructure,
   optical-line detunings, isotope scaling.
 * :mod:`snvsim.optical_dynamics` — lifetimes, damped Rabi dynamics,
   autocorrelation, saturation, pumping.
 * :mod:`snvsim.waveguide_qed` — single-mode reflection model, cooperativity
   inversion, efficiency bounds.
-* :mod:`snvsim.photon_budget` — efficiency budgets, loss chains,
-  photon-counting readout statistics.
+* :mod:`snvsim.photon_budget` — photon-counting readout statistics,
+  coincidence expectations.
 * :mod:`snvsim.fitting` — damped least-squares engine and the named model
   registry.
-* :mod:`snvsim.spectra` — spectrum synthesis, drift, averaging, CSV io.
-* :mod:`snvsim.config` — key-value configs and the domains their values are
-  checked against.
-* :mod:`snvsim.scenarios` — named desk-scale experiment reproductions.
+* :mod:`snvsim.spectra` — spectrum synthesis, drift, averaging, CSV reading.
+* :mod:`snvsim.scenarios` — the runners of the other fifteen scenarios.
 * :mod:`snvsim.cli` — the ``snvsim`` command line (``import snvsim`` leaves it out).
+
+The first five import only the standard library.  ``import snvsim`` loads
+no submodule: each loads on first attribute access (PEP 562), so a caller
+that never touches the numpy layers never imports numpy.
 """
 
-from . import (
-    config,
-    fitting,
-    optical_dynamics,
-    photon_budget,
-    scenarios,
-    spectra,
-    spin_hamiltonian,
-    units,
-    waveguide_qed,
-)
-from .scenarios import available_scenarios, run_scenario
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
+_SUBMODULES = (
+    "artifacts",
     "config",
+    "efficiency",
     "fitting",
     "optical_dynamics",
     "photon_budget",
+    "registry",
     "scenarios",
     "spectra",
     "spin_hamiltonian",
     "units",
     "waveguide_qed",
-    "available_scenarios",
-    "run_scenario",
-    "__version__",
-]
+)
+_FROM_REGISTRY = ("available_scenarios", "run_scenario")
+
+__all__ = [*_SUBMODULES, *_FROM_REGISTRY, "__version__"]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _FROM_REGISTRY:
+        return getattr(importlib.import_module(f"{__name__}.registry"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(__all__)

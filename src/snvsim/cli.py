@@ -26,6 +26,10 @@ Subcommands
 Exit status: 0 on success, 1 on a failed fit or when any ``run`` summary
 entry fails its tolerance, 2 on validation errors.
 Errors are emitted to stderr as one JSON object ``{"error": ...}``.
+
+``list``, ``budget`` and a run of ``table_s1`` or ``loss_chain`` (or one
+refused for bad input) load no numpy: the fitting and spectra layers are
+reached as attributes of the lazily loading package, on first use.
 """
 
 from __future__ import annotations
@@ -37,11 +41,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import snvsim
+
 from . import config as config_mod
-from .fitting import FitOptions, fit, model_registry
-from .photon_budget import budget_report
-from .scenarios import available_scenarios, run_scenario, SCENARIOS
-from .spectra import read_xy_csv
+from .efficiency import budget_from_config, budget_report
+from .registry import SCENARIOS, available_scenarios, run_scenario
 
 _EXIT_OK = 0
 _EXIT_FIT_FAILED = 1
@@ -99,23 +103,24 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 f"unknown fit-request keys: {', '.join(unknown)}; "
                 f"allowed: {', '.join(sorted(_FIT_REQUEST_KEYS))}"
             )
-        registry = model_registry()
+        fitting = snvsim.fitting
+        models = fitting.model_registry()
         model_name = request.get("model")
-        if model_name not in registry:
+        if model_name not in models:
             raise ValueError(
-                f"unknown model {model_name!r}; available: {', '.join(sorted(registry))}"
+                f"unknown model {model_name!r}; available: {', '.join(sorted(models))}"
             )
         if "data_file" not in request:
             raise ValueError("fit request must name a data_file")
         model_args = request.get("model_args") or {}
-        model = registry[model_name](**model_args)
+        model = models[model_name](**model_args)
         if request.get("init") is not None:
             model = model.with_init([float(v) for v in request["init"]])
         if request.get("bounds") is not None:
             model = replace(model, bounds=_parse_bounds(request["bounds"]))
-        options = FitOptions(**(request.get("options") or {}))
-        _, x, y, y_err = read_xy_csv(Path(request["data_file"]))
-        result = fit(model, (x, y, y_err), options)
+        options = fitting.FitOptions(**(request.get("options") or {}))
+        _, x, y, y_err = snvsim.spectra.read_xy_csv(Path(request["data_file"]))
+        result = fitting.fit(model, (x, y, y_err), options)
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     payload = result.as_dict()
@@ -130,7 +135,7 @@ def _cmd_budget(args: argparse.Namespace) -> int:
     try:
         cfg = config_mod.load_config(args.config)
         cfg = config_mod.merged(cfg, config_mod.parse_overrides(args.overrides))
-        budget = config_mod.budget_from_config(cfg)
+        budget = budget_from_config(cfg)
     except (ValueError, KeyError, OSError) as exc:
         return _fail(str(exc))
     print(json.dumps(budget_report(budget), indent=2, sort_keys=True))

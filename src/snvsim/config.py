@@ -10,6 +10,8 @@ key carries its unit in the suffix (``linewidth_mhz``, ``step_ns``), and
 :func:`in_base_units` strips the suffix and converts the value to base
 units (Hz, s, T, W, 1/s).  A value outside its domain is a ``ValueError``
 that names the key.
+
+This module imports only the standard library.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from __future__ import annotations
 import math
 from pathlib import Path
 from typing import Callable, NamedTuple
-
-from .photon_budget import EfficiencyBudget, LossChain, LossCorrection
 
 
 def parse_value(text: str):
@@ -131,7 +131,7 @@ def _is_finite_number(token: str) -> bool:
         return False
 
 
-#: A loss-chain correction; :class:`~snvsim.photon_budget.LossCorrection`
+#: A loss-chain correction; :class:`~snvsim.efficiency.LossCorrection`
 #: judges the kind and the range.
 CORRECTION = Domain(
     str,
@@ -146,51 +146,13 @@ UNIT_FACTORS = {
 }
 
 
+#: Most points a sampled axis may have; a larger one is refused before it is allocated.
+MAX_GRID_POINTS = 10**6
+
+
 def in_base_units(key: str, value) -> tuple[str, object]:
     """``(name, value)``: a unit suffix stripped from ``key`` and applied to ``value``."""
     for suffix, factor in UNIT_FACTORS.items():
         if key.endswith("_" + suffix):
             return key[: -len(suffix) - 1], value * factor
     return key, value
-
-
-#: Prefix marking ordered efficiency stages in a budget config.
-STAGE_PREFIX = "stage_"
-
-#: Prefix marking ordered corrections in a loss-chain config.
-CORRECTION_PREFIX = "correction_"
-
-
-def budget_from_config(config: dict) -> EfficiencyBudget:
-    """Build an efficiency budget from ``stage_<name> = fraction`` keys, in file order."""
-    stages = [
-        (key[len(STAGE_PREFIX):], OPEN_FRACTION.check(key, value))
-        for key, value in config.items()
-        if key.startswith(STAGE_PREFIX)
-    ]
-    if not stages:
-        raise ValueError(f"no {STAGE_PREFIX}* keys found in budget config")
-    return EfficiencyBudget.from_pairs(stages)
-
-
-def loss_chain_from_config(config: dict) -> LossChain:
-    """Build a loss chain from a roundtrip value plus ordered correction keys.
-
-    Expected keys: ``measured_roundtrip = 0.27`` and, per correction,
-    ``correction_<name> = <kind> <value> [length_m]`` with kind one of
-    fraction / db / db_per_km.
-    """
-    roundtrip = OPEN_FRACTION.check("measured_roundtrip", config.get("measured_roundtrip"))
-    corrections = []
-    for key, value in config.items():
-        if key.startswith(CORRECTION_PREFIX):
-            kind, *numbers = CORRECTION.check(key, value).split()
-            corrections.append(
-                LossCorrection(
-                    name=key[len(CORRECTION_PREFIX):],
-                    kind=kind,
-                    value=float(numbers[0]),
-                    length_m=float(numbers[1]) if len(numbers) == 2 else 0.0,
-                )
-            )
-    return LossChain(measured_roundtrip=roundtrip, corrections=tuple(corrections))

@@ -1,151 +1,21 @@
-"""Detection-efficiency accounting and photon-counting readout statistics.
+"""Photon-counting readout statistics and coincidence expectations.
 
-Four related pieces of bookkeeping around detected photons:
+Two pieces of bookkeeping around detected photons:
 
-* multiplicative efficiency budgets (ordered named stages whose product is
-  the end-to-end detection efficiency),
-* loss-chain extraction of a single coupling efficiency from a measured
-  roundtrip transmission with documented corrections,
 * single-shot spin readout: the exact photon-count distribution of the
   pulse chain, histograms sampled from it, and threshold discrimination, and
 * expected N-photon coincidence counts.
 
-All efficiencies are linear power fractions in (0, 1]; dB values convert
-via 10^(-dB/10).
+The scalar efficiency budgets and loss chains live in
+:mod:`snvsim.efficiency`, which needs no numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .units import db_to_fraction, fraction_to_db
-
-
-@dataclass(frozen=True)
-class EfficiencyBudget:
-    """Ordered multiplicative budget of named efficiency stages."""
-
-    stages: tuple[tuple[str, float], ...]
-
-    def __post_init__(self) -> None:
-        if not self.stages:
-            raise ValueError("budget must contain at least one stage")
-        for name, value in self.stages:
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"stage {name!r} must be in (0, 1], got {value}")
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "EfficiencyBudget":
-        return cls(stages=tuple((str(name), float(value)) for name, value in pairs))
-
-
-def budget_report(budget: EfficiencyBudget) -> dict:
-    """Per-stage and cumulative budget values in fraction and dB."""
-    rows = []
-    cumulative = 1.0
-    for name, value in budget.stages:
-        cumulative *= value
-        rows.append(
-            {
-                "stage": name,
-                "fraction": value,
-                "loss_db": fraction_to_db(value),
-                "cumulative_fraction": cumulative,
-                "cumulative_loss_db": fraction_to_db(cumulative),
-            }
-        )
-    return {"stages": rows, "total_fraction": cumulative, "total_loss_db": fraction_to_db(cumulative)}
-
-
-@dataclass(frozen=True)
-class LossCorrection:
-    """One documented correction applied to a measured transmission.
-
-    ``kind`` selects the interpretation of ``value``:
-      * ``"fraction"``  — multiplicative transmission in (0, 1]
-      * ``"db"``        — attenuation in dB (>= 0)
-      * ``"db_per_km"`` — distributed attenuation; requires ``length_m``
-    """
-
-    name: str
-    kind: str
-    value: float
-    length_m: float = 0.0
-
-    def transmission(self) -> float:
-        """Transmitted fraction this correction accounts for."""
-        if self.kind == "fraction":
-            if not 0.0 < self.value <= 1.0:
-                raise ValueError(f"correction {self.name!r}: fraction must be in (0, 1]")
-            return self.value
-        if self.kind == "db":
-            if self.value < 0.0:
-                raise ValueError(f"correction {self.name!r}: dB loss must be >= 0")
-            return db_to_fraction(self.value)
-        if self.kind == "db_per_km":
-            if self.value < 0.0 or self.length_m < 0.0:
-                raise ValueError(f"correction {self.name!r}: dB/km and length must be >= 0")
-            return db_to_fraction(self.value * self.length_m / 1000.0)
-        raise ValueError(f"correction {self.name!r}: unknown kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class LossChain:
-    """A measured roundtrip transmission plus per-pass corrections."""
-
-    measured_roundtrip: float
-    corrections: tuple[LossCorrection, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.measured_roundtrip <= 1.0:
-            raise ValueError(
-                f"measured roundtrip must be in (0, 1], got {self.measured_roundtrip}"
-            )
-
-
-def single_pass_from_roundtrip(roundtrip: float) -> float:
-    """Single forward-pass transmission sqrt(roundtrip)."""
-    if not 0.0 < roundtrip <= 1.0:
-        raise ValueError(f"roundtrip must be in (0, 1], got {roundtrip}")
-    return math.sqrt(roundtrip)
-
-
-def apply_loss_chain(chain: LossChain) -> float:
-    """Extract the single-pass coupling efficiency from a roundtrip measurement.
-
-    The measured single pass sqrt(roundtrip) bundles the coupling of
-    interest with every other per-pass loss; dividing the documented
-    corrections back out isolates the coupling.  A result above 1 means the
-    corrections overexplain the measurement and raises an error.
-    """
-    efficiency = single_pass_from_roundtrip(chain.measured_roundtrip)
-    for correction in chain.corrections:
-        transmission = correction.transmission()
-        if transmission == 0.0:  # a dB loss so large that 10^(-dB/10) underflows
-            raise ValueError(f"loss chain inconsistent: correction {correction.name!r} transmits 0")
-        efficiency /= transmission
-    if efficiency > 1.0:
-        raise ValueError(
-            f"loss chain inconsistent: corrections imply coupling efficiency {efficiency:.4g} > 1"
-        )
-    return efficiency
-
-
-def taper_half_angle_deg(etch_rate_um_min: float, pull_rate_um_min: float) -> float:
-    """Half-angle (degrees) of a fibre taper from its etch and pull rates.
-
-    While pulled at ``pull_rate`` during etching at ``etch_rate``, the
-    radius shrinks by etch_rate over an axial length pull_rate, giving a
-    cone of half-angle arctan(etch/pull).
-    """
-    if pull_rate_um_min <= 0.0:
-        raise ValueError(f"pull rate must be positive, got {pull_rate_um_min}")
-    if etch_rate_um_min < 0.0:
-        raise ValueError(f"etch rate must be >= 0, got {etch_rate_um_min}")
-    return math.degrees(math.atan(etch_rate_um_min / pull_rate_um_min))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
-"""Named desk-scale experiment scenarios with reproducible artifacts.
+"""Scenario runners: named desk-scale experiment reproductions.
 
 Each scenario reproduces one published panel or table at synthetic-data
 scale: it synthesizes data from the model stack, runs the same analysis an
 experiment would (fits, thresholds, budgets), and reports summary entries
 ``{quantity, simulated, paper_value, tolerance, pass}`` together with its
-data artifacts.
+data artifacts.  Names, descriptions, config keys, and ``run_scenario``,
+which checks a config, calls a runner and writes its artifacts, live in
+:mod:`snvsim.registry`; the scalar ``table_s1`` and ``loss_chain`` runners
+live in :mod:`snvsim.efficiency`.
 
 Reproducibility
 ---------------
@@ -14,47 +17,17 @@ is documented per runner) uses the stream
 ``numpy.random.SeedSequence(seed, spawn_key=(k,))``; nothing else consumes
 randomness, so reruns with the same config are byte-identical, including
 every artifact file.
-
-Output locations
-----------------
-Runners compute and write nothing.  A runner returns ``(rows, artifacts,
-notes)``; ``artifacts`` maps an index key to ``(name, payload)``, a payload
-being a ``(header, columns)`` table, a ``Spectrum``, a JSON object or, for a
-directory, ``{file name: payload}``.  ``run_scenario`` alone writes: after
-the runner returns, it replaces ``<root>/<scenario-name>/`` with exactly the
-artifacts plus ``summary.json`` and ``report.txt``, which index them by key.
-Every CSV ends its lines with ``\n``.  The root is (in precedence order) the
-``output_root`` argument, ``$SNVSIM_OUTPUT_DIR``, or ``./snvsim_output``.
-
-Configuration
--------------
-Every scenario declares its keys once, in one table: key -> (default,
-domain).  Each key has one spelling; a dimensioned key carries its unit in
-the suffix (``linewidth_mhz``).  A config file selects its scenario with a
-``scenario = <name>`` key; command-line ``key=value`` pairs override both.
-Unknown keys and values outside their domain are rejected before anything
-is written; the runner gets the checked values in base units, under the
-key with its unit suffix stripped (``cfg["linewidth"]`` in Hz).
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import shutil
-import sys
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from . import config as config_mod
 from . import optical_dynamics, photon_budget, spin_hamiltonian, waveguide_qed
-from .config import (
-    CORRECTION, FRACTION, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, REAL, SEED, choice, count,
-)
+from .artifacts import summary_row
 from .fitting import (
     FitResult,
     fit,
@@ -67,8 +40,9 @@ from .fitting import (
     make_saturation,
     poisson_sigma,
 )
+# The registry's entry points, reachable from this module as well.
+from .registry import SCENARIOS, available_scenarios, run_scenario  # noqa: F401
 from .spectra import (
-    MAX_GRID_POINTS,
     SpectralLine,
     Spectrum,
     _check_points,
@@ -77,29 +51,8 @@ from .spectra import (
     frequency_grid,
     sample_inhomogeneous_ensemble,
     synthesize_spectrum,
-    write_csv,
-    write_spectrum_csv,
 )
 from .units import TWO_PI, fourier_limited_fwhm_hz, sigma_to_fwhm
-
-#: Environment variable overriding the default artifact root directory.
-OUTPUT_DIR_ENV = "SNVSIM_OUTPUT_DIR"
-
-_DEFAULT_OUTPUT_ROOT = "snvsim_output"
-
-# Upper bounds of the integer counts that size what a run allocates; a
-# sampled axis (``n_points``) is capped like every grid, at MAX_GRID_POINTS.
-#: fig2a scans and fig2b emitters: each is a spectrum held until written, a fit and a CSV;
-#: the points of all of them together are capped at MAX_GRID_POINTS as well.
-MAX_FITTED_SPECTRA = 1000
-#: fig1d emitters: each is a center and a splitting in two float arrays.
-_MAX_ENSEMBLE = 10**5
-#: fig3b readouts per state: one multinomial draw each, so this bounds counts, not arrays.
-_MAX_TRIALS = 10**6
-#: fig3b pulses per readout window: the exact count distribution takes n_pulses^2 work.
-_MAX_PULSES = 10**4
-#: fig3c coincidence orders: each is a row of the table.
-_MAX_FOLD = 10**3
 
 
 # --------------------------------------------------------------------------
@@ -115,89 +68,8 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(_stream(seed, index))
 
 
-def _write(path: Path, payload) -> None:
-    """Write one file from a Spectrum, a ``(header, columns)`` table, a JSON object or text.
-
-    JSON is strict: a NaN or infinity left in ``payload`` is an error, not output.
-    """
-    if isinstance(payload, Spectrum):
-        write_spectrum_csv(payload, path)
-    elif path.suffix == ".csv":
-        write_csv(path, *payload)
-    else:
-        if path.suffix == ".json":
-            try:
-                payload = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-            except ValueError as exc:
-                raise ValueError(f"{path.name}: {exc}") from None
-        path.write_text(payload)
-
-
-def summary_row(
-    quantity: str,
-    simulated: float,
-    paper_value: float | None,
-    tolerance: float | None,
-    passed: bool | None = None,
-    note: str = "",
-) -> dict:
-    """One summary entry; pass defaults to |simulated - paper_value| <= tolerance."""
-    if passed is None:
-        if paper_value is None or tolerance is None:
-            raise ValueError(f"{quantity}: need explicit pass when reference is open-ended")
-        passed = abs(simulated - paper_value) <= tolerance
-    row = {
-        "quantity": quantity,
-        "simulated": float(simulated),
-        "paper_value": None if paper_value is None else float(paper_value),
-        "tolerance": None if tolerance is None else float(tolerance),
-        "pass": bool(passed),
-    }
-    if note:
-        row["note"] = note
-    return row
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A named, self-configured scenario runner."""
-
-    name: str
-    description: str
-    keys: dict  # key -> (default, Domain), in config order
-    runner: Callable[[dict], tuple[list, dict, list]]
-
-    @property
-    def defaults(self) -> dict:
-        """``{key: default}`` in config order."""
-        return {key: default for key, (default, _) in self.keys.items()}
-
-
-@dataclass(frozen=True)
-class ScenarioResult:
-    """Everything a scenario run produced."""
-
-    name: str
-    out_dir: Path
-    rows: list
-    artifacts: dict
-    notes: list
-
-    @property
-    def all_pass(self) -> bool:
-        return all(row["pass"] for row in self.rows)
-
-
 # --------------------------------------------------------------------------
 # fig1d — inhomogeneous ensemble
-
-
-_FIG1D_KEYS = {
-    "seed": (11, SEED),
-    "n_emitters": (10000, count(2, _MAX_ENSEMBLE)),
-    "inhomogeneous_fwhm_ghz": (90.0, POSITIVE),
-    "bin_width_ghz": (2.0, POSITIVE),
-}
 
 
 def _run_fig1d(cfg: dict):
@@ -237,16 +109,6 @@ def _run_fig1d(cfg: dict):
 
 # --------------------------------------------------------------------------
 # fig1e — zero-field doublet
-
-
-_FIG1E_KEYS = {
-    "seed": (12, SEED),
-    "zero_field_splitting_mhz": (452.0, POSITIVE),
-    "linewidth_mhz": (70.0, POSITIVE),
-    "snr": (20.0, POSITIVE),
-    "grid_span_mhz": (1600.0, POSITIVE),
-    "grid_step_mhz": (2.0, POSITIVE),
-}
 
 
 def _run_fig1e(cfg: dict):
@@ -293,20 +155,6 @@ def _run_fig1e(cfg: dict):
 
 # --------------------------------------------------------------------------
 # fig2a — field sweep of the optical quartet
-
-
-_FIG2A_KEYS = {
-    "seed": (21, SEED),
-    "n_scans": (35, count(3, MAX_FITTED_SPECTRA)),
-    "field_start_mt": (0.0, REAL),
-    "field_step_mt": (4.3, POSITIVE),
-    "zero_field_splitting_mhz": (452.0, POSITIVE),
-    "slope_ghz_per_t": (5.41, POSITIVE),
-    "linewidth_mhz": (70.0, POSITIVE),
-    "snr": (15.0, POSITIVE),
-    "grid_span_ghz": (2.4, POSITIVE),
-    "grid_step_mhz": (5.0, POSITIVE),
-}
 
 
 class FieldSweep(NamedTuple):
@@ -411,18 +259,6 @@ def _run_fig2a(cfg: dict):
 # fig2b — splitting across emitters
 
 
-_FIG2B_KEYS = {
-    "seed": (22, SEED),
-    "n_emitters": (12, count(2, MAX_FITTED_SPECTRA)),
-    "splitting_mean_mhz": (452.0, NON_NEGATIVE),
-    "splitting_sigma_mhz": (7.0, NON_NEGATIVE),
-    "linewidth_mhz": (70.0, POSITIVE),
-    "snr": (15.0, POSITIVE),
-    "grid_span_mhz": (1200.0, POSITIVE),
-    "grid_step_mhz": (2.0, POSITIVE),
-}
-
-
 def _run_fig2b(cfg: dict):
     """Streams: 0 = ensemble draw, 1+k = spectrum noise of emitter k."""
     seed = cfg["seed"]
@@ -477,17 +313,6 @@ def _run_fig2b(cfg: dict):
 # fig2c — optical pumping initialization
 
 
-_FIG2C_KEYS = {
-    "seed": (23, SEED),
-    "steady_fidelity": (0.986, FRACTION),
-    "calibration_time_us": (30.0, POSITIVE),
-    "calibration_fidelity": (0.980, FRACTION),
-    "n_points": (60, count(3, MAX_GRID_POINTS)),
-    "max_time_us": (30.0, POSITIVE),
-    "noise_sigma": (0.003, POSITIVE),
-}
-
-
 def _run_fig2c(cfg: dict):
     """Streams: 0 = trace noise."""
     f_inf = cfg["steady_fidelity"]
@@ -533,16 +358,6 @@ def _run_fig2c(cfg: dict):
 # fig2d — nuclear depolarization
 
 
-_FIG2D_KEYS = {
-    "seed": (24, SEED),
-    "nuclear_t1_s": (1.25, POSITIVE),
-    "initial_fidelity": (0.986, FRACTION),
-    "max_time_s": (5.0, POSITIVE),
-    "n_points": (40, count(3, MAX_GRID_POINTS)),
-    "noise_sigma": (0.01, POSITIVE),
-}
-
-
 def _run_fig2d(cfg: dict):
     """Streams: 0 = trace noise."""
     t1n = cfg["nuclear_t1"]
@@ -570,17 +385,6 @@ def _run_fig2d(cfg: dict):
 
 # --------------------------------------------------------------------------
 # fig3a — fluorescence saturation
-
-
-_FIG3A_KEYS = {
-    "seed": (31, SEED),
-    "saturation_power_pw": (120.0, POSITIVE),
-    "max_rate_mcps": (1.34, POSITIVE),
-    "power_min_pw": (1.0, POSITIVE),
-    "power_max_pw": (2000.0, POSITIVE),
-    "n_points": (30, count(2, MAX_GRID_POINTS)),
-    "noise_rel": (0.03, POSITIVE),
-}
 
 
 def _run_fig3a(cfg: dict):
@@ -612,16 +416,6 @@ def _run_fig3a(cfg: dict):
 
 # --------------------------------------------------------------------------
 # fig3b — single-shot readout
-
-
-_FIG3B_KEYS = {
-    "seed": (32, SEED),
-    "mean_bright": (1.83, POSITIVE),
-    "mean_dark": (0.13, NON_NEGATIVE),
-    "fidelity_target": (0.80, FRACTION),
-    "n_pulses": (150, count(1, _MAX_PULSES)),
-    "trials": (100000, count(1, _MAX_TRIALS)),
-}
 
 
 def _run_fig3b(cfg: dict):
@@ -694,15 +488,6 @@ def _run_fig3b(cfg: dict):
 # fig3c — N-photon coincidences
 
 
-_FIG3C_KEYS = {
-    "repetition_rate_mhz": (0.38, POSITIVE),
-    "duty_cycle": (0.40, OPEN_FRACTION),
-    "efficiency": (0.014, OPEN_FRACTION),
-    "duration_s": (86400.0, POSITIVE),
-    "max_fold": (5, count(1, _MAX_FOLD)),
-}
-
-
 def _run_fig3c(cfg: dict):
     """Deterministic (no random streams)."""
     rate = cfg["repetition_rate"]
@@ -738,17 +523,6 @@ def _run_fig3c(cfg: dict):
 
 # --------------------------------------------------------------------------
 # fig4b — waveguide reflection dip
-
-
-_FIG4B_KEYS = {
-    "seed": (42, SEED),
-    "cooperativity": (0.027, NON_NEGATIVE),
-    "input_coupling": (0.95, OPEN_FRACTION),
-    "linewidth_mhz": (70.0, POSITIVE),
-    "grid_span_mhz": (1000.0, POSITIVE),
-    "grid_step_mhz": (2.0, POSITIVE),
-    "noise_sigma": (0.01, POSITIVE),
-}
 
 
 def _run_fig4b(cfg: dict):
@@ -812,17 +586,6 @@ def _run_fig4b(cfg: dict):
 # fig4c — contrast vs saturation
 
 
-_FIG4C_KEYS = {
-    "seed": (43, SEED),
-    "cooperativity": (0.027, NON_NEGATIVE),
-    "input_coupling": (0.95, OPEN_FRACTION),
-    "s_min": (0.01, POSITIVE),
-    "s_max": (10.0, POSITIVE),
-    "n_points": (25, count(1, MAX_GRID_POINTS)),
-    "noise_sigma": (0.005, POSITIVE),
-}
-
-
 def _run_fig4c(cfg: dict):
     """Streams: 0 = contrast noise."""
     f_in = cfg["input_coupling"]
@@ -858,120 +621,7 @@ def _run_fig4c(cfg: dict):
 
 
 # --------------------------------------------------------------------------
-# table_s1 — detection-efficiency budget
-
-
-_TABLE_S1_KEYS = {
-    "stage_pi_pulse_fidelity": (0.80, OPEN_FRACTION),
-    "stage_quantum_efficiency": (0.79, OPEN_FRACTION),
-    "stage_phonon_sideband_fraction": (0.43, OPEN_FRACTION),
-    "stage_waveguide_coupling": (0.325, OPEN_FRACTION),
-    "stage_fibre_coupling": (0.57, OPEN_FRACTION),
-    "stage_setup_transmission": (0.51, OPEN_FRACTION),
-    "stage_detector_efficiency": (0.68, OPEN_FRACTION),
-    "measured_efficiency": (0.0140, OPEN_FRACTION),
-}
-
-
-def _run_table_s1(cfg: dict):
-    """Deterministic (no random streams)."""
-    budget = config_mod.budget_from_config(cfg)
-    measured = cfg["measured_efficiency"]
-    report = photon_budget.budget_report(budget)
-    total = report["total_fraction"]
-
-    columns = ["stage", "fraction", "loss_db", "cumulative_fraction", "cumulative_loss_db"]
-    table = [[r[column] for r in report["stages"]] for column in columns]
-
-    ratio = total / measured
-    rows = [
-        summary_row("total_efficiency_pct", total * 100.0, 1.7, 0.1),
-        summary_row(
-            "predicted_over_measured",
-            ratio,
-            None,
-            None,
-            passed=0.5 <= ratio <= 2.0,
-            note="measured end-to-end efficiency 1.40(5)%; agreement expected within a factor ~2",
-        ),
-    ]
-    artifacts = {
-        "budget": ("budget.json", report),
-        "budget_table": ("budget.csv", (columns, table)),
-    }
-    notes = [
-        f"Stage product {total * 100.0:.3f}% vs measured {measured * 100.0:.2f}% "
-        f"(ratio {ratio:.2f}).",
-    ]
-    return rows, artifacts, notes
-
-
-# --------------------------------------------------------------------------
-# loss_chain — fibre-coupling loss accounting
-
-
-_LOSS_CHAIN_KEYS = {
-    "measured_roundtrip": (0.27, OPEN_FRACTION),
-    "correction_splice": ("db 0.04", CORRECTION),
-    "correction_facet_scattering": ("fraction 0.96", CORRECTION),
-    "correction_fibre_attenuation": ("db_per_km 12 15", CORRECTION),
-    "taper_etch_rate_um_min": (1.5, NON_NEGATIVE),
-    "taper_pull_rate_um_min": (55.0, POSITIVE),
-}
-
-
-def _run_loss_chain(cfg: dict):
-    """Deterministic (no random streams)."""
-    chain = config_mod.loss_chain_from_config(cfg)
-    single_pass = photon_budget.single_pass_from_roundtrip(chain.measured_roundtrip)
-    corrected = photon_budget.apply_loss_chain(chain)
-    taper = photon_budget.taper_half_angle_deg(
-        cfg["taper_etch_rate_um_min"], cfg["taper_pull_rate_um_min"]
-    )
-
-    accounting = {
-        "measured_roundtrip": chain.measured_roundtrip,
-        "single_pass": single_pass,
-        "corrections": [
-            {
-                "name": c.name,
-                "kind": c.kind,
-                "value": c.value,
-                "length_m": c.length_m,
-                "transmission": c.transmission(),
-            }
-            for c in chain.corrections
-        ],
-        "corrected_coupling": corrected,
-        "taper_half_angle_deg": taper,
-    }
-
-    rows = [
-        summary_row("single_pass_pct", single_pass * 100.0, 52.0, 2.0),
-        summary_row("corrected_coupling_pct", corrected * 100.0, 57.0, 6.0),
-        summary_row("taper_half_angle_deg", taper, 1.5, 0.5),
-    ]
-    artifacts = {"loss_chain": ("loss_chain.json", accounting)}
-    notes = [
-        "The corrected value divides documented per-pass losses (splice, facet "
-        "scattering, fibre attenuation) out of the square-rooted roundtrip "
-        "transmission.",
-    ]
-    return rows, artifacts, notes
-
-
-# --------------------------------------------------------------------------
 # rabi — damped optical Rabi oscillation
-
-
-_RABI_KEYS = {
-    "seed": (51, SEED),
-    "rabi_frequency_mhz": (230.0, POSITIVE),
-    "optical_t1_ns": (4.7, POSITIVE),
-    "max_time_ns": (15.0, POSITIVE),
-    "n_points": (301, count(2, MAX_GRID_POINTS)),
-    "noise_sigma": (0.02, POSITIVE),
-}
 
 
 def _run_rabi(cfg: dict):
@@ -1031,15 +681,6 @@ def _run_rabi(cfg: dict):
 # lifetime — spontaneous emission decay
 
 
-_LIFETIME_KEYS = {
-    "seed": (52, SEED),
-    "lifetime_ns": (5.56, POSITIVE),
-    "max_time_ns": (30.0, POSITIVE),
-    "n_points": (120, count(3, MAX_GRID_POINTS)),
-    "peak_counts": (3000.0, POSITIVE),
-}
-
-
 def _run_lifetime(cfg: dict):
     """Streams: 0 = Poisson counting noise."""
     tau = cfg["lifetime"]
@@ -1072,17 +713,6 @@ def _run_lifetime(cfg: dict):
 
 # --------------------------------------------------------------------------
 # g2 — intensity autocorrelation
-
-
-_G2_KEYS = {
-    "seed": (53, SEED),
-    "rabi_frequency_mhz": (230.0, POSITIVE),
-    "optical_t1_ns": (4.7, POSITIVE),
-    "background": (0.052, FRACTION),
-    "max_delay_ns": (20.0, NON_NEGATIVE),
-    "step_ns": (0.1, POSITIVE),
-    "noise_sigma": (0.03, NON_NEGATIVE),
-}
 
 
 def _run_g2(cfg: dict):
@@ -1124,12 +754,6 @@ def _run_g2(cfg: dict):
 # isotopes — splitting predictions
 
 
-_ISOTOPES_KEYS = {
-    "reference_splitting_mhz": (452.0, REAL),
-    "reference_isotope": ("sn117", choice(*spin_hamiltonian.NUCLEAR_GYROMAGNETIC_HZ_PER_T)),
-}
-
-
 def _run_isotopes(cfg: dict):
     """Deterministic (no random streams)."""
     predictions = spin_hamiltonian.isotope_splitting_predictions_hz(
@@ -1157,233 +781,3 @@ def _run_isotopes(cfg: dict):
         "tabulated ratios.",
     ]
     return rows, artifacts, notes
-
-
-# --------------------------------------------------------------------------
-# registry and runner
-
-
-_SCENARIOS = [
-    Scenario(
-        name="fig1d",
-        description="Inhomogeneous distribution of emitter optical frequencies with Gaussian fit (Fig. 1d).",
-        keys=_FIG1D_KEYS,
-        runner=_run_fig1d,
-    ),
-    Scenario(
-        name="fig1e",
-        description="Zero-field resonant-excitation doublet of a single register, with the ground-manifold level table (Fig. 1e).",
-        keys=_FIG1E_KEYS,
-        runner=_run_fig1e,
-    ),
-    Scenario(
-        name="fig2a",
-        description="Optical line quartet versus magnetic field; slope and zero-field splitting from the outer-line span (Fig. 2a).",
-        keys=_FIG2A_KEYS,
-        runner=_run_fig2a,
-    ),
-    Scenario(
-        name="fig2b",
-        description="Hyperfine splitting across an ensemble of emitters (Fig. 2b).",
-        keys=_FIG2B_KEYS,
-        runner=_run_fig2b,
-    ),
-    Scenario(
-        name="fig2c",
-        description="Nuclear-spin initialization fidelity versus optical pumping time (Fig. 2c).",
-        keys=_FIG2C_KEYS,
-        runner=_run_fig2c,
-    ),
-    Scenario(
-        name="fig2d",
-        description="Nuclear polarization relaxation toward the unpolarized state (Fig. 2d).",
-        keys=_FIG2D_KEYS,
-        runner=_run_fig2d,
-    ),
-    Scenario(
-        name="fig3a",
-        description="Detected fluorescence saturation versus resonant drive power (Fig. 3a).",
-        keys=_FIG3A_KEYS,
-        runner=_run_fig3a,
-    ),
-    Scenario(
-        name="fig3b",
-        description="Single-shot spin-readout photon histograms and threshold fidelity (Fig. 3b).",
-        keys=_FIG3B_KEYS,
-        runner=_run_fig3b,
-    ),
-    Scenario(
-        name="fig3c",
-        description="Expected N-photon coincidence events per day of acquisition (Fig. 3c).",
-        keys=_FIG3C_KEYS,
-        runner=_run_fig3c,
-    ),
-    Scenario(
-        name="fig4b",
-        description="Waveguide reflection dip with sideband-background correction and model fit (Fig. 4b).",
-        keys=_FIG4B_KEYS,
-        runner=_run_fig4b,
-    ),
-    Scenario(
-        name="fig4c",
-        description="Reflection-dip contrast versus drive saturation (Fig. 4c).",
-        keys=_FIG4C_KEYS,
-        runner=_run_fig4c,
-    ),
-    Scenario(
-        name="table_s1",
-        description="End-to-end detection-efficiency budget, stage by stage (Table S1).",
-        keys=_TABLE_S1_KEYS,
-        runner=_run_table_s1,
-    ),
-    Scenario(
-        name="loss_chain",
-        description="Fibre-coupling efficiency from a roundtrip transmission with documented loss corrections (Table S1 supporting analysis).",
-        keys=_LOSS_CHAIN_KEYS,
-        runner=_run_loss_chain,
-    ),
-    Scenario(
-        name="rabi",
-        description="Damped optical Rabi oscillation with pi-pulse calibration and model fit (optical pulse calibration, supporting Fig. 2).",
-        keys=_RABI_KEYS,
-        runner=_run_rabi,
-    ),
-    Scenario(
-        name="lifetime",
-        description="Excited-state lifetime decay and the Fourier-limited linewidth it implies (supporting measurement for Fig. 1e).",
-        keys=_LIFETIME_KEYS,
-        runner=_run_lifetime,
-    ),
-    Scenario(
-        name="g2",
-        description="Second-order intensity autocorrelation with background floor (single-emitter check for Fig. 1).",
-        keys=_G2_KEYS,
-        runner=_run_g2,
-    ),
-    Scenario(
-        name="isotopes",
-        description="Predicted optical splittings for the sibling spin-1/2 isotopes (isotope assignment analysis, supporting Fig. 2b).",
-        keys=_ISOTOPES_KEYS,
-        runner=_run_isotopes,
-    ),
-]
-
-SCENARIOS: dict[str, Scenario] = {s.name: s for s in _SCENARIOS}
-
-
-def available_scenarios() -> list[str]:
-    """Scenario names in registry order."""
-    return [s.name for s in _SCENARIOS]
-
-
-def _resolve(target: str) -> tuple[Scenario, dict]:
-    """Resolve a scenario name or config-file path to (scenario, file config)."""
-    if target in SCENARIOS:
-        return SCENARIOS[target], {}
-    path = Path(target)
-    if path.is_file():
-        file_cfg = config_mod.load_config(path)
-        name = file_cfg.pop("scenario", None)
-        if name is None:
-            raise ValueError(f"config file {target} does not select a scenario (scenario = <name>)")
-        if name not in SCENARIOS:
-            raise ValueError(
-                f"unknown scenario {name!r} in {target}; available: "
-                + ", ".join(available_scenarios())
-            )
-        return SCENARIOS[name], file_cfg
-    raise ValueError(
-        f"unknown scenario {target!r}; available: " + ", ".join(available_scenarios())
-    )
-
-
-def _validated_config(scenario: Scenario, file_cfg: dict, overrides: dict) -> tuple[dict, dict]:
-    """The merged config, and the runner's values: each checked against its
-    key's domain, unit suffix stripped and applied (``linewidth_mhz`` -> ``linewidth`` in Hz),
-    then checked again in base units.
-    """
-    cfg = config_mod.merged(config_mod.merged(scenario.defaults, file_cfg), overrides)
-    unknown = sorted(set(cfg) - set(scenario.keys))
-    if unknown:
-        raise ValueError(
-            f"unknown config keys for scenario {scenario.name!r}: {', '.join(unknown)}; "
-            f"allowed: {', '.join(sorted(scenario.keys))}"
-        )
-    values = {}
-    for key, value in cfg.items():
-        domain = scenario.keys[key][1]
-        name, base = config_mod.in_base_units(key, domain.check(key, value))
-        # Check again in base units: step_ns=1e-320 is 0.0 s, and a subnormal
-        # width such as linewidth_mhz=1e-320 overflows wherever it divides.
-        if name != key and (not domain.test(base) or 0.0 < abs(base) < sys.float_info.min):
-            raise ValueError(
-                f"config key {key!r} must be {domain.text} and a normal float in base "
-                f"units; {value!r} becomes {base!r}"
-            )
-        values[name] = base
-    return cfg, values
-
-
-def _report(scenario: Scenario, rows: list, index: dict, notes: list) -> str:
-    lines = [f"scenario: {scenario.name}", scenario.description, ""]
-    header = f"{'quantity':<34} {'simulated':>14} {'reference':>12} {'tolerance':>10}  pass"
-    lines += [header, "-" * len(header)]
-    for row in rows:
-        ref = "-" if row["paper_value"] is None else f"{row['paper_value']:.6g}"
-        tol = "-" if row["tolerance"] is None else f"{row['tolerance']:.3g}"
-        lines.append(
-            f"{row['quantity']:<34} {row['simulated']:>14.6g} {ref:>12} {tol:>10}  "
-            + ("yes" if row["pass"] else "NO")
-        )
-    if notes:
-        lines += ["", "notes:"]
-        lines += [f"  - {note}" for note in notes]
-    if index:
-        lines += ["", "artifacts:"]
-        lines += [f"  - {key}: {value}" for key, value in index.items()]
-    return "\n".join(lines) + "\n"
-
-
-def run_scenario(target: str, overrides: dict | None = None, output_root=None) -> ScenarioResult:
-    """Run one scenario by name or config-file path, then write its artifact tree.
-
-    ``overrides`` are already-parsed config values (the CLI passes its
-    ``key=value`` pairs through :func:`snvsim.config.parse_overrides`).
-    Nothing is written until the runner has returned; then
-    ``<root>/<name>/`` is replaced as a whole.
-    """
-    scenario, file_cfg = _resolve(target)
-    cfg, values = _validated_config(scenario, file_cfg, dict(overrides or {}))
-    rows, artifacts, notes = scenario.runner(values)
-    index = {key: name for key, (name, _) in artifacts.items()}
-    summary = {
-        "scenario": scenario.name,
-        "description": scenario.description,
-        "config": cfg,
-        "entries": rows,
-        "artifacts": index,
-        "notes": notes,
-        "all_pass": all(row["pass"] for row in rows),
-    }
-
-    root = Path(output_root or os.environ.get(OUTPUT_DIR_ENV, _DEFAULT_OUTPUT_ROOT))
-    out_dir = root / scenario.name
-    shutil.rmtree(out_dir, ignore_errors=True)
-    out_dir.mkdir(parents=True)
-    try:
-        for name, payload in artifacts.values():
-            path = out_dir / name
-            if path.suffix:
-                _write(path, payload)
-            else:  # a directory: {file name: payload}
-                path.mkdir()
-                for file_name, item in payload.items():
-                    _write(path / file_name, item)
-        _write(out_dir / "summary.json", summary)
-        _write(out_dir / "report.txt", _report(scenario, rows, index, notes))
-    except BaseException:
-        shutil.rmtree(out_dir, ignore_errors=True)  # no partial tree
-        raise
-    return ScenarioResult(
-        name=scenario.name, out_dir=out_dir, rows=rows, artifacts=index, notes=notes
-    )

@@ -7,7 +7,8 @@ inhomogeneous distribution and a hyperfine splitting per emitter, as
 arrays.  Slow spectral drift is modeled as a bounded random walk applied
 by grid re-interpolation, and undone by per-scan line fits
 (``recenter_scans``).  The electro-optic sideband background correction and
-its exact inverse live here too.
+its exact inverse live here too, and so does reading a spectrum back from
+CSV; :mod:`snvsim.artifacts` writes it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Spectrum CSVs are written by the artifact layer; this module keeps the name.
+from .artifacts import write_spectrum_csv  # noqa: F401
+from .config import MAX_GRID_POINTS
 from .fitting import (
     lorentzian_sum,
     make_lorentzian_multi,
@@ -67,10 +71,6 @@ class SpectralLine:
             raise ValueError(f"fwhm must be positive, got {self.fwhm_hz}")
         if self.amplitude < 0.0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-
-
-#: Most points a sampled axis may have; a larger one is refused before it is allocated.
-MAX_GRID_POINTS = 10**6
 
 
 def _check_points(n: float, axis: str) -> None:
@@ -320,42 +320,6 @@ def eom_background_inverse(corrected: Spectrum, reference: Spectrum) -> Spectrum
     if np.any(reference.y <= 0.0):
         raise ValueError("reference intensity must be strictly positive everywhere")
     return Spectrum(x=corrected.x, y=reference.y * (corrected.y + 1.0) / 2.0)
-
-
-def _fmt_cell(value) -> str:
-    """Deterministic CSV cell rendering (floats via repr round-trip)."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _fmt_column(column) -> list[str]:
-    """A float array through ``repr`` as a whole, any other column cell by cell."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return list(map(repr, column.tolist()))
-    return [_fmt_cell(cell) for cell in column]
-
-
-def write_csv(path, header, columns) -> None:
-    """Write a headered CSV of equal-length columns (unequal ones are a ``ValueError``).
-
-    Every line, the last included, ends in ``\\n``; a float renders as its
-    ``repr``, the shortest string that round-trips.
-    """
-    cells = [_fmt_column(column) for column in columns]
-    lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
-    with open(path, "w", newline="") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-def write_spectrum_csv(spectrum: Spectrum, path) -> None:
-    """Write a spectrum as CSV ``freq_hz,intensity[,err]``."""
-    columns = [c for c in (spectrum.x, spectrum.y, spectrum.y_err) if c is not None]
-    write_csv(path, ["freq_hz", "intensity", "err"][: len(columns)], columns)
 
 
 def read_xy_csv(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray | None]:

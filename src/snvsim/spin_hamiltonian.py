@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .units import TWO_PI, angular_to_cyclic, cyclic_to_angular
+from .units import NUCLEAR_GYROMAGNETIC_HZ_PER_T, TWO_PI, cyclic_to_angular
 
 # Pauli matrices and spin-1/2 operators (S = sigma / 2).
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -42,14 +42,6 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 SPIN_X = 0.5 * PAULI_X
 SPIN_Y = 0.5 * PAULI_Y
 SPIN_Z = 0.5 * PAULI_Z
-
-#: Nuclear gyromagnetic ratios gamma_n / 2pi in Hz per tesla for the
-#: spin-1/2 tin isotopes, from standard NMR reference tables.
-NUCLEAR_GYROMAGNETIC_HZ_PER_T = {
-    "sn115": -14.0077e6,
-    "sn117": -15.2610e6,
-    "sn119": -15.9659e6,
-}
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ compared directly with instrument readings; conversion happens exactly once
 at each boundary through the helpers below.
 
 Magnetic fields are tesla, times are seconds, powers are watts unless a
-function name says otherwise.
+function name says otherwise.  The tabulated nuclear gyromagnetic ratios
+live here too, in cyclic Hz per tesla, so the scenario registry can name
+the isotopes without loading the spin model.
 """
 
 from __future__ import annotations
@@ -15,6 +17,14 @@ from __future__ import annotations
 import math
 
 TWO_PI = 2.0 * math.pi
+
+#: Nuclear gyromagnetic ratios gamma_n / 2pi in Hz per tesla for the
+#: spin-1/2 tin isotopes, from standard NMR reference tables.
+NUCLEAR_GYROMAGNETIC_HZ_PER_T = {
+    "sn115": -14.0077e6,
+    "sn117": -15.2610e6,
+    "sn119": -15.9659e6,
+}
 
 
 def cyclic_to_angular(f_hz: float) -> float:

@@ -20,7 +20,11 @@ from snvsim import (
     spin_hamiltonian,
     waveguide_qed,
 )
-from snvsim.config import budget_from_config, load_config, loss_chain_from_config
+from snvsim.config import load_config
+from snvsim.efficiency import (
+    apply_loss_chain, budget_from_config, budget_report, loss_chain_from_config,
+    single_pass_from_roundtrip,
+)
 from snvsim.fitting import (
     fit,
     make_damped_rabi,
@@ -58,7 +62,7 @@ def reported(number: int, summary: str):
 
 def test_criterion_01_detection_budget_product():
     budget = budget_from_config(load_config("configs/table_s1.cfg"))
-    total = photon_budget.budget_report(budget)["total_fraction"]
+    total = budget_report(budget)["total_fraction"]
     stage_values = [value for _, value in budget.stages]
     oracle = math.exp(math.fsum(math.log(v) for v in stage_values))
     with reported(1, f"stage product {total * 100:.4f}% vs reference ~1.7%"):
@@ -243,9 +247,9 @@ def test_criterion_10_coincidence_expectation():
 
 
 def test_criterion_11_fibre_loss_chain():
-    single_pass = photon_budget.single_pass_from_roundtrip(0.27)
+    single_pass = single_pass_from_roundtrip(0.27)
     chain = loss_chain_from_config(load_config("configs/loss_chain.cfg"))
-    corrected = photon_budget.apply_loss_chain(chain)
+    corrected = apply_loss_chain(chain)
     with reported(
         11, f"single pass {single_pass * 100:.1f}% vs 52(6)%, corrected {corrected * 100:.1f}%"
     ):

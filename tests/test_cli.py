@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from snvsim.cli import main
-from snvsim.scenarios import OUTPUT_DIR_ENV, SCENARIOS, available_scenarios
+from snvsim.registry import OUTPUT_DIR_ENV, SCENARIOS, available_scenarios
 from snvsim.spectra import SpectralLine, frequency_grid, synthesize_spectrum, write_spectrum_csv
 
 FIVE_FOLD_PER_DAY = 7.0631350272
@@ -599,6 +599,57 @@ def _module_run(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["list"], 0),
+        (["budget", str(CONFIGS / "table_s1.cfg")], 0),
+        (["run", "table_s1"], 0),
+        (["run", str(CONFIGS / "loss_chain.cfg")], 0),
+        (["run", "table_s1", "no_such_key=1"], 2),
+    ],
+)
+def test_commands_that_compute_no_array_load_no_numpy(tmp_path, argv, code):
+    probe = (
+        "import contextlib, io, sys\n"
+        "from snvsim.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    completed = subprocess.run(
+        [sys.executable, "-c", probe, *argv],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert completed.stderr == ""
+    assert completed.stdout.split() == [str(code), "False"]
+
+
+def test_import_snvsim_keeps_its_public_names_and_loads_them_on_first_use():
+    probe = (
+        "import sys, snvsim\n"
+        "before = 'numpy' in sys.modules\n"
+        "values = {name: getattr(snvsim, name) for name in snvsim.__all__}\n"
+        "same = snvsim.run_scenario is snvsim.scenarios.run_scenario\n"
+        "print(before, 'numpy' in sys.modules, same, *sorted(values))\n"
+    )
+    completed = _module_run("-c", probe)
+    assert completed.returncode == 0, completed.stderr
+    numpy_before, numpy_after, same, *names = completed.stdout.split()
+    assert (numpy_before, numpy_after, same) == ("False", "True", "True")
+    assert set(names) >= {
+        "config", "fitting", "optical_dynamics", "photon_budget", "scenarios", "spectra",
+        "spin_hamiltonian", "units", "waveguide_qed", "available_scenarios", "run_scenario",
+        "__version__",
+    }
+    with pytest.raises(AttributeError, match="no_such_layer"):
+        getattr(__import__("snvsim"), "no_such_layer")
 
 
 def test_python_m_snvsim_cli_runs_without_a_runpy_warning():

@@ -15,18 +15,18 @@ from snvsim.config import (
     REAL,
     SEED,
     UNIT_FACTORS,
-    budget_from_config,
     choice,
     count,
     in_base_units,
     load_config,
-    loss_chain_from_config,
     merged,
     parse_config_text,
     parse_overrides,
     parse_value,
 )
-from snvsim.photon_budget import apply_loss_chain, budget_report
+from snvsim.efficiency import (
+    apply_loss_chain, budget_from_config, budget_report, loss_chain_from_config,
+)
 
 
 # --------------------------------------------------------------------------

@@ -37,9 +37,7 @@ from snvsim.fitting import (
     numeric_jacobian,
     poisson_sigma,
 )
-from snvsim.spectra import (
-    Spectrum, SpectralLine, frequency_grid, line_sum, synthesize_spectrum,
-)
+from snvsim.spectra import SpectralLine, frequency_grid, line_sum, synthesize_spectrum
 from snvsim.units import TWO_PI
 
 

@@ -32,15 +32,19 @@ from oracles import (
     readout_signal_distribution,
     sample_readout_counts,
 )
-from snvsim.photon_budget import (
+from snvsim.efficiency import (
     EfficiencyBudget,
     LossChain,
     LossCorrection,
+    apply_loss_chain,
+    budget_report,
+    single_pass_from_roundtrip,
+    taper_half_angle_deg,
+)
+from snvsim.photon_budget import (
     PhotonHistogram,
     ReadoutModel,
     analytic_threshold_fidelity_k1,
-    apply_loss_chain,
-    budget_report,
     calibrate_readout_model,
     mean_signal_counts,
     nfold_coincidence_expectation,
@@ -48,8 +52,6 @@ from snvsim.photon_budget import (
     poisson_reference_histogram,
     readout_count_pmf,
     simulate_readout,
-    single_pass_from_roundtrip,
-    taper_half_angle_deg,
     threshold_fidelity,
     zero_signal_probability,
 )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import json
 import math
@@ -13,13 +12,9 @@ from pathlib import Path
 import pytest
 
 from snvsim.config import CORRECTION, in_base_units
-from snvsim import photon_budget, scenarios, spin_hamiltonian
-from snvsim.scenarios import (
-    SCENARIOS,
-    available_scenarios,
-    run_scenario,
-    summary_row,
-)
+from snvsim import photon_budget, registry, scenarios, spin_hamiltonian
+from snvsim.artifacts import summary_row, write_artifact
+from snvsim.registry import SCENARIOS, available_scenarios, run_scenario
 
 ALL_NAMES = [
     "fig1d",
@@ -253,7 +248,7 @@ def test_summary_row_pass_logic():
 
 def test_json_artifacts_refuse_nan_and_name_the_file(tmp_path):
     with pytest.raises(ValueError, match="fit.json"):
-        scenarios._write(tmp_path / "fit.json", {"x": math.nan})
+        write_artifact(tmp_path / "fit.json", {"x": math.nan})
     assert not (tmp_path / "fit.json").exists()
 
 
@@ -261,8 +256,8 @@ def test_json_artifacts_refuse_nan_and_name_the_file(tmp_path):
 def test_runners_compute_without_writing(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     scenario = SCENARIOS[name]
-    _, values = scenarios._validated_config(scenario, {}, {})
-    rows, artifacts, notes = scenario.runner(values)
+    _, values = registry._validated_config(scenario, {}, {})
+    rows, artifacts, notes = scenario.run(values)
     assert list(tmp_path.iterdir()) == []
     assert rows and isinstance(notes, list)
     for key, (relative, payload) in artifacts.items():
@@ -280,14 +275,14 @@ def test_rerun_replaces_the_tree_and_leaves_no_stale_files(tmp_path):
 
 
 def test_a_failed_write_leaves_no_tree(tmp_path, monkeypatch):
-    g2 = SCENARIOS["g2"]
+    run_g2 = scenarios._run_g2
 
     def runner(values):
-        rows, artifacts, notes = g2.runner(values)
+        rows, artifacts, notes = run_g2(values)
         return rows, {**artifacts, "bad": ("bad.json", {"x": math.nan})}, notes
 
     run_scenario("g2", output_root=tmp_path)
-    monkeypatch.setitem(SCENARIOS, "g2", dataclasses.replace(g2, runner=runner))
+    monkeypatch.setattr(scenarios, "_run_g2", runner)
     with pytest.raises(ValueError, match="bad.json"):
         run_scenario("g2", output_root=tmp_path)
     assert not (tmp_path / "g2").exists()

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from snvsim import spin_hamiltonian
-from snvsim.scenarios import MAX_FITTED_SPECTRA, field_sweep
+from snvsim.registry import MAX_FITTED_SPECTRA
+from snvsim.scenarios import field_sweep
 from snvsim.spectra import frequency_grid
 
 REPO = Path(__file__).resolve().parents[1]

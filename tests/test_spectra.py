@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
+from snvsim.artifacts import _fmt_cell, write_csv
 from snvsim.fitting import fit, make_lorentzian_multi
 from snvsim.spectra import (
     MAX_GRID_POINTS,
@@ -31,9 +32,7 @@ from snvsim.spectra import (
     sample_inhomogeneous_ensemble,
     shift_spectrum,
     synthesize_spectrum,
-    write_csv,
     write_spectrum_csv,
-    _fmt_cell,
 )
 from snvsim.units import fwhm_to_sigma
 
