@@ -52,6 +52,7 @@ from . import optical_dynamics, spin_hamiltonian, waveguide_qed
 from .units import TWO_PI
 
 _UNBOUNDED = (-math.inf, math.inf)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -384,18 +385,20 @@ def _curvature_uncertainties(
     normal = jacobian.T @ jacobian
     dof = max(x.size - n_params, 1)
     variance_scale = cost / dof
-    if not np.all(np.isfinite(normal)):
+    scale = np.sqrt(np.diag(normal))
+    if not np.all(np.isfinite(scale)):  # |(J'J)_ij| <= scale_i scale_j bounds the rest
         undetermined = np.ones(n_params, dtype=bool)
         return (math.inf,) * n_params, np.full((n_params, n_params), np.inf), undetermined
-    scale = np.sqrt(np.diag(normal))
     scale[scale == 0.0] = 1.0
-    eigenvalues, vectors = np.linalg.eigh(normal / np.outer(scale, scale))
-    threshold = eigenvalues[-1] * n_params * np.finfo(float).eps
-    null = eigenvalues <= threshold
-    if not null.any():
+    correlation = normal / np.outer(scale, scale)
+    eigenvalues = np.linalg.eigvalsh(correlation)
+    if eigenvalues[0] > eigenvalues[-1] * n_params * _EPS:
         covariance = variance_scale * np.linalg.inv(normal)
         undetermined = np.zeros(n_params, dtype=bool)
     else:
+        eigenvalues, vectors = np.linalg.eigh(correlation)
+        threshold = eigenvalues[-1] * n_params * _EPS
+        null = eigenvalues <= threshold
         kept = vectors[:, ~null]
         pseudo_inverse = (kept / eigenvalues[~null]) @ kept.T
         null_share = np.sum(vectors[:, null] ** 2, axis=1)
