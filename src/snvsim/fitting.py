@@ -420,8 +420,9 @@ def lorentzian_sum(x, centers, fwhms, amplitudes, derivatives: bool = False):
     ``x`` is a 1-d grid; ``centers`` and ``amplitudes`` hold one entry per
     line, ``fwhms`` one per line or one shared by all.  The lines are laid
     out along the first axis of one (n_lines, x.size) array and added in
-    order.  With ``derivatives`` the result is ``(total, d_center, d_fwhm,
-    d_amplitude)``, each partial of shape (n_lines, x.size).  The partials
+    order.  With ``derivatives`` the result is the partials ``(d_center,
+    d_fwhm, d_amplitude)`` in place of the sum, each of shape (n_lines,
+    x.size); a Jacobian needs no sum, so none is formed.  The partials
     are built from 1/(1 + u^2) and u/(1 + u^2) = 1/(u + 1/u), both bounded
     by 1 for every u including 0 and +-inf, so none is NaN: at fwhm = 1e-300
     or |x - center|/fwhm ~ 1e200 they only tend to 0.  A partial is at most
@@ -433,16 +434,15 @@ def lorentzian_sum(x, centers, fwhms, amplitudes, derivatives: bool = False):
     fwhms = np.asarray(fwhms, dtype=float)[..., None]
     amplitudes = np.asarray(amplitudes, dtype=float)[:, None]
     u = 2.0 * (x - centers) / fwhms
-    total = (amplitudes / (1.0 + u * u)).sum(axis=0)
     if not derivatives:
-        return total
+        return (amplitudes / (1.0 + u * u)).sum(axis=0)
     with np.errstate(over="ignore", divide="ignore"):
         even = 1.0 / (1.0 + u * u)
         odd = 1.0 / (u + 1.0 / u)
     # Bounded factors first: amplitude / fwhm alone may overflow where odd = 0.
     d_center = amplitudes * odd * even * (4.0 / fwhms)
     d_fwhm = amplitudes * odd * odd * (2.0 / fwhms)
-    return total, d_center, d_fwhm, even
+    return d_center, d_fwhm, even
 
 
 def gaussian_profile(x, center: float, fwhm: float, amplitude: float):
@@ -483,7 +483,7 @@ def make_lorentzian_multi(n_lines: int = 1, shared_fwhm: bool = True) -> ModelSp
         return lorentzian_sum(x, params[centers], params[fwhms], params[amplitudes])
 
     def jacobian(params, x):
-        _, d_center, d_fwhm, d_amplitude = lorentzian_sum(
+        d_center, d_fwhm, d_amplitude = lorentzian_sum(
             x, params[centers], params[fwhms], params[amplitudes], derivatives=True
         )
         jac = np.empty((d_center.shape[1], params.size))
