@@ -17,8 +17,8 @@ two cases only: the damped steps made no progress, or the final J'J is
 rank-deficient because a parameter sits at a bound with a vanishing
 Jacobian column (then every uncertainty is infinite).  Any other
 rank-deficient J'J (lines that coincide, say) leaves the status alone and
-gives infinite uncertainties to the parameters its null space touches
-only.  Everything is pure and deterministic: identical inputs produce
+gives infinite uncertainties only to the parameters its null space
+touches.  Everything is pure and deterministic: identical inputs produce
 bit-identical results.
 
 Each iteration needs the Jacobian d model / d params.  A model that

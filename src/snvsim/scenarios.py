@@ -40,7 +40,7 @@ from .fitting import (
     make_saturation,
     poisson_sigma,
 )
-# The registry's entry points, reachable from this module as well.
+# The registry's entry points; the benchmark harness under perfbench/ imports them from here.
 from .registry import SCENARIOS, available_scenarios, run_scenario  # noqa: F401
 from .spectra import (
     SpectralLine,
