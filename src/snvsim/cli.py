@@ -24,7 +24,9 @@ Subcommands
     print the per-stage report as JSON.
 
 Exit status: 0 on success, 1 on a failed fit or when any ``run`` summary
-entry fails its tolerance, 2 on validation errors.
+entry fails its tolerance, 2 on validation errors.  A stdout closed early
+(``snvsim fit request.json | head -c 10``) ends the call with status 1
+and no traceback.
 Errors are emitted to stderr as one JSON object ``{"error": ...}``.
 
 ``list``, ``budget`` and a run of ``table_s1`` or ``loss_chain`` (or one
@@ -37,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -172,7 +175,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (the SIGPIPE recipe of the Python docs): point
+        # stdout at devnull so the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

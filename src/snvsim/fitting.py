@@ -22,11 +22,13 @@ touches.  Everything is pure and deterministic: identical inputs produce
 bit-identical results.
 
 Each iteration needs the Jacobian d model / d params.  A model that
-supplies ``ModelSpec.jacobian`` gives it in closed form; any other model
-gets central differences (:func:`numeric_jacobian`), whose step turns
-one-sided at a bound so the stencil never leaves the bounds box.  A trial
-step whose evaluation raises ``ValueError`` or is non-finite counts as a
-rejected step; only the initial guess may raise.
+supplies ``ModelSpec.value_and_jacobian`` gives it in closed form with the
+value, one call per trial, and the accepted trial's Jacobian serves the
+next iteration, the curvature and the bound check.  Any other model gets
+central differences (:func:`numeric_jacobian`) at accepted points, whose
+step turns one-sided at a bound so the stencil never leaves the bounds
+box.  A trial step whose evaluation raises ``ValueError`` or is non-finite
+counts as a rejected step; only the initial guess may raise.
 
 The registry provides the eight named model functions used across the
 toolkit.  A factory takes layout arguments only and gives its model a
@@ -62,9 +64,10 @@ class ModelSpec:
     ``evaluator(params, x) -> y`` must be finite on the data domain for any
     in-bounds parameter vector.  ``bounds`` are inclusive per-parameter
     (lo, hi) boxes; a degenerate box (lo == hi) freezes a parameter.
-    ``jacobian(params, x) -> (x.size, n_params)``, when given, is the exact
-    d evaluator / d params that :func:`fit` uses in place of
-    :func:`numeric_jacobian`; it must be finite wherever the evaluator is,
+    ``value_and_jacobian(params, x) -> (y, J)``, when given, returns the
+    evaluator's y bit for bit and the exact J = d evaluator / d params,
+    shape (x.size, n_params); :func:`fit` then calls it, not the evaluator,
+    and needs no :func:`numeric_jacobian`.  J must be finite wherever y is,
     unless the derivative itself lies beyond the float range.
     """
 
@@ -73,7 +76,7 @@ class ModelSpec:
     init: tuple[float, ...]
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bounds: tuple[tuple[float, float], ...] | None = None
-    jacobian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    value_and_jacobian: Callable[[np.ndarray, np.ndarray], tuple] | None = None
 
     def __post_init__(self) -> None:
         if len(self.init) != len(self.param_names):
@@ -179,14 +182,17 @@ def _extract_xy(data) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         raise TypeError("data must expose .x/.y or be an (x, y[, y_err]) tuple")
     if y_err is not None:
         y_err = np.asarray(y_err, dtype=float)
-        if np.any(y_err <= 0.0):
-            raise ValueError("y_err must be strictly positive")
+    for name, values in (("x", x), ("y", y), ("y_err", y_err)):
+        if values is not None and not np.isfinite(values).all():
+            raise ValueError(f"{name} must be finite")
+    if y_err is not None and np.any(y_err <= 0.0):
+        raise ValueError("y_err must be strictly positive")
     return x, y, y_err
 
 
-def _checked_eval(evaluator, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    y = np.asarray(evaluator(params, x), dtype=float)
-    if not np.all(np.isfinite(y)):
+def _checked(y, params: np.ndarray) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
         raise ValueError(
             f"model evaluation produced non-finite values at parameters {params.tolist()}"
         )
@@ -224,15 +230,9 @@ def numeric_jacobian(
         p_lo = p.copy()
         p_hi[i] = up
         p_lo[i] = down
-        jacobian[:, i] = (_checked_eval(evaluator, p_hi, x) - _checked_eval(evaluator, p_lo, x)) / span
+        y_hi, y_lo = _checked(evaluator(p_hi, x), p_hi), _checked(evaluator(p_lo, x), p_lo)
+        jacobian[:, i] = (y_hi - y_lo) / span
     return jacobian
-
-
-def _jacobian(model: ModelSpec, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The model's own Jacobian if it has one, else central differences in its bounds."""
-    if model.jacobian is not None:
-        return model.jacobian(params, x)
-    return numeric_jacobian(model.evaluator, params, x, bounds=model.bounds_arrays())
 
 
 def _scaled_gradient_norm(gradient: np.ndarray, normal_diag: np.ndarray) -> float:
@@ -263,13 +263,19 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
     if np.any(params < lo) or np.any(params > hi):
         raise ValueError(f"initial guess {params.tolist()} outside bounds")
 
-    def cost_of(p: np.ndarray) -> tuple[float, np.ndarray]:
-        residual = (y - _checked_eval(model.evaluator, p, x)) / y_err
-        return float(residual @ residual), residual
+    def trial(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | None]:
+        """Cost, residual and Jacobian at p; the Jacobian is None for a numeric one."""
+        if model.value_and_jacobian is None:
+            value, jac = model.evaluator(p, x), None
+        else:
+            value, jac = model.value_and_jacobian(p, x)
+        residual = y - _checked(value, p)
+        residual /= y_err
+        return float(residual @ residual), residual, jac
 
-    # _checked_eval rejects non-finite output, so numpy's warnings add nothing.
+    # _checked rejects non-finite output, so numpy's warnings add nothing.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        cost, residual = cost_of(params)
+        cost, residual, jac = trial(params)
         cost_trace = [cost]
         damping = opts.damping_init
         status = "max-iterations"
@@ -277,10 +283,12 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
         iterations = 0
 
         for iterations in range(1, opts.max_iter + 1):
-            jacobian = _jacobian(model, params, x) / y_err[:, None]
+            if jac is None:
+                jac = numeric_jacobian(model.evaluator, params, x, bounds=(lo, hi))
+            jacobian = jac / y_err[:, None]
             normal = jacobian.T @ jacobian
             gradient = jacobian.T @ residual
-            normal_diag = np.diag(normal).copy()
+            normal_diag = normal.diagonal().copy()
 
             if _scaled_gradient_norm(gradient, normal_diag) < opts.tol:
                 status = "converged"
@@ -293,19 +301,21 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
 
             stepped = False
             while True:
+                damped = normal.copy()
+                damped.flat[:: n_params + 1] += damping * scaling
                 try:
-                    step = np.linalg.solve(normal + damping * np.diag(scaling), gradient)
+                    step = np.linalg.solve(damped, gradient)
                 except np.linalg.LinAlgError:
                     step = None
-                if step is not None and np.all(np.isfinite(step)):
-                    candidate = np.clip(params + step, lo, hi)
+                if step is not None and np.isfinite(step).all():
+                    candidate = np.minimum(np.maximum(params + step, lo), hi)
                     try:
-                        new_cost, new_residual = cost_of(candidate)
+                        new_cost, new_residual, new_jac = trial(candidate)
                     except ValueError:  # the trial left the model's domain
                         new_cost = math.inf
                     if new_cost <= cost:
                         relative_drop = (cost - new_cost) / max(cost, 1e-300)
-                        params, cost, residual = candidate, new_cost, new_residual
+                        params, cost, residual, jac = candidate, new_cost, new_residual, new_jac
                         cost_trace.append(cost)
                         damping = max(damping / 10.0, 1e-300)
                         stepped = True
@@ -328,14 +338,15 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
             if status == "converged":
                 break
 
+        if jac is None:
+            jac = numeric_jacobian(model.evaluator, params, x, bounds=(lo, hi))
         uncertainties, covariance, undetermined = _curvature_uncertainties(
-            model, params, x, y_err, cost
+            jac / y_err[:, None], cost
         )
         if status == "converged" and undetermined.any():
             # Clipped onto a bound where the model ignores it: zero gradient, no minimum.
-            jacobian = _jacobian(model, params, x)
             stuck = [name for i, name in enumerate(model.param_names)
-                     if params[i] in (lo[i], hi[i]) and not np.any(jacobian[:, i])]
+                     if params[i] in (lo[i], hi[i]) and not np.any(jac[:, i])]
             if stuck:
                 status = "singular"
                 message = (
@@ -359,13 +370,9 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
 
 
 def _curvature_uncertainties(
-    model: ModelSpec,
-    params: np.ndarray,
-    x: np.ndarray,
-    y_err: np.ndarray,
-    cost: float,
+    jacobian: np.ndarray, cost: float
 ) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
-    """1-sigma uncertainties from the residual-weighted normal-equations curvature.
+    """1-sigma uncertainties from the weighted Jacobian's normal-equations curvature.
 
     Returns ``(uncertainties, covariance, undetermined)``.  A rank test on the
     correlation-scaled J'J (unit diagonal, so the test does not depend on the
@@ -380,13 +387,12 @@ def _curvature_uncertainties(
     direction of its own, and a non-finite J'J leaves every parameter
     undetermined.
     """
-    n_params = params.size
-    jacobian = _jacobian(model, params, x) / y_err[:, None]
+    n_points, n_params = jacobian.shape
     normal = jacobian.T @ jacobian
-    dof = max(x.size - n_params, 1)
+    dof = max(n_points - n_params, 1)
     variance_scale = cost / dof
     scale = np.sqrt(np.diag(normal))
-    if not np.all(np.isfinite(scale)):  # |(J'J)_ij| <= scale_i scale_j bounds the rest
+    if not np.isfinite(scale).all():  # |(J'J)_ij| <= scale_i scale_j bounds the rest
         undetermined = np.ones(n_params, dtype=bool)
         return (math.inf,) * n_params, np.full((n_params, n_params), np.inf), undetermined
     scale[scale == 0.0] = 1.0
@@ -420,12 +426,12 @@ def lorentzian_sum(x, centers, fwhms, amplitudes, derivatives: bool = False):
     ``x`` is a 1-d grid; ``centers`` and ``amplitudes`` hold one entry per
     line, ``fwhms`` one per line or one shared by all.  The lines are laid
     out along the first axis of one (n_lines, x.size) array and added in
-    order.  With ``derivatives`` the result is the partials ``(d_center,
-    d_fwhm, d_amplitude)`` in place of the sum, each of shape (n_lines,
-    x.size); a Jacobian needs no sum, so none is formed.  The partials
-    are built from 1/(1 + u^2) and u/(1 + u^2) = 1/(u + 1/u), both bounded
-    by 1 for every u including 0 and +-inf, so none is NaN: at fwhm = 1e-300
-    or |x - center|/fwhm ~ 1e200 they only tend to 0.  A partial is at most
+    order.  With ``derivatives`` the result is ``(sum, d_center, d_fwhm,
+    d_amplitude)``, each partial of shape (n_lines, x.size), and the sum is
+    bit-identical to the one without.  The partials are built from
+    1/(1 + u^2) and u/(1 + u^2) = 1/(u + 1/u), both bounded by 1 for every
+    u including 0 and +-inf, so none is NaN: at fwhm = 1e-300 or
+    |x - center|/fwhm ~ 1e200 they only tend to 0.  A partial is at most
     ~1.3 |amplitude|/fwhm, so it can leave the float range only where that
     bound does (amplitude 1e8 at fwhm 1e-300).
     """
@@ -436,13 +442,23 @@ def lorentzian_sum(x, centers, fwhms, amplitudes, derivatives: bool = False):
     u = 2.0 * (x - centers) / fwhms
     if not derivatives:
         return (amplitudes / (1.0 + u * u)).sum(axis=0)
+    # In place to spare temporaries, by the same operations (+ and * commute
+    # exactly), so the sum is the one above bit for bit.
     with np.errstate(over="ignore", divide="ignore"):
-        even = 1.0 / (1.0 + u * u)
-        odd = 1.0 / (u + 1.0 / u)
+        denominator = u * u
+        denominator += 1.0
+        even = 1.0 / denominator
+        odd = 1.0 / u
+        odd += u
+        np.divide(1.0, odd, out=odd)
     # Bounded factors first: amplitude / fwhm alone may overflow where odd = 0.
-    d_center = amplitudes * odd * even * (4.0 / fwhms)
-    d_fwhm = amplitudes * odd * odd * (2.0 / fwhms)
-    return d_center, d_fwhm, even
+    d_center = amplitudes * odd
+    d_fwhm = d_center * odd
+    d_center *= even
+    d_center *= 4.0 / fwhms
+    d_fwhm *= 2.0 / fwhms
+    np.divide(amplitudes, denominator, out=denominator)
+    return denominator.sum(axis=0), d_center, d_fwhm, even
 
 
 def gaussian_profile(x, center: float, fwhm: float, amplitude: float):
@@ -482,15 +498,15 @@ def make_lorentzian_multi(n_lines: int = 1, shared_fwhm: bool = True) -> ModelSp
     def evaluator(params, x):
         return lorentzian_sum(x, params[centers], params[fwhms], params[amplitudes])
 
-    def jacobian(params, x):
-        d_center, d_fwhm, d_amplitude = lorentzian_sum(
+    def value_and_jacobian(params, x):
+        value, d_center, d_fwhm, d_amplitude = lorentzian_sum(
             x, params[centers], params[fwhms], params[amplitudes], derivatives=True
         )
         jac = np.empty((d_center.shape[1], params.size))
         jac[:, centers] = d_center.T
         jac[:, fwhms] = d_fwhm.sum(axis=0) if shared_fwhm else d_fwhm.T
         jac[:, amplitudes] = d_amplitude.T
-        return jac
+        return value, jac
 
     return ModelSpec(
         name="lorentzian_multi",
@@ -498,7 +514,7 @@ def make_lorentzian_multi(n_lines: int = 1, shared_fwhm: bool = True) -> ModelSp
         init=tuple(defaults),
         evaluator=evaluator,
         bounds=tuple(bounds),
-        jacobian=jacobian,
+        value_and_jacobian=value_and_jacobian,
     )
 
 
@@ -523,15 +539,16 @@ def make_exponential() -> ModelSpec:
     def evaluator(p, x):
         return p[0] + p[1] * np.exp(-np.asarray(x, dtype=float) / p[2])
 
-    def jacobian(p, x):
+    def value_and_jacobian(p, x):
         # d/dtau = amplitude * r e^(-r) / tau with r = x/tau; r e^(-r) is
         # written as 0 where e^(-r) underflows, so r = inf gives no inf * 0.
+        # exp(-r) is the evaluator's exp(-x / tau): negation is exact.
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             r = x / p[2]
             decay = np.exp(-r)
             r_decay = np.where(decay > 0.0, r * decay, 0.0)
-        return np.column_stack([np.ones_like(x), decay, p[1] * r_decay / p[2]])
+        return p[0] + p[1] * decay, np.column_stack([np.ones_like(x), decay, p[1] * r_decay / p[2]])
 
     return ModelSpec(
         name="exponential",
@@ -539,7 +556,7 @@ def make_exponential() -> ModelSpec:
         init=(0.0, 1.0, 5.56),
         evaluator=evaluator,
         bounds=(_UNBOUNDED, _UNBOUNDED, (1e-300, math.inf)),
-        jacobian=jacobian,
+        value_and_jacobian=value_and_jacobian,
     )
 
 
@@ -559,7 +576,7 @@ def make_damped_rabi() -> ModelSpec:
 def make_saturation() -> ModelSpec:
     """Fluorescence saturation [i_infinity, p_sat_pw] (x = power in pW)."""
 
-    def jacobian(p, x):
+    def value_and_jacobian(p, x):
         # d/dp_sat = -i_inf * x / (x + p_sat)^2 = -i_inf * g (1 - g) / p_sat with
         # g = x / (x + p_sat); both g and 1 - g are taken as 1 / (1 + ratio)
         # so neither cancels nor turns into inf / inf.
@@ -567,7 +584,8 @@ def make_saturation() -> ModelSpec:
         with np.errstate(over="ignore", divide="ignore"):
             g = 1.0 / (1.0 + p[1] / power)
             one_minus_g = 1.0 / (1.0 + power / p[1])
-        return np.column_stack([g, -(p[0] * g * one_minus_g) / p[1]])
+        value = optical_dynamics.saturation_rate(power, p[1], p[0])
+        return value, np.column_stack([g, -(p[0] * g * one_minus_g) / p[1]])
 
     return ModelSpec(
         name="saturation",
@@ -575,7 +593,7 @@ def make_saturation() -> ModelSpec:
         init=(1.34e6, 120.0),
         evaluator=lambda p, x: optical_dynamics.saturation_rate(x, p[1], p[0]),
         bounds=((1e-300, math.inf), (1e-300, math.inf)),
-        jacobian=jacobian,
+        value_and_jacobian=value_and_jacobian,
     )
 
 

@@ -525,6 +525,20 @@ def test_fit_rejects_four_data_columns(capsys, tmp_path, header, message):
     assert message in json.loads(err)["error"]
 
 
+@pytest.mark.parametrize("column", [1, 2])
+def test_fit_on_a_non_finite_cell_exits_2(capsys, tmp_path, column):
+    rows = [[f"{i}", f"{1.0 / (1 + (i - 10) ** 2)}", "0.1"] for i in range(21)]
+    rows[5][column] = "nan"
+    data = tmp_path / "with_nan.csv"
+    data.write_text("x,value,err\n" + "".join(",".join(row) + "\n" for row in rows))
+    path = tmp_path / "with_nan.json"
+    request = {"model": "lorentzian_multi", "data_file": str(data), "init": [2.0, 10.0, 1.0]}
+    path.write_text(json.dumps(request))
+    code, out, err = _run(capsys, ["fit", str(path)])
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"{['y', 'y_err'][column - 1]} must be finite"}
+
+
 def _singlet_csv(tmp_path):
     x = frequency_grid(-500e6, 500e6, 2e6)
     spectrum = synthesize_spectrum([SpectralLine(0.0, 70e6, 1.0)], x, noise_sigma=0.03, seed=5)
@@ -664,3 +678,18 @@ def test_a_fit_through_overflowing_trial_steps_prints_no_warning(tmp_path):
     )
     assert completed.returncode in (0, 1) and completed.stderr == ""
     _strict_json(completed.stdout)
+
+
+def test_a_stdout_closed_early_ends_in_status_1_without_a_traceback():
+    # The reader closes its end before the call writes, so every write fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    try:
+        completed = subprocess.run(
+            [sys.executable, "-m", "snvsim.cli", "list"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (completed.returncode, completed.stderr) == (1, "")

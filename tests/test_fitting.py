@@ -10,6 +10,7 @@ Dual routes:
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -259,11 +260,19 @@ def _model_with_params(draw):
 @given(case=_model_with_params())
 def test_closed_form_jacobians_match_central_differences(case):
     model, params, x = case
-    analytic = model.jacobian(params, x)
+    _, analytic = model.value_and_jacobian(params, x)
     numeric = numeric_jacobian(model.evaluator, params, x, bounds=model.bounds_arrays())
     assert analytic.shape == (x.size, params.size)
     column_scale = np.abs(analytic).max(axis=0)
     assert np.all(np.abs(analytic - numeric) <= 1e-6 * column_scale)
+
+
+@settings(max_examples=200)
+@given(case=_model_with_params())
+def test_closed_form_value_is_the_evaluators_bit_for_bit(case):
+    model, params, x = case
+    value, _ = model.value_and_jacobian(params, x)
+    assert value.tobytes() == np.asarray(model.evaluator(params, x), dtype=float).tobytes()
 
 
 @given(
@@ -273,7 +282,7 @@ def test_closed_form_jacobians_match_central_differences(case):
 )
 def test_shared_lorentzian_jacobian_matches_the_oracle(w, c, a):
     x = np.linspace(-8.0, 8.0, 81)
-    analytic = make_lorentzian_multi(1).jacobian(np.array([w, c, a]), x)
+    _, analytic = make_lorentzian_multi(1).value_and_jacobian(np.array([w, c, a]), x)
     oracle = lorentzian_shared_jacobian([w, c, a], x)
     assert np.allclose(analytic, oracle, rtol=1e-10, atol=1e-10 * np.abs(oracle).max())
 
@@ -293,8 +302,10 @@ def test_shared_lorentzian_jacobian_matches_the_oracle(w, c, a):
 def test_closed_form_jacobians_are_finite_where_the_model_is(model, params, x):
     params, x = np.array(params), np.array(x)
     with np.errstate(over="ignore", divide="ignore"):  # u itself may overflow to inf
-        assert np.all(np.isfinite(model.evaluator(params, x)))
-        assert np.all(np.isfinite(model.jacobian(params, x)))
+        expected = model.evaluator(params, x)
+        value, jacobian = model.value_and_jacobian(params, x)
+    assert np.all(np.isfinite(expected)) and value.tobytes() == expected.tobytes()
+    assert np.all(np.isfinite(jacobian))
 
 
 def test_closed_form_jacobians_replace_the_numeric_one(monkeypatch):
@@ -314,8 +325,38 @@ def test_closed_form_jacobians_replace_the_numeric_one(monkeypatch):
     assert calls == []
 
     t_ns = np.linspace(0.0, 15.0, 151)
-    fit(make_damped_rabi(), (t_ns, make_damped_rabi().evaluator(np.array([1.5, 5.0]), t_ns)))
-    assert calls
+    rabi = fit(make_damped_rabi(), (t_ns, make_damped_rabi().evaluator(np.array([1.5, 5.0]), t_ns)))
+    # Differences at accepted points only: the start and each accepted step.
+    assert len(calls) == len(rabi.cost_trace)
+
+
+def test_a_fit_makes_one_model_call_per_trial_and_none_after_the_loop(monkeypatch):
+    fused, evaluated, trials = [], [], []
+    quartet = make_lorentzian_multi(n_lines=4)
+    solve = np.linalg.solve
+
+    def counting_solve(*args):
+        step = solve(*args)
+        trials.append(np.isfinite(step).all())  # a finite step is tried
+        return step
+
+    def counting_fused(p, x):
+        fused.append(p.copy())
+        return quartet.value_and_jacobian(p, x)
+
+    def counting_evaluator(p, x):
+        evaluated.append(p.copy())
+        return quartet.evaluator(p, x)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    x = np.linspace(-800e6, 800e6, 401)
+    truth = np.array([60e6, -186e6, 1.0, -115e6, 1.0, 115e6, 1.0, 186e6, 1.0])
+    model = replace(quartet, evaluator=counting_evaluator, value_and_jacobian=counting_fused)
+    result = fit(model, (x, quartet.evaluator(truth, x) + 0.05 * np.sin(x / 7e6)))
+    assert result.status == "converged"
+    assert len(fused) == 1 + sum(trials)
+    assert len(fused) > len(result.cost_trace)  # some trials were rejected
+    assert evaluated == []
 
 
 # --------------------------------------------------------------------------
@@ -461,7 +502,7 @@ def _domain_limited(kind: str) -> ModelSpec:
         param_names=("gain",),
         init=(1.0,),
         evaluator=evaluator,
-        jacobian=lambda p, x: x[:, None],
+        value_and_jacobian=lambda p, x: (evaluator(p, x), x[:, None]),
     )
 
 
@@ -472,6 +513,17 @@ def test_a_trial_step_out_of_the_model_domain_is_a_rejected_step(kind):
     assert result.params[0] <= 1.5
     assert result.params[0] > 1.4  # it still moved as far as the domain allows
     _assert_monotonic_trace(result)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["x", "y", "y_err"])
+def test_non_finite_data_is_refused_by_name(name, bad):
+    x = np.linspace(-5.0, 5.0, 21)
+    data = {"x": x, "y": lorentzian(x, 0.0, 2.0, 1.0), "y_err": np.full_like(x, 0.1)}
+    data[name] = data[name].copy()
+    data[name][3] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        fit(make_lorentzian_multi(1), (data["x"], data["y"], data["y_err"]))
 
 
 def test_data_validation():
