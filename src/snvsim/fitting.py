@@ -21,25 +21,18 @@ gives infinite uncertainties only to the parameters its null space
 touches.  Everything is pure and deterministic: identical inputs produce
 bit-identical results.
 
-Each iteration needs the Jacobian d model / d params.  A model that
-supplies ``ModelSpec.value_and_jacobian`` gives it in closed form with the
-value, one call per trial, and the accepted trial's Jacobian serves the
-next iteration, the curvature and the bound check.  Any other model gets
-central differences (:func:`numeric_jacobian`) at accepted points, whose
-step turns one-sided at a bound so the stencil never leaves the bounds
-box.  A trial step whose evaluation raises ``ValueError`` or is non-finite
-counts as a rejected step; only the initial guess may raise.
+Each iteration needs the Jacobian d model / d params.  Every model
+supplies ``ModelSpec.value_and_jacobian``, which gives it in closed form with
+the value, one call per trial, and the accepted trial's Jacobian serves the
+next iteration, the curvature and the bound check.  A trial step whose
+evaluation raises ``ValueError`` or is non-finite counts as a rejected step;
+only the initial guess may raise.
 
 The registry provides the eight named model functions used across the
 toolkit.  A factory takes layout arguments only and gives its model a
 default start; :meth:`ModelSpec.with_init` is the one way to set another.
 Shapes owned by the physics modules are evaluated by them, so a fitted
-curve and the forward model can never drift apart.  Registry conventions:
-``damped_rabi`` works in nanoseconds and ``saturation`` in picowatts, so
-their parameters are O(1) or larger.  The difference step
-1e-6 * max(|p|, 1) is relative only from |p| = 1 up; below that it is an
-absolute 1e-6 in the parameter's own unit, which would swamp a time in
-seconds or a power in watts.
+curve and the forward model can never drift apart.
 """
 
 from __future__ import annotations
@@ -64,19 +57,18 @@ class ModelSpec:
     ``evaluator(params, x) -> y`` must be finite on the data domain for any
     in-bounds parameter vector.  ``bounds`` are inclusive per-parameter
     (lo, hi) boxes; a degenerate box (lo == hi) freezes a parameter.
-    ``value_and_jacobian(params, x) -> (y, J)``, when given, returns the
-    evaluator's y bit for bit and the exact J = d evaluator / d params,
-    shape (x.size, n_params); :func:`fit` then calls it, not the evaluator,
-    and needs no :func:`numeric_jacobian`.  J must be finite wherever y is,
-    unless the derivative itself lies beyond the float range.
+    ``value_and_jacobian(params, x) -> (y, J)`` returns the evaluator's y
+    bit for bit and the exact J = d evaluator / d params, shape (x.size,
+    n_params); :func:`fit` calls it, not the evaluator.  J must be finite
+    wherever y is, unless the derivative itself lies beyond the float range.
     """
 
     name: str
     param_names: tuple[str, ...]
     init: tuple[float, ...]
     evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    value_and_jacobian: Callable[[np.ndarray, np.ndarray], tuple]
     bounds: tuple[tuple[float, float], ...] | None = None
-    value_and_jacobian: Callable[[np.ndarray, np.ndarray], tuple] | None = None
 
     def __post_init__(self) -> None:
         if len(self.init) != len(self.param_names):
@@ -199,42 +191,6 @@ def _checked(y, params: np.ndarray) -> np.ndarray:
     return y
 
 
-def numeric_jacobian(
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    params,
-    x,
-    step_scale: float = 1e-6,
-    bounds: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Central-difference Jacobian d model / d params on the grid ``x``.
-
-    Per-parameter step h_i = step_scale * max(|p_i|, 1); the truncation
-    error of each entry is O(h_i^2).  With ``bounds`` = (lo, hi) a stencil
-    point beyond a bound is pulled back onto it, so within h_i of a bound
-    the difference is one-sided (error O(h_i)) and every evaluation stays
-    in the box.  A frozen parameter (lo == hi) keeps the central stencil.
-    """
-    p = np.asarray(params, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if bounds is None:
-        bounds = (np.full(p.size, -math.inf), np.full(p.size, math.inf))
-    lo, hi = bounds
-    jacobian = np.empty((x.size, p.size))
-    for i in range(p.size):
-        h = step_scale * max(abs(p[i]), 1.0)
-        up, down, span = p[i] + h, p[i] - h, 2.0 * h
-        if lo[i] < hi[i] and (up > hi[i] or down < lo[i]):
-            up, down = min(up, hi[i]), max(down, lo[i])
-            span = up - down
-        p_hi = p.copy()
-        p_lo = p.copy()
-        p_hi[i] = up
-        p_lo[i] = down
-        y_hi, y_lo = _checked(evaluator(p_hi, x), p_hi), _checked(evaluator(p_lo, x), p_lo)
-        jacobian[:, i] = (y_hi - y_lo) / span
-    return jacobian
-
-
 def _scaled_gradient_norm(gradient: np.ndarray, normal_diag: np.ndarray) -> float:
     scale = np.sqrt(np.maximum(normal_diag, 1e-300))
     return float(np.max(np.abs(gradient) / scale)) if gradient.size else 0.0
@@ -263,12 +219,9 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
     if np.any(params < lo) or np.any(params > hi):
         raise ValueError(f"initial guess {params.tolist()} outside bounds")
 
-    def trial(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray | None]:
-        """Cost, residual and Jacobian at p; the Jacobian is None for a numeric one."""
-        if model.value_and_jacobian is None:
-            value, jac = model.evaluator(p, x), None
-        else:
-            value, jac = model.value_and_jacobian(p, x)
+    def trial(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Cost, residual and Jacobian at p."""
+        value, jac = model.value_and_jacobian(p, x)
         residual = y - _checked(value, p)
         residual /= y_err
         return float(residual @ residual), residual, jac
@@ -283,8 +236,6 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
         iterations = 0
 
         for iterations in range(1, opts.max_iter + 1):
-            if jac is None:
-                jac = numeric_jacobian(model.evaluator, params, x, bounds=(lo, hi))
             jacobian = jac / y_err[:, None]
             normal = jacobian.T @ jacobian
             gradient = jacobian.T @ residual
@@ -338,8 +289,6 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
             if status == "converged":
                 break
 
-        if jac is None:
-            jac = numeric_jacobian(model.evaluator, params, x, bounds=(lo, hi))
         uncertainties, covariance, undetermined = _curvature_uncertainties(
             jac / y_err[:, None], cost
         )
@@ -520,12 +469,21 @@ def make_lorentzian_multi(n_lines: int = 1, shared_fwhm: bool = True) -> ModelSp
 
 def make_gaussian() -> ModelSpec:
     """Single Gaussian [center, fwhm, amplitude] (x in Hz)."""
+
+    def value_and_jacobian(p, x):
+        # u = (x - center) / fwhm is taken as 0 where the shape underflows: no inf * 0.
+        shape = gaussian_profile(x, p[0], p[1], 1.0)
+        u = np.where(shape > 0.0, (np.asarray(x, dtype=float) - p[0]) / p[1], 0.0)
+        d_center = 8.0 * math.log(2.0) * p[2] * u * shape / p[1]
+        return p[2] * shape, np.column_stack([d_center, u * d_center, shape])
+
     return ModelSpec(
         name="gaussian",
         param_names=("center", "fwhm", "amplitude"),
         init=(0.0, 90.0e9, 1.0),
         evaluator=lambda p, x: gaussian_profile(x, p[0], p[1], p[2]),
         bounds=(_UNBOUNDED, (1e-300, math.inf), _UNBOUNDED),
+        value_and_jacobian=value_and_jacobian,
     )
 
 
@@ -562,6 +520,18 @@ def make_exponential() -> ModelSpec:
 
 def make_damped_rabi() -> ModelSpec:
     """Damped Rabi population [omega_rad_per_ns, t1_ns] (x = time in ns)."""
+
+    def value_and_jacobian(p, x):
+        # Differentiates rho = (1 - (cos(phi) + tau sin(phi) / phi) e^(-tau)) / 2 in phi = omega t
+        # and tau = t / t1.  e^(-tau) multiplies t and tau first: no inf * 0 where it underflows.
+        t = np.asarray(x, dtype=float)
+        value = optical_dynamics.rabi_population(t * 1e-9, p[0] * 1e9, p[1] * 1e-9)
+        phase, tau = p[0] * t, t / p[1]
+        cos, sinc, decay = np.cos(phase), np.sinc(phase / np.pi), np.exp(-tau)
+        d_omega = 0.5 * ((decay * t) * np.sin(phase) - (decay * tau) * (cos - sinc) / p[0])
+        d_t1 = 0.5 * (decay * tau) * (sinc * (1.0 - tau) - cos) / p[1]
+        return value, np.column_stack([d_omega, d_t1])
+
     return ModelSpec(
         name="damped_rabi",
         param_names=("omega_rad_per_ns", "t1_ns"),
@@ -570,6 +540,7 @@ def make_damped_rabi() -> ModelSpec:
             np.asarray(x, dtype=float) * 1e-9, p[0] * 1e9, p[1] * 1e-9
         ),
         bounds=((1e-6, math.inf), (1e-6, math.inf)),
+        value_and_jacobian=value_and_jacobian,
     )
 
 
@@ -599,12 +570,22 @@ def make_saturation() -> ModelSpec:
 
 def make_abs_cosine() -> ModelSpec:
     """Rectified cosine [amplitude, phi0]: y = |amplitude cos(x + phi0)| (x in rad)."""
+
+    def value_and_jacobian(p, x):
+        # The slope of |a cos(x + phi0)| is sign(a cos) (cos, -a sin), 0 where the cosine is.
+        phase = np.asarray(x, dtype=float) + p[1]
+        cos = np.cos(phase)
+        sign = np.sign(p[0] * cos)
+        jacobian = np.column_stack([sign * cos, -sign * p[0] * np.sin(phase)])
+        return spin_hamiltonian.angular_splitting_rate(p[0], p[1], x), jacobian
+
     return ModelSpec(
         name="abs_cosine",
         param_names=("amplitude", "phi0"),
         init=(5.41, 0.0),
         evaluator=lambda p, x: spin_hamiltonian.angular_splitting_rate(p[0], p[1], x),
         bounds=((0.0, math.inf), (-TWO_PI, TWO_PI)),
+        value_and_jacobian=value_and_jacobian,
     )
 
 
@@ -622,6 +603,10 @@ def make_reflection_dip(fix_f_in: float | None = None) -> ModelSpec:
             init=(0.027, 0.95, 70.0e6),
             evaluator=lambda p, x: waveguide_qed.normalized_reflection_params(x, p[0], p[1], p[2]),
             bounds=((0.0, math.inf), (0.500001, 1.0), (1e-300, math.inf)),
+            value_and_jacobian=lambda p, x: (
+                waveguide_qed.normalized_reflection_params(x, p[0], p[1], p[2]),
+                waveguide_qed.normalized_reflection_jacobian(x, p[0], p[1], p[2]),
+            ),
         )
     f_in = float(fix_f_in)
     return ModelSpec(
@@ -630,6 +615,10 @@ def make_reflection_dip(fix_f_in: float | None = None) -> ModelSpec:
         init=(0.027, 70.0e6),
         evaluator=lambda p, x: waveguide_qed.normalized_reflection_params(x, p[0], f_in, p[1]),
         bounds=((0.0, math.inf), (1e-300, math.inf)),
+        value_and_jacobian=lambda p, x: (
+            waveguide_qed.normalized_reflection_params(x, p[0], f_in, p[1]),
+            waveguide_qed.normalized_reflection_jacobian(x, p[0], f_in, p[1])[:, [0, 2]],
+        ),
     )
 
 
@@ -641,6 +630,10 @@ def make_contrast_saturation() -> ModelSpec:
         init=(0.11,),
         evaluator=lambda p, x: waveguide_qed.contrast_vs_saturation(x, p[0]),
         bounds=((0.0, 1.0),),
+        value_and_jacobian=lambda p, x: (
+            waveguide_qed.contrast_vs_saturation(x, p[0]),
+            (1.0 / (1.0 + np.asarray(x, dtype=float)))[:, None],
+        ),
     )
 
 

@@ -63,7 +63,8 @@ def rabi_population(t_s, omega: float, t1: float):
 
     ``omega`` is the angular Rabi frequency (rad/s), ``t1`` the optical
     relaxation time (s).  Evaluated through sin(x)/x so small Omega*t is
-    exact; the steady state is 1/2.
+    exact; the steady state is 1/2.  An Omega*t beyond the float range is a
+    ``ValueError``.
     """
     if omega <= 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
@@ -72,7 +73,10 @@ def rabi_population(t_s, omega: float, t1: float):
     t = np.asarray(t_s, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("time must be non-negative")
-    phase = omega * t
+    with np.errstate(over="ignore"):
+        phase = omega * t
+    if not np.isfinite(phase).all():
+        raise ValueError("omega * t must be finite: the phase is beyond the float range")
     # sin(omega t) / (omega t1) == (t / t1) * sinc(omega t / pi)
     ringdown = np.cos(phase) + (t / t1) * np.sinc(phase / np.pi)
     out = 0.5 * (1.0 - ringdown * np.exp(-t / t1))

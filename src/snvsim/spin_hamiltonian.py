@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -158,25 +157,6 @@ def sn117_ground() -> SpinSystemParams:
     )
 
 
-def excited_params_from_ground(
-    ground: SpinSystemParams, transition: OpticalTransitionParams
-) -> SpinSystemParams:
-    """Excited-manifold parameters implied by the measured differences.
-
-    Only the difference of longitudinal hyperfine couplings is measured, so
-    the excited manifold takes a_par(exc) = a_par(gnd) - delta_a_par with
-    unchanged spin-orbit and transverse couplings.  This split between the
-    manifolds is an assumption, not a measurement.
-    """
-    return SpinSystemParams(
-        lambda_so=ground.lambda_so,
-        gamma_e=ground.gamma_e + transition.delta_gamma_eff,
-        gamma_n=ground.gamma_n,
-        a_par=ground.a_par - transition.delta_a_par,
-        a_perp=ground.a_perp,
-    )
-
-
 def _three_site(op_orbital: np.ndarray, op_electron: np.ndarray, op_nuclear: np.ndarray) -> np.ndarray:
     return np.kron(op_orbital, np.kron(op_electron, op_nuclear))
 
@@ -234,27 +214,6 @@ def eigenenergies(hamiltonian: np.ndarray) -> np.ndarray:
 def eigenenergies_hz(hamiltonian: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of ``hamiltonian`` converted to cyclic Hz."""
     return eigenenergies(hamiltonian) / TWO_PI
-
-
-class GroundBranchEnergies(NamedTuple):
-    """Closed-form zero-field energies (rad/s) of the lower orbital branch."""
-
-    aligned: float
-    antialigned: float
-
-
-def ground_branch_energies(params: SpinSystemParams) -> GroundBranchEnergies:
-    """Closed-form zero-field energies of the lower-branch hyperfine levels.
-
-        E_aligned     = -lambda_so / 2 + a_par / 4
-        E_antialigned = -sqrt(lambda_so^2 + a_perp^2) / 2 - a_par / 4
-
-    The antialigned doublet is pushed down by the transverse hyperfine
-    coupling; their difference tends to a_par / 2 as a_perp -> 0.
-    """
-    aligned = -params.lambda_so / 2.0 + params.a_par / 4.0
-    antialigned = -math.sqrt(params.lambda_so**2 + params.a_perp**2) / 2.0 - params.a_par / 4.0
-    return GroundBranchEnergies(aligned=aligned, antialigned=antialigned)
 
 
 def reduced_hamiltonian(
@@ -328,15 +287,6 @@ def angular_splitting_rate(
     the symmetry axis; the dependence has period pi.
     """
     return np.abs(amplitude_ghz_per_t * np.cos(np.asarray(phi_rad, dtype=float) + phi0_rad))
-
-
-def project_field(magnitude_t: float, angle_deg: float = 35.0) -> float:
-    """Project an applied field of given magnitude onto the symmetry axis.
-
-    The device geometry fixes the angle between the applied field and the
-    defect axis; only the axial projection enters the reduced Hamiltonian.
-    """
-    return magnitude_t * math.cos(math.radians(angle_deg))
 
 
 def isotope_scaled_splitting(

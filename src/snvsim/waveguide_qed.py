@@ -80,13 +80,10 @@ class BetaDecomposition:
 def _amplitude(delta_hz, cooperativity: float, f_in: float, gamma_h_hz: float) -> np.ndarray:
     """r(delta) from bare parameters, unvalidated so optimizers may probe freely."""
     delta = np.asarray(delta_hz, dtype=float)
-    return 1.0 - 2.0 * f_in / (1.0 + cooperativity / (1.0 + 2.0j * delta / gamma_h_hz))
-
-
-def reflection_amplitude(delta_hz, model: ReflectionModel):
-    """Complex reflected amplitude r(delta) at detuning ``delta_hz`` (cyclic Hz)."""
-    out = _amplitude(delta_hz, model.cooperativity, model.f_in, model.gamma_h_hz)
-    return complex(out) if np.isscalar(delta_hz) else out
+    # Within a few ulp of the float maximum, a cooperativity overflows the scale
+    # of numpy's complex division, which then rounds 2 f_in / (...) ~ 1e-308 to 0.
+    with np.errstate(over="ignore"):
+        return 1.0 - 2.0 * f_in / (1.0 + cooperativity / (1.0 + 2.0j * delta / gamma_h_hz))
 
 
 def normalized_reflection_params(delta_hz, cooperativity: float, f_in: float, gamma_h_hz: float):
@@ -100,6 +97,22 @@ def normalized_reflection_params(delta_hz, cooperativity: float, f_in: float, ga
         raise ValueError("f_in = 0.5 makes the far-detuned reference intensity zero")
     out = np.abs(_amplitude(delta_hz, cooperativity, f_in, gamma_h_hz)) ** 2 / reference**2
     return float(out) if np.isscalar(delta_hz) else out
+
+
+def normalized_reflection_jacobian(delta_hz, cooperativity: float, f_in: float, gamma_h_hz: float):
+    """Partials of :func:`normalized_reflection_params` in (C, f_in, gamma_h), shape (n, 3).
+
+    With q = 1/(1 + 2i delta/gamma_h) and d = 1/(1 + C q), both of modulus <= 1
+    for C >= 0, r = 1 - 2 f_in d.  A partial of |r / (1 - 2 f_in)|^2 is
+    2 Re(conj(r) dr) / (1 - 2 f_in)^2, where dr for f_in gains 2 r / (1 - 2 f_in).
+    """
+    q = 1.0 / (1.0 + 2.0j * np.asarray(delta_hz, dtype=float) / gamma_h_hz)
+    d = 1.0 / (1.0 + cooperativity * q)
+    r = 1.0 - 2.0 * f_in * d
+    reference = 1.0 - 2.0 * f_in
+    dr_dgamma = 2.0 * f_in * cooperativity * q * (1.0 - q) * d * d / gamma_h_hz
+    dr = np.column_stack([2.0 * f_in * q * d * d, 2.0 * r / reference - 2.0 * d, dr_dgamma])
+    return 2.0 * (np.conj(r)[:, None] * dr).real / reference**2
 
 
 def normalized_reflection(delta_hz, model: ReflectionModel):
@@ -135,16 +148,6 @@ def dip_fwhm_hz(model: ReflectionModel) -> float:
     model, of width gamma_h * (1 + C).
     """
     return model.gamma_h_hz * (1.0 + model.cooperativity)
-
-
-def branch_boundary_cooperativity(f_in: float) -> float:
-    """Cooperativity C* = 2 f_in - 1 at which the on-resonance reflection vanishes.
-
-    Below C* the on-resonance amplitude keeps the sign of the far-detuned
-    amplitude (small-C branch) and the dip deepens with C; beyond it the
-    amplitude changes sign and the dip fills back in.
-    """
-    return 2.0 * f_in - 1.0
 
 
 def cooperativity_from_contrast(

@@ -10,8 +10,11 @@ between the two routes is meaningful:
   the spin state with a term-by-term Poisson convolution, and a per-pulse
   sampler of single readouts (vs the package's vectorized recursion and
   its multinomial histograms),
-- analytic Lorentzian derivatives (vs central differences),
-- closed-form damped-Rabi quantities (vs numeric maximization).
+- central-difference Jacobians (vs each fit model's closed form), and
+  analytic Lorentzian derivatives (vs both),
+- closed-form damped-Rabi quantities (vs numeric maximization),
+- closed-form zero-field branch energies and the reflection branch
+  boundary (vs diagonalization and the reflection line shape).
 
 Only math and numpy are used; nothing imports the package under test.
 """
@@ -19,6 +22,7 @@ Only math and numpy are used; nothing imports the package under test.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -185,6 +189,34 @@ def sample_readout_counts(
 # Analytic derivatives and closed forms
 # --------------------------------------------------------------------------
 
+def numeric_jacobian(evaluator, params, x, step_scale: float = 1e-6, bounds=None) -> np.ndarray:
+    """Central-difference Jacobian d model / d params on the grid ``x``.
+
+    Per-parameter step h_i = step_scale * max(|p_i|, 1); the truncation
+    error of each entry is O(h_i^2).  With ``bounds`` = (lo, hi) a stencil
+    point beyond a bound is pulled back onto it, so within h_i of a bound
+    the difference is one-sided (error O(h_i)) and every evaluation stays
+    in the box.  A frozen parameter (lo == hi) keeps the central stencil.
+    """
+    p = np.asarray(params, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if bounds is None:
+        bounds = (np.full(p.size, -math.inf), np.full(p.size, math.inf))
+    lo, hi = bounds
+    jacobian = np.empty((x.size, p.size))
+    for i in range(p.size):
+        h = step_scale * max(abs(p[i]), 1.0)
+        up, down = p[i] + h, p[i] - h
+        if lo[i] < hi[i]:
+            up, down = min(up, hi[i]), max(down, lo[i])
+        p_up, p_down = p.copy(), p.copy()
+        p_up[i], p_down[i] = up, down
+        y_up = np.asarray(evaluator(p_up, x), dtype=float)
+        y_down = np.asarray(evaluator(p_down, x), dtype=float)
+        jacobian[:, i] = (y_up - y_down) / (up - down)
+    return jacobian
+
+
 def lorentzian(x, center: float, fwhm: float, amplitude: float) -> np.ndarray:
     """One peak-normalized Lorentzian line, written out term by term."""
     x = np.asarray(x, dtype=float)
@@ -239,3 +271,35 @@ def weighted_linear_covariance(x, y, y_err, params) -> np.ndarray:
     chi2 = math.fsum(w * (y - a - b * x) ** 2)
     dof = x.size - 2
     return (chi2 / dof) * np.linalg.inv(normal)
+
+
+class GroundBranchEnergies(NamedTuple):
+    """Closed-form zero-field energies (rad/s) of the lower orbital branch."""
+
+    aligned: float
+    antialigned: float
+
+
+def ground_branch_energies(params) -> GroundBranchEnergies:
+    """Closed-form zero-field energies of the lower-branch hyperfine levels.
+
+        E_aligned     = -lambda_so / 2 + a_par / 4
+        E_antialigned = -sqrt(lambda_so^2 + a_perp^2) / 2 - a_par / 4
+
+    ``params`` carries the couplings in rad/s (``lambda_so``, ``a_par``,
+    ``a_perp``).  The antialigned doublet is pushed down by the transverse
+    hyperfine coupling; their difference tends to a_par / 2 as a_perp -> 0.
+    """
+    aligned = -params.lambda_so / 2.0 + params.a_par / 4.0
+    antialigned = -math.sqrt(params.lambda_so**2 + params.a_perp**2) / 2.0 - params.a_par / 4.0
+    return GroundBranchEnergies(aligned=aligned, antialigned=antialigned)
+
+
+def branch_boundary_cooperativity(f_in: float) -> float:
+    """Cooperativity C* = 2 f_in - 1 at which the on-resonance reflection vanishes.
+
+    Below C* the on-resonance amplitude keeps the sign of the far-detuned
+    amplitude (small-C branch) and the dip deepens with C; beyond it the
+    amplitude changes sign and the dip fills back in.
+    """
+    return 2.0 * f_in - 1.0

@@ -285,7 +285,7 @@ def test_points_held_by_a_run_are_capped_before_any_synthesis(
     "scenario, override, fit_file",
     [
         ("fig1e", "linewidth_mhz=1e-9", "doublet_fit.json"),
-        ("rabi", "max_time_ns=1e-9", "rabi_fit.json"),
+        ("rabi", "max_time_ns=1e-20", "rabi_fit.json"),
     ],
 )
 def test_non_finite_fit_values_are_written_as_null(capsys, tmp_path, scenario, override, fit_file):
@@ -359,6 +359,29 @@ for _case in HUGE_COUNTS:
     test_every_run_ends_in_strict_json_or_a_validation_error = example(case=_case)(
         test_every_run_ends_in_strict_json_or_a_validation_error
     )
+
+
+# Max-float overrides whose runs once printed numpy's overflow warnings on
+# stderr ahead of their JSON; a warning is an error here.
+MAX_FLOAT_RUNS = [
+    ("rabi", "max_time_ns=1.7976931348623157e308"),
+    ("fig4b", "cooperativity=1.7976931348623157e308"),
+]
+
+
+@pytest.mark.parametrize("scenario, override", MAX_FLOAT_RUNS)
+def test_a_max_float_run_keeps_the_stderr_contract_with_warnings_as_errors(
+    capsys, tmp_path, scenario, override
+):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["run", scenario, override, "--output-dir", str(tmp_path)])
+    if code in (0, 1):
+        assert err == ""
+        _strict_json(out)
+    else:
+        assert code == 2 and out == ""
+        assert set(_strict_json(err)) == {"error"}
 
 
 # In-domain overrides whose fits once stepped out of the model's domain: a

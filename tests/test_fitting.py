@@ -1,8 +1,8 @@
 """Damped least-squares engine and model registry.
 
 Dual routes:
-- numeric Jacobian vs hand-coded analytic Lorentzian derivatives,
-- each model's own closed-form Jacobian vs the numeric one,
+- the central-difference oracle vs hand-coded analytic Lorentzian derivatives,
+- each registry model's closed-form Jacobian vs the central-difference oracle,
 - the hand-rolled minimizer vs scipy.optimize.curve_fit on the same data,
 - curvature covariance vs explicit weighted normal equations for a line.
 """
@@ -18,8 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
-from oracles import lorentzian, lorentzian_shared_jacobian, weighted_linear_covariance
-from snvsim import fitting, optical_dynamics, spin_hamiltonian, waveguide_qed
+from oracles import (
+    lorentzian,
+    lorentzian_shared_jacobian,
+    numeric_jacobian,
+    weighted_linear_covariance,
+)
+from snvsim import optical_dynamics, spin_hamiltonian, waveguide_qed
 from snvsim.fitting import (
     FitOptions,
     FitResult,
@@ -35,7 +40,6 @@ from snvsim.fitting import (
     make_reflection_dip,
     make_saturation,
     model_registry,
-    numeric_jacobian,
     poisson_sigma,
 )
 from snvsim.spectra import SpectralLine, frequency_grid, line_sum, synthesize_spectrum
@@ -230,30 +234,67 @@ def test_numeric_jacobian_steps_one_sided_at_a_bound():
     assert np.allclose(jac[:, 0], 0.5 * x, rtol=0.0, atol=1e-6)
 
 
-# Each model with a closed-form Jacobian, with parameters on an O(1) scale so
-# the central differences it is checked against are accurate to ~1e-9.
+# Every registry model, with parameters on an O(1) scale so the central
+# differences it is checked against are accurate to ~1e-9.  A model without a
+# case here is a KeyError, so a new registry model cannot go unchecked.
 GRID = np.linspace(-8.0, 8.0, 81)
+REAL = st.floats(min_value=-3.0, max_value=3.0)
+WIDTH = st.floats(min_value=0.5, max_value=5.0)
+HEIGHT = st.floats(min_value=0.1, max_value=10.0)
+
+
+def _lorentzian_case(draw):
+    n_lines, shared = draw(st.integers(min_value=1, max_value=4)), draw(st.booleans())
+    if shared:
+        params = [draw(WIDTH)] + [draw(s) for _ in range(n_lines) for s in (REAL, HEIGHT)]
+    else:
+        params = [draw(s) for _ in range(n_lines) for s in (REAL, WIDTH, HEIGHT)]
+    return make_lorentzian_multi(n_lines, shared_fwhm=shared), params, GRID
+
+
+def _abs_cosine_case(draw):
+    params = [draw(HEIGHT), draw(REAL)]
+    # Keep every point further from a kink of |cos| than the difference step (<= 3e-6).
+    return make_abs_cosine(), params, GRID[np.abs(np.cos(GRID + params[1])) > 1e-3]
+
+
+def _reflection_dip_case(draw):
+    cooperativity, f_in = draw(st.floats(0.01, 3.0)), draw(st.floats(0.55, 0.99))
+    if draw(st.booleans()):
+        return make_reflection_dip(), [cooperativity, f_in, draw(WIDTH)], GRID
+    return make_reflection_dip(fix_f_in=f_in), [cooperativity, draw(WIDTH)], GRID
+
+
+CASES = {
+    "lorentzian_multi": _lorentzian_case,
+    "gaussian": lambda draw: (make_gaussian(), [draw(REAL), draw(WIDTH), draw(HEIGHT)], GRID),
+    "exponential": lambda draw: (
+        make_exponential(),
+        [draw(REAL), draw(HEIGHT), draw(st.floats(min_value=0.5, max_value=20.0))],
+        np.linspace(0.0, 20.0, 81),
+    ),
+    "damped_rabi": lambda draw: (
+        make_damped_rabi(),
+        [draw(st.floats(0.3, 3.0)), draw(st.floats(0.5, 20.0))],
+        np.linspace(0.0, 15.0, 81),
+    ),
+    "saturation": lambda draw: (
+        make_saturation(),
+        [draw(st.floats(min_value=0.5, max_value=5e6)), draw(st.floats(1.0, 1e3))],
+        np.geomspace(1.0, 2000.0, 81),
+    ),
+    "abs_cosine": _abs_cosine_case,
+    "reflection_dip": _reflection_dip_case,
+    "contrast_saturation": lambda draw: (
+        make_contrast_saturation(), [draw(st.floats(0.01, 0.99))], np.linspace(0.0, 10.0, 81)
+    ),
+}
 
 
 @st.composite
 def _model_with_params(draw):
-    case = draw(st.sampled_from(["shared", "independent", "exponential", "saturation"]))
-    real = st.floats(min_value=-3.0, max_value=3.0)
-    width = st.floats(min_value=0.5, max_value=5.0)
-    height = st.floats(min_value=0.1, max_value=10.0)
-    if case in ("shared", "independent"):
-        n_lines = draw(st.integers(min_value=1, max_value=4))
-        model = make_lorentzian_multi(n_lines, shared_fwhm=case == "shared")
-        if case == "shared":
-            params = [draw(width)] + [draw(s) for _ in range(n_lines) for s in (real, height)]
-        else:
-            params = [draw(s) for _ in range(n_lines) for s in (real, width, height)]
-        return model, np.array(params), GRID
-    if case == "exponential":
-        params = [draw(real), draw(height), draw(st.floats(min_value=0.5, max_value=20.0))]
-        return make_exponential(), np.array(params), np.linspace(0.0, 20.0, 81)
-    params = [draw(st.floats(min_value=0.5, max_value=5e6)), draw(st.floats(1.0, 1e3))]
-    return make_saturation(), np.array(params), np.geomspace(1.0, 2000.0, 81)
+    model, params, x = CASES[draw(st.sampled_from(sorted(model_registry())))](draw)
+    return model, np.array(params), x
 
 
 @settings(max_examples=200)
@@ -297,6 +338,16 @@ def test_shared_lorentzian_jacobian_matches_the_oracle(w, c, a):
         (make_lorentzian_multi(1), [1e-100, 0.0, 1.0], [-1e100, 0.0, 1e100, 1e300]),
         (make_exponential(), [0.5, 2.0, 1e-300], [0.0, 1e-300, 1.0, 1e10]),
         (make_saturation(), [1e6, 1e-300], [0.0, 1e-300, 1.0, 1e300]),
+        # fwhm at its lower bound, and (x - center) / fwhm beyond the float range.
+        (make_gaussian(), [0.0, 1e-300, 1.0], [-1e10, 0.0, 1e-300, 1.0]),
+        # Both at their lower bounds: e^(-t / t1) underflows where t / t1 is ~1e306.
+        (make_damped_rabi(), [1e-6, 1e-6], [0.0, 1e-300, 1.0, 1e300]),
+        (make_abs_cosine(), [0.0, TWO_PI], [-1e300, 0.0, 1e300]),
+        (make_abs_cosine(), [1e300, -TWO_PI], [0.0, 0.5 * math.pi, 1e10]),
+        # gamma_h at its lower bound: 2 delta / gamma_h overflows to inf.
+        (make_reflection_dip(), [0.0, 0.500001, 1e-300], [-1e10, 0.0, 1e-300, 1e10]),
+        (make_reflection_dip(fix_f_in=1.0), [1e300, 1.0], [-1.0, 0.0, 1.0]),
+        (make_contrast_saturation(), [1.0], [0.0, 1e-300, 1e300]),
     ],
 )
 def test_closed_form_jacobians_are_finite_where_the_model_is(model, params, x):
@@ -308,31 +359,37 @@ def test_closed_form_jacobians_are_finite_where_the_model_is(model, params, x):
     assert np.all(np.isfinite(jacobian))
 
 
-def test_closed_form_jacobians_replace_the_numeric_one(monkeypatch):
-    calls = []
-    numeric = fitting.numeric_jacobian
+# A fit of each model that reaches fit() through a scenario: (model, truth, x), fitted
+# to the truth plus a smooth misfit at a tenth of its scale.
+SCENARIO_FITS = {
+    "quartet": (
+        make_lorentzian_multi(n_lines=4),
+        [60e6, -186e6, 1.0, -115e6, 1.0, 115e6, 1.0, 186e6, 1.0],
+        np.linspace(-800e6, 800e6, 401),
+    ),
+    "fig1d": (
+        make_gaussian().with_init((0.0, 90e9, 100.0)),
+        [5e9, 110e9, 120.0],
+        np.linspace(-300e9, 300e9, 61),
+    ),
+    "fig4b": (
+        make_reflection_dip(fix_f_in=0.95).with_init((0.05, 100.0e6)),
+        [0.027, 70e6],
+        np.arange(-500e6, 500e6 + 1.0, 2e6),
+    ),
+    "fig4c": (make_contrast_saturation().with_init((0.05,)), [0.11], np.geomspace(0.01, 10.0, 25)),
+    "rabi": (
+        make_damped_rabi().with_init((TWO_PI * 0.2, 6.0)),
+        [TWO_PI * 0.23, 4.7],
+        np.linspace(0.0, 15.0, 301),
+    ),
+}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return numeric(*args, **kwargs)
 
-    monkeypatch.setattr(fitting, "numeric_jacobian", counting)
-    x = np.linspace(-800e6, 800e6, 401)
-    quartet = make_lorentzian_multi(n_lines=4)
-    fit(quartet, (x, quartet.evaluator(np.asarray(quartet.init) * 1.01, x)))
-    t = np.linspace(0.0, 20.0, 81)
-    fit(make_exponential(), (t, 0.1 + np.exp(-t / 4.0)))
-    assert calls == []
-
-    t_ns = np.linspace(0.0, 15.0, 151)
-    rabi = fit(make_damped_rabi(), (t_ns, make_damped_rabi().evaluator(np.array([1.5, 5.0]), t_ns)))
-    # Differences at accepted points only: the start and each accepted step.
-    assert len(calls) == len(rabi.cost_trace)
-
-
-def test_a_fit_makes_one_model_call_per_trial_and_none_after_the_loop(monkeypatch):
+@pytest.mark.parametrize("case", sorted(SCENARIO_FITS))
+def test_a_fit_makes_one_model_call_per_trial_and_none_after_the_loop(monkeypatch, case):
     fused, evaluated, trials = [], [], []
-    quartet = make_lorentzian_multi(n_lines=4)
+    base, truth, x = SCENARIO_FITS[case]
     solve = np.linalg.solve
 
     def counting_solve(*args):
@@ -342,20 +399,20 @@ def test_a_fit_makes_one_model_call_per_trial_and_none_after_the_loop(monkeypatc
 
     def counting_fused(p, x):
         fused.append(p.copy())
-        return quartet.value_and_jacobian(p, x)
+        return base.value_and_jacobian(p, x)
 
     def counting_evaluator(p, x):
         evaluated.append(p.copy())
-        return quartet.evaluator(p, x)
+        return base.evaluator(p, x)
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    x = np.linspace(-800e6, 800e6, 401)
-    truth = np.array([60e6, -186e6, 1.0, -115e6, 1.0, 115e6, 1.0, 186e6, 1.0])
-    model = replace(quartet, evaluator=counting_evaluator, value_and_jacobian=counting_fused)
-    result = fit(model, (x, quartet.evaluator(truth, x) + 0.05 * np.sin(x / 7e6)))
+    y = base.evaluator(np.array(truth), x)
+    model = replace(base, evaluator=counting_evaluator, value_and_jacobian=counting_fused)
+    result = fit(model, (x, y + 0.1 * np.abs(y).max() * np.sin(x / (x.max() / 20.0))))
     assert result.status == "converged"
     assert len(fused) == 1 + sum(trials)
-    assert len(fused) > len(result.cost_trace)  # some trials were rejected
+    if case in ("quartet", "rabi"):
+        assert len(fused) > len(result.cost_trace)  # some trials were rejected
     assert evaluated == []
 
 
@@ -373,6 +430,7 @@ def test_covariance_matches_hand_written_normal_equations():
         param_names=("intercept", "slope"),
         init=(0.0, 0.0),
         evaluator=lambda p, x: p[0] + p[1] * x,
+        value_and_jacobian=lambda p, x: (p[0] + p[1] * x, np.column_stack([np.ones_like(x), x])),
     )
     result = fit(model, (x, y, y_err))
     oracle = weighted_linear_covariance(x, y, y_err, result.params)
@@ -393,6 +451,10 @@ def test_frozen_parameter_stays_frozen():
         init=(2.0, 0.5),
         evaluator=lambda p, x: p[0] * np.exp(-x / p[1]),
         bounds=((2.0, 2.0), (1e-6, math.inf)),
+        value_and_jacobian=lambda p, x: (
+            p[0] * np.exp(-x / p[1]),
+            np.column_stack([np.exp(-x / p[1]), p[0] * x * np.exp(-x / p[1]) / p[1] ** 2]),
+        ),
     )
     x = np.linspace(0.1, 3.0, 30)
     y = 2.0 * np.exp(-x / 0.8)
@@ -408,6 +470,7 @@ def test_active_bound_is_respected():
         init=(1.0,),
         evaluator=lambda p, x: p[0] * x,
         bounds=((0.0, 1.5),),
+        value_and_jacobian=lambda p, x: (p[0] * x, x[:, None]),
     )
     x = np.linspace(0.0, 1.0, 20)
     result = fit(model, (x, 2.0 * x))
@@ -429,6 +492,7 @@ def test_singular_status_on_overflowing_normal_equations():
         param_names=("huge",),
         init=(1.0,),
         evaluator=lambda p, x: p[0] * 1e200 * x,
+        value_and_jacobian=lambda p, x: (p[0] * 1e200 * x, 1e200 * x[:, None]),
     )
     x = np.linspace(1.0, 2.0, 10)
     result = fit(model, (x, x))
@@ -464,6 +528,7 @@ def test_a_parameter_the_model_ignores_is_undetermined_not_singular():
         param_names=("gain", "offset"),
         init=(1.0, 0.0),
         evaluator=lambda p, x: p[0] * x,
+        value_and_jacobian=lambda p, x: (p[0] * x, np.column_stack([x, np.zeros_like(x)])),
     )
     x = np.linspace(0.0, 1.0, 20)
     result = fit(model, (x, 2.0 * x + 0.01 * np.sin(7.0 * x)))
@@ -477,6 +542,7 @@ def test_nan_evaluation_raises_naming_parameters():
         param_names=("a",),
         init=(1.0,),
         evaluator=lambda p, x: np.where(x > 0.5, np.nan, p[0] * x),
+        value_and_jacobian=lambda p, x: (np.where(x > 0.5, np.nan, p[0] * x), x[:, None]),
     )
     x = np.linspace(0.0, 1.0, 10)
     with pytest.raises(ValueError, match="non-finite"):
@@ -484,11 +550,7 @@ def test_nan_evaluation_raises_naming_parameters():
 
 
 def _domain_limited(kind: str) -> ModelSpec:
-    """y = gain * x, whose evaluation fails for gain > 1.5 although it is unbounded.
-
-    The closed-form Jacobian keeps difference stencils out of the failing
-    region, so only trial steps reach it.
-    """
+    """y = gain * x, whose evaluation fails for gain > 1.5 although it is unbounded."""
 
     def evaluator(p, x):
         if p[0] > 1.5:
@@ -548,14 +610,27 @@ def test_spectrum_and_tuple_inputs_are_equivalent():
 
 
 def test_model_spec_validation():
+    with pytest.raises(TypeError, match="value_and_jacobian"):  # no numeric fallback
+        ModelSpec(name="bad", param_names=("a",), init=(1.0,), evaluator=lambda p, x: x)
+
+    def identity(p, x):
+        return x, x[:, None]
+
     with pytest.raises(ValueError, match="initial values"):
-        ModelSpec(name="bad", param_names=("a", "b"), init=(1.0,), evaluator=lambda p, x: x)
+        ModelSpec(
+            name="bad",
+            param_names=("a", "b"),
+            init=(1.0,),
+            evaluator=lambda p, x: x,
+            value_and_jacobian=identity,
+        )
     with pytest.raises(ValueError, match="outside bounds"):
         ModelSpec(
             name="bad",
             param_names=("a",),
             init=(2.0,),
             evaluator=lambda p, x: x,
+            value_and_jacobian=identity,
             bounds=((0.0, 1.0),),
         )
     with pytest.raises(ValueError, match="empty bounds"):
@@ -564,6 +639,7 @@ def test_model_spec_validation():
             param_names=("a",),
             init=(0.5,),
             evaluator=lambda p, x: x,
+            value_and_jacobian=identity,
             bounds=((1.0, 0.0),),
         )
     with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 Dual-route checks: the LAPACK-based eigensolver is confronted with a
 hand-coded Jacobi-rotation solver (tests/oracles.py), and the numeric lower
-branch with the closed-form expressions.
+branch with the closed-form energies, also in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import jacobi_eigenvalues_hermitian
+from oracles import ground_branch_energies, jacobi_eigenvalues_hermitian
 from snvsim.spin_hamiltonian import (
     NUCLEAR_GYROMAGNETIC_HZ_PER_T,
     OpticalTransitionParams,
@@ -24,13 +24,10 @@ from snvsim.spin_hamiltonian import (
     build_ground_hamiltonian,
     eigenenergies,
     eigenenergies_hz,
-    excited_params_from_ground,
-    ground_branch_energies,
     inner_line_crossing_field_t,
     isotope_scaled_splitting,
     isotope_splitting_predictions_hz,
     optical_transition_detunings,
-    project_field,
     reduced_hamiltonian,
     sn117_ground,
 )
@@ -244,23 +241,9 @@ def test_transition_parameter_round_trip():
     assert math.isclose(transition.slope_hz_per_t, 5.41e9, rel_tol=1e-15)
 
 
-def test_excited_params_shift_by_measured_differences():
-    ground = sn117_ground()
-    transition = OpticalTransitionParams.from_cyclic_hz(452.0e6, 5.41e9)
-    excited = excited_params_from_ground(ground, transition)
-    assert math.isclose(excited.a_par, ground.a_par - transition.delta_a_par, rel_tol=1e-15)
-    assert math.isclose(excited.gamma_e, ground.gamma_e + transition.delta_gamma_eff, rel_tol=1e-15)
-    assert excited.gamma_n == ground.gamma_n
-
-
 # --------------------------------------------------------------------------
 # Field geometry and angle dependence
 # --------------------------------------------------------------------------
-
-def test_project_field_frozen_example():
-    assert math.isclose(project_field(0.147, 35.0), 0.12041535051048179, rel_tol=1e-12)
-    assert project_field(1.0, 90.0) == pytest.approx(0.0, abs=1e-15)
-
 
 @given(st.floats(min_value=-math.pi, max_value=math.pi))
 def test_angular_splitting_rate_has_period_pi(phi):
