@@ -2,12 +2,18 @@
 
 Subcommands
 -----------
-``snvsim run <name-or-config> [key=value ...]``
+``snvsim run [<name-or-config> [key=value ...]]``
     Run a named scenario (or a config file selecting one via
-    ``scenario = <name>``) with optional config overrides; artifacts land
-    under the output root (``--output-dir``, else the SNVSIM_OUTPUT_DIR
-    environment variable, else ./snvsim_output) and the run summary is
-    printed as JSON.
+    ``scenario = <name>``) with optional config overrides, or with no
+    target every scenario at its defaults; artifacts land under the output
+    root (``--output-dir``, else the SNVSIM_OUTPUT_DIR environment
+    variable, else ./snvsim_output), and the summary is printed as JSON
+    (``{name: summary}`` with no target).
+
+``snvsim ensemble <name-or-config> --seeds N [key=value ...]``
+    Run a scenario at seeds s, s+1, ..., s+N-1 (s is the merged config's
+    ``seed``) without writing, and print the mean, sample sd, min, max and
+    pass rate of each summary row as JSON.
 
 ``snvsim list``
     List available scenarios with their descriptions.
@@ -23,10 +29,10 @@ Subcommands
     Evaluate an efficiency-budget config (ordered ``stage_*`` keys) and
     print the per-stage report as JSON.
 
-Exit status: 0 on success, 1 on a failed fit or when any ``run`` summary
-entry fails its tolerance, 2 on validation errors.  A stdout closed early
-(``snvsim fit request.json | head -c 10``) ends the call with status 1
-and no traceback.
+Exit status: 0 on success, 1 on a failed fit or when any ``run`` or
+``ensemble`` summary entry fails its tolerance (at any seed), 2 on
+validation errors.  A stdout closed early (``snvsim fit request.json |
+head -c 10``) ends the call with status 1 and no traceback.
 Errors are emitted to stderr as one JSON object ``{"error": ...}``.
 
 ``list``, ``budget`` and a run of ``table_s1`` or ``loss_chain`` (or one
@@ -48,11 +54,13 @@ import snvsim
 
 from . import config as config_mod
 from .efficiency import budget_from_config, budget_report
-from .registry import SCENARIOS, available_scenarios, run_scenario
+from .registry import SCENARIOS, available_scenarios, configured, run_scenario
 
 _EXIT_OK = 0
 _EXIT_FIT_FAILED = 1
 _EXIT_VALIDATION = 2
+#: Most seeds one ``ensemble`` call runs.
+_MAX_SEEDS = 10_000
 
 
 def _fail(message: str, code: int = _EXIT_VALIDATION, **extra) -> int:
@@ -61,17 +69,75 @@ def _fail(message: str, code: int = _EXIT_VALIDATION, **extra) -> int:
     return code
 
 
+def _target_error(target: str, exc: Exception) -> int:
+    """Exit 2 for ``exc``; a target that names no scenario and no file gets the catalog."""
+    if target in SCENARIOS or Path(target).is_file():
+        return _fail(str(exc))
+    return _fail(str(exc), available_scenarios=available_scenarios())
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.target is None:
+        summaries = {}
+        for name in available_scenarios():
+            result = run_scenario(name, output_root=args.output_dir)
+            summaries[name] = json.loads((result.out_dir / "summary.json").read_text())
+        print(json.dumps(summaries, indent=2))
+        return _EXIT_OK if all(s["all_pass"] for s in summaries.values()) else _EXIT_FIT_FAILED
     try:
         overrides = config_mod.parse_overrides(args.overrides)
         result = run_scenario(args.target, overrides, output_root=args.output_dir)
     except (ValueError, KeyError) as exc:
-        if args.target in SCENARIOS or Path(args.target).is_file():
-            return _fail(str(exc))
-        return _fail(str(exc), available_scenarios=available_scenarios())
+        return _target_error(args.target, exc)
     summary_path = result.out_dir / "summary.json"
     print(summary_path.read_text(), end="")
     return _EXIT_OK if result.all_pass else _EXIT_FIT_FAILED
+
+
+def _cmd_ensemble(args: argparse.Namespace) -> int:
+    import statistics  # here, not at the top: every cold call would pay its import
+
+    seeds = config_mod.count(1, _MAX_SEEDS)
+    try:
+        overrides = config_mod.parse_overrides(args.overrides)
+        scenario, cfg, values = configured(args.target, overrides)
+        if "seed" not in values:
+            raise ValueError(f"scenario {scenario.name!r} has no seed key")
+        n_seeds = config_mod.parse_value(args.seeds)
+        if type(n_seeds) is not int or not seeds.test(n_seeds):
+            raise ValueError(f"--seeds must be {seeds.text}, got {args.seeds!r}")
+        by_quantity: dict = {}
+        for seed in range(values["seed"], values["seed"] + n_seeds):
+            for row in scenario.run({**values, "seed": seed})[0]:
+                if not math.isfinite(row["simulated"]):  # as summary.json refuses it
+                    raise ValueError(f"seed {seed}: {row['quantity']} is {row['simulated']!r}")
+                by_quantity.setdefault(row["quantity"], []).append(row)
+        entries = []
+        for quantity, rows in by_quantity.items():
+            simulated = [row["simulated"] for row in rows]
+            entries.append({
+                "quantity": quantity,
+                "paper_value": rows[0]["paper_value"],
+                "tolerance": rows[0]["tolerance"],
+                # Exact rational arithmetic: a row that restates the config gets sd 0.0.
+                "mean": statistics.mean(simulated),
+                "sd": statistics.stdev(simulated) if n_seeds > 1 else None,
+                "min": min(simulated),
+                "max": max(simulated),
+                "pass_rate": sum(row["pass"] for row in rows) / len(rows),
+            })
+    except (ValueError, KeyError, OverflowError) as exc:
+        return _target_error(args.target, exc)
+    all_pass = all(entry["pass_rate"] == 1.0 for entry in entries)
+    payload = {
+        "scenario": scenario.name,
+        "config": cfg,
+        "n_seeds": n_seeds,
+        "all_pass": all_pass,
+        "entries": entries,
+    }
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return _EXIT_OK if all_pass else _EXIT_FIT_FAILED
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -152,11 +218,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a scenario by name or config file")
-    run_p.add_argument("target", help="scenario name or path to a config file")
+    run_p = sub.add_parser("run", help="run a scenario by name or config file, or every scenario")
+    run_p.add_argument(
+        "target", nargs="?", help="scenario name or path to a config file (default: all scenarios)"
+    )
     run_p.add_argument("overrides", nargs="*", help="config overrides as key=value")
     run_p.add_argument("--output-dir", default=None, help="artifact root directory")
     run_p.set_defaults(func=_cmd_run)
+
+    ensemble_p = sub.add_parser("ensemble", help="run a scenario over consecutive seeds")
+    ensemble_p.add_argument("target", help="scenario name or path to a config file")
+    ensemble_p.add_argument(
+        "overrides", nargs="*", help="config overrides as key=value; seed is the first seed"
+    )
+    ensemble_p.add_argument("--seeds", required=True, help=f"number of seeds, 1 to {_MAX_SEEDS}")
+    ensemble_p.set_defaults(func=_cmd_ensemble)
 
     list_p = sub.add_parser("list", help="list available scenarios")
     list_p.set_defaults(func=_cmd_list)

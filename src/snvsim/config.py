@@ -119,6 +119,11 @@ def count(minimum: int, maximum: int) -> Domain:
     return Domain(int, lambda v: minimum <= v <= maximum, text)
 
 
+def positive_up_to(maximum: float) -> Domain:
+    """Numbers > 0 up to ``maximum``."""
+    return Domain(float, lambda v: 0 < v <= maximum, f"a number > 0 and <= {maximum!r}")
+
+
 def choice(*options: str) -> Domain:
     """One of the given strings."""
     return Domain(str, lambda v: v in options, "one of " + ", ".join(options))

@@ -15,7 +15,7 @@ Convergence is declared when an accepted step reduces the cost by less than
 max_i |g_i|/sqrt((J'J)_ii) falls below ``tol``.  A fit is ``singular`` in
 two cases only: the damped steps made no progress, or the final J'J is
 rank-deficient because a parameter sits at a bound with a vanishing
-Jacobian column (then every uncertainty is infinite).  Any other
+Jacobian column; either way every uncertainty is infinite.  Any other
 rank-deficient J'J (lines that coincide, say) leaves the status alone and
 gives infinite uncertainties only to the parameters its null space
 touches.  Everything is pure and deterministic: identical inputs produce
@@ -302,8 +302,9 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
                     "curvature is singular at the final parameters; at a bound with a "
                     f"vanishing Jacobian column: {', '.join(stuck)}"
                 )
-                uncertainties = tuple(math.inf for _ in params)
-                covariance = np.full((params.size, params.size), np.inf)
+        if status == "singular":  # no minimum was reached: nothing to take a curvature at
+            uncertainties = tuple(math.inf for _ in params)
+            covariance = np.full((params.size, params.size), np.inf)
     return FitResult(
         params=tuple(float(p) for p in params),
         uncertainties=uncertainties,

@@ -1,4 +1,4 @@
-"""The scenario registry: names, descriptions, config keys, and ``run_scenario``.
+"""The scenario registry: names, descriptions, config keys, ``configured`` and ``run_scenario``.
 
 Each entry names its runner as ``"<module>:<function>"`` inside the
 package; :meth:`Scenario.run` imports that module when the scenario runs,
@@ -24,9 +24,10 @@ Every scenario declares its keys once, in one table: key -> (default,
 domain).  Each key has one spelling; a dimensioned key carries its unit in
 the suffix (``linewidth_mhz``).  A config file selects its scenario with a
 ``scenario = <name>`` key; command-line ``key=value`` pairs override both.
-Unknown keys and values outside their domain are rejected before anything
-is written; the runner gets the checked values in base units, under the
-key with its unit suffix stripped (``cfg["linewidth"]`` in Hz).
+:func:`configured` rejects unknown keys and values outside their domain
+before anything is computed or written; the runner gets the checked values
+in base units, under the key with its unit suffix stripped
+(``cfg["linewidth"]`` in Hz).
 
 This module imports only the standard library.
 """
@@ -44,7 +45,7 @@ from . import config as config_mod
 from .artifacts import write_artifact
 from .config import (
     CORRECTION, FRACTION, MAX_GRID_POINTS, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, REAL, SEED,
-    choice, count,
+    choice, count, positive_up_to,
 )
 from .units import NUCLEAR_GYROMAGNETIC_HZ_PER_T
 
@@ -182,7 +183,8 @@ _SCENARIOS = [
             "seed": (24, SEED),
             "nuclear_t1_s": (1.25, POSITIVE),
             "initial_fidelity": (0.986, FRACTION),
-            "max_time_s": (5.0, POSITIVE),
+            # depolarization.csv writes the time axis in ns
+            "max_time_s": (5.0, positive_up_to(sys.float_info.max / 1e9)),
             "n_points": (40, count(3, MAX_GRID_POINTS)),
             "noise_sigma": (0.01, POSITIVE),
         },
@@ -361,12 +363,16 @@ def _resolve(target: str) -> tuple[Scenario, dict]:
     )
 
 
-def _validated_config(scenario: Scenario, file_cfg: dict, overrides: dict) -> tuple[dict, dict]:
-    """The merged config, and the runner's values: each checked against its
-    key's domain, unit suffix stripped and applied (``linewidth_mhz`` -> ``linewidth`` in Hz),
-    then checked again in base units.
+def configured(target: str, overrides: dict | None = None) -> tuple[Scenario, dict, dict]:
+    """Resolve a scenario name or config-file path and check its config.
+
+    Returns the scenario, its merged config (defaults, then the file, then
+    ``overrides``) and the runner's values: each checked against its key's
+    domain, unit suffix stripped and applied (``linewidth_mhz`` ->
+    ``linewidth`` in Hz), then checked again in base units.
     """
-    cfg = config_mod.merged(config_mod.merged(scenario.defaults, file_cfg), overrides)
+    scenario, file_cfg = _resolve(target)
+    cfg = config_mod.merged(config_mod.merged(scenario.defaults, file_cfg), dict(overrides or {}))
     unknown = sorted(set(cfg) - set(scenario.keys))
     if unknown:
         raise ValueError(
@@ -385,7 +391,7 @@ def _validated_config(scenario: Scenario, file_cfg: dict, overrides: dict) -> tu
                 f"units; {value!r} becomes {base!r}"
             )
         values[name] = base
-    return cfg, values
+    return scenario, cfg, values
 
 
 def _report(scenario: Scenario, rows: list, index: dict, notes: list) -> str:
@@ -416,8 +422,7 @@ def run_scenario(target: str, overrides: dict | None = None, output_root=None) -
     Nothing is written until the runner has returned; then
     ``<root>/<name>/`` is replaced as a whole.
     """
-    scenario, file_cfg = _resolve(target)
-    cfg, values = _validated_config(scenario, file_cfg, dict(overrides or {}))
+    scenario, cfg, values = configured(target, overrides)
     rows, artifacts, notes = scenario.run(values)
     index = {key: name for key, (name, _) in artifacts.items()}
     summary = {

@@ -595,7 +595,10 @@ def _run_fig4c(cfg: dict):
         cooperativity=cfg["cooperativity"], f_in=f_in, gamma_h_hz=70.0e6
     )
     r0 = waveguide_qed.dip_contrast(model)
-    s = np.geomspace(cfg["s_min"], cfg["s_max"], cfg["n_points"])
+    # geomspace sets both ends to s_min and s_max after taking 10**log10(s):
+    # at s_max near the float maximum that power overflows and is replaced.
+    with np.errstate(over="ignore"):
+        s = np.geomspace(cfg["s_min"], cfg["s_max"], cfg["n_points"])
     y = waveguide_qed.contrast_vs_saturation(s, r0) + _rng(cfg["seed"], 0).normal(
         0.0, noise, size=s.size
     )

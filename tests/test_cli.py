@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -18,13 +21,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from snvsim.cli import main
-from snvsim.registry import OUTPUT_DIR_ENV, SCENARIOS, available_scenarios
+from snvsim.cli import build_parser, main
+from snvsim.registry import MAX_FITTED_SPECTRA, OUTPUT_DIR_ENV, SCENARIOS, available_scenarios
 from snvsim.spectra import SpectralLine, frequency_grid, synthesize_spectrum, write_spectrum_csv
 
 FIVE_FOLD_PER_DAY = 7.0631350272
+REPO = Path(__file__).resolve().parents[1]
 # Absolute, because the autouse fixture below changes into a temporary directory.
-TABLE_S1_CFG = str(Path(__file__).resolve().parents[1] / "configs" / "table_s1.cfg")
+TABLE_S1_CFG = str(REPO / "configs" / "table_s1.cfg")
 
 
 @pytest.fixture(autouse=True)
@@ -216,6 +220,7 @@ OUT_OF_DOMAIN = [
     ("loss_chain", "correction_splice=db inf"),
     ("g2", "step_ns=1e-320"),
     ("fig4b", "linewidth_mhz=1e-320"),
+    ("g2", "background=2"),
     *HUGE_COUNTS,
 ]
 
@@ -366,6 +371,8 @@ for _case in HUGE_COUNTS:
 MAX_FLOAT_RUNS = [
     ("rabi", "max_time_ns=1.7976931348623157e308"),
     ("fig4b", "cooperativity=1.7976931348623157e308"),
+    ("fig4c", "s_max=1.7976931348623157e308"),  # geomspace's 10**log10(s_max)
+    ("fig2d", "max_time_s=1e300"),  # depolarization.csv's time axis in ns
 ]
 
 
@@ -412,6 +419,13 @@ def test_a_fit_stuck_at_a_degenerate_bound_is_not_converged(capsys, tmp_path, sc
     assert payload["message"].endswith(f"at a bound with a vanishing Jacobian column: {stuck}")
 
 
+def test_a_fit_that_makes_no_progress_writes_every_uncertainty_as_null(capsys, tmp_path):
+    _run(capsys, ["run", "rabi", "max_time_ns=1e-20", "--output-dir", str(tmp_path)])
+    payload = _strict_json((tmp_path / "rabi" / "rabi_fit.json").read_text())
+    assert payload["status"] == "singular" and "made no progress" in payload["message"]
+    assert payload["uncertainties"] == [None, None]
+
+
 def test_output_dir_env_var_and_flag_precedence(capsys, tmp_path, monkeypatch):
     env_root = tmp_path / "from_env"
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(env_root))
@@ -424,6 +438,134 @@ def test_output_dir_env_var_and_flag_precedence(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert (flag_root / "fig3c" / "summary.json").is_file()
     assert not (env_root / "fig3c" / "coincidences.csv").read_text() == ""  # env run untouched
+
+
+# --------------------------------------------------------------------------
+# run with no target, ensemble
+# --------------------------------------------------------------------------
+
+def _tree(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_run_with_no_target_writes_the_trees_of_every_single_run(capsys, tmp_path):
+    code, out, err = _run(capsys, ["run", "--output-dir", str(tmp_path / "all")])
+    assert code == 0 and err == ""
+    summaries = _strict_json(out)
+    assert list(summaries) == available_scenarios()
+    for name in available_scenarios():
+        assert _run(capsys, ["run", name, "--output-dir", str(tmp_path / "one")])[0] == 0
+    assert _tree(tmp_path / "all") == _tree(tmp_path / "one")
+    for name, summary in summaries.items():
+        assert summary == json.loads((tmp_path / "one" / name / "summary.json").read_text())
+
+
+def test_run_with_overrides_and_no_target_exits_2_and_writes_nothing(capsys, tmp_path):
+    code, out, err = _run(capsys, ["run", "seed=1", "--output-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    assert "'seed=1'" in _strict_json(err)["error"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides", [("fig2a", ["n_scans=3"]), ("fig2c", [])], ids=["fig2a", "fig2c"]
+)
+def test_an_ensemble_aggregates_separate_runs_at_its_seeds(capsys, tmp_path, scenario, overrides):
+    code, out, err = _run(capsys, ["ensemble", scenario, *overrides, "seed=7", "--seeds", "3"])
+    assert err == "" and list(tmp_path.iterdir()) == []  # an ensemble writes nothing
+    ensemble = _strict_json(out)
+    runs = []
+    for seed in (7, 8, 9):
+        argv = ["run", scenario, *overrides, f"seed={seed}", "--output-dir", str(tmp_path)]
+        runs.append(_strict_json(_run(capsys, argv)[1]))
+    all_pass = all(run["all_pass"] for run in runs)
+    assert code == (0 if all_pass else 1)
+    assert {key: ensemble[key] for key in ("scenario", "config", "n_seeds", "all_pass")} == {
+        "scenario": scenario, "config": runs[0]["config"], "n_seeds": 3, "all_pass": all_pass,
+    }
+    expected = []
+    for rows in zip(*(run["entries"] for run in runs), strict=True):
+        simulated = [row["simulated"] for row in rows]
+        expected.append({
+            "quantity": rows[0]["quantity"],
+            "paper_value": rows[0]["paper_value"],
+            "tolerance": rows[0]["tolerance"],
+            "mean": statistics.mean(simulated),
+            "sd": statistics.stdev(simulated),
+            "min": min(simulated),
+            "max": max(simulated),
+            "pass_rate": sum(row["pass"] for row in rows) / 3,
+        })
+    assert ensemble["entries"] == expected
+
+
+def test_an_ensemble_row_that_restates_the_config_has_sd_zero(capsys):
+    code, out, _ = _run(capsys, ["ensemble", "fig2a", "n_scans=3", "--seeds", "5"])
+    assert code in (0, 1)
+    crossing = {e["quantity"]: e for e in _strict_json(out)["entries"]}["inner_line_crossing_mt"]
+    assert crossing["sd"] == 0.0 and crossing["min"] == crossing["max"] == crossing["mean"]
+
+
+def test_an_ensemble_of_one_seed_has_no_sd(capsys):
+    code, out, _ = _run(capsys, ["ensemble", "fig2c", "--seeds", "1"])
+    assert code == 0
+    assert {entry["sd"] for entry in _strict_json(out)["entries"]} == {None}
+
+
+# Bad input, each refused with one error object; all but inf-row before any scenario runs.
+ENSEMBLE_BAD_INPUT = [
+    pytest.param(["fig2c", "--seeds", "0"], "--seeds must be an integer >= 1 and <= 10000",
+                 id="seeds=0"),
+    pytest.param(["fig2c", "--seeds", "1.5"], "--seeds", id="seeds=1.5"),
+    pytest.param(["fig2c", "--seeds", "10001"], "--seeds", id="seeds=10001"),
+    pytest.param(["fig3c", "--seeds", "2"], "scenario 'fig3c' has no seed key", id="seedless"),
+    pytest.param(["fig2c", "seed=1", "seed=2", "--seeds", "2"], "duplicate key 'seed'",
+                 id="seed-twice"),
+    pytest.param(["fig2a", "n_scans=2", "--seeds", "1"], "'n_scans' must be an integer >= 3",
+                 id="n_scans=2"),
+    # In range, but H / S is inf: `run` refuses it when summary.json is written.
+    pytest.param(["fig2a", "n_scans=3", "slope_ghz_per_t=2.2250738585072014e-308", "--seeds", "1"],
+                 "seed 21: inner_line_crossing_mt is inf", id="inf-row"),
+    *(
+        pytest.param(["fig2a", override, "--seeds", "1"], f"'{override.partition('=')[0]}'",
+                     id=override)
+        for override in ("snr=0", "snr=nan", "slope_ghz_per_t=0", "field_step_mt=0",
+                         "field_step_mt=-4.3", "seed=-1")
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", ENSEMBLE_BAD_INPUT)
+def test_ensemble_refuses_bad_input_with_one_error(capfd, argv, message):
+    code = main(["ensemble", *argv])
+    captured = capfd.readouterr()  # file-descriptor level, so LAPACK's own prints would show
+    assert code == 2 and captured.out == ""
+    payload = _strict_json(captured.err)
+    assert set(payload) == {"error"} and message in payload["error"]
+
+
+def test_ensemble_refuses_more_scans_than_fig2a_allows_before_allocating(capsys):
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, ["ensemble", "fig2a", f"n_scans={10**7}", "--seeds", "5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    expected = f"'n_scans' must be an integer >= 3 and <= {MAX_FITTED_SPECTRA}"
+    assert expected in _strict_json(err)["error"]
+    assert peak < 1_000_000
+
+
+def test_readme_command_line_block_names_exactly_the_subcommands():
+    section = (REPO / "README.md").read_text().split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    listed = set(re.findall(r"^snvsim (\w+)", block, re.MULTILINE))
+    (subcommands,) = [
+        action.choices for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert listed == set(subcommands)
 
 
 # --------------------------------------------------------------------------
@@ -628,7 +770,7 @@ def test_cli_import_loads_no_scipy():
     assert completed.stdout.strip() == "[]"
 
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+SRC = str(REPO / "src")
 
 
 def _module_run(*args: str) -> subprocess.CompletedProcess:
@@ -638,7 +780,7 @@ def _module_run(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+CONFIGS = REPO / "configs"
 
 
 @pytest.mark.parametrize(
@@ -649,6 +791,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
         (["run", "table_s1"], 0),
         (["run", str(CONFIGS / "loss_chain.cfg")], 0),
         (["run", "table_s1", "no_such_key=1"], 2),
+        (["ensemble", "fig2a", "n_scans=2", "--seeds", "3"], 2),
     ],
 )
 def test_commands_that_compute_no_array_load_no_numpy(tmp_path, argv, code):

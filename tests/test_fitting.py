@@ -500,6 +500,27 @@ def test_singular_status_on_overflowing_normal_equations():
     assert "damping" in result.message
 
 
+def test_a_fit_that_makes_no_progress_has_no_finite_uncertainty():
+    """The curvature at the start is finite, but no step left it: no minimum, no error bar."""
+
+    def value_and_jacobian(p, x):  # every trial step away from the start leaves the domain
+        return (p[0] * x if p[0] == 1.0 else np.full_like(x, np.nan)), x[:, None]
+
+    model = ModelSpec(
+        name="stuck_at_start",
+        param_names=("a",),
+        init=(1.0,),
+        evaluator=lambda p, x: value_and_jacobian(p, x)[0],
+        value_and_jacobian=value_and_jacobian,
+    )
+    x = np.linspace(1.0, 2.0, 10)
+    result = fit(model, (x, 2.0 * x))
+    assert result.status == "singular" and "damping" in result.message
+    assert result.uncertainties == (math.inf,)
+    assert np.isinf(result.covariance).all()
+    assert result.as_dict()["uncertainties"] == [None]
+
+
 @pytest.mark.parametrize("entropy", [[2048, 30000, 4, 0], [2027, 30000, 48, 0]])
 def test_coincident_lines_leave_the_fit_converged_with_the_pairs_undetermined(entropy):
     """At B = 0 the quartet's lines coincide in pairs, so J'J is exactly rank-deficient.

@@ -256,7 +256,7 @@ def test_json_artifacts_refuse_nan_and_name_the_file(tmp_path):
 def test_runners_compute_without_writing(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     scenario = SCENARIOS[name]
-    _, values = registry._validated_config(scenario, {}, {})
+    _, _, values = registry.configured(name)
     rows, artifacts, notes = scenario.run(values)
     assert list(tmp_path.iterdir()) == []
     assert rows and isinstance(notes, list)
