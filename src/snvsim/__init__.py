@@ -26,7 +26,10 @@ Layers (each imports only the ones above it):
 * :mod:`snvsim.scenarios` — the runners of the other fifteen scenarios.
 * :mod:`snvsim.cli` — the ``snvsim`` command line (``import snvsim`` leaves it out).
 
-The first five import only the standard library.  ``import snvsim`` loads
+The first five import only the standard library, and none of them imports
+``dataclasses`` (their records are ``typing.NamedTuple`` classes), so the
+commands that compute no array load neither numpy nor ``dataclasses`` and
+the ``inspect`` chain it brings.  ``import snvsim`` loads
 no submodule: each loads on first attribute access (PEP 562), so a caller
 that never touches the numpy layers never imports numpy.
 """

@@ -31,13 +31,17 @@ Subcommands
 
 Exit status: 0 on success, 1 on a failed fit or when any ``run`` or
 ``ensemble`` summary entry fails its tolerance (at any seed), 2 on
-validation errors.  A stdout closed early (``snvsim fit request.json |
-head -c 10``) ends the call with status 1 and no traceback.
+validation errors, a usage error among them (a missing argument, an
+unknown flag or subcommand).  A stdout closed early (``snvsim fit
+request.json | head -c 10``) ends the call with status 1 and no traceback.
 Errors are emitted to stderr as one JSON object ``{"error": ...}``.
+Options and ``key=value`` overrides may come in any order after the
+subcommand.
 
 ``list``, ``budget`` and a run of ``table_s1`` or ``loss_chain`` (or one
-refused for bad input) load no numpy: the fitting and spectra layers are
-reached as attributes of the lazily loading package, on first use.
+refused for bad input) load neither numpy nor ``dataclasses``: the fitting
+and spectra layers are reached as attributes of the lazily loading package,
+on first use, and ``fit`` imports ``dataclasses.replace`` itself.
 """
 
 from __future__ import annotations
@@ -47,7 +51,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import snvsim
@@ -162,6 +165,9 @@ def _parse_bounds(raw) -> tuple[tuple[float, float], ...]:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
+    # Here, not at the top: dataclasses loads inspect, which every cold call would pay for.
+    from dataclasses import replace
+
     try:
         request = json.loads(Path(args.request).read_text())
         if not isinstance(request, dict):
@@ -211,8 +217,24 @@ def _cmd_budget(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+class _UsageError(Exception):
+    """A command line that argparse refuses."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ``ArgumentParser`` whose usage errors keep the stderr contract.
+
+    argparse's own ``error`` prints the usage text and exits; this one
+    raises :class:`_UsageError`, which :func:`main` reports as one
+    ``{"error": ...}`` object with exit 2.  ``--help`` still exits 0.
+    """
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="snvsim",
         description="Spin-register photonics simulator: scenarios, fits, and budgets.",
     )
@@ -246,11 +268,22 @@ def build_parser() -> argparse.ArgumentParser:
     budget_p.add_argument("overrides", nargs="*", help="config overrides as key=value")
     budget_p.set_defaults(func=_cmd_budget)
 
+    parser.commands = sub.choices  # subcommand name -> its parser, for main
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    # parse_intermixed_args refuses a parser with subparsers, so a known
+    # subcommand's own parser takes the rest: an override may then follow an
+    # option (``ensemble fig2a --seeds 2 snr=3``).  Anything else (no
+    # subcommand, an unknown one, --help) is the top-level parser's.
+    command = parser.commands.get(argv[0]) if argv else None
+    try:
+        args = command.parse_intermixed_args(argv[1:]) if command else parser.parse_args(argv)
+    except _UsageError as exc:
+        return _fail(str(exc))
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -8,8 +8,8 @@ on.  Command-line overrides use the same ``key=value`` syntax.
 Each scenario key has one spelling and a :class:`Domain`; a dimensioned
 key carries its unit in the suffix (``linewidth_mhz``, ``step_ns``), and
 :func:`in_base_units` strips the suffix and converts the value to base
-units (Hz, s, T, W, 1/s).  A value outside its domain is a ``ValueError``
-that names the key.
+units (Hz, s, T, W, 1/s).  A domain is stated in the key's own unit.  A
+value outside its domain is a ``ValueError`` that names the key.
 
 This module imports only the standard library.
 """
@@ -117,6 +117,13 @@ def count(minimum: int, maximum: int) -> Domain:
     """Integers from ``minimum`` up to ``maximum``."""
     text = f"an integer >= {minimum} and <= {maximum}"
     return Domain(int, lambda v: minimum <= v <= maximum, text)
+
+
+def between(minimum: float, maximum: float) -> Domain:
+    """Numbers from ``minimum`` up to ``maximum``."""
+    return Domain(
+        float, lambda v: minimum <= v <= maximum, f"a number >= {minimum!r} and <= {maximum!r}"
+    )
 
 
 def positive_up_to(maximum: float) -> Domain:

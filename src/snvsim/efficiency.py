@@ -13,31 +13,37 @@ together with their config builders and the ``table_s1`` and
 fractions in (0, 1]; dB values convert via 10^(-dB/10).
 
 This module imports only the standard library, so ``snvsim budget`` and
-these two scenarios run without numpy.
+these two scenarios run without numpy.  It does not import ``dataclasses``
+either: its records are ``typing.NamedTuple`` classes, and the two that
+check their input do so in ``__new__`` over a functional ``NamedTuple``
+base (a ``NamedTuple`` class body may not define ``__new__``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .artifacts import summary_row
 from .config import CORRECTION, OPEN_FRACTION
 from .units import db_to_fraction, fraction_to_db
 
 
-@dataclass(frozen=True)
-class EfficiencyBudget:
-    """Ordered multiplicative budget of named efficiency stages."""
+class EfficiencyBudget(NamedTuple("EfficiencyBudget", [("stages", tuple)])):
+    """Ordered multiplicative budget of named efficiency stages.
 
-    stages: tuple[tuple[str, float], ...]
+    ``stages`` is a tuple of ``(name, fraction)`` pairs.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.stages:
+    __slots__ = ()
+
+    def __new__(cls, stages: tuple[tuple[str, float], ...]) -> "EfficiencyBudget":
+        if not stages:
             raise ValueError("budget must contain at least one stage")
-        for name, value in self.stages:
+        for name, value in stages:
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"stage {name!r} must be in (0, 1], got {value}")
+        return super().__new__(cls, stages)
 
     @classmethod
     def from_pairs(cls, pairs) -> "EfficiencyBudget":
@@ -62,8 +68,7 @@ def budget_report(budget: EfficiencyBudget) -> dict:
     return {"stages": rows, "total_fraction": cumulative, "total_loss_db": fraction_to_db(cumulative)}
 
 
-@dataclass(frozen=True)
-class LossCorrection:
+class LossCorrection(NamedTuple):
     """One documented correction applied to a measured transmission.
 
     ``kind`` selects the interpretation of ``value``:
@@ -94,18 +99,19 @@ class LossCorrection:
         raise ValueError(f"correction {self.name!r}: unknown kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class LossChain:
-    """A measured roundtrip transmission plus per-pass corrections."""
+class LossChain(
+    NamedTuple("LossChain", [("measured_roundtrip", float), ("corrections", tuple)])
+):
+    """A measured roundtrip transmission plus its per-pass corrections."""
 
-    measured_roundtrip: float
-    corrections: tuple[LossCorrection, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.measured_roundtrip <= 1.0:
-            raise ValueError(
-                f"measured roundtrip must be in (0, 1], got {self.measured_roundtrip}"
-            )
+    def __new__(
+        cls, measured_roundtrip: float, corrections: tuple[LossCorrection, ...] = ()
+    ) -> "LossChain":
+        if not 0.0 < measured_roundtrip <= 1.0:
+            raise ValueError(f"measured roundtrip must be in (0, 1], got {measured_roundtrip}")
+        return super().__new__(cls, measured_roundtrip, corrections)
 
 
 def single_pass_from_roundtrip(roundtrip: float) -> float:

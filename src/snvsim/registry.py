@@ -29,23 +29,27 @@ before anything is computed or written; the runner gets the checked values
 in base units, under the key with its unit suffix stripped
 (``cfg["linewidth"]`` in Hz).
 
-This module imports only the standard library.
+This module imports only the standard library, and not ``dataclasses``:
+its two record types are ``typing.NamedTuple`` classes, so a cold
+``snvsim`` call does not pay for ``dataclasses`` and the ``inspect`` chain
+that it loads.
 """
 
 from __future__ import annotations
 
 import importlib
+import math
 import os
 import shutil
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import config as config_mod
 from .artifacts import write_artifact
 from .config import (
     CORRECTION, FRACTION, MAX_GRID_POINTS, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, REAL, SEED,
-    choice, count, positive_up_to,
+    between, choice, count, positive_up_to,
 )
 from .units import NUCLEAR_GYROMAGNETIC_HZ_PER_T
 
@@ -67,10 +71,13 @@ _MAX_TRIALS = 10**6
 _MAX_PULSES = 10**4
 #: fig3c coincidence orders: each is a row of the table.
 _MAX_FOLD = 10**3
+#: fig2a fields in mT: a start within +-100 T and steps of 10 uT to 100 T keep every
+#: detuning finite and the span regression (np.polyfit on the fields in T) well posed.
+_MAX_FIELD_MT = 1e5
+_MIN_FIELD_STEP_MT = 1e-2
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A named, self-configured scenario and the runner that computes it."""
 
     name: str
@@ -89,8 +96,7 @@ class Scenario:
         return getattr(importlib.import_module(f"{__package__}.{module}"), function)(values)
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     """Everything a scenario run produced."""
 
     name: str
@@ -136,8 +142,8 @@ _SCENARIOS = [
         keys={
             "seed": (21, SEED),
             "n_scans": (35, count(3, MAX_FITTED_SPECTRA)),
-            "field_start_mt": (0.0, REAL),
-            "field_step_mt": (4.3, POSITIVE),
+            "field_start_mt": (0.0, between(-_MAX_FIELD_MT, _MAX_FIELD_MT)),
+            "field_step_mt": (4.3, between(_MIN_FIELD_STEP_MT, _MAX_FIELD_MT)),
             "zero_field_splitting_mhz": (452.0, POSITIVE),
             "slope_ghz_per_t": (5.41, POSITIVE),
             "linewidth_mhz": (70.0, POSITIVE),
@@ -368,8 +374,9 @@ def configured(target: str, overrides: dict | None = None) -> tuple[Scenario, di
 
     Returns the scenario, its merged config (defaults, then the file, then
     ``overrides``) and the runner's values: each checked against its key's
-    domain, unit suffix stripped and applied (``linewidth_mhz`` ->
-    ``linewidth`` in Hz), then checked again in base units.
+    domain in the key's own unit, unit suffix stripped and applied
+    (``linewidth_mhz`` -> ``linewidth`` in Hz), then checked to be a finite,
+    normal float in base units (or zero, if it was zero).
     """
     scenario, file_cfg = _resolve(target)
     cfg = config_mod.merged(config_mod.merged(scenario.defaults, file_cfg), dict(overrides or {}))
@@ -382,10 +389,13 @@ def configured(target: str, overrides: dict | None = None) -> tuple[Scenario, di
     values = {}
     for key, value in cfg.items():
         domain = scenario.keys[key][1]
-        name, base = config_mod.in_base_units(key, domain.check(key, value))
+        checked = domain.check(key, value)
+        name, base = config_mod.in_base_units(key, checked)
         # Check again in base units: step_ns=1e-320 is 0.0 s, and a subnormal
         # width such as linewidth_mhz=1e-320 overflows wherever it divides.
-        if name != key and (not domain.test(base) or 0.0 < abs(base) < sys.float_info.min):
+        if name != key and not (
+            math.isfinite(base) and (checked == 0 or abs(base) >= sys.float_info.min)
+        ):
             raise ValueError(
                 f"config key {key!r} must be {domain.text} and a normal float in base "
                 f"units; {value!r} becomes {base!r}"

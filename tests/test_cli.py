@@ -203,7 +203,7 @@ HUGE_COUNTS = [
 # next two in a NaN summary (exit 1) and a ZeroDivisionError.  The two after
 # them are in range as written but not in base units (0.0 s and a subnormal
 # width); they ended in a ZeroDivisionError and in "spectrum values must be
-# finite".
+# finite".  A non-negative delay that becomes 0.0 s ran as a zero delay.
 OUT_OF_DOMAIN = [
     ("fig1d", "bin_width_ghz=0"),
     ("fig1e", "snr=0"),
@@ -221,6 +221,7 @@ OUT_OF_DOMAIN = [
     ("g2", "step_ns=1e-320"),
     ("fig4b", "linewidth_mhz=1e-320"),
     ("g2", "background=2"),
+    ("g2", "max_delay_ns=1e-320"),
     *HUGE_COUNTS,
 ]
 
@@ -373,6 +374,10 @@ MAX_FLOAT_RUNS = [
     ("fig4b", "cooperativity=1.7976931348623157e308"),
     ("fig4c", "s_max=1.7976931348623157e308"),  # geomspace's 10**log10(s_max)
     ("fig2d", "max_time_s=1e300"),  # depolarization.csv's time axis in ns
+    # np.polyfit squared fields that underflow, then numpy's own SVD error.
+    ("fig2a", "field_step_mt=1e-300"),
+    ("fig2a", "field_step_mt=1e300"),  # the detunings overflowed
+    ("fig2a", "field_start_mt=1e300"),
 ]
 
 
@@ -542,6 +547,69 @@ def test_ensemble_refuses_bad_input_with_one_error(capfd, argv, message):
     assert code == 2 and captured.out == ""
     payload = _strict_json(captured.err)
     assert set(payload) == {"error"} and message in payload["error"]
+
+
+# Command lines that argparse refuses: once its usage text, now one error object.
+USAGE_ERRORS = [
+    pytest.param(["ensemble", "fig2a"], "required: --seeds", id="ensemble-without-seeds"),
+    pytest.param(["fit"], "required: request", id="fit-without-request"),
+    pytest.param(["list", "--bogus"], "unrecognized arguments: --bogus", id="unknown-flag"),
+    pytest.param(["run", "table_s1", "--bogus"], "unrecognized arguments: --bogus",
+                 id="unknown-flag-after-a-target"),
+    pytest.param(["--bogus", "list"], "unrecognized arguments: --bogus",
+                 id="unknown-flag-before-the-subcommand"),
+    pytest.param(["frobnicate"], "invalid choice: 'frobnicate'", id="unknown-subcommand"),
+    pytest.param([], "required: command", id="no-subcommand"),
+    pytest.param(["run", "--output-dir"], "--output-dir: expected one argument",
+                 id="option-without-value"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_a_usage_error_is_one_error_object_with_exit_2(capfd, argv, message):
+    code = main(argv)
+    captured = capfd.readouterr()
+    assert code == 2 and captured.out == ""
+    payload = _strict_json(captured.err)
+    assert set(payload) == {"error"} and message in payload["error"]
+
+
+def test_a_usage_error_of_the_snvsim_process_is_one_error_object():
+    completed = _module_run("-m", "snvsim.cli", "ensemble", "fig2a")
+    assert completed.returncode == 2 and completed.stdout == ""
+    assert _strict_json(completed.stderr) == {
+        "error": "snvsim ensemble: the following arguments are required: --seeds"
+    }
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["ensemble", "--help"]], ids=["top", "ensemble"])
+def test_help_exits_0_with_the_usage_text(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: snvsim")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ensemble", "fig2a", "n_scans=3", "--seeds", "2", "snr=3"],
+        ["ensemble", "--seeds", "2", "fig2a", "n_scans=3", "snr=3"],
+    ],
+    ids=["override-after-option", "option-before-target"],
+)
+def test_option_order_does_not_change_an_ensemble(capsys, argv):
+    expected = _run(capsys, ["ensemble", "fig2a", "n_scans=3", "snr=3", "--seeds", "2"])
+    assert expected[0] in (0, 1) and expected[2] == ""
+    assert _run(capsys, argv) == expected
+
+
+def test_an_override_may_follow_the_output_dir(capsys, tmp_path):
+    first = _run(capsys, ["run", "g2", "seed=3", "--output-dir", str(tmp_path / "a")])
+    second = _run(capsys, ["run", "g2", "--output-dir", str(tmp_path / "b"), "seed=3"])
+    assert first == second and first[0] == 0
+    assert _strict_json(first[1])["config"]["seed"] == 3
 
 
 def test_ensemble_refuses_more_scans_than_fig2a_allows_before_allocating(capsys):
@@ -781,6 +849,13 @@ def _module_run(*args: str) -> subprocess.CompletedProcess:
 
 
 CONFIGS = REPO / "configs"
+#: What a call that computes no array must not import; ``inspect`` comes with ``dataclasses``.
+COLD_PATH_FORBIDDEN = ("dataclasses", "inspect", "numpy", "scipy")
+#: The package modules such a call loads: the stdlib-only layers and the CLI.
+COLD_PATH_MODULES = [
+    "snvsim", "snvsim.artifacts", "snvsim.cli", "snvsim.config", "snvsim.efficiency",
+    "snvsim.registry", "snvsim.units",
+]
 
 
 @pytest.mark.parametrize(
@@ -795,12 +870,19 @@ CONFIGS = REPO / "configs"
     ],
 )
 def test_commands_that_compute_no_array_load_no_numpy(tmp_path, argv, code):
+    """Neither ``import snvsim.cli`` nor the call loads numpy, scipy or
+    dataclasses (with the inspect chain it imports), and the call loads
+    exactly the stdlib-only layers of the package."""
     probe = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
+        "def loaded():\n"
+        f"    return [name for name in {COLD_PATH_FORBIDDEN!r} if name in sys.modules]\n"
         "from snvsim.cli import main\n"
+        "after_import = loaded()\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
         "    code = main(sys.argv[1:])\n"
-        "print(code, 'numpy' in sys.modules)\n"
+        "package = sorted(name for name in sys.modules if name.partition('.')[0] == 'snvsim')\n"
+        "print(json.dumps([code, after_import, loaded(), package]))\n"
     )
     env = {**os.environ, "PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
     completed = subprocess.run(
@@ -808,7 +890,7 @@ def test_commands_that_compute_no_array_load_no_numpy(tmp_path, argv, code):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
     )
     assert completed.stderr == ""
-    assert completed.stdout.split() == [str(code), "False"]
+    assert json.loads(completed.stdout) == [code, [], [], COLD_PATH_MODULES]
 
 
 def test_import_snvsim_keeps_its_public_names_and_loads_them_on_first_use():

@@ -14,6 +14,7 @@ import pytest
 from snvsim.config import CORRECTION, in_base_units
 from snvsim import photon_budget, registry, scenarios, spin_hamiltonian
 from snvsim.artifacts import summary_row, write_artifact
+from snvsim.efficiency import EfficiencyBudget, LossChain, LossCorrection
 from snvsim.registry import SCENARIOS, available_scenarios, run_scenario
 
 ALL_NAMES = [
@@ -234,6 +235,30 @@ def test_table_s1_and_loss_chain_frozen_values(scenario_output_root):
     assert math.isclose(by_name["single_pass_pct"], 51.96152422706632, rel_tol=1e-12)
     assert math.isclose(by_name["corrected_coupling_pct"], 56.93910665897446, rel_tol=1e-12)
     assert math.isclose(by_name["taper_half_angle_deg"], 1.562224916842398, rel_tol=1e-12)
+
+
+def test_the_record_types_are_frozen_keyword_built_and_validated(tmp_path):
+    records = [
+        registry.Scenario(name="s", description="d", runner="efficiency:_run_table_s1", keys={}),
+        registry.ScenarioResult(name="s", out_dir=tmp_path, rows=[], artifacts={}, notes=[]),
+        EfficiencyBudget(stages=(("detector", 0.68),)),
+        LossCorrection(name="splice", kind="db", value=0.04),
+        LossChain(measured_roundtrip=0.27, corrections=()),
+    ]
+    fields = ["runner", "out_dir", "stages", "kind", "measured_roundtrip"]
+    for record, field in zip(records, fields, strict=True):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            record.no_such_field = 1
+    assert records[0].defaults == {} and records[1].all_pass
+    assert records[2].stages == (("detector", 0.68),)
+    assert records[3].length_m == 0.0 and records[3].transmission() == pytest.approx(0.99083, rel=1e-5)
+    assert LossChain(0.27) == records[4]
+    with pytest.raises(ValueError, match="at least one stage"):
+        EfficiencyBudget(stages=())
+    with pytest.raises(ValueError, match="measured roundtrip"):
+        LossChain(1.5)
 
 
 def test_summary_row_pass_logic():
