@@ -389,12 +389,13 @@ def lorentzian_sum(x, centers, fwhms, amplitudes, derivatives: bool = False):
     centers = np.asarray(centers, dtype=float)[:, None]
     fwhms = np.asarray(fwhms, dtype=float)[..., None]
     amplitudes = np.asarray(amplitudes, dtype=float)[:, None]
-    u = 2.0 * (x - centers) / fwhms
-    if not derivatives:
-        return (amplitudes / (1.0 + u * u)).sum(axis=0)
-    # In place to spare temporaries, by the same operations (+ and * commute
-    # exactly), so the sum is the one above bit for bit.
+    # u and u * u may overflow to inf; a line at u = +-inf adds its exact limit, 0.
     with np.errstate(over="ignore", divide="ignore"):
+        u = 2.0 * (x - centers) / fwhms
+        if not derivatives:
+            return (amplitudes / (1.0 + u * u)).sum(axis=0)
+        # In place to spare temporaries, by the same operations (+ and * commute
+        # exactly), so the sum is the one above bit for bit.
         denominator = u * u
         denominator += 1.0
         even = 1.0 / denominator

@@ -77,10 +77,6 @@ class PhotonHistogram:
         p = self.probabilities()
         return float(np.dot(np.arange(p.size), p))
 
-    def variance(self) -> float:
-        p = self.probabilities()
-        return float(np.dot((np.arange(p.size) - self.mean()) ** 2, p))
-
     def tail_probability(self, k: int) -> float:
         """P(n >= k) under this histogram."""
         if k <= 0:

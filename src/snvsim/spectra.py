@@ -194,24 +194,19 @@ def apply_drift(
     drift_amplitude_hz: float,
     timescale_scans: float,
     seed=None,
-    shifts=None,
 ) -> tuple[list[Spectrum], np.ndarray]:
     """Apply slow spectral drift to a scan series.
 
-    Draws a bounded random walk (or uses the explicitly supplied per-scan
-    ``shifts``) and re-interpolates every scan onto its drifted position.
-    Returns the drifted scans together with the shifts actually applied.
+    Draws a bounded random walk (:func:`drift_shifts`) and re-interpolates
+    every scan onto its drifted position.  Returns the drifted scans
+    together with the shifts applied.
     """
     if not scans:
         raise ValueError("no scans supplied")
     grids = [s.x for s in scans]
     if any(g.shape != grids[0].shape or not np.array_equal(g, grids[0]) for g in grids[1:]):
         raise ValueError("all scans must share one frequency grid")
-    if shifts is None:
-        shifts = drift_shifts(len(scans), drift_amplitude_hz, timescale_scans, seed)
-    shifts = np.asarray(shifts, dtype=float)
-    if shifts.shape != (len(scans),):
-        raise ValueError(f"need one shift per scan, got shape {shifts.shape}")
+    shifts = drift_shifts(len(scans), drift_amplitude_hz, timescale_scans, seed)
     drifted = [shift_spectrum(scan, shift) for scan, shift in zip(scans, shifts)]
     return drifted, shifts
 
@@ -246,22 +241,19 @@ class RecenterResult:
     excluded: tuple[int, ...]
 
 
-def fit_line_center(spectrum: Spectrum, n_lines: int = 1) -> float:
-    """Mean fitted center (Hz) of the scan's strongest ``n_lines`` lines."""
-    model = make_lorentzian_multi(n_lines=n_lines).with_init(
-        initial_line_guesses(spectrum, n_lines)
-    )
+def fit_line_center(spectrum: Spectrum) -> float:
+    """Fitted center (Hz) of the scan's strongest line, by a one-line Lorentzian fit."""
+    model = make_lorentzian_multi(n_lines=1).with_init(initial_line_guesses(spectrum, 1))
     result = fit(model, spectrum)
     if result.status == "singular":
         raise RuntimeError(f"line fit failed: {result.message}")
-    centers = [result.params[1 + 2 * k] for k in range(n_lines)]
-    return float(np.mean(centers))
+    return result.params[1]
 
 
-def recenter_scans(scans: list[Spectrum], n_lines: int = 1) -> RecenterResult:
+def recenter_scans(scans: list[Spectrum]) -> RecenterResult:
     """Undo per-scan drift by aligning fitted line centers to the first scan.
 
-    Each scan gets a shared-width Lorentzian fit (``n_lines`` lines); the
+    Each scan gets a one-line Lorentzian fit (:func:`fit_line_center`); the
     scan is then shifted so its fitted center matches the first scan's, and
     the aligned scans are averaged.  Scans whose fit fails are excluded
     from the average and reported in the result.
@@ -272,7 +264,7 @@ def recenter_scans(scans: list[Spectrum], n_lines: int = 1) -> RecenterResult:
     excluded: list[int] = []
     for i, scan in enumerate(scans):
         try:
-            centers[i] = fit_line_center(scan, n_lines)
+            centers[i] = fit_line_center(scan)
         except (RuntimeError, ValueError):
             excluded.append(i)
     if not centers:

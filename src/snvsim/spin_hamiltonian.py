@@ -16,21 +16,20 @@ couplings are stored in angular units (rad/s, rad/s per tesla); use the
 ``from_cyclic_hz`` constructors and ``*_hz`` helpers at the boundaries.
 
 Because the spin-orbit splitting dominates every other scale by roughly
-three orders of magnitude, the lower orbital branch is well described by a
-diagonal 4-dimensional effective model (``reduced_hamiltonian``); the
-leading correction is the transverse-hyperfine level repulsion
+three orders of magnitude, the lower orbital branch is close to diagonal in
+the S_z, I_z basis; the leading correction to its hyperfine splitting is
+the transverse-hyperfine level repulsion
 (sqrt(lambda_so^2 + a_perp^2) - lambda_so)/2 ~ a_perp^2 / (4 lambda_so).
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .units import NUCLEAR_GYROMAGNETIC_HZ_PER_T, TWO_PI, cyclic_to_angular
+from .units import NUCLEAR_GYROMAGNETIC_HZ_PER_T, angular_to_cyclic, cyclic_to_angular
 
 # Pauli matrices and spin-1/2 operators (S = sigma / 2).
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -130,12 +129,12 @@ class OpticalTransitionParams:
     @property
     def zero_field_splitting_hz(self) -> float:
         """Full zero-field splitting of the optical line in cyclic Hz."""
-        return abs(self.delta_a_par) / (2.0 * TWO_PI)
+        return angular_to_cyclic(abs(self.delta_a_par)) / 2.0
 
     @property
     def slope_hz_per_t(self) -> float:
         """Line-separation rate in cyclic Hz per tesla."""
-        return self.delta_gamma_eff / TWO_PI
+        return angular_to_cyclic(self.delta_gamma_eff)
 
 
 def sn117_ground() -> SpinSystemParams:
@@ -213,37 +212,7 @@ def eigenenergies(hamiltonian: np.ndarray) -> np.ndarray:
 
 def eigenenergies_hz(hamiltonian: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of ``hamiltonian`` converted to cyclic Hz."""
-    return eigenenergies(hamiltonian) / TWO_PI
-
-
-def reduced_hamiltonian(
-    params: SpinSystemParams,
-    gamma_eff: float | None = None,
-    bz_t: float = 0.0,
-) -> np.ndarray:
-    """Diagonal 4x4 effective Hamiltonian (rad/s) of the lower orbital branch.
-
-    Valid for a field along the symmetry axis when all spin scales are small
-    against the spin-orbit splitting:
-
-        H_eff = gamma_eff * bz * S_z + gamma_n * bz * I_z + a_par * S_z I_z
-
-    over the basis {upUp, upDn, dnUp, dnDn}, with energies measured from the
-    branch centre.  ``gamma_eff`` is the quenched in-branch electron
-    gyromagnetic ratio and defaults to the bare ``params.gamma_e``.
-    """
-    if abs(params.a_perp) / params.lambda_so > 0.01:
-        warnings.warn(
-            "transverse hyperfine coupling exceeds 1% of the spin-orbit splitting; "
-            "the reduced diagonal model neglects O(a_perp^2/lambda_so) corrections",
-            stacklevel=2,
-        )
-    ge = params.gamma_e if gamma_eff is None else gamma_eff
-    return (
-        ge * bz_t * np.kron(SPIN_Z, IDENTITY_2)
-        + params.gamma_n * bz_t * np.kron(IDENTITY_2, SPIN_Z)
-        + params.a_par * np.kron(SPIN_Z, SPIN_Z)
-    )
+    return angular_to_cyclic(eigenenergies(hamiltonian))
 
 
 def optical_transition_detunings(

@@ -53,28 +53,25 @@ class ReflectionModel:
 
 @dataclass(frozen=True)
 class BetaDecomposition:
-    """Factorization of the total guided-mode coupling efficiency.
+    """The known factors of the total guided-mode coupling efficiency.
 
     beta_tot = beta_cav * eta_dw * eta_qe * eta_orb, where beta_cav is the
     guided-mode fraction of emitted photons, eta_dw the fraction emitted
-    into the zero-phonon line, eta_qe the radiative quantum efficiency and
-    eta_orb the branching ratio into the addressed orbital transition.
+    into the zero-phonon line and eta_orb the branching ratio into the
+    addressed orbital transition.  The radiative quantum efficiency eta_qe
+    is the unknown: :func:`quantum_efficiency_bound` infers it from a
+    measured beta_tot.
     """
 
     beta_cav: float = 0.32
     eta_dw: float = 0.57
-    eta_qe: float = 1.0
     eta_orb: float = 0.65
 
     def __post_init__(self) -> None:
-        for name in ("beta_cav", "eta_dw", "eta_qe", "eta_orb"):
+        for name in ("beta_cav", "eta_dw", "eta_orb"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-    @property
-    def beta_tot(self) -> float:
-        return self.beta_cav * self.eta_dw * self.eta_qe * self.eta_orb
 
 
 def _amplitude(delta_hz, cooperativity: float, f_in: float, gamma_h_hz: float) -> np.ndarray:
@@ -189,16 +186,15 @@ def beta_total(cooperativity: float, gamma_h_hz: float, gamma0_hz: float) -> flo
     """Total guided-mode coupling beta_tot = C * gamma_h / gamma0.
 
     The emitter-mode interaction rate is C * gamma_h; dividing by the total
-    decay rate gives the fraction of decays into the guided mode.
+    decay rate gives the fraction of decays into the guided mode.  A ratio
+    above 1 is returned as it is: no physical coupling gives one, and
+    judging it is the caller's job.
     """
     if gamma_h_hz <= 0.0 or gamma0_hz <= 0.0:
         raise ValueError("linewidths must be positive")
     if cooperativity < 0.0:
         raise ValueError(f"cooperativity must be >= 0, got {cooperativity}")
-    beta = cooperativity * gamma_h_hz / gamma0_hz
-    if beta > 1.0:
-        raise ValueError(f"parameters imply unphysical beta_tot = {beta:.3g} > 1")
-    return beta
+    return cooperativity * gamma_h_hz / gamma0_hz
 
 
 def quantum_efficiency_bound(decomposition: BetaDecomposition, beta_tot: float) -> float:

@@ -367,8 +367,9 @@ for _case in HUGE_COUNTS:
     )
 
 
-# Max-float overrides whose runs once printed numpy's overflow warnings on
-# stderr ahead of their JSON; a warning is an error here.
+# Overrides at a float edge (max float, 1e300 or the smallest normal float)
+# whose runs once printed numpy's overflow warnings on stderr ahead of their
+# JSON; a warning is an error here.
 MAX_FLOAT_RUNS = [
     ("rabi", "max_time_ns=1.7976931348623157e308"),
     ("fig4b", "cooperativity=1.7976931348623157e308"),
@@ -378,6 +379,15 @@ MAX_FLOAT_RUNS = [
     ("fig2a", "field_step_mt=1e-300"),
     ("fig2a", "field_step_mt=1e300"),  # the detunings overflowed
     ("fig2a", "field_start_mt=1e300"),
+    # Lorentzian line sums whose u = 2 (x - center) / fwhm, or u * u, overflowed
+    # to inf: a width at the smallest normal float, or lines 1e300 apart.
+    ("fig1e", "linewidth_mhz=2.2250738585072014e-308"),
+    ("fig2a", "linewidth_mhz=2.2250738585072014e-308"),
+    ("fig2b", "linewidth_mhz=2.2250738585072014e-308"),
+    ("fig1e", "zero_field_splitting_mhz=1e300"),
+    ("fig2a", "zero_field_splitting_mhz=1e300"),
+    ("fig2b", "splitting_mean_mhz=1e300"),
+    ("fig2b", "splitting_sigma_mhz=1e300"),
 ]
 
 

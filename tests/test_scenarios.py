@@ -16,6 +16,7 @@ from snvsim import photon_budget, registry, scenarios, spin_hamiltonian
 from snvsim.artifacts import summary_row, write_artifact
 from snvsim.efficiency import EfficiencyBudget, LossChain, LossCorrection
 from snvsim.registry import SCENARIOS, available_scenarios, run_scenario
+from snvsim.units import fourier_limited_fwhm_hz
 
 ALL_NAMES = [
     "fig1d",
@@ -198,6 +199,12 @@ def test_fig4b_fit_artifact_contract(scenario_output_root):
     assert payload["f"] == 0.95
     assert abs(payload["c"] - 0.027) < 0.004
     assert abs(payload["gamma_h_mhz"] - 70.0) < 7.0
+    # beta_tot = C gamma_h / gamma0, gamma0 the Fourier limit of 5.56 ns.
+    rows = {row["quantity"]: row["simulated"] for row in result.rows}
+    gamma0_mhz = fourier_limited_fwhm_hz(5.56e-9) / 1e6
+    beta_pct = 100.0 * payload["c"] * payload["gamma_h_mhz"] / gamma0_mhz
+    assert math.isclose(rows["beta_tot_pct"], beta_pct, rel_tol=1e-12)
+    assert math.isclose(rows["qe_bound_pct"], beta_pct / (0.32 * 0.57 * 0.65), rel_tol=1e-12)
 
 
 def test_fig3b_thresholds_carry_the_poisson_reference(scenario_output_root):

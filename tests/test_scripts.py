@@ -22,6 +22,7 @@ def _isolated_cwd(tmp_path, monkeypatch):
         (["no_such_scenario"], 2),
         (["g2", "background=0.6"], 1),
         (["g2", "background=2"], 2),
+        (["fig4b", "cooperativity=1"], 1),  # C * gamma_h / gamma0 > 1 fails two rows
     ],
 )
 def test_run_all_scenarios_exit_codes(tmp_path, capsys, argv, code):

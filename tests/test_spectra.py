@@ -166,19 +166,14 @@ def test_drift_shifts_bounded_walk_properties():
         drift_shifts(5, 1.0, 0.0)
 
 
-def test_apply_drift_uses_explicit_shifts_and_validates_grids():
+def test_shift_spectrum_moves_peaks_and_apply_drift_validates_grids():
     x = frequency_grid(-500e6, 500e6, 2e6)
-    scans = [synthesize_spectrum([LINE], x) for _ in range(3)]
-    explicit = np.array([0.0, 10e6, -20e6])
-    drifted, shifts = apply_drift(scans, 0.0, 1.0, shifts=explicit)
-    assert np.array_equal(shifts, explicit)
-    assert x[np.argmax(drifted[1].y)] == 10e6
-    assert x[np.argmax(drifted[2].y)] == -20e6
+    scan = synthesize_spectrum([LINE], x)
+    assert x[np.argmax(shift_spectrum(scan, 10e6).y)] == 10e6
+    assert x[np.argmax(shift_spectrum(scan, -20e6).y)] == -20e6
     other = synthesize_spectrum([LINE], frequency_grid(-400e6, 400e6, 2e6))
     with pytest.raises(ValueError, match="one frequency grid"):
-        apply_drift([scans[0], other], 0.0, 1.0)
-    with pytest.raises(ValueError, match="one shift per scan"):
-        apply_drift(scans, 0.0, 1.0, shifts=np.zeros(2))
+        apply_drift([scan, other], 0.0, 1.0)
 
 
 # --------------------------------------------------------------------------

@@ -8,7 +8,6 @@ branch with the closed-form energies, also in tests/oracles.py.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from snvsim.spin_hamiltonian import (
     isotope_scaled_splitting,
     isotope_splitting_predictions_hz,
     optical_transition_detunings,
-    reduced_hamiltonian,
     sn117_ground,
 )
 from snvsim.units import TWO_PI
@@ -136,66 +134,6 @@ def test_zeeman_part_is_linear_in_field():
 def test_eigenenergies_hz_is_angular_spectrum_over_two_pi():
     h = build_ground_hamiltonian(sn117_ground(), (0.0, 0.0, 0.05))
     assert np.allclose(eigenenergies_hz(h), eigenenergies(h) / TWO_PI, rtol=1e-15)
-
-
-# --------------------------------------------------------------------------
-# Reduced model
-# --------------------------------------------------------------------------
-
-def test_reduced_model_warns_when_transverse_coupling_is_large():
-    params = sn117_ground()  # a_perp / lambda_so ~ 1e-3: silent
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        reduced_hamiltonian(params)
-    loud = SpinSystemParams(
-        lambda_so=params.lambda_so,
-        gamma_e=params.gamma_e,
-        gamma_n=params.gamma_n,
-        a_par=params.a_par,
-        a_perp=0.05 * params.lambda_so,
-    )
-    with pytest.warns(UserWarning, match="transverse hyperfine"):
-        reduced_hamiltonian(loud)
-
-
-def test_reduced_model_levels_match_hand_enumeration():
-    params = sn117_ground()
-    bz = 0.08
-    gamma_eff = 0.3 * params.gamma_e
-    h = reduced_hamiltonian(params, gamma_eff=gamma_eff, bz_t=bz)
-    expected = sorted(
-        gamma_eff * bz * ms + params.gamma_n * bz * mi + params.a_par * ms * mi
-        for ms in (0.5, -0.5)
-        for mi in (0.5, -0.5)
-    )
-    assert np.allclose(np.sort(np.diag(h).real), expected, rtol=1e-12)
-
-
-def test_reduced_model_discrepancy_scales_quadratically_in_transverse_coupling():
-    """Splitting error of the diagonal model ~ a_perp^2 / (4 lambda_so): slope 2."""
-    base = sn117_ground()
-    ratios = np.geomspace(3e-4, 3e-2, 10)
-    discrepancies = []
-    for ratio in ratios:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            params = SpinSystemParams(
-                lambda_so=base.lambda_so,
-                gamma_e=base.gamma_e,
-                gamma_n=base.gamma_n,
-                a_par=base.a_par,
-                a_perp=ratio * base.lambda_so,
-            )
-            full = eigenenergies(build_ground_hamiltonian(params, B_ZERO))
-            reduced = np.sort(np.diag(reduced_hamiltonian(params)).real)
-        split_full = full[2] - full[0]  # aligned minus antialigned, lower branch
-        split_reduced = reduced[-1] - reduced[0]
-        discrepancies.append(abs(split_full - split_reduced))
-    slope = np.polyfit(np.log(ratios), np.log(discrepancies), 1)[0]
-    assert abs(slope - 2.0) < 0.1
-    # Leading coefficient: discrepancy ~ a_perp^2 / (4 lambda_so).
-    predicted = (ratios[0] * base.lambda_so) ** 2 / (4.0 * base.lambda_so)
-    assert math.isclose(discrepancies[0], predicted, rel_tol=1e-3)
 
 
 # --------------------------------------------------------------------------
