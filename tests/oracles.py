@@ -96,7 +96,9 @@ def poisson_tail(k: int, mu: float) -> float:
     while True:
         term = poisson_pmf(i, mu)
         terms.append(term)
-        if term < 1e-30 * (terms[0] if terms[0] > 0.0 else 1.0) and i > mu + k:
+        # <=, not <: below terms[0] ~ 1e-293 the bound underflows to 0, and
+        # only a term that has underflowed as well can end the sum.
+        if term <= 1e-30 * (terms[0] if terms[0] > 0.0 else 1.0) and i > mu + k:
             break
         i += 1
     return math.fsum(terms)

@@ -327,6 +327,7 @@ def test_analytic_k1_fidelity_matches_dp_oracle():
 @example(0.3, 0.02, 0.01, 20, 0.7, False)
 @example(0.02, 0.015, 0.0, 30, 1.83, True)
 @example(1.0, 1.0, 1.0, 5, 0.0, True)
+@example(0.3, 0.02, 0.0, 2, 1e-08, True)  # the oracle's tail starts at a subnormal term
 def test_readout_count_pmf_matches_dp_oracle_convolved_with_poisson(
     p_detect, p_flip_bright, p_flip_dark, n_pulses, dark_rate, start_bright
 ):
