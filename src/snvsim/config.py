@@ -1,7 +1,8 @@
 """Key-value configuration and the domains its values are checked against.
 
 Config files are plain ``key = value`` lines (``#`` comments, blank lines
-ignored); values parse as int, float, bool, or string.  Insertion order is
+ignored); values parse as int, float, or string.  There is no boolean form:
+``true`` stays the string ``'true'``, which every numeric domain refuses.  Insertion order is
 preserved, which ordered consumers (efficiency budgets, loss chains) rely
 on.  Command-line overrides use the same ``key=value`` syntax.
 
@@ -22,13 +23,8 @@ from typing import Callable, NamedTuple
 
 
 def parse_value(text: str):
-    """Parse one config value: int, float, true/false, or bare string."""
+    """Parse one config value: int, float, or bare string."""
     token = text.strip()
-    lowered = token.lower()
-    if lowered in ("true", "yes", "on"):
-        return True
-    if lowered in ("false", "no", "off"):
-        return False
     try:
         return int(token)
     except ValueError:

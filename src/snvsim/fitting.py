@@ -5,10 +5,11 @@ The engine minimizes the weighted sum of squares
     cost(p) = sum_i ((y_i - model(p, x_i)) / y_err_i)^2
 
 by iterating damped normal equations (J'J + lam * diag(J'J)) step = J'r with
-a multiplicative damping schedule (x10 on a rejected step, /10 on an
-accepted one).  Using diag(J'J) rather than the identity for the damping
-makes every step equivariant under per-parameter rescaling, so fits behave
-identically when data and model are expressed in rescaled units.
+a multiplicative damping schedule (lam = 1e-3 at the start, x10 on a
+rejected step, /10 on an accepted one).  Using diag(J'J) rather than the
+identity for the damping makes every step equivariant under per-parameter
+rescaling, so fits behave identically when data and model are expressed in
+rescaled units.
 
 Convergence is declared when an accepted step reduces the cost by less than
 ``tol`` relatively, or when the scale-invariant gradient
@@ -104,11 +105,10 @@ class FitOptions:
 
     max_iter: int = 200
     tol: float = 1e-10
-    damping_init: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.max_iter < 1 or self.tol <= 0.0 or self.damping_init <= 0.0:
-            raise ValueError("max_iter >= 1, tol > 0 and damping_init > 0 required")
+        if self.max_iter < 1 or self.tol <= 0.0:
+            raise ValueError("max_iter >= 1 and tol > 0 required")
 
 
 @dataclass(frozen=True)
@@ -201,8 +201,8 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
 
     ``data`` is a Spectrum-like object or (x, y[, y_err]) tuple; points
     without uncertainties weight as y_err = 1.  The initial guess is
-    ``model.init`` and must be in bounds; steps are projected back into the
-    bounds box.
+    ``model.init``, which :class:`ModelSpec` keeps in bounds; steps are
+    projected back into the bounds box.
     """
     opts = options or FitOptions()
     x, y, y_err = _extract_xy(data)
@@ -216,8 +216,6 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
 
     lo, hi = model.bounds_arrays()
     params = np.asarray(model.init, dtype=float)
-    if np.any(params < lo) or np.any(params > hi):
-        raise ValueError(f"initial guess {params.tolist()} outside bounds")
 
     def trial(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Cost, residual and Jacobian at p."""
@@ -230,7 +228,7 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         cost, residual, jac = trial(params)
         cost_trace = [cost]
-        damping = opts.damping_init
+        damping = 1e-3
         status = "max-iterations"
         message = ""
         iterations = 0

@@ -25,20 +25,19 @@ class ReadoutModel:
     Per readout window, ``n_pulses`` excitation pulses are applied.  On
     each pulse a bright spin yields a detected photon with probability
     ``p_detect`` and afterwards flips to dark with probability
-    ``p_flip_bright``; a dark spin yields no signal and flips to bright
-    with probability ``p_flip_dark`` (zero by default, so a dark spin
-    yields background only).  An independent Poisson background with mean
-    ``dark_rate`` counts per window adds to both cases.
+    ``p_flip_bright``.  A dark spin yields no signal and stays dark: the
+    flips go one way only, so a dark-prepared spin yields background only.
+    An independent Poisson background with mean ``dark_rate`` counts per
+    window adds to both cases.
     """
 
     p_detect: float
     p_flip_bright: float = 0.0
-    p_flip_dark: float = 0.0
     n_pulses: int = 150
     dark_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("p_detect", "p_flip_bright", "p_flip_dark"):
+        for name in ("p_detect", "p_flip_bright"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
@@ -137,19 +136,19 @@ def readout_count_pmf(model: ReadoutModel, start_bright: bool) -> np.ndarray:
     """Exact distribution P(n = 0, 1, ...) of the counts detected in one readout window.
 
     A forward recursion over the pulses carries the signal-count
-    distribution jointly with a bright and a dark spin, so it covers flips
-    both ways, in O(n_pulses^2).  It is convolved with the Poisson
+    distribution jointly with a bright and a dark spin, in O(n_pulses^2);
+    a dark spin stays dark and keeps its count.  It is convolved with the Poisson
     background of :func:`poisson_reference_histogram`, whose top bin folds
     in the tail and so stands for the wrong count: the background is
     extended until that bin holds less than 1e-17, and the bin is dropped.
     """
-    p, up, down = model.p_detect, model.p_flip_dark, model.p_flip_bright
+    p, q = model.p_detect, model.p_flip_bright
     bright, dark = np.zeros((2, model.n_pulses + 1))
     (bright if start_bright else dark)[0] = 1.0
     for _ in range(model.n_pulses):
         after = bright * (1.0 - p)
         after[1:] += bright[:-1] * p  # a detected photon shifts the count up one
-        bright, dark = after * (1.0 - down) + dark * up, after * down + dark * (1.0 - up)
+        bright, dark = after * (1.0 - q), after * q + dark
     background = poisson_reference_histogram(model.dark_rate).probabilities()
     while background[-1] >= 1e-17:
         background = poisson_reference_histogram(model.dark_rate, 2 * background.size).probabilities()
@@ -251,13 +250,11 @@ def zero_signal_probability(p_detect: float, p_flip_bright: float, n_pulses: int
 
 
 def analytic_threshold_fidelity_k1(model: ReadoutModel) -> float:
-    """Closed-form F(k=1) for the readout model with p_flip_dark = 0.
+    """Closed-form F(k=1) of the one-way (bright to dark) flip model.
 
     P(0 | bright) = P(no signal) * P(no background); P(0 | dark) is the
     Poisson zero of the background alone.
     """
-    if model.p_flip_dark != 0.0:
-        raise ValueError("closed form only valid for one-way (bright->dark) flips")
     p_zero_background = math.exp(-model.dark_rate)
     p_zero_bright = (
         zero_signal_probability(model.p_detect, model.p_flip_bright, model.n_pulses)

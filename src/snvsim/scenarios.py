@@ -80,7 +80,7 @@ def _run_fig1d(cfg: dict):
     bin_width = cfg["bin_width"]
 
     # Only the emitter centers are histogrammed, so the doublets are drawn unsplit.
-    centers, _ = sample_inhomogeneous_ensemble(0.0, fwhm, n, 0.0, seed=_stream(cfg["seed"], 0))
+    centers, _ = sample_inhomogeneous_ensemble(fwhm, n, 0.0, seed=_stream(cfg["seed"], 0))
     empirical_fwhm = sigma_to_fwhm(float(np.std(centers, ddof=1)))
     _check_points(5.0 * fwhm / bin_width, "histogram")
     edges = np.arange(-2.5 * fwhm, 2.5 * fwhm + bin_width, bin_width)
@@ -271,7 +271,7 @@ def _run_fig2b(cfg: dict):
     span = cfg["grid_span"]
 
     centers, splits = sample_inhomogeneous_ensemble(
-        0.0, 0.0, n, split_mean, seed=_stream(seed, 0), split_sigma_hz=split_sigma
+        0.0, n, split_mean, seed=_stream(seed, 0), split_sigma_hz=split_sigma
     )
     lows, highs = centers - splits / 2.0, centers + splits / 2.0
     x = frequency_grid(-span / 2.0, span / 2.0, cfg["grid_step"])
@@ -454,7 +454,6 @@ def _run_fig3b(cfg: dict):
     calibration = {
         "p_detect": model.p_detect,
         "p_flip_bright": model.p_flip_bright,
-        "p_flip_dark": model.p_flip_dark,
         "dark_rate": model.dark_rate,
         "n_pulses": model.n_pulses,
         "analytic_fidelity_k1": photon_budget.analytic_threshold_fidelity_k1(model),
@@ -540,11 +539,9 @@ def _run_fig4b(cfg: dict):
 
     # The sideband-modulation measurement sees half signal, half static
     # background; synthesize the raw trace, then correct it back out.
-    reference = Spectrum(x=delta, y=np.ones_like(delta))
-    raw_clean = eom_background_inverse(Spectrum(x=delta, y=r_norm), reference).y
+    raw_clean = eom_background_inverse(Spectrum(x=delta, y=r_norm)).y
     raw = raw_clean + _rng(cfg["seed"], 0).normal(0.0, noise / 2.0, size=delta.size)
-    raw_spectrum = Spectrum(x=delta, y=raw)
-    corrected = eom_background_correction(raw_spectrum, reference)
+    corrected = eom_background_correction(Spectrum(x=delta, y=raw))
     corrected = Spectrum(x=delta, y=corrected.y, y_err=np.full(delta.size, noise))
 
     fit_model = make_reflection_dip(fix_f_in=f_in).with_init((0.05, 100.0e6))
@@ -573,7 +570,7 @@ def _run_fig4b(cfg: dict):
         summary_row("dip_fwhm_mhz", fwhm_fit / 1e6, 72.0, 4.0),
     ]
     if beta <= 1.0:
-        qe = waveguide_qed.quantum_efficiency_bound(waveguide_qed.BetaDecomposition(), beta)
+        qe = waveguide_qed.quantum_efficiency_bound(beta)
         rows += [
             summary_row("beta_tot_pct", 100.0 * beta, 6.2, 0.7),
             summary_row("qe_bound_pct", 100.0 * qe, 51.0, 8.0),
@@ -602,7 +599,8 @@ def _run_fig4b(cfg: dict):
         f"beta_tot = C * gamma_h / gamma0 from the fitted C and gamma_h, with gamma0 = "
         f"{gamma0 / 1e6:.4g} MHz the Fourier limit 1/(2 pi tau) of the lifetime scenario's "
         f"default tau = {lifetime_s * 1e9:.4g} ns; the QE bound is beta_tot / "
-        "(beta_cav * eta_dw * eta_orb) = beta_tot / (0.32 * 0.57 * 0.65).",
+        f"(beta_cav * eta_dw * eta_orb) = beta_tot / ({waveguide_qed.BETA_CAV:g} * "
+        f"{waveguide_qed.ETA_DW:g} * {waveguide_qed.ETA_ORB:g}).",
     ]
     return rows, artifacts, notes
 

@@ -119,7 +119,6 @@ def synthesize_spectrum(lines, x_hz, noise_sigma: float = 0.0, seed=None) -> Spe
 
 
 def sample_inhomogeneous_ensemble(
-    center_hz: float,
     fwhm_hz: float,
     n: int,
     split_hz: float,
@@ -129,7 +128,7 @@ def sample_inhomogeneous_ensemble(
     """Draw ``n`` emitters from a Gaussian inhomogeneous distribution.
 
     Returns ``(centers, splits)``, two float arrays of shape ``(n,)``.
-    Emitter centers are normal with the given FWHM around ``center_hz``;
+    Emitter centers are detunings, normal with the given FWHM around 0;
     each emitter's hyperfine splitting is ``split_hz``, optionally spread
     by ``split_sigma_hz``, so emitter k is a doublet at
     ``centers[k] -+ splits[k] / 2``.
@@ -139,9 +138,7 @@ def sample_inhomogeneous_ensemble(
     if fwhm_hz < 0.0 or split_sigma_hz < 0.0:
         raise ValueError("widths must be >= 0")
     rng = np.random.default_rng(seed)
-    centers = center_hz + (
-        rng.normal(0.0, fwhm_to_sigma(fwhm_hz), size=n) if fwhm_hz > 0.0 else np.zeros(n)
-    )
+    centers = rng.normal(0.0, fwhm_to_sigma(fwhm_hz), size=n) if fwhm_hz > 0.0 else np.zeros(n)
     splits = split_hz + (
         rng.normal(0.0, split_sigma_hz, size=n) if split_sigma_hz > 0.0 else np.zeros(n)
     )
@@ -286,32 +283,24 @@ def average_spectra(scans: list[Spectrum]) -> Spectrum:
     return Spectrum(x=scans[0].x, y=ys.mean(axis=0))
 
 
-def eom_background_correction(raw: Spectrum, reference: Spectrum) -> Spectrum:
+def eom_background_correction(raw: Spectrum) -> Spectrum:
     """Remove the static-sideband background from a sideband-scanned spectrum.
 
-    Only one of the two equal-intensity modulation sidebands scans through
-    the resonance, so after normalizing to an off-resonant reference half
-    the signal is a featureless background:
+    ``raw`` is normalized to the off-resonant level.  Only one of the two
+    equal-intensity modulation sidebands scans through the resonance, so
+    half the signal is a featureless background:
 
-        y_corr = 2 * (y_raw / y_ref) - 1
+        y_corr = 2 * y_raw - 1
 
     mapping no dip to 1 and a full dip to 0.  Exactly inverted by
     :func:`eom_background_inverse`.
     """
-    if raw.x.shape != reference.x.shape or not np.array_equal(raw.x, reference.x):
-        raise ValueError("raw and reference spectra must share one grid")
-    if np.any(reference.y <= 0.0):
-        raise ValueError("reference intensity must be strictly positive everywhere")
-    return Spectrum(x=raw.x, y=2.0 * (raw.y / reference.y) - 1.0)
+    return Spectrum(x=raw.x, y=2.0 * raw.y - 1.0)
 
 
-def eom_background_inverse(corrected: Spectrum, reference: Spectrum) -> Spectrum:
-    """Exact inverse of :func:`eom_background_correction`."""
-    if corrected.x.shape != reference.x.shape or not np.array_equal(corrected.x, reference.x):
-        raise ValueError("corrected and reference spectra must share one grid")
-    if np.any(reference.y <= 0.0):
-        raise ValueError("reference intensity must be strictly positive everywhere")
-    return Spectrum(x=corrected.x, y=reference.y * (corrected.y + 1.0) / 2.0)
+def eom_background_inverse(corrected: Spectrum) -> Spectrum:
+    """Exact inverse of :func:`eom_background_correction`: y_raw = (y_corr + 1) / 2."""
+    return Spectrum(x=corrected.x, y=(corrected.y + 1.0) / 2.0)
 
 
 def read_xy_csv(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray | None]:

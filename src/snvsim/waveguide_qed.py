@@ -11,9 +11,17 @@ homogeneous linewidth gamma_h.  Measured spectra are normalized to the
 far-detuned intensity |r(inf)|^2 = (1 - 2 f_in)^2.
 
 The zero-detuning contrast is quadratic in C, so inverting it has two
-branches; the default (small-C) branch keeps the sign of the on-resonance
-amplitude equal to the far-detuned one and is valid up to the branch
-boundary C* = 2 f_in - 1 where the reflection dips to zero.
+branches; the inversion takes the small-C branch, which keeps the sign of
+the on-resonance amplitude equal to the far-detuned one and is valid up to
+the branch boundary C* = 2 f_in - 1 where the reflection dips to zero.
+
+The known factors of the total guided-mode coupling efficiency are
+constants: beta_tot = BETA_CAV * ETA_DW * eta_qe * ETA_ORB, where BETA_CAV
+is the guided-mode fraction of emitted photons, ETA_DW the fraction emitted
+into the zero-phonon line and ETA_ORB the branching ratio into the
+addressed orbital transition.  The radiative quantum efficiency eta_qe is
+the unknown: :func:`quantum_efficiency_bound` infers it from a measured
+beta_tot.
 """
 
 from __future__ import annotations
@@ -22,6 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+BETA_CAV = 0.32
+ETA_DW = 0.57
+ETA_ORB = 0.65
 
 
 @dataclass(frozen=True)
@@ -49,29 +61,6 @@ class ReflectionModel:
             raise ValueError(f"f_in must be in (0, 1], got {self.f_in}")
         if self.gamma_h_hz <= 0.0:
             raise ValueError(f"gamma_h_hz must be positive, got {self.gamma_h_hz}")
-
-
-@dataclass(frozen=True)
-class BetaDecomposition:
-    """The known factors of the total guided-mode coupling efficiency.
-
-    beta_tot = beta_cav * eta_dw * eta_qe * eta_orb, where beta_cav is the
-    guided-mode fraction of emitted photons, eta_dw the fraction emitted
-    into the zero-phonon line and eta_orb the branching ratio into the
-    addressed orbital transition.  The radiative quantum efficiency eta_qe
-    is the unknown: :func:`quantum_efficiency_bound` infers it from a
-    measured beta_tot.
-    """
-
-    beta_cav: float = 0.32
-    eta_dw: float = 0.57
-    eta_orb: float = 0.65
-
-    def __post_init__(self) -> None:
-        for name in ("beta_cav", "eta_dw", "eta_orb"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 def _amplitude(delta_hz, cooperativity: float, f_in: float, gamma_h_hz: float) -> np.ndarray:
@@ -147,37 +136,29 @@ def dip_fwhm_hz(model: ReflectionModel) -> float:
     return model.gamma_h_hz * (1.0 + model.cooperativity)
 
 
-def cooperativity_from_contrast(
-    r_norm0: float,
-    f_in: float,
-    small_c_branch: bool = True,
-) -> float:
+def cooperativity_from_contrast(r_norm0: float, f_in: float) -> float:
     """Invert the on-resonance normalized reflection for the cooperativity.
 
     The zero-detuning intensity determines |1 - 2 f_in/(1+C)| only up to
-    sign, giving two roots:
+    sign, giving two roots, C = 2 f_in / (1 -+ (1 - 2 f_in) sqrt(r_norm0)) - 1.
+    This is the small-C root (on-resonance amplitude of the same sign as
+    the far-detuned one),
 
-        C = 2 f_in / (1 -+ (1 - 2 f_in) sqrt(r_norm0)) - 1
+        C = 2 f_in / (1 - (1 - 2 f_in) sqrt(r_norm0)) - 1,
 
-    The default small-C branch (minus sign variant, on-resonance amplitude
-    same sign as far-detuned) round-trips with ``on_resonance_reflection``
-    for C <= 2 f_in - 1; set ``small_c_branch=False`` for the other root.
+    which round-trips with ``on_resonance_reflection`` for C <= 2 f_in - 1.
     """
     if not 0.0 < r_norm0 <= 1.0:
         raise ValueError(f"r_norm0 must be in (0, 1], got {r_norm0}")
     if f_in == 0.5:
         raise ValueError("f_in = 0.5 makes the far-detuned reference intensity zero")
-    sign = 1.0 if small_c_branch else -1.0
-    denominator = 1.0 - sign * (1.0 - 2.0 * f_in) * math.sqrt(r_norm0)
+    denominator = 1.0 - (1.0 - 2.0 * f_in) * math.sqrt(r_norm0)
     if denominator <= 0.0:
-        raise ValueError(
-            f"contrast {r_norm0} is not attainable on this branch for f_in = {f_in}"
-        )
+        raise ValueError(f"contrast {r_norm0} is not attainable for f_in = {f_in}")
     c = 2.0 * f_in / denominator - 1.0
     if c < 0.0:
         raise ValueError(
-            f"contrast {r_norm0} with f_in = {f_in} implies negative cooperativity {c:.3g} "
-            "on this branch"
+            f"contrast {r_norm0} with f_in = {f_in} implies negative cooperativity {c:.3g}"
         )
     return c
 
@@ -197,20 +178,17 @@ def beta_total(cooperativity: float, gamma_h_hz: float, gamma0_hz: float) -> flo
     return cooperativity * gamma_h_hz / gamma0_hz
 
 
-def quantum_efficiency_bound(decomposition: BetaDecomposition, beta_tot: float) -> float:
+def quantum_efficiency_bound(beta_tot: float) -> float:
     """Radiative quantum efficiency implied by a measured beta_tot.
 
-        eta_qe = beta_tot / (beta_cav * eta_dw * eta_orb)
+        eta_qe = beta_tot / (BETA_CAV * ETA_DW * ETA_ORB)
 
     A lower bound: any unmodeled interference or loss only raises the true
     value.
     """
-    denominator = decomposition.beta_cav * decomposition.eta_dw * decomposition.eta_orb
-    if denominator <= 0.0:
-        raise ValueError("beta_cav, eta_dw and eta_orb must all be positive")
     if beta_tot < 0.0:
         raise ValueError(f"beta_tot must be >= 0, got {beta_tot}")
-    return beta_tot / denominator
+    return beta_tot / (BETA_CAV * ETA_DW * ETA_ORB)
 
 
 def contrast_vs_saturation(saturation, r0_contrast: float):

@@ -86,8 +86,7 @@ def test_criterion_02_reflection_contrast_and_inversion():
 
 def test_criterion_03_guided_coupling_and_quantum_efficiency():
     beta = waveguide_qed.beta_total(cooperativity=0.027, gamma_h_hz=70e6, gamma0_hz=28.6e6)
-    decomposition = waveguide_qed.BetaDecomposition()
-    eta_qe = waveguide_qed.quantum_efficiency_bound(decomposition, beta)
+    eta_qe = waveguide_qed.quantum_efficiency_bound(beta)
     with reported(3, f"beta_tot {beta * 100:.2f}% vs 6.2(7)%, QE {eta_qe * 100:.1f}% vs 51(8)%"):
         assert math.isclose(beta, 0.027 * 70.0 / 28.6, rel_tol=1e-12)
         assert 0.059 <= beta <= 0.073

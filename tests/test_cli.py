@@ -695,6 +695,10 @@ def test_fit_request_validation_errors(capsys, tmp_path):
     assert "unknown fit-request keys" in failing(
         {"model": "gaussian", "data_file": str(data), "extra": 1}
     )
+    # The damping starts at a fixed 1e-3; options hold max_iter and tol only.
+    assert "damping_init" in failing(
+        {"model": "gaussian", "data_file": str(data), "options": {"damping_init": 1e-3}}
+    )
     code, _, err = _run(capsys, ["fit", str(tmp_path / "missing.json")])
     assert code == 2
     assert "missing.json" in json.loads(err)["error"]

@@ -38,9 +38,10 @@ def test_parse_value_types():
     assert parse_value("-3") == -3
     assert parse_value("2.5") == 2.5 and isinstance(parse_value("2.5"), float)
     assert parse_value("1e-3") == 1e-3
-    assert parse_value("true") is True
-    assert parse_value("YES") is True
-    assert parse_value("off") is False
+    # No boolean form: a word stays a string, which every numeric domain refuses.
+    assert parse_value("true") == "true"
+    assert parse_value("YES") == "YES"
+    assert parse_value("off") == "off"
     assert parse_value("db 0.04") == "db 0.04"
     assert parse_value("  fig2a  ") == "fig2a"
 

@@ -16,7 +16,9 @@ from scipy.optimize import brentq
 
 from oracles import branch_boundary_cooperativity
 from snvsim.waveguide_qed import (
-    BetaDecomposition,
+    BETA_CAV,
+    ETA_DW,
+    ETA_ORB,
     ReflectionModel,
     _amplitude,
     beta_total,
@@ -128,14 +130,6 @@ def test_cooperativity_round_trip_small_branch(f_in, fraction_of_boundary):
     assert math.isclose(recovered, c_true, rel_tol=1e-10, abs_tol=1e-12)
 
 
-def test_cooperativity_round_trip_large_branch():
-    f_in = 0.95
-    c_true = 2.0  # beyond the branch boundary 2 f_in - 1 = 0.9
-    r_norm0 = on_resonance_reflection(c_true, f_in)
-    recovered = cooperativity_from_contrast(r_norm0, f_in, small_c_branch=False)
-    assert math.isclose(recovered, c_true, rel_tol=1e-10)
-
-
 def test_branch_boundary_zeroes_the_reflection():
     f_in = 0.95
     boundary = branch_boundary_cooperativity(f_in)
@@ -175,9 +169,8 @@ def test_beta_total_frozen_and_validated():
 
 
 def test_quantum_efficiency_bound_frozen():
-    decomposition = BetaDecomposition()
     beta = beta_total(0.027, 70.0e6, 28.6e6)
-    eta_qe = quantum_efficiency_bound(decomposition, beta)
+    eta_qe = quantum_efficiency_bound(beta)
     assert math.isclose(eta_qe, beta / (0.32 * 0.57 * 0.65), rel_tol=1e-15)
     assert math.isclose(eta_qe, 0.5573879561733814, rel_tol=1e-12)
     # Reported radiative quantum efficiency: 51(8)%.
@@ -185,12 +178,12 @@ def test_quantum_efficiency_bound_frozen():
 
 
 def test_beta_decomposition_product_and_validation():
-    d = BetaDecomposition(beta_cav=0.32, eta_dw=0.57, eta_orb=0.65)
+    assert (BETA_CAV, ETA_DW, ETA_ORB) == (0.32, 0.57, 0.65)
     # The bound inverts the product beta_cav * eta_dw * eta_qe * eta_orb for eta_qe.
-    beta = 0.32 * 0.57 * 0.51 * 0.65
-    assert math.isclose(quantum_efficiency_bound(d, beta), 0.51, rel_tol=1e-15)
-    with pytest.raises(ValueError, match="eta_dw"):
-        BetaDecomposition(eta_dw=1.2)
+    beta = BETA_CAV * ETA_DW * 0.51 * ETA_ORB
+    assert math.isclose(quantum_efficiency_bound(beta), 0.51, rel_tol=1e-15)
+    with pytest.raises(ValueError, match="beta_tot"):
+        quantum_efficiency_bound(-0.01)
 
 
 def test_reflection_model_validation():
