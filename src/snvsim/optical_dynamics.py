@@ -163,5 +163,6 @@ def nuclear_polarization_decay(t_s, t1n: float, f_init: float):
     t = np.asarray(t_s, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("time must be non-negative")
-    out = 0.5 + (f_init - 0.5) * np.exp(-t / t1n)
+    with np.errstate(over="ignore"):  # t / t1n = inf has the exact limit exp(-inf) = 0
+        out = 0.5 + (f_init - 0.5) * np.exp(-t / t1n)
     return float(out) if np.isscalar(t_s) else out

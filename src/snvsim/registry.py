@@ -75,6 +75,9 @@ _MAX_FOLD = 10**3
 #: detuning finite and the span regression (np.polyfit on the fields in T) well posed.
 _MAX_FIELD_MT = 1e5
 _MIN_FIELD_STEP_MT = 1e-2
+#: Linewidths in MHz that fig1e, fig2a and fig2b fit from: each fit starts at the
+#: configured width and bounds the width below at 1e-300 Hz.
+_FITTED_LINEWIDTH = between(1e-306, sys.float_info.max)
 
 
 class Scenario(NamedTuple):
@@ -129,7 +132,7 @@ _SCENARIOS = [
         keys={
             "seed": (12, SEED),
             "zero_field_splitting_mhz": (452.0, POSITIVE),
-            "linewidth_mhz": (70.0, POSITIVE),
+            "linewidth_mhz": (70.0, _FITTED_LINEWIDTH),
             "snr": (20.0, POSITIVE),
             "grid_span_mhz": (1600.0, POSITIVE),
             "grid_step_mhz": (2.0, POSITIVE),
@@ -146,7 +149,7 @@ _SCENARIOS = [
             "field_step_mt": (4.3, between(_MIN_FIELD_STEP_MT, _MAX_FIELD_MT)),
             "zero_field_splitting_mhz": (452.0, POSITIVE),
             "slope_ghz_per_t": (5.41, POSITIVE),
-            "linewidth_mhz": (70.0, POSITIVE),
+            "linewidth_mhz": (70.0, _FITTED_LINEWIDTH),
             "snr": (15.0, POSITIVE),
             "grid_span_ghz": (2.4, POSITIVE),
             "grid_step_mhz": (5.0, POSITIVE),
@@ -161,7 +164,7 @@ _SCENARIOS = [
             "n_emitters": (12, count(2, MAX_FITTED_SPECTRA)),
             "splitting_mean_mhz": (452.0, NON_NEGATIVE),
             "splitting_sigma_mhz": (7.0, NON_NEGATIVE),
-            "linewidth_mhz": (70.0, POSITIVE),
+            "linewidth_mhz": (70.0, _FITTED_LINEWIDTH),
             "snr": (15.0, POSITIVE),
             "grid_span_mhz": (1200.0, POSITIVE),
             "grid_step_mhz": (2.0, POSITIVE),
@@ -177,7 +180,8 @@ _SCENARIOS = [
             "calibration_time_us": (30.0, POSITIVE),
             "calibration_fidelity": (0.980, FRACTION),
             "n_points": (60, count(3, MAX_GRID_POINTS)),
-            "max_time_us": (30.0, POSITIVE),
+            # pumping.csv writes the time axis in ns
+            "max_time_us": (30.0, positive_up_to(sys.float_info.max / 1e3)),
             "noise_sigma": (0.003, POSITIVE),
         },
     ),
@@ -206,7 +210,7 @@ _SCENARIOS = [
             "power_min_pw": (1.0, POSITIVE),
             "power_max_pw": (2000.0, POSITIVE),
             "n_points": (30, count(2, MAX_GRID_POINTS)),
-            "noise_rel": (0.03, POSITIVE),
+            "noise_rel": (0.03, OPEN_FRACTION),  # relative to the rate, so at most 100 %
         },
     ),
     Scenario(
@@ -296,7 +300,8 @@ _SCENARIOS = [
         runner="scenarios:_run_rabi",
         keys={
             "seed": (51, SEED),
-            "rabi_frequency_mhz": (230.0, POSITIVE),
+            # the pi_time_ns row and pi_calibration.json give 1 / (2 f) in ns
+            "rabi_frequency_mhz": (230.0, between(1e-300, sys.float_info.max)),
             "optical_t1_ns": (4.7, POSITIVE),
             "max_time_ns": (15.0, POSITIVE),
             "n_points": (301, count(2, MAX_GRID_POINTS)),

@@ -69,6 +69,10 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(_stream(seed, index))
 
 
+def _finite_or_none(value) -> float | None:
+    return float(value) if math.isfinite(value) else None
+
+
 # --------------------------------------------------------------------------
 # fig1d — inhomogeneous ensemble
 
@@ -222,11 +226,11 @@ def _run_fig2a(cfg: dict):
     manifest = (range(n_scans), [f"scans/{name}" for name in names], fields * 1e3)
     statuses = [result.status for result in sweep.fits]
     line_centers = (range(n_scans), fields * 1e3, *sweep.centers.T, sweep.spans, statuses)
-    regression = {
-        "slope_hz_per_t": float(slope_fit),
-        "slope_se_hz_per_t": float(slope_se),
-        "intercept_hz": float(intercept_fit),
-        "intercept_se_hz": float(intercept_se),
+    regression = {  # a value beyond the float range is written as null
+        "slope_hz_per_t": _finite_or_none(slope_fit),
+        "slope_se_hz_per_t": _finite_or_none(slope_se),
+        "intercept_hz": _finite_or_none(intercept_fit),
+        "intercept_se_hz": _finite_or_none(intercept_se),
         "n_scans": n_scans,
     }
 

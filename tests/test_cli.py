@@ -222,6 +222,11 @@ OUT_OF_DOMAIN = [
     ("fig4b", "linewidth_mhz=1e-320"),
     ("g2", "background=2"),
     ("g2", "max_delay_ns=1e-320"),
+    # The next float past each domain that once let a run overflow (see MAX_FLOAT_RUNS).
+    ("fig2c", "max_time_us=1.7976931348623158e305"),
+    ("fig3a", "noise_rel=1.0000000000000002"),
+    ("rabi", "rabi_frequency_mhz=9.999999999999999e-301"),
+    ("fig1e", "linewidth_mhz=9.999999999999999e-307"),
     *HUGE_COUNTS,
 ]
 
@@ -369,7 +374,8 @@ for _case in HUGE_COUNTS:
 
 # Overrides at a float edge (max float, 1e300 or the smallest normal float)
 # whose runs once printed numpy's overflow warnings on stderr ahead of their
-# JSON; a warning is an error here.
+# JSON, or exited 2 from deep inside the run with an error that named no key;
+# a warning is an error here, and an exit-2 error names the key.
 MAX_FLOAT_RUNS = [
     ("rabi", "max_time_ns=1.7976931348623157e308"),
     ("fig4b", "cooperativity=1.7976931348623157e308"),
@@ -388,6 +394,15 @@ MAX_FLOAT_RUNS = [
     ("fig2a", "zero_field_splitting_mhz=1e300"),
     ("fig2b", "splitting_mean_mhz=1e300"),
     ("fig2b", "splitting_sigma_mhz=1e300"),
+    ("fig2c", "max_time_us=1.7976931348623157e308"),  # pumping.csv's time axis in ns
+    ("fig2d", "nuclear_t1_s=2.2250738585072014e-308"),  # t / t1n overflowed to inf
+    ("fig3a", "noise_rel=1.7976931348623157e308"),  # the noisy rates overflowed
+    ("rabi", "rabi_frequency_mhz=2.2250738585072014e-308"),  # a NaN pi-pulse fidelity
+    # The ends of the domains that now refuse the four runs above and the linewidths.
+    ("fig2c", "max_time_us=1.7976931348623156e305"),
+    ("fig3a", "noise_rel=1"),
+    ("rabi", "rabi_frequency_mhz=1e-300"),
+    ("fig1e", "linewidth_mhz=1e-306"),
 ]
 
 
@@ -403,7 +418,11 @@ def test_a_max_float_run_keeps_the_stderr_contract_with_warnings_as_errors(
         _strict_json(out)
     else:
         assert code == 2 and out == ""
-        assert set(_strict_json(err)) == {"error"}
+        error = _strict_json(err)
+        assert set(error) == {"error"}
+        # The one product of keys that no domain bounds (README) says so instead.
+        product = error["error"].startswith("omega * t must be finite")
+        assert f"'{override.partition('=')[0]}'" in error["error"] or product
 
 
 # In-domain overrides whose fits once stepped out of the model's domain: a
