@@ -150,7 +150,7 @@ def sn117_ground() -> SpinSystemParams:
     return SpinSystemParams.from_cyclic_hz(
         lambda_so_hz=850.0e9,
         gamma_e_hz_per_t=28.0e9,
-        gamma_n_hz_per_t=-15.24e6,
+        gamma_n_hz_per_t=NUCLEAR_GYROMAGNETIC_HZ_PER_T["sn117"],
         a_par_hz=904.0e6,
         a_perp_hz=904.0e6,
     )
