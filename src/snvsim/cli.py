@@ -21,9 +21,9 @@ Subcommands
 ``snvsim fit <request.json>``
     Run a registry model fit described by a JSON request with keys
     ``model``, ``data_file``, ``init``, ``bounds``, ``options`` (``max_iter``
-    and ``tol``) and ``model_args``, and print the result as JSON.  ``model_args`` takes the
-    model's layout arguments only (``n_lines``, ``shared_fwhm``,
-    ``fix_f_in``); the start of the fit goes in ``init``.
+    and ``tol``) and ``model_args``, and print the result as JSON.
+    ``model_args`` takes the model's layout arguments only (``n_lines``,
+    ``shared_fwhm``, ``fix_f_in``); the start of the fit goes in ``init``.
 
 ``snvsim budget <config> [key=value ...]``
     Evaluate an efficiency-budget config (ordered ``stage_*`` keys) and

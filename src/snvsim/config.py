@@ -1,10 +1,11 @@
 """Key-value configuration and the domains its values are checked against.
 
 Config files are plain ``key = value`` lines (``#`` comments, blank lines
-ignored); values parse as int, float, or string.  There is no boolean form:
-``true`` stays the string ``'true'``, which every numeric domain refuses.  Insertion order is
-preserved, which ordered consumers (efficiency budgets, loss chains) rely
-on.  Command-line overrides use the same ``key=value`` syntax.
+ignored); values parse as int, float, or string.  There is no boolean
+form: ``true`` stays the string ``'true'``, which every numeric domain
+refuses.  Insertion order is preserved, which ordered consumers (efficiency
+budgets, loss chains) rely on.  Command-line overrides use the same
+``key=value`` syntax.
 
 Each scenario key has one spelling and a :class:`Domain`; a dimensioned
 key carries its unit in the suffix (``linewidth_mhz``, ``step_ns``), and

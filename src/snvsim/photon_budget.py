@@ -137,9 +137,9 @@ def readout_count_pmf(model: ReadoutModel, start_bright: bool) -> np.ndarray:
 
     A forward recursion over the pulses carries the signal-count
     distribution jointly with a bright and a dark spin, in O(n_pulses^2);
-    a dark spin stays dark and keeps its count.  It is convolved with the Poisson
-    background of :func:`poisson_reference_histogram`, whose top bin folds
-    in the tail and so stands for the wrong count: the background is
+    a dark spin stays dark and keeps its count.  It is convolved with the
+    Poisson background of :func:`poisson_reference_histogram`, whose top bin
+    folds in the tail and so stands for the wrong count: the background is
     extended until that bin holds less than 1e-17, and the bin is dropped.
     """
     p, q = model.p_detect, model.p_flip_bright

@@ -31,6 +31,7 @@ from .artifacts import summary_row
 from .config import in_base_units
 from .fitting import (
     FitResult,
+    _finite_or_none,
     fit,
     make_contrast_saturation,
     make_damped_rabi,
@@ -67,10 +68,6 @@ def _stream(seed: int, index: int) -> np.random.SeedSequence:
 
 def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(_stream(seed, index))
-
-
-def _finite_or_none(value) -> float | None:
-    return float(value) if math.isfinite(value) else None
 
 
 # --------------------------------------------------------------------------
