@@ -208,8 +208,10 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_budget(args: argparse.Namespace) -> int:
     try:
-        cfg = config_mod.load_config(args.config)
-        cfg = config_mod.merged(cfg, config_mod.parse_overrides(args.overrides))
+        cfg = {
+            **config_mod.load_config(args.config),
+            **config_mod.parse_overrides(args.overrides),
+        }
         budget = budget_from_config(cfg)
     except (ValueError, KeyError, OSError) as exc:
         return _fail(str(exc))

@@ -76,13 +76,6 @@ def parse_overrides(pairs) -> dict:
     return overrides
 
 
-def merged(base: dict, overrides: dict) -> dict:
-    """Base config with overrides applied (override keys win)."""
-    out = dict(base)
-    out.update(overrides)
-    return out
-
-
 class Domain(NamedTuple):
     """What one config key may hold: a Python type, a range test and its wording."""
 

@@ -54,8 +54,7 @@ def spontaneous_decay(t_s, tau_s: float):
     t = np.asarray(t_s, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("time must be non-negative")
-    out = np.exp(-t / tau_s)
-    return float(out) if np.isscalar(t_s) else out
+    return np.exp(-t / tau_s)
 
 
 def rabi_population(t_s, omega: float, t1: float):
@@ -79,8 +78,7 @@ def rabi_population(t_s, omega: float, t1: float):
         raise ValueError("omega * t must be finite: the phase is beyond the float range")
     # sin(omega t) / (omega t1) == (t / t1) * sinc(omega t / pi)
     ringdown = np.cos(phase) + (t / t1) * np.sinc(phase / np.pi)
-    out = 0.5 * (1.0 - ringdown * np.exp(-t / t1))
-    return float(out) if np.isscalar(t_s) else out
+    return 0.5 * (1.0 - ringdown * np.exp(-t / t1))
 
 
 def pi_pulse_calibration(omega: float, t1: float) -> dict[str, float]:
@@ -114,8 +112,7 @@ def g2_autocorrelation(tau_s, omega: float, t1: float, background: float = 0.0):
     if not 0.0 <= background < 1.0:
         raise ValueError(f"background must be in [0, 1), got {background}")
     ideal = 2.0 * rabi_population(np.abs(np.asarray(tau_s, dtype=float)), omega, t1)
-    out = (1.0 - background) * ideal + background
-    return float(out) if np.isscalar(tau_s) else out
+    return (1.0 - background) * ideal + background
 
 
 def saturation_rate(p, p_sat: float, i_infinity: float) -> np.ndarray:
@@ -128,8 +125,7 @@ def saturation_intensity(p_w, sp: SaturationParams):
     p = np.asarray(p_w, dtype=float)
     if np.any(p <= 0.0):
         raise ValueError("power must be positive")
-    out = saturation_rate(p, sp.p_sat, sp.i_infinity)
-    return float(out) if np.isscalar(p_w) else out
+    return saturation_rate(p, sp.p_sat, sp.i_infinity)
 
 
 def pumping_fidelity(t_s, pm: PumpingModel):
@@ -141,8 +137,7 @@ def pumping_fidelity(t_s, pm: PumpingModel):
     t = np.asarray(t_s, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("time must be non-negative")
-    out = pm.f_infinity - (pm.f_infinity - 0.5) * np.exp(-t / pm.tau_pump)
-    return float(out) if np.isscalar(t_s) else out
+    return pm.f_infinity - (pm.f_infinity - 0.5) * np.exp(-t / pm.tau_pump)
 
 
 def pumping_time_constant(t_s: float, fidelity: float, f_infinity: float) -> float:
@@ -164,5 +159,4 @@ def nuclear_polarization_decay(t_s, t1n: float, f_init: float):
     if np.any(t < 0.0):
         raise ValueError("time must be non-negative")
     with np.errstate(over="ignore"):  # t / t1n = inf has the exact limit exp(-inf) = 0
-        out = 0.5 + (f_init - 0.5) * np.exp(-t / t1n)
-    return float(out) if np.isscalar(t_s) else out
+        return 0.5 + (f_init - 0.5) * np.exp(-t / t1n)

@@ -384,7 +384,7 @@ def configured(target: str, overrides: dict | None = None) -> tuple[Scenario, di
     normal float in base units (or zero, if it was zero).
     """
     scenario, file_cfg = _resolve(target)
-    cfg = config_mod.merged(config_mod.merged(scenario.defaults, file_cfg), dict(overrides or {}))
+    cfg = {**scenario.defaults, **file_cfg, **(overrides or {})}
     unknown = sorted(set(cfg) - set(scenario.keys))
     if unknown:
         raise ValueError(

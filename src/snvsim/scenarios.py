@@ -51,10 +51,9 @@ from .spectra import (
     eom_background_correction,
     eom_background_inverse,
     frequency_grid,
-    sample_inhomogeneous_ensemble,
     synthesize_spectrum,
 )
-from .units import TWO_PI, fourier_limited_fwhm_hz, sigma_to_fwhm
+from .units import TWO_PI, fourier_limited_fwhm_hz, fwhm_to_sigma, sigma_to_fwhm
 
 
 # --------------------------------------------------------------------------
@@ -80,8 +79,7 @@ def _run_fig1d(cfg: dict):
     fwhm = cfg["inhomogeneous_fwhm"]
     bin_width = cfg["bin_width"]
 
-    # Only the emitter centers are histogrammed, so the doublets are drawn unsplit.
-    centers, _ = sample_inhomogeneous_ensemble(fwhm, n, 0.0, seed=_stream(cfg["seed"], 0))
+    centers = _rng(cfg["seed"], 0).normal(0.0, fwhm_to_sigma(fwhm), size=n)
     empirical_fwhm = sigma_to_fwhm(float(np.std(centers, ddof=1)))
     _check_points(5.0 * fwhm / bin_width, "histogram")
     edges = np.arange(-2.5 * fwhm, 2.5 * fwhm + bin_width, bin_width)
@@ -271,10 +269,9 @@ def _run_fig2b(cfg: dict):
     snr = cfg["snr"]
     span = cfg["grid_span"]
 
-    centers, splits = sample_inhomogeneous_ensemble(
-        0.0, n, split_mean, seed=_stream(seed, 0), split_sigma_hz=split_sigma
-    )
-    lows, highs = centers - splits / 2.0, centers + splits / 2.0
+    # Each emitter is a doublet about zero detuning, its splitting drawn per emitter.
+    splits = split_mean + _rng(seed, 0).normal(0.0, split_sigma, size=n)
+    lows, highs = -splits / 2.0, splits / 2.0
     x = frequency_grid(-span / 2.0, span / 2.0, cfg["grid_step"])
     _check_points(n * x.size, "n_emitters x frequency grid")
 
@@ -540,10 +537,11 @@ def _run_fig4b(cfg: dict):
 
     # The sideband-modulation measurement sees half signal, half static
     # background; synthesize the raw trace, then correct it back out.
-    raw_clean = eom_background_inverse(Spectrum(x=delta, y=r_norm)).y
+    raw_clean = eom_background_inverse(r_norm)
     raw = raw_clean + _rng(cfg["seed"], 0).normal(0.0, noise / 2.0, size=delta.size)
-    corrected = eom_background_correction(Spectrum(x=delta, y=raw))
-    corrected = Spectrum(x=delta, y=corrected.y, y_err=np.full(delta.size, noise))
+    corrected = Spectrum(
+        x=delta, y=eom_background_correction(raw), y_err=np.full(delta.size, noise)
+    )
 
     fit_model = make_reflection_dip(fix_f_in=f_in).with_init((0.05, 100.0e6))
     result = fit(fit_model, corrected)

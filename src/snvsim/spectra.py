@@ -1,14 +1,12 @@
-"""Synthetic spectra: line sums, inhomogeneous ensembles, drift, corrections.
+"""Synthetic spectra: line sums, drift, corrections.
 
 Spectra are (frequency grid, intensity) pairs with optional per-point
 uncertainties.  Synthesis sums peak-normalized Lorentzian lines and adds
-seeded Gaussian noise; ensembles draw emitter centers from a Gaussian
-inhomogeneous distribution and a hyperfine splitting per emitter, as
-arrays.  Slow spectral drift is modeled as a bounded random walk applied
-by grid re-interpolation, and undone by per-scan line fits
+seeded Gaussian noise.  Slow spectral drift is modeled as a bounded random
+walk applied by grid re-interpolation, and undone by per-scan line fits
 (``recenter_scans``).  The electro-optic sideband background correction and
-its exact inverse live here too, and so does reading a spectrum back from
-CSV; :mod:`snvsim.artifacts` writes it.
+its exact inverse, which act on intensity arrays, live here too, and so
+does reading a spectrum back from CSV; :mod:`snvsim.artifacts` writes it.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from .fitting import (
     make_lorentzian_multi,
     fit,
 )
-from .units import fwhm_to_sigma
 
 
 @dataclass(frozen=True)
@@ -88,16 +85,6 @@ def frequency_grid(start_hz: float, stop_hz: float, step_hz: float) -> np.ndarra
     return start_hz + step_hz * np.arange(int(round(n)) + 1)
 
 
-def line_sum(lines, x_hz) -> np.ndarray:
-    """Noise-free sum of Lorentzian lines on the grid ``x_hz``."""
-    return lorentzian_sum(
-        x_hz,
-        [line.center_hz for line in lines],
-        [line.fwhm_hz for line in lines],
-        [line.amplitude for line in lines],
-    )
-
-
 def synthesize_spectrum(lines, x_hz, noise_sigma: float = 0.0, seed=None) -> Spectrum:
     """Sum of Lorentzian lines plus seeded Gaussian noise.
 
@@ -109,40 +96,18 @@ def synthesize_spectrum(lines, x_hz, noise_sigma: float = 0.0, seed=None) -> Spe
     if noise_sigma < 0.0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     x = np.asarray(x_hz, dtype=float)
-    y = line_sum(lines, x)
+    y = lorentzian_sum(
+        x,
+        [line.center_hz for line in lines],
+        [line.fwhm_hz for line in lines],
+        [line.amplitude for line in lines],
+    )
     y_err = None
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         y = y + rng.normal(0.0, noise_sigma, size=x.size)
         y_err = np.full(x.size, noise_sigma)
     return Spectrum(x=x, y=y, y_err=y_err)
-
-
-def sample_inhomogeneous_ensemble(
-    fwhm_hz: float,
-    n: int,
-    split_hz: float,
-    seed=None,
-    split_sigma_hz: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw ``n`` emitters from a Gaussian inhomogeneous distribution.
-
-    Returns ``(centers, splits)``, two float arrays of shape ``(n,)``.
-    Emitter centers are detunings, normal with the given FWHM around 0;
-    each emitter's hyperfine splitting is ``split_hz``, optionally spread
-    by ``split_sigma_hz``, so emitter k is a doublet at
-    ``centers[k] -+ splits[k] / 2``.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if fwhm_hz < 0.0 or split_sigma_hz < 0.0:
-        raise ValueError("widths must be >= 0")
-    rng = np.random.default_rng(seed)
-    centers = rng.normal(0.0, fwhm_to_sigma(fwhm_hz), size=n) if fwhm_hz > 0.0 else np.zeros(n)
-    splits = split_hz + (
-        rng.normal(0.0, split_sigma_hz, size=n) if split_sigma_hz > 0.0 else np.zeros(n)
-    )
-    return centers, splits
 
 
 def shift_spectrum(spectrum: Spectrum, shift_hz: float) -> Spectrum:
@@ -283,24 +248,24 @@ def average_spectra(scans: list[Spectrum]) -> Spectrum:
     return Spectrum(x=scans[0].x, y=ys.mean(axis=0))
 
 
-def eom_background_correction(raw: Spectrum) -> Spectrum:
-    """Remove the static-sideband background from a sideband-scanned spectrum.
+def eom_background_correction(raw: np.ndarray) -> np.ndarray:
+    """Remove the static-sideband background from a sideband-scanned trace.
 
-    ``raw`` is normalized to the off-resonant level.  Only one of the two
-    equal-intensity modulation sidebands scans through the resonance, so
-    half the signal is a featureless background:
+    ``raw`` holds the intensities normalized to the off-resonant level.
+    Only one of the two equal-intensity modulation sidebands scans through
+    the resonance, so half the signal is a featureless background:
 
         y_corr = 2 * y_raw - 1
 
     mapping no dip to 1 and a full dip to 0.  Exactly inverted by
     :func:`eom_background_inverse`.
     """
-    return Spectrum(x=raw.x, y=2.0 * raw.y - 1.0)
+    return 2.0 * raw - 1.0
 
 
-def eom_background_inverse(corrected: Spectrum) -> Spectrum:
+def eom_background_inverse(corrected: np.ndarray) -> np.ndarray:
     """Exact inverse of :func:`eom_background_correction`: y_raw = (y_corr + 1) / 2."""
-    return Spectrum(x=corrected.x, y=(corrected.y + 1.0) / 2.0)
+    return (corrected + 1.0) / 2.0
 
 
 def read_xy_csv(path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray | None]:

@@ -11,9 +11,10 @@ nuclear Zeeman terms, and a longitudinal + transverse hyperfine interaction:
       + gamma_e * B . S  +  gamma_n * B . I
       + a_par * S_z I_z  +  a_perp * (S_x I_x + S_y I_y)
 
-with L_z the orbital Pauli-z operator and S, I spin-1/2 operators.  All
+with L_z the orbital Pauli-z operator and S, I spin-1/2 operators.  These
 couplings are stored in angular units (rad/s, rad/s per tesla); use the
-``from_cyclic_hz`` constructors and ``*_hz`` helpers at the boundaries.
+``from_cyclic_hz`` constructor and ``*_hz`` helpers at the boundaries.  The
+optical-transition parameters and detunings are cyclic Hz, as measured.
 
 Because the spin-orbit splitting dominates every other scale by roughly
 three orders of magnitude, the lower orbital branch is close to diagonal in
@@ -95,24 +96,28 @@ class SpinSystemParams:
 class OpticalTransitionParams:
     """Ground/excited differences governing the optical hyperfine structure.
 
+    Both are cyclic, as the spectra that show them are.
+
     Attributes
     ----------
-    delta_a_par:
-        Difference of longitudinal hyperfine couplings between the two
-        optically connected manifolds (rad/s).  The zero-field splitting of
-        the optical line is |delta_a_par| / 2 in angular units.
-    delta_gamma_eff:
-        Difference of the effective electron gyromagnetic ratios of the two
-        manifolds (rad/s per T); sets the rate at which the spin-conserving
-        lines separate with axial field.
+    zero_field_splitting_hz:
+        Full zero-field splitting of the optical line (Hz): the difference
+        of longitudinal hyperfine couplings between the two optically
+        connected manifolds, halved.
+    slope_hz_per_t:
+        Rate (Hz per T) at which the spin-conserving lines separate with
+        axial field: the difference of the manifolds' effective electron
+        gyromagnetic ratios.
     """
 
-    delta_a_par: float
-    delta_gamma_eff: float
+    zero_field_splitting_hz: float
+    slope_hz_per_t: float
 
     def __post_init__(self) -> None:
-        if self.delta_a_par == 0.0:
-            raise ValueError("delta_a_par must be nonzero (optical line would not split)")
+        if self.zero_field_splitting_hz == 0.0:
+            raise ValueError(
+                "zero_field_splitting_hz must be nonzero (optical line would not split)"
+            )
 
     @classmethod
     def from_cyclic_hz(
@@ -121,20 +126,7 @@ class OpticalTransitionParams:
         slope_hz_per_t: float = 5.41e9,
     ) -> "OpticalTransitionParams":
         """Build from the measured full zero-field splitting and field slope (Hz, Hz/T)."""
-        return cls(
-            delta_a_par=2.0 * cyclic_to_angular(zero_field_splitting_hz),
-            delta_gamma_eff=cyclic_to_angular(slope_hz_per_t),
-        )
-
-    @property
-    def zero_field_splitting_hz(self) -> float:
-        """Full zero-field splitting of the optical line in cyclic Hz."""
-        return angular_to_cyclic(abs(self.delta_a_par)) / 2.0
-
-    @property
-    def slope_hz_per_t(self) -> float:
-        """Line-separation rate in cyclic Hz per tesla."""
-        return angular_to_cyclic(self.delta_gamma_eff)
+        return cls(zero_field_splitting_hz, slope_hz_per_t)
 
 
 def sn117_ground() -> SpinSystemParams:

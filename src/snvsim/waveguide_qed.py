@@ -81,8 +81,7 @@ def normalized_reflection_params(delta_hz, cooperativity: float, f_in: float, ga
     reference = 1.0 - 2.0 * f_in
     if reference == 0.0:
         raise ValueError("f_in = 0.5 makes the far-detuned reference intensity zero")
-    out = np.abs(_amplitude(delta_hz, cooperativity, f_in, gamma_h_hz)) ** 2 / reference**2
-    return float(out) if np.isscalar(delta_hz) else out
+    return np.abs(_amplitude(delta_hz, cooperativity, f_in, gamma_h_hz)) ** 2 / reference**2
 
 
 def normalized_reflection_jacobian(delta_hz, cooperativity: float, f_in: float, gamma_h_hz: float):
@@ -196,5 +195,4 @@ def contrast_vs_saturation(saturation, r0_contrast: float):
     s = np.asarray(saturation, dtype=float)
     if np.any(s < 0.0):
         raise ValueError("saturation parameter must be >= 0")
-    out = r0_contrast / (1.0 + s)
-    return float(out) if np.isscalar(saturation) else out
+    return r0_contrast / (1.0 + s)

@@ -19,7 +19,6 @@ from snvsim.config import (
     count,
     in_base_units,
     load_config,
-    merged,
     parse_config_text,
     parse_overrides,
     parse_value,
@@ -27,6 +26,7 @@ from snvsim.config import (
 from snvsim.efficiency import (
     apply_loss_chain, budget_from_config, budget_report, loss_chain_from_config,
 )
+from snvsim.registry import SCENARIOS, configured
 
 
 # --------------------------------------------------------------------------
@@ -77,13 +77,17 @@ def test_load_config_reports_the_file_in_errors(tmp_path):
     assert load_config(path) == {"a": 1, "b_ghz": 0.85}
 
 
-def test_parse_overrides_and_precedence():
+def test_parse_overrides_and_precedence(tmp_path):
     overrides = parse_overrides(["seed=7", "noise_sigma=0.02", "label=fast run"])
     assert overrides == {"seed": 7, "noise_sigma": 0.02, "label": "fast run"}
-    base = {"seed": 1, "keep": True}
-    out = merged(base, overrides)
-    assert out["seed"] == 7 and out["keep"] is True
-    assert base["seed"] == 1  # merged never mutates its inputs
+    path = tmp_path / "run.cfg"
+    path.write_text("scenario = fig2c\nn_points = 10\nseed = 1\n")
+    file_overrides = {"seed": 7}
+    _, cfg, _ = configured(str(path), file_overrides)
+    # Overrides win over the file, the file over the defaults; the defaults' order stays.
+    assert cfg == {**SCENARIOS["fig2c"].defaults, "n_points": 10, "seed": 7}
+    assert list(cfg) == list(SCENARIOS["fig2c"].defaults)
+    assert file_overrides == {"seed": 7}
     with pytest.raises(ValueError, match="key=value"):
         parse_overrides(["seed:7"])
 

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from snvsim.artifacts import _fmt_cell, write_csv
-from snvsim.fitting import fit, make_lorentzian_multi
+from snvsim.fitting import fit, lorentzian_sum, make_lorentzian_multi
+from snvsim.registry import configured
 from snvsim.spectra import (
     MAX_GRID_POINTS,
     RecenterResult,
@@ -26,10 +27,8 @@ from snvsim.spectra import (
     fit_line_center,
     frequency_grid,
     initial_line_guesses,
-    line_sum,
     read_xy_csv,
     recenter_scans,
-    sample_inhomogeneous_ensemble,
     shift_spectrum,
     synthesize_spectrum,
     write_spectrum_csv,
@@ -46,7 +45,7 @@ LINE = SpectralLine(center_hz=0.0, fwhm_hz=70e6, amplitude=1.0)
 def test_zero_noise_synthesis_equals_line_sum():
     x = frequency_grid(-500e6, 500e6, 2e6)
     spectrum = synthesize_spectrum([LINE], x, noise_sigma=0.0)
-    assert np.allclose(spectrum.y, line_sum([LINE], x), rtol=0.0, atol=1e-12)
+    assert np.array_equal(spectrum.y, lorentzian_sum(x, [0.0], [70e6], [1.0]))
     assert spectrum.y_err is None
 
 
@@ -83,49 +82,64 @@ def test_spectrum_validation():
 
 
 # --------------------------------------------------------------------------
-# Inhomogeneous ensemble
+# Inhomogeneous ensembles, as the fig1d and fig2b runners draw them
 # --------------------------------------------------------------------------
 
+def _run(name, **overrides):
+    """A runner's ``(rows, artifacts, notes)`` at its defaults plus ``overrides``."""
+    scenario, _, values = configured(name, overrides)
+    return scenario.run(values)
+
+
+def _fig2b_true_splits(**overrides):
+    _, artifacts, _ = _run("fig2b", n_emitters=3, grid_step_mhz=10.0, **overrides)
+    _, (_, true_splits, _) = artifacts["emitters"][1]
+    return true_splits
+
+
 def test_ensemble_doublet_structure():
-    centers, splits = sample_inhomogeneous_ensemble(fwhm_hz=90e9, n=50, split_hz=452e6, seed=3)
-    assert centers.shape == splits.shape == (50,)
-    assert np.all(splits == 452e6)
-    lows, highs = centers - splits / 2.0, centers + splits / 2.0
-    assert np.allclose(highs - lows, 452e6, rtol=1e-12, atol=0.0)
+    """fig2b draws one splitting per emitter; each doublet keeps it exactly."""
+    splits = _fig2b_true_splits(splitting_sigma_mhz=7.0)
+    assert splits.shape == (3,) and np.unique(splits).size == 3
+    assert np.all(np.abs(splits - 452e6) < 10 * 7e6)
 
 
 def test_ensemble_with_zero_inhomogeneity_is_degenerate():
-    centers, splits = sample_inhomogeneous_ensemble(0.0, n=5, split_hz=452e6, seed=1)
-    assert np.all(centers == 0.0)
-    assert np.all(splits == 452e6)
-
-
-def test_ensemble_center_distribution_passes_ks_test():
-    """Sampler honors FWHM = 2 sqrt(2 ln 2) sigma: KS vs the target normal law."""
-    fwhm = 90e9
-    centers, _ = sample_inhomogeneous_ensemble(fwhm, n=10_000, split_hz=0.0, seed=11)
-    result = stats.kstest(centers, "norm", args=(0.0, fwhm_to_sigma(fwhm)))
-    assert result.pvalue > 0.01
+    assert np.all(_fig2b_true_splits(splitting_sigma_mhz=0.0) == 452e6)
 
 
 def test_ensemble_validation():
-    with pytest.raises(ValueError, match="n must"):
-        sample_inhomogeneous_ensemble(1.0, n=0, split_hz=1.0)
-    with pytest.raises(ValueError, match="widths"):
-        sample_inhomogeneous_ensemble(-1.0, n=1, split_hz=1.0)
+    """The runners' domains refuse an ensemble of one emitter or a negative width."""
+    for name, key, value in [
+        ("fig1d", "n_emitters", 1),
+        ("fig1d", "inhomogeneous_fwhm_ghz", -1.0),
+        ("fig2b", "n_emitters", 0),
+        ("fig2b", "splitting_sigma_mhz", -1.0),
+    ]:
+        with pytest.raises(ValueError, match=key):
+            configured(name, {key: value})
+
+
+def test_ensemble_center_distribution_passes_ks_test():
+    """fig1d honors FWHM = 2 sqrt(2 ln 2) sigma: the KS distance of its
+    histogram, taken at the bin edges, against the target normal law."""
+    fwhm = 90e9
+    _, artifacts, _ = _run("fig1d", inhomogeneous_fwhm_ghz=fwhm / 1e9)
+    _, (mids, counts) = artifacts["distribution"][1]
+    edges = np.append(mids - 1e9, mids[-1] + 1e9)  # 2 GHz bins
+    empirical = np.append(0.0, np.cumsum(counts)) / 10_000
+    distance = np.max(np.abs(empirical - stats.norm.cdf(edges, 0.0, fwhm_to_sigma(fwhm))))
+    assert stats.kstwo.sf(distance, 10_000) > 0.01
 
 
 def test_largest_ensemble_is_two_arrays_and_no_objects():
+    """fig1d's largest ensemble is its center array and a histogram, not objects."""
     tracemalloc.start()
     try:
-        centers, splits = sample_inhomogeneous_ensemble(
-            90e9, n=10**5, split_hz=452e6, seed=2, split_sigma_hz=7e6
-        )
+        _run("fig1d", n_emitters=10**5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    for array in (centers, splits):
-        assert isinstance(array, np.ndarray) and array.dtype == float and array.shape == (10**5,)
     assert peak < 8_000_000
 
 
@@ -255,34 +269,27 @@ def test_recenter_rejects_empty_input():
 # The raw traces are normalized to the off-resonant level, 1.
 
 def test_eom_correction_round_trips_exactly():
-    x = frequency_grid(-300e6, 300e6, 5e6)
     rng = np.random.default_rng(17)
-    raw = Spectrum(x=x, y=0.8 + 0.1 * rng.random(x.size))
+    raw = 0.8 + 0.1 * rng.random(121)
     restored = eom_background_inverse(eom_background_correction(raw))
-    assert np.allclose(restored.y, raw.y, rtol=0.0, atol=1e-12)
-    assert np.array_equal(restored.x, raw.x)
+    assert np.allclose(restored, raw, rtol=0.0, atol=1e-12)
 
 
 def test_eom_correction_is_affine_in_the_raw_signal():
-    x = frequency_grid(-300e6, 300e6, 5e6)
-    raw_a = Spectrum(x=x, y=np.full(x.size, 0.6))
-    raw_b = Spectrum(x=x, y=np.full(x.size, 0.9))
+    raw_a = np.full(121, 0.6)
+    raw_b = np.full(121, 0.9)
     alpha = 0.3
-    mixed = Spectrum(x=x, y=alpha * raw_a.y + (1 - alpha) * raw_b.y)
-    lhs = eom_background_correction(mixed).y
+    lhs = eom_background_correction(alpha * raw_a + (1 - alpha) * raw_b)
     rhs = (
-        alpha * eom_background_correction(raw_a).y
-        + (1 - alpha) * eom_background_correction(raw_b).y
+        alpha * eom_background_correction(raw_a)
+        + (1 - alpha) * eom_background_correction(raw_b)
     )
     assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-12)
 
 
 def test_eom_correction_maps_no_dip_to_one_and_full_dip_to_zero():
-    x = frequency_grid(-100e6, 100e6, 50e6)
-    no_dip = Spectrum(x=x, y=np.ones(x.size))
-    assert np.array_equal(eom_background_correction(no_dip).y, np.ones(x.size))
-    half = Spectrum(x=x, y=np.full(x.size, 0.5))
-    assert np.array_equal(eom_background_correction(half).y, np.zeros(x.size))
+    assert np.array_equal(eom_background_correction(np.ones(5)), np.ones(5))
+    assert np.array_equal(eom_background_correction(np.full(5, 0.5)), np.zeros(5))
 
 
 # --------------------------------------------------------------------------

@@ -71,8 +71,8 @@ def test_parameter_validation():
         SpinSystemParams(lambda_so=-1.0, gamma_e=1.0, gamma_n=1.0, a_par=0.0, a_perp=0.0)
     with pytest.raises(ValueError, match="gamma_e"):
         SpinSystemParams(lambda_so=1.0, gamma_e=0.0, gamma_n=1.0, a_par=0.0, a_perp=0.0)
-    with pytest.raises(ValueError, match="delta_a_par"):
-        OpticalTransitionParams(delta_a_par=0.0, delta_gamma_eff=1.0)
+    with pytest.raises(ValueError, match="zero_field_splitting_hz"):
+        OpticalTransitionParams(zero_field_splitting_hz=0.0, slope_hz_per_t=1.0)
 
 
 def test_from_cyclic_hz_scales_every_coupling_by_two_pi():
@@ -175,8 +175,18 @@ def test_inner_line_crossing_field_frozen_and_degenerate_there():
 
 def test_transition_parameter_round_trip():
     transition = OpticalTransitionParams.from_cyclic_hz(452.0e6, 5.41e9)
-    assert math.isclose(transition.zero_field_splitting_hz, 452.0e6, rel_tol=1e-15)
-    assert math.isclose(transition.slope_hz_per_t, 5.41e9, rel_tol=1e-15)
+    assert transition.zero_field_splitting_hz == 452.0e6
+    assert transition.slope_hz_per_t == 5.41e9
+
+
+@pytest.mark.parametrize("splitting_hz", [453.0e6, 451.3e6, 1.1e6, 9.7e11])
+def test_transition_parameters_keep_the_configured_splitting_exactly(splitting_hz):
+    """The lines sit at exactly half the configured splitting; a splitting
+    held in rad/s and read back through 2 pi missed 453 MHz by one ulp."""
+    transition = OpticalTransitionParams.from_cyclic_hz(splitting_hz, 5.41e9)
+    assert transition.zero_field_splitting_hz == splitting_hz
+    lines = optical_transition_detunings(transition, 0.0)
+    assert list(lines) == [-splitting_hz / 2, -splitting_hz / 2, splitting_hz / 2, splitting_hz / 2]
 
 
 # --------------------------------------------------------------------------
