@@ -13,6 +13,7 @@ no array load no numpy.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 
@@ -74,17 +75,22 @@ def summary_row(
     passed: bool | None = None,
     note: str = "",
 ) -> dict:
-    """One summary entry; pass defaults to |simulated - paper_value| <= tolerance."""
+    """One summary entry; pass defaults to |simulated - paper_value| <= tolerance.
+
+    A ``simulated`` value beyond the float range, or NaN, never passes;
+    ``summary.json`` writes it as ``null``.
+    """
     if passed is None:
         if paper_value is None or tolerance is None:
             raise ValueError(f"{quantity}: need explicit pass when reference is open-ended")
         passed = abs(simulated - paper_value) <= tolerance
+    simulated = float(simulated)
     row = {
         "quantity": quantity,
-        "simulated": float(simulated),
+        "simulated": simulated,
         "paper_value": None if paper_value is None else float(paper_value),
         "tolerance": None if tolerance is None else float(tolerance),
-        "pass": bool(passed),
+        "pass": bool(passed) and math.isfinite(simulated),
     }
     if note:
         row["note"] = note

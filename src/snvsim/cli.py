@@ -212,10 +212,10 @@ def _cmd_budget(args: argparse.Namespace) -> int:
             **config_mod.load_config(args.config),
             **config_mod.parse_overrides(args.overrides),
         }
-        budget = budget_from_config(cfg)
+        report = budget_report(budget_from_config(cfg))
     except (ValueError, KeyError, OSError) as exc:
         return _fail(str(exc))
-    print(json.dumps(budget_report(budget), indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True))
     return _EXIT_OK
 
 

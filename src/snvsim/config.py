@@ -96,7 +96,6 @@ class Domain(NamedTuple):
 
 
 SEED = Domain(int, lambda v: v >= 0, "an integer >= 0")
-REAL = Domain(float, math.isfinite, "a finite number")
 POSITIVE = Domain(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 NON_NEGATIVE = Domain(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
 FRACTION = Domain(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")

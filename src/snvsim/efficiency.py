@@ -164,12 +164,21 @@ CORRECTION_PREFIX = "correction_"
 
 
 def budget_from_config(config: dict) -> EfficiencyBudget:
-    """Build an efficiency budget from ``stage_<name> = fraction`` keys, in file order."""
-    stages = [
-        (key[len(STAGE_PREFIX):], OPEN_FRACTION.check(key, value))
-        for key, value in config.items()
-        if key.startswith(STAGE_PREFIX)
-    ]
+    """Build an efficiency budget from ``stage_<name> = fraction`` keys, in file order.
+
+    A stage at which the cumulative fraction underflows to 0, whose loss in
+    dB would be infinite, is a ``ValueError`` naming its key.
+    """
+    stages = []
+    cumulative = 1.0
+    for key, value in config.items():
+        if key.startswith(STAGE_PREFIX):
+            stages.append((key[len(STAGE_PREFIX):], OPEN_FRACTION.check(key, value)))
+            cumulative *= stages[-1][1]
+            if cumulative == 0.0:
+                raise ValueError(
+                    f"config key {key!r}: the product of the stages up to it underflows to 0"
+                )
     if not stages:
         raise ValueError(f"no {STAGE_PREFIX}* keys found in budget config")
     return EfficiencyBudget.from_pairs(stages)

@@ -16,6 +16,7 @@ pulse is therefore (1 + exp(-pi/(Omega T1))) / 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,16 @@ class SaturationParams:
             raise ValueError("saturation power and limiting intensity must be positive")
 
 
+def _lifetimes(t: np.ndarray, tau: float) -> np.ndarray:
+    """t / tau, clipped to the largest float where the quotient overflows.
+
+    exp(-t / tau) is then exactly 0, its limit there, and the quotient times
+    a bounded factor stays finite; every decay below takes its exponent here.
+    """
+    with np.errstate(over="ignore"):
+        return np.minimum(t / tau, sys.float_info.max)
+
+
 def spontaneous_decay(t_s, tau_s: float):
     """Excited-state population exp(-t/tau) after pulsed excitation."""
     if tau_s <= 0.0:
@@ -54,7 +65,7 @@ def spontaneous_decay(t_s, tau_s: float):
     t = np.asarray(t_s, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("time must be non-negative")
-    return np.exp(-t / tau_s)
+    return np.exp(-_lifetimes(t, tau_s))
 
 
 def rabi_population(t_s, omega: float, t1: float):
@@ -76,9 +87,10 @@ def rabi_population(t_s, omega: float, t1: float):
         phase = omega * t
     if not np.isfinite(phase).all():
         raise ValueError("omega * t must be finite: the phase is beyond the float range")
+    elapsed = _lifetimes(t, t1)
     # sin(omega t) / (omega t1) == (t / t1) * sinc(omega t / pi)
-    ringdown = np.cos(phase) + (t / t1) * np.sinc(phase / np.pi)
-    return 0.5 * (1.0 - ringdown * np.exp(-t / t1))
+    ringdown = np.cos(phase) + elapsed * np.sinc(phase / np.pi)
+    return 0.5 * (1.0 - ringdown * np.exp(-elapsed))
 
 
 def pi_pulse_calibration(omega: float, t1: float) -> dict[str, float]:
@@ -121,11 +133,16 @@ def saturation_rate(p, p_sat: float, i_infinity: float) -> np.ndarray:
 
 
 def saturation_intensity(p_w, sp: SaturationParams):
-    """Detected fluorescence rate i_infinity / (1 + p_sat/p) at drive power ``p_w``."""
+    """Detected fluorescence rate i_infinity / (1 + p_sat/p) at drive power ``p_w``.
+
+    Where p_sat/p overflows, the rate is 0, its limit, as it is where the
+    quotient i_infinity / (1 + p_sat/p) underflows.
+    """
     p = np.asarray(p_w, dtype=float)
     if np.any(p <= 0.0):
         raise ValueError("power must be positive")
-    return saturation_rate(p, sp.p_sat, sp.i_infinity)
+    with np.errstate(over="ignore"):
+        return saturation_rate(p, sp.p_sat, sp.i_infinity)
 
 
 def pumping_fidelity(t_s, pm: PumpingModel):
@@ -137,7 +154,7 @@ def pumping_fidelity(t_s, pm: PumpingModel):
     t = np.asarray(t_s, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("time must be non-negative")
-    return pm.f_infinity - (pm.f_infinity - 0.5) * np.exp(-t / pm.tau_pump)
+    return pm.f_infinity - (pm.f_infinity - 0.5) * np.exp(-_lifetimes(t, pm.tau_pump))
 
 
 def pumping_time_constant(t_s: float, fidelity: float, f_infinity: float) -> float:
@@ -158,5 +175,4 @@ def nuclear_polarization_decay(t_s, t1n: float, f_init: float):
     t = np.asarray(t_s, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("time must be non-negative")
-    with np.errstate(over="ignore"):  # t / t1n = inf has the exact limit exp(-inf) = 0
-        return 0.5 + (f_init - 0.5) * np.exp(-t / t1n)
+    return 0.5 + (f_init - 0.5) * np.exp(-_lifetimes(t, t1n))

@@ -48,7 +48,7 @@ from typing import NamedTuple
 from . import config as config_mod
 from .artifacts import write_artifact
 from .config import (
-    CORRECTION, FRACTION, MAX_GRID_POINTS, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, REAL, SEED,
+    CORRECTION, FRACTION, MAX_GRID_POINTS, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, SEED,
     between, choice, count, positive_up_to,
 )
 from .units import NUCLEAR_GYROMAGNETIC_HZ_PER_T
@@ -78,6 +78,12 @@ _MIN_FIELD_STEP_MT = 1e-2
 #: Linewidths in MHz that fig1e, fig2a and fig2b fit from: each fit starts at the
 #: configured width and bounds the width below at 1e-300 Hz.
 _FITTED_LINEWIDTH = between(1e-306, sys.float_info.max)
+#: Additive noise: its draws, of a few sigma, plus the signal must stay finite.
+_NOISE = positive_up_to(1e300)
+#: Signal-to-noise ratios: the noise 1 / snr is bounded as _NOISE is.
+_SNR = between(1e-300, sys.float_info.max)
+#: fig3a's powers in pW: their axis is spaced in W and converted back, which may round up.
+_POWER_PW = positive_up_to(1e300)
 
 
 class Scenario(NamedTuple):
@@ -133,7 +139,7 @@ _SCENARIOS = [
             "seed": (12, SEED),
             "zero_field_splitting_mhz": (452.0, POSITIVE),
             "linewidth_mhz": (70.0, _FITTED_LINEWIDTH),
-            "snr": (20.0, POSITIVE),
+            "snr": (20.0, _SNR),
             "grid_span_mhz": (1600.0, POSITIVE),
             "grid_step_mhz": (2.0, POSITIVE),
         },
@@ -150,7 +156,7 @@ _SCENARIOS = [
             "zero_field_splitting_mhz": (452.0, POSITIVE),
             "slope_ghz_per_t": (5.41, POSITIVE),
             "linewidth_mhz": (70.0, _FITTED_LINEWIDTH),
-            "snr": (15.0, POSITIVE),
+            "snr": (15.0, _SNR),
             "grid_span_ghz": (2.4, POSITIVE),
             "grid_step_mhz": (5.0, POSITIVE),
         },
@@ -165,7 +171,7 @@ _SCENARIOS = [
             "splitting_mean_mhz": (452.0, NON_NEGATIVE),
             "splitting_sigma_mhz": (7.0, NON_NEGATIVE),
             "linewidth_mhz": (70.0, _FITTED_LINEWIDTH),
-            "snr": (15.0, POSITIVE),
+            "snr": (15.0, _SNR),
             "grid_span_mhz": (1200.0, POSITIVE),
             "grid_step_mhz": (2.0, POSITIVE),
         },
@@ -182,7 +188,7 @@ _SCENARIOS = [
             "n_points": (60, count(3, MAX_GRID_POINTS)),
             # pumping.csv writes the time axis in ns
             "max_time_us": (30.0, positive_up_to(sys.float_info.max / 1e3)),
-            "noise_sigma": (0.003, POSITIVE),
+            "noise_sigma": (0.003, _NOISE),
         },
     ),
     Scenario(
@@ -196,7 +202,7 @@ _SCENARIOS = [
             # depolarization.csv writes the time axis in ns
             "max_time_s": (5.0, positive_up_to(sys.float_info.max / 1e9)),
             "n_points": (40, count(3, MAX_GRID_POINTS)),
-            "noise_sigma": (0.01, POSITIVE),
+            "noise_sigma": (0.01, _NOISE),
         },
     ),
     Scenario(
@@ -207,8 +213,9 @@ _SCENARIOS = [
             "seed": (31, SEED),
             "saturation_power_pw": (120.0, POSITIVE),
             "max_rate_mcps": (1.34, POSITIVE),
-            "power_min_pw": (1.0, POSITIVE),
-            "power_max_pw": (2000.0, POSITIVE),
+            # the powers go back to pW, for saturation.csv and the fit
+            "power_min_pw": (1.0, _POWER_PW),
+            "power_max_pw": (2000.0, _POWER_PW),
             "n_points": (30, count(2, MAX_GRID_POINTS)),
             "noise_rel": (0.03, OPEN_FRACTION),  # relative to the rate, so at most 100 %
         },
@@ -249,7 +256,7 @@ _SCENARIOS = [
             "linewidth_mhz": (70.0, POSITIVE),
             "grid_span_mhz": (1000.0, POSITIVE),
             "grid_step_mhz": (2.0, POSITIVE),
-            "noise_sigma": (0.01, POSITIVE),
+            "noise_sigma": (0.01, _NOISE),
         },
     ),
     Scenario(
@@ -263,7 +270,7 @@ _SCENARIOS = [
             "s_min": (0.01, POSITIVE),
             "s_max": (10.0, POSITIVE),
             "n_points": (25, count(1, MAX_GRID_POINTS)),
-            "noise_sigma": (0.005, POSITIVE),
+            "noise_sigma": (0.005, _NOISE),
         },
     ),
     Scenario(
@@ -305,7 +312,7 @@ _SCENARIOS = [
             "optical_t1_ns": (4.7, POSITIVE),
             "max_time_ns": (15.0, POSITIVE),
             "n_points": (301, count(2, MAX_GRID_POINTS)),
-            "noise_sigma": (0.02, POSITIVE),
+            "noise_sigma": (0.02, _NOISE),
         },
     ),
     Scenario(
@@ -317,7 +324,8 @@ _SCENARIOS = [
             "lifetime_ns": (5.56, POSITIVE),
             "max_time_ns": (30.0, POSITIVE),
             "n_points": (120, count(3, MAX_GRID_POINTS)),
-            "peak_counts": (3000.0, POSITIVE),
+            # numpy draws Poisson counts up to a mean of about 9.2e18
+            "peak_counts": (3000.0, positive_up_to(1e18)),
         },
     ),
     Scenario(
@@ -331,7 +339,7 @@ _SCENARIOS = [
             "background": (0.052, FRACTION),
             "max_delay_ns": (20.0, NON_NEGATIVE),
             "step_ns": (0.1, POSITIVE),
-            "noise_sigma": (0.03, NON_NEGATIVE),
+            "noise_sigma": (0.03, between(0.0, 1e300)),
         },
     ),
     Scenario(
@@ -339,7 +347,8 @@ _SCENARIOS = [
         description="Predicted optical splittings for the sibling spin-1/2 isotopes (isotope assignment analysis, supporting Fig. 2b).",
         runner="scenarios:_run_isotopes",
         keys={
-            "reference_splitting_mhz": (452.0, REAL),
+            # each prediction multiplies the splitting in Hz by gamma_n (~1.6e7 Hz/T)
+            "reference_splitting_mhz": (452.0, between(-1e294, 1e294)),
             "reference_isotope": ("sn117", choice(*NUCLEAR_GYROMAGNETIC_HZ_PER_T)),
         },
     ),
@@ -444,7 +453,10 @@ def run_scenario(target: str, overrides: dict | None = None, output_root=None) -
         "scenario": scenario.name,
         "description": scenario.description,
         "config": cfg,
-        "entries": rows,
+        "entries": [  # a non-finite value, which never passes, as null
+            {**row, "simulated": row["simulated"] if math.isfinite(row["simulated"]) else None}
+            for row in rows
+        ],
         "artifacts": index,
         "notes": notes,
         "all_pass": all(row["pass"] for row in rows),

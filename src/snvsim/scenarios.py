@@ -83,6 +83,11 @@ def _run_fig1d(cfg: dict):
     empirical_fwhm = sigma_to_fwhm(float(np.std(centers, ddof=1)))
     _check_points(5.0 * fwhm / bin_width, "histogram")
     edges = np.arange(-2.5 * fwhm, 2.5 * fwhm + bin_width, bin_width)
+    if edges.size < 4:  # the Gaussian fit has three parameters
+        raise ValueError(
+            f"config keys 'inhomogeneous_fwhm_ghz' and 'bin_width_ghz' give a histogram of "
+            f"{edges.size - 1} bins over +-2.5 FWHM; the Gaussian fit needs at least 3"
+        )
     counts, edges = np.histogram(centers, bins=edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
 
@@ -396,6 +401,11 @@ def _run_fig3a(cfg: dict):
     y_true = optical_dynamics.saturation_intensity(powers, sp)
     y = y_true * (1.0 + _rng(cfg["seed"], 0).normal(0.0, noise_rel, size=powers.size))
     y_err = noise_rel * y_true
+    if not y_err.all():  # a point of zero uncertainty would have an infinite weight
+        raise ValueError(
+            "config keys 'saturation_power_pw', 'max_rate_mcps', 'power_min_pw', "
+            "'power_max_pw' and 'noise_rel' give a rate uncertainty that underflows to 0"
+        )
 
     powers_pw = powers * 1e12
     model = make_saturation().with_init((8.0e5, 60.0))
@@ -550,12 +560,12 @@ def _run_fig4b(cfg: dict):
     contrast_fit = waveguide_qed.dip_contrast(fitted)
     fwhm_fit = waveguide_qed.dip_fwhm_hz(fitted)
 
-    reflection_fit = {
-        "c": float(c_fit),
-        "f": float(f_in),
-        "gamma_h_mhz": float(gamma_fit / 1e6),
-        "contrast": float(contrast_fit),
-        "residual_norm": float(result.residual_norm),
+    reflection_fit = {  # a value beyond the float range is written as null
+        "c": _finite_or_none(c_fit),
+        "f": f_in,
+        "gamma_h_mhz": _finite_or_none(gamma_fit / 1e6),
+        "contrast": _finite_or_none(contrast_fit),
+        "residual_norm": _finite_or_none(result.residual_norm),
     }
 
     # gamma0 is the Fourier limit of the lifetime scenario's default lifetime.

@@ -1,10 +1,10 @@
 """Unit conventions and conversions.
 
-All internal frequency-like quantities (Hamiltonian couplings, decay rates,
-Rabi frequencies, detunings) are stored in angular units, rad/s.  Public
-constructors and result containers talk cyclic Hz so that values can be
-compared directly with instrument readings; conversion happens exactly once
-at each boundary through the helpers below.
+Hamiltonian couplings and rates (decay rates, Rabi frequencies) are
+angular, rad/s.  Detunings, line widths and the optical-transition
+parameters (``OpticalTransitionParams``) are cyclic Hz, as the spectra that
+show them are, so that values compare directly with instrument readings.
+A value converts at most once, through the helpers below.
 
 Magnetic fields are tesla, times are seconds, powers are watts unless a
 function name says otherwise.  The tabulated nuclear gyromagnetic ratios

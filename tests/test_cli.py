@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shlex
 import statistics
 import subprocess
 import sys
@@ -227,6 +228,13 @@ OUT_OF_DOMAIN = [
     ("fig3a", "noise_rel=1.0000000000000002"),
     ("rabi", "rabi_frequency_mhz=9.999999999999999e-301"),
     ("fig1e", "linewidth_mhz=9.999999999999999e-307"),
+    # The next float past each domain that closed an exit 2 naming no key (see MAX_FLOAT_RUNS).
+    ("isotopes", "reference_splitting_mhz=1.0000000000000002e294"),
+    ("lifetime", "peak_counts=1.0000000000000001e18"),
+    ("fig3a", "power_max_pw=1.0000000000000002e300"),
+    ("fig4b", "noise_sigma=1.0000000000000002e300"),
+    ("g2", "noise_sigma=1.0000000000000002e300"),
+    ("fig1e", "snr=9.999999999999999e-301"),
     *HUGE_COUNTS,
 ]
 
@@ -403,6 +411,22 @@ MAX_FLOAT_RUNS = [
     ("fig3a", "noise_rel=1"),
     ("rabi", "rabi_frequency_mhz=1e-300"),
     ("fig1e", "linewidth_mhz=1e-306"),
+    # Exit 2 from deep inside the run, naming no key: a summary value or a fit
+    # value beyond the float range (now null, and the row fails), a histogram
+    # of no bins, numpy's Poisson limit, and a product that overflowed.
+    ("fig3c", "repetition_rate_mhz=1e300"),
+    ("table_s1", "measured_efficiency=5e-324"),
+    ("fig4b", "noise_sigma=5e-324"),
+    ("fig1d", "inhomogeneous_fwhm_ghz=1e-300"),
+    ("lifetime", "peak_counts=1e19"),
+    ("isotopes", "reference_splitting_mhz=1e300"),
+    # The ends of the domains that now refuse the last two and the largest noises.
+    ("lifetime", "peak_counts=1e18"),
+    ("isotopes", "reference_splitting_mhz=1e294"),
+    ("fig3a", "power_min_pw=1e300"),
+    ("fig4b", "noise_sigma=1e300"),
+    ("fig2c", "noise_sigma=1e300"),
+    ("fig1e", "snr=1e-300"),
 ]
 
 
@@ -423,6 +447,51 @@ def test_a_max_float_run_keeps_the_stderr_contract_with_warnings_as_errors(
         # The one product of keys that no domain bounds (README) says so instead.
         product = error["error"].startswith("omega * t must be finite")
         assert f"'{override.partition('=')[0]}'" in error["error"] or product
+
+
+# Pairs of in-domain overrides, each at an edge, whose runs once leaked numpy's
+# overflow warnings or exited 2 naming no key.  Where t / tau overflows the
+# decays take their limit exp(-inf) = 0; a summary value beyond the float range
+# is null and fails its row; a rate that underflows to 0 is refused by name.
+EDGE_PAIRS = [
+    ("fig2c", ["max_time_us=1e300", "calibration_time_us=1e-300"]),
+    ("rabi", ["rabi_frequency_mhz=1e-300", "optical_t1_ns=1e-30"]),
+    ("lifetime", ["lifetime_ns=1e-30", "max_time_ns=1.7976931348623157e308"]),
+    ("fig3a", ["saturation_power_pw=1.7976931348623157e308", "power_min_pw=1e-30"]),
+    ("fig3a", ["power_min_pw=1.7976931348623157e308", "power_max_pw=1.7976931348623157e308"]),
+    ("fig2a", ["slope_ghz_per_t=2.2250738585072014e-308", "n_scans=3"]),
+    ("table_s1", ["stage_pi_pulse_fidelity=1e-200", "stage_quantum_efficiency=1e-200"]),
+    ("table_s1", ["stage_pi_pulse_fidelity=5e-324", "stage_detector_efficiency=1"]),
+]
+
+
+@pytest.mark.parametrize("scenario, overrides", EDGE_PAIRS)
+def test_a_run_at_two_edges_keeps_the_stderr_contract_with_warnings_as_errors(
+    capsys, tmp_path, scenario, overrides
+):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["run", scenario, *overrides, "--output-dir", str(tmp_path)])
+    if code in (0, 1):
+        assert err == ""
+        _strict_json(out)
+        for path in (tmp_path / scenario).rglob("*.json"):
+            _strict_json(path.read_text())
+    else:
+        assert code == 2 and out == ""
+        error = _strict_json(err)
+        assert set(error) == {"error"}
+        assert re.search(r"config keys? '\w+'", error["error"])
+
+
+def test_a_summary_value_beyond_the_float_range_is_null_and_fails(capsys, tmp_path):
+    argv = ["run", "fig2a", "n_scans=3", "slope_ghz_per_t=2.2250738585072014e-308"]
+    code, out, err = _run(capsys, [*argv, "--output-dir", str(tmp_path)])
+    assert code == 1 and err == ""
+    (row,) = [r for r in _strict_json(out)["entries"] if r["quantity"] == "inner_line_crossing_mt"]
+    assert row["simulated"] is None and row["pass"] is False
+    # The Python rows keep the float, and an ensemble still refuses it.
+    assert main(["ensemble", *argv[1:], "--seeds", "1"]) == 2
 
 
 # In-domain overrides whose fits once stepped out of the model's domain: a
@@ -665,6 +734,23 @@ def test_readme_command_line_block_names_exactly_the_subcommands():
     assert listed == set(subcommands)
 
 
+def test_the_ci_smoke_step_runs_every_subcommand_with_exit_0(capsys, tmp_path):
+    """The workflow's command lines, in order, from a fresh working directory."""
+    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    step = workflow.split("name: Console script smoke run", 1)[1].split("- name:", 1)[0]
+    assert "PYTHONWARNINGS: error" in step
+    lines = [shlex.split(line) for line in re.findall(r"^ *snvsim (.+)$", step, re.MULTILINE)]
+    assert {argv[0] for argv in lines} == set(build_parser().commands)
+    for argv in lines:
+        argv = [
+            str(tmp_path / "all") if arg == "$RUNNER_TEMP/snvsim_out"
+            else str(REPO / arg) if arg.startswith("configs/") else arg
+            for arg in argv
+        ]
+        code, _, err = _run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+
+
 # --------------------------------------------------------------------------
 # fit
 # --------------------------------------------------------------------------
@@ -851,6 +937,21 @@ def test_budget_subcommand_error_paths(capsys, tmp_path):
     code, out, err = _run(capsys, ["budget", TABLE_S1_CFG, "stage_detector_efficiency=true"])
     assert code == 2 and out == ""
     assert "'stage_detector_efficiency'" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["budget", TABLE_S1_CFG], ["run", "table_s1", "--output-dir", "out"]],
+    ids=["budget", "run-table_s1"],
+)
+def test_a_stage_product_that_underflows_exits_2_and_names_the_stage(capsys, argv):
+    overrides = ["stage_pi_pulse_fidelity=1e-200", "stage_quantum_efficiency=1e-200"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, [*argv, *overrides])
+    assert code == 2 and out == ""
+    error = _strict_json(err)["error"]
+    assert error.startswith("config key 'stage_quantum_efficiency'") and "underflows" in error
 
 
 # --------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from snvsim.config import (
     NON_NEGATIVE,
     OPEN_FRACTION,
     POSITIVE,
-    REAL,
     SEED,
     UNIT_FACTORS,
+    between,
     choice,
     count,
     in_base_units,
@@ -122,13 +122,13 @@ def test_unit_suffix_is_stripped_and_applied_as_float_times_factor():
 
 
 def test_numeric_domains_reject_booleans_strings_and_non_finite_values():
-    for domain in (REAL, POSITIVE, NON_NEGATIVE, FRACTION, OPEN_FRACTION):
+    for domain in (between(-1.0, 1.0), POSITIVE, NON_NEGATIVE, FRACTION, OPEN_FRACTION):
         for bad in (True, False, "70", math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="'linewidth_mhz'"):
                 domain.check("linewidth_mhz", bad)
     # An integer too large for a float is rejected, not an OverflowError.
     with pytest.raises(ValueError, match="'x'"):
-        REAL.check("x", 10**400)
+        POSITIVE.check("x", 10**400)
     for domain in (SEED, count(1, 10)):
         for bad in (2.5, True, "3", math.nan):
             with pytest.raises(ValueError, match="integer"):
@@ -136,8 +136,8 @@ def test_numeric_domains_reject_booleans_strings_and_non_finite_values():
 
 
 def test_domains_check_ranges_and_convert():
-    assert REAL.check("x", 3) == 3.0 and isinstance(REAL.check("x", 3), float)
-    assert REAL.check("x", -2.5) == -2.5
+    assert POSITIVE.check("x", 3) == 3.0 and isinstance(POSITIVE.check("x", 3), float)
+    assert between(-3.0, 3.0).check("x", -2.5) == -2.5
     assert POSITIVE.check("x", 1e-300) == 1e-300
     with pytest.raises(ValueError, match=r"> 0"):
         POSITIVE.check("x", 0)
