@@ -173,12 +173,13 @@ def budget_from_config(config: dict) -> EfficiencyBudget:
     cumulative = 1.0
     for key, value in config.items():
         if key.startswith(STAGE_PREFIX):
-            stages.append((key[len(STAGE_PREFIX):], OPEN_FRACTION.check(key, value)))
-            cumulative *= stages[-1][1]
+            fraction = OPEN_FRACTION.check(key, value)
+            cumulative *= fraction
             if cumulative == 0.0:
                 raise ValueError(
                     f"config key {key!r}: the product of the stages up to it underflows to 0"
                 )
+            stages.append((key[len(STAGE_PREFIX):], fraction))
     if not stages:
         raise ValueError(f"no {STAGE_PREFIX}* keys found in budget config")
     return EfficiencyBudget.from_pairs(stages)

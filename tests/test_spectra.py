@@ -98,7 +98,7 @@ def _fig2b_true_splits(**overrides):
 
 
 def test_ensemble_doublet_structure():
-    """fig2b draws one splitting per emitter; each doublet keeps it exactly."""
+    """fig2b draws one splitting per emitter, around the configured mean."""
     splits = _fig2b_true_splits(splitting_sigma_mhz=7.0)
     assert splits.shape == (3,) and np.unique(splits).size == 3
     assert np.all(np.abs(splits - 452e6) < 10 * 7e6)
