@@ -125,7 +125,7 @@ def _run_fig1e(cfg: dict):
 
     params = spin_hamiltonian.sn117_ground()
     hamiltonian = spin_hamiltonian.build_ground_hamiltonian(params, (0.0, 0.0, 0.0))
-    energies = spin_hamiltonian.eigenenergies_hz(hamiltonian)
+    energies = spin_hamiltonian.eigenenergies(hamiltonian)
 
     # At zero field the lines do not depend on the field slope.
     transition = spin_hamiltonian.OpticalTransitionParams.from_cyclic_hz(split)

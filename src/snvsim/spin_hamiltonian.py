@@ -11,10 +11,10 @@ nuclear Zeeman terms, and a longitudinal + transverse hyperfine interaction:
       + gamma_e * B . S  +  gamma_n * B . I
       + a_par * S_z I_z  +  a_perp * (S_x I_x + S_y I_y)
 
-with L_z the orbital Pauli-z operator and S, I spin-1/2 operators.  These
-couplings are stored in angular units (rad/s, rad/s per tesla); use the
-``from_cyclic_hz`` constructor and ``*_hz`` helpers at the boundaries.  The
-optical-transition parameters and detunings are cyclic Hz, as measured.
+with L_z the orbital Pauli-z operator and S, I spin-1/2 operators.  The
+couplings, the Hamiltonian and its eigenenergies are cyclic (Hz, Hz per
+tesla), as are the optical-transition parameters and detunings: the
+spectra that show them are read in Hz.
 
 Because the spin-orbit splitting dominates every other scale by roughly
 three orders of magnitude, the lower orbital branch is close to diagonal in
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import NUCLEAR_GYROMAGNETIC_HZ_PER_T, angular_to_cyclic, cyclic_to_angular
+from .units import NUCLEAR_GYROMAGNETIC_HZ_PER_T
 
 # Pauli matrices and spin-1/2 operators (S = sigma / 2).
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -45,20 +45,20 @@ SPIN_Z = 0.5 * PAULI_Z
 
 @dataclass(frozen=True)
 class SpinSystemParams:
-    """Couplings of one orbital manifold of the register, in angular units.
+    """Couplings of one orbital manifold of the register, in cyclic units.
 
     Attributes
     ----------
     lambda_so:
-        Spin-orbit splitting (rad/s); must be positive.
+        Spin-orbit splitting (Hz); must be positive.
     gamma_e:
-        Electron gyromagnetic ratio (rad/s per T); must be positive.
+        Electron gyromagnetic ratio (Hz per T); must be positive.
     gamma_n:
-        Nuclear gyromagnetic ratio (rad/s per T); negative for tin.
+        Nuclear gyromagnetic ratio (Hz per T); negative for tin.
     a_par:
-        Longitudinal hyperfine coupling of S_z I_z (rad/s).
+        Longitudinal hyperfine coupling of S_z I_z (Hz).
     a_perp:
-        Transverse hyperfine coupling of S_x I_x + S_y I_y (rad/s).
+        Transverse hyperfine coupling of S_x I_x + S_y I_y (Hz).
     """
 
     lambda_so: float
@@ -72,24 +72,6 @@ class SpinSystemParams:
             raise ValueError(f"lambda_so must be positive, got {self.lambda_so}")
         if self.gamma_e <= 0.0:
             raise ValueError(f"gamma_e must be positive, got {self.gamma_e}")
-
-    @classmethod
-    def from_cyclic_hz(
-        cls,
-        lambda_so_hz: float,
-        gamma_e_hz_per_t: float,
-        gamma_n_hz_per_t: float,
-        a_par_hz: float,
-        a_perp_hz: float,
-    ) -> "SpinSystemParams":
-        """Build parameters from cyclic-frequency inputs (Hz, Hz/T)."""
-        return cls(
-            lambda_so=cyclic_to_angular(lambda_so_hz),
-            gamma_e=cyclic_to_angular(gamma_e_hz_per_t),
-            gamma_n=cyclic_to_angular(gamma_n_hz_per_t),
-            a_par=cyclic_to_angular(a_par_hz),
-            a_perp=cyclic_to_angular(a_perp_hz),
-        )
 
 
 @dataclass(frozen=True)
@@ -139,12 +121,12 @@ def sn117_ground() -> SpinSystemParams:
     contact interaction) — an assumption, but immaterial below the 1e-3
     relative level because its effect is suppressed by a_perp / lambda_so.
     """
-    return SpinSystemParams.from_cyclic_hz(
-        lambda_so_hz=850.0e9,
-        gamma_e_hz_per_t=28.0e9,
-        gamma_n_hz_per_t=NUCLEAR_GYROMAGNETIC_HZ_PER_T["sn117"],
-        a_par_hz=904.0e6,
-        a_perp_hz=904.0e6,
+    return SpinSystemParams(
+        lambda_so=850.0e9,
+        gamma_e=28.0e9,
+        gamma_n=NUCLEAR_GYROMAGNETIC_HZ_PER_T["sn117"],
+        a_par=904.0e6,
+        a_perp=904.0e6,
     )
 
 
@@ -153,7 +135,7 @@ def _three_site(op_orbital: np.ndarray, op_electron: np.ndarray, op_nuclear: np.
 
 
 def build_ground_hamiltonian(params: SpinSystemParams, b_field_t) -> np.ndarray:
-    """Full 8x8 Hamiltonian (rad/s) at a static field ``b_field_t`` (tesla).
+    """Full 8x8 Hamiltonian (Hz) at a static field ``b_field_t`` (tesla).
 
     ``b_field_t`` is a length-3 sequence (bx, by, bz) in the defect frame
     with z along the symmetry axis.  The spin-orbit term acts as
@@ -188,7 +170,7 @@ def build_ground_hamiltonian(params: SpinSystemParams, b_field_t) -> np.ndarray:
 
 
 def eigenenergies(hamiltonian: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalues (rad/s) of a Hermitian Hamiltonian.
+    """Sorted eigenvalues of a Hermitian Hamiltonian, in its unit (Hz here).
 
     Raises ``ValueError`` if the matrix is not Hermitian to numerical
     precision, which catches construction mistakes early.
@@ -200,11 +182,6 @@ def eigenenergies(hamiltonian: np.ndarray) -> np.ndarray:
     if not np.allclose(h, h.conj().T, rtol=0.0, atol=1e-12 * scale):
         raise ValueError("hamiltonian is not Hermitian")
     return np.linalg.eigvalsh(h)
-
-
-def eigenenergies_hz(hamiltonian: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalues of ``hamiltonian`` converted to cyclic Hz."""
-    return angular_to_cyclic(eigenenergies(hamiltonian))
 
 
 def optical_transition_detunings(

@@ -1,10 +1,11 @@
 """Unit conventions and conversions.
 
-Hamiltonian couplings and rates (decay rates, Rabi frequencies) are
-angular, rad/s.  Detunings, line widths and the optical-transition
-parameters (``OpticalTransitionParams``) are cyclic Hz, as the spectra that
-show them are, so that values compare directly with instrument readings.
-A value converts at most once, through the helpers below.
+The rates of the optical dynamics (decay rates, Rabi frequencies) are
+angular, rad/s, because they enter as phases and exponents.  Every other
+frequency is cyclic Hz, as the spectra that show them are, so that values
+compare directly with instrument readings: the spin-Hamiltonian couplings
+and levels, detunings, line widths and the optical-transition parameters.
+Where the two meet, a value converts once, by ``TWO_PI``.
 
 Magnetic fields are tesla, times are seconds, powers are watts unless a
 function name says otherwise.  The tabulated nuclear gyromagnetic ratios
@@ -25,16 +26,6 @@ NUCLEAR_GYROMAGNETIC_HZ_PER_T = {
     "sn117": -15.2610e6,
     "sn119": -15.9659e6,
 }
-
-
-def cyclic_to_angular(f_hz: float) -> float:
-    """Convert a cyclic frequency in Hz to angular frequency in rad/s."""
-    return TWO_PI * f_hz
-
-
-def angular_to_cyclic(omega_rad_s: float) -> float:
-    """Convert an angular frequency in rad/s to cyclic frequency in Hz."""
-    return omega_rad_s / TWO_PI
 
 
 def db_to_fraction(loss_db: float) -> float:

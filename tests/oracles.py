@@ -276,7 +276,7 @@ def weighted_linear_covariance(x, y, y_err, params) -> np.ndarray:
 
 
 class GroundBranchEnergies(NamedTuple):
-    """Closed-form zero-field energies (rad/s) of the lower orbital branch."""
+    """Closed-form zero-field energies (Hz) of the lower orbital branch."""
 
     aligned: float
     antialigned: float
@@ -288,7 +288,7 @@ def ground_branch_energies(params) -> GroundBranchEnergies:
         E_aligned     = -lambda_so / 2 + a_par / 4
         E_antialigned = -sqrt(lambda_so^2 + a_perp^2) / 2 - a_par / 4
 
-    ``params`` carries the couplings in rad/s (``lambda_so``, ``a_par``,
+    ``params`` carries the couplings in Hz (``lambda_so``, ``a_par``,
     ``a_perp``).  The antialigned doublet is pushed down by the transverse
     hyperfine coupling; their difference tends to a_par / 2 as a_perp -> 0.
     """

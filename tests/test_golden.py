@@ -20,6 +20,8 @@ differs and never skips.
 Regenerate the file, after a change that moves an output on purpose, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which first prints one line for each output that moves.
 """
 
 from __future__ import annotations
@@ -187,6 +189,10 @@ def test_a_moved_number_or_word_is_named_on_any_dispatch():
 
 
 if __name__ == "__main__":
+    new = collect()
+    if GOLDEN.is_file():
+        for line in compare(json.loads(GOLDEN.read_text()), new):
+            print(line)
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps(collect(), indent=1, sort_keys=True) + "\n")
+    GOLDEN.write_text(json.dumps(new, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN.relative_to(REPO)}")

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import ground_branch_energies
 from snvsim.config import CORRECTION, in_base_units
 from snvsim import photon_budget, registry, scenarios, spin_hamiltonian
 from snvsim.artifacts import summary_row, write_artifact
@@ -218,6 +219,18 @@ def test_fig3b_thresholds_carry_the_poisson_reference(scenario_output_root):
     poisson = [float(row["fidelity_poisson"]) for row in rows]
     assert poisson == [photon_budget.threshold_fidelity(bright, dark, k) for k in range(len(rows))]
     assert poisson.index(max(poisson)) == 1
+
+
+def test_fig1e_levels_land_on_their_closed_forms(scenario_output_root):
+    """The levels are computed in Hz, the unit they are written in: the aligned
+    doublet is -lambda_so/2 + a_par/4 exactly, the antialigned one within an ulp."""
+    result = run_scenario("fig1e", output_root=scenario_output_root / "fig1e_levels")
+    with open(result.out_dir / "levels.csv", newline="") as handle:
+        levels = [float(row["energy_hz"]) for row in csv.DictReader(handle)]
+    closed = ground_branch_energies(spin_hamiltonian.sn117_ground())
+    assert closed.aligned == -424774000000.0
+    assert levels[2] == levels[3] == closed.aligned
+    assert abs(levels[0] - closed.antialigned) <= math.ulp(closed.antialigned)
 
 
 def test_fig2a_manifest_lists_every_scan(scenario_output_root):

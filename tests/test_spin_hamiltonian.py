@@ -22,14 +22,12 @@ from snvsim.spin_hamiltonian import (
     angular_splitting_rate,
     build_ground_hamiltonian,
     eigenenergies,
-    eigenenergies_hz,
     inner_line_crossing_field_t,
     isotope_scaled_splitting,
     isotope_splitting_predictions_hz,
     optical_transition_detunings,
     sn117_ground,
 )
-from snvsim.units import TWO_PI
 
 B_ZERO = (0.0, 0.0, 0.0)
 
@@ -75,15 +73,6 @@ def test_parameter_validation():
         OpticalTransitionParams(zero_field_splitting_hz=0.0, slope_hz_per_t=1.0)
 
 
-def test_from_cyclic_hz_scales_every_coupling_by_two_pi():
-    p = SpinSystemParams.from_cyclic_hz(850.0e9, 28.0e9, -15.24e6, 904.0e6, 904.0e6)
-    assert math.isclose(p.lambda_so, TWO_PI * 850.0e9, rel_tol=1e-15)
-    assert math.isclose(p.gamma_e, TWO_PI * 28.0e9, rel_tol=1e-15)
-    assert math.isclose(p.gamma_n, -TWO_PI * 15.24e6, rel_tol=1e-15)
-    assert math.isclose(p.a_par, TWO_PI * 904.0e6, rel_tol=1e-15)
-    assert math.isclose(p.a_perp, TWO_PI * 904.0e6, rel_tol=1e-15)
-
-
 # --------------------------------------------------------------------------
 # Spectrum against the independent Jacobi solver
 # --------------------------------------------------------------------------
@@ -119,7 +108,7 @@ def test_zero_field_levels_are_doubly_degenerate():
 def test_trace_vanishes_without_zeeman_terms():
     params = sn117_ground()
     h = build_ground_hamiltonian(params, B_ZERO)
-    assert abs(np.trace(h)) < 1e-6  # rad/s, vs couplings of order 1e12
+    assert abs(np.trace(h)) < 1e-6  # Hz, vs couplings of order 1e11
 
 
 def test_zeeman_part_is_linear_in_field():
@@ -129,11 +118,6 @@ def test_zeeman_part_is_linear_in_field():
     h1 = build_ground_hamiltonian(params, b)
     h2 = build_ground_hamiltonian(params, tuple(2 * v for v in b))
     assert np.allclose(h2 - h0, 2.0 * (h1 - h0), rtol=1e-12, atol=0.0)
-
-
-def test_eigenenergies_hz_is_angular_spectrum_over_two_pi():
-    h = build_ground_hamiltonian(sn117_ground(), (0.0, 0.0, 0.05))
-    assert np.allclose(eigenenergies_hz(h), eigenenergies(h) / TWO_PI, rtol=1e-15)
 
 
 # --------------------------------------------------------------------------

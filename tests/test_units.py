@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 
 from snvsim.units import (
     TWO_PI,
-    angular_to_cyclic,
-    cyclic_to_angular,
     db_to_fraction,
     fourier_limited_fwhm_hz,
     fraction_to_db,
@@ -28,12 +26,6 @@ def test_db_anchors():
     assert math.isclose(db_to_fraction(10.0), 0.1, rel_tol=1e-12)
     assert math.isclose(db_to_fraction(0.0), 1.0, rel_tol=1e-15)
     assert math.isclose(fraction_to_db(0.5), 10.0 * math.log10(2.0), rel_tol=1e-12)
-
-
-@given(st.floats(min_value=1e-3, max_value=1e12))
-def test_cyclic_angular_round_trip(f_hz):
-    assert math.isclose(angular_to_cyclic(cyclic_to_angular(f_hz)), f_hz, rel_tol=1e-12)
-    assert math.isclose(cyclic_to_angular(f_hz), TWO_PI * f_hz, rel_tol=1e-15)
 
 
 @given(st.floats(min_value=1e-6, max_value=1e12))
