@@ -206,8 +206,7 @@ def numeric_jacobian(evaluator, params, x, step_scale: float = 1e-6, bounds=None
         bounds = (np.full(p.size, -math.inf), np.full(p.size, math.inf))
     lo, hi = bounds
     jacobian = np.empty((x.size, p.size))
-    for i in range(p.size):
-        h = step_scale * max(abs(p[i]), 1.0)
+    for i, h in enumerate(_central_steps(p, step_scale)):
         up, down = p[i] + h, p[i] - h
         if lo[i] < hi[i]:
             up, down = min(up, hi[i]), max(down, lo[i])
@@ -217,6 +216,22 @@ def numeric_jacobian(evaluator, params, x, step_scale: float = 1e-6, bounds=None
         y_down = np.asarray(evaluator(p_down, x), dtype=float)
         jacobian[:, i] = (y_up - y_down) / (up - down)
     return jacobian
+
+
+def _central_steps(params: np.ndarray, step_scale: float) -> np.ndarray:
+    return step_scale * np.maximum(np.abs(params), 1.0)
+
+
+def central_difference_rounding(y, params, step_scale: float = 1e-6) -> np.ndarray:
+    """Rounding error of each column of :func:`numeric_jacobian`, about eps |y| / h_i.
+
+    Each evaluation of the model is rounded to a few eps of |y|, and the
+    difference divides that by the step, so a column whose true scale is
+    below this floor cannot be checked relative to itself.  The estimate
+    leaves out the evaluator's own error growth; callers add a margin.
+    """
+    p = np.asarray(params, dtype=float)
+    return np.finfo(float).eps * float(np.abs(y).max()) / _central_steps(p, step_scale)
 
 
 def lorentzian(x, center: float, fwhm: float, amplitude: float) -> np.ndarray:

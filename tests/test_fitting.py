@@ -14,11 +14,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import curve_fit
 
 from oracles import (
+    central_difference_rounding,
     lorentzian,
     lorentzian_shared_jacobian,
     numeric_jacobian,
@@ -297,15 +298,26 @@ def _model_with_params(draw):
     return model, np.array(params), x
 
 
+# On f_in = (1 + C) / (2 + C) the reflection dip is 1 at every detuning, so its
+# gamma_h column vanishes and both routes give rounding noise there.  A column
+# whose 1e-6 relative bound lies below the oracle's rounding floor is checked
+# against that floor instead.  The evaluators' rounding reaches 21x the
+# eps |y| / h estimate (the reflection dip on that curve), hence 64.
+ROUNDING_MARGIN = 64.0
+
+
 @settings(max_examples=200)
 @given(case=_model_with_params())
+@example(case=(make_reflection_dip(fix_f_in=0.6179), np.array([0.6171875, 1.0]), GRID))
+@example(case=(make_reflection_dip(), np.array([0.6171875, 1.6171875 / 2.6171875, 1.0]), GRID))
 def test_closed_form_jacobians_match_central_differences(case):
     model, params, x = case
-    _, analytic = model.value_and_jacobian(params, x)
+    value, analytic = model.value_and_jacobian(params, x)
     numeric = numeric_jacobian(model.evaluator, params, x, bounds=model.bounds_arrays())
     assert analytic.shape == (x.size, params.size)
     column_scale = np.abs(analytic).max(axis=0)
-    assert np.all(np.abs(analytic - numeric) <= 1e-6 * column_scale)
+    floor = ROUNDING_MARGIN * central_difference_rounding(value, params)
+    assert np.all(np.abs(analytic - numeric) <= np.maximum(1e-6 * column_scale, floor))
 
 
 @settings(max_examples=200)
