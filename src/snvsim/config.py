@@ -132,12 +132,25 @@ def _is_finite_number(token: str) -> bool:
         return False
 
 
-#: A loss-chain correction; :class:`~snvsim.efficiency.LossCorrection`
-#: judges the kind and the range.
+#: How many lengths each loss-chain correction kind takes after its value.
+_CORRECTION_LENGTHS = {"fraction": 0, "db": 0, "db_per_km": 1}
+
+
+def _is_correction(value: str) -> bool:
+    kind, *numbers = value.split() or [""]
+    return (
+        _CORRECTION_LENGTHS.get(kind) == len(numbers) - 1
+        and all(map(_is_finite_number, numbers))
+    )
+
+
+#: A loss-chain correction's grammar; :class:`~snvsim.efficiency.LossCorrection`
+#: judges the range.
 CORRECTION = Domain(
     str,
-    lambda v: len(v.split()) in (2, 3) and all(map(_is_finite_number, v.split()[1:])),
-    "'<kind> <value> [length_m]' with finite numbers",
+    _is_correction,
+    "'<kind> <value>' with kind fraction or db, or 'db_per_km <value> <length_m>', "
+    "with finite numbers",
 )
 
 #: Factor from each unit suffix a scenario key carries to base units.

@@ -219,6 +219,11 @@ OUT_OF_DOMAIN = [
     ("fig2a", "field_step_mt=0"),
     ("loss_chain", "correction_splice=db nan"),
     ("loss_chain", "correction_splice=db inf"),
+    # A correction outside its grammar: a db_per_km with no length transmitted
+    # 1.0, a db's length was written and never used, an unknown kind named no key.
+    ("loss_chain", "correction_fibre_attenuation=db_per_km 12"),
+    ("loss_chain", "correction_splice=db 0.04 7"),
+    ("loss_chain", "correction_splice=dB 0.04"),
     ("g2", "step_ns=1e-320"),
     ("fig4b", "linewidth_mhz=1e-320"),
     ("g2", "background=2"),

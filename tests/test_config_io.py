@@ -164,8 +164,10 @@ def test_domains_check_ranges_and_convert():
     for bad in ("sn116", 117, True):
         with pytest.raises(ValueError, match="one of sn115, sn117"):
             isotope.check("reference_isotope", bad)
-    assert CORRECTION.check("correction_a", "db_per_km 12 15") == "db_per_km 12 15"
-    for bad in ("db", "db 1 2 3", "db nan", "db inf", "db_per_km 12 -inf", "db x", 0.5):
+    for good in ("fraction 0.96", "db 0.04", "db_per_km 12 15"):
+        assert CORRECTION.check("correction_a", good) == good
+    for bad in ("db", "db 1 2 3", "db nan", "db inf", "db_per_km 12 -inf", "db x", 0.5,
+                "", "db_per_km 12", "db 0.04 7", "fraction 0.5 1", "dB 0.04", "nepers 1"):
         with pytest.raises(ValueError, match="'correction_a'"):
             CORRECTION.check("correction_a", bad)
 
