@@ -119,10 +119,11 @@ def g2_autocorrelation(tau_s, omega: float, t1: float, background: float = 0.0):
 
         g2(tau) = (1 - background) * 2 rho_ee(tau) + background
 
-    so g2(0) = background exactly and g2 -> 1 at long delay.
+    so g2(0) = background exactly and g2 -> 1 at long delay; a background
+    of 1 is all uncorrelated counts, g2 = 1 at every delay.
     """
-    if not 0.0 <= background < 1.0:
-        raise ValueError(f"background must be in [0, 1), got {background}")
+    if not 0.0 <= background <= 1.0:
+        raise ValueError(f"background must be in [0, 1], got {background}")
     ideal = 2.0 * rabi_population(np.abs(np.asarray(tau_s, dtype=float)), omega, t1)
     return (1.0 - background) * ideal + background
 

@@ -49,7 +49,7 @@ from . import config as config_mod
 from .artifacts import write_artifact
 from .config import (
     CORRECTION, FRACTION, MAX_GRID_POINTS, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, SEED,
-    between, choice, count, positive_up_to,
+    Domain, between, choice, count, positive_up_to,
 )
 from .units import NUCLEAR_GYROMAGNETIC_HZ_PER_T
 
@@ -84,6 +84,11 @@ _NOISE = positive_up_to(1e300)
 _SNR = between(1e-300, sys.float_info.max)
 #: fig3a's powers in pW: their axis is spaced in W and converted back, which may round up.
 _POWER_PW = positive_up_to(1e300)
+#: Input-coupling ratios of fig4b and fig4c: at f_in = 0.5 the far-detuned reference
+#: intensity that normalizes the reflection is zero.
+_INPUT_COUPLING = Domain(
+    float, lambda v: 0 < v <= 1 and v != 0.5, "a number in (0, 1] other than 0.5"
+)
 
 
 class Scenario(NamedTuple):
@@ -252,7 +257,7 @@ _SCENARIOS = [
         keys={
             "seed": (42, SEED),
             "cooperativity": (0.027, NON_NEGATIVE),
-            "input_coupling": (0.95, OPEN_FRACTION),
+            "input_coupling": (0.95, _INPUT_COUPLING),
             "linewidth_mhz": (70.0, POSITIVE),
             "grid_span_mhz": (1000.0, POSITIVE),
             "grid_step_mhz": (2.0, POSITIVE),
@@ -266,7 +271,7 @@ _SCENARIOS = [
         keys={
             "seed": (43, SEED),
             "cooperativity": (0.027, NON_NEGATIVE),
-            "input_coupling": (0.95, OPEN_FRACTION),
+            "input_coupling": (0.95, _INPUT_COUPLING),
             "s_min": (0.01, POSITIVE),
             "s_max": (10.0, POSITIVE),
             "n_points": (25, count(1, MAX_GRID_POINTS)),

@@ -69,6 +69,19 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(_stream(seed, index))
 
 
+def _fit_grid(cfg: dict, span_key: str, n_params: int) -> np.ndarray:
+    """The grid of ``cfg``'s span and step about zero, refused naming both keys
+    when it has fewer points than the fit that reads it has parameters."""
+    span = cfg["grid_span"]
+    x = frequency_grid(-span / 2.0, span / 2.0, cfg["grid_step"])
+    if x.size < n_params:
+        raise ValueError(
+            f"config keys '{span_key}' and 'grid_step_mhz' give a grid of fewer points "
+            f"({x.size}) than the fit has parameters ({n_params})"
+        )
+    return x
+
+
 # --------------------------------------------------------------------------
 # fig1d — inhomogeneous ensemble
 
@@ -121,7 +134,10 @@ def _run_fig1e(cfg: dict):
     seed = cfg["seed"]
     split = cfg["zero_field_splitting"]
     fwhm = cfg["linewidth"]
-    span = cfg["grid_span"]
+    model = make_lorentzian_multi(n_lines=2).with_init(
+        (fwhm, -split / 2.0, 1.0, split / 2.0, 1.0)
+    )
+    x = _fit_grid(cfg, "grid_span_mhz", len(model.param_names))
 
     params = spin_hamiltonian.sn117_ground()
     hamiltonian = spin_hamiltonian.build_ground_hamiltonian(params, (0.0, 0.0, 0.0))
@@ -131,12 +147,7 @@ def _run_fig1e(cfg: dict):
     transition = spin_hamiltonian.OpticalTransitionParams.from_cyclic_hz(split)
     detunings = spin_hamiltonian.optical_transition_detunings(transition, 0.0)
     lines = [SpectralLine(center_hz=c, fwhm_hz=fwhm, amplitude=0.5) for c in detunings]
-    x = frequency_grid(-span / 2.0, span / 2.0, cfg["grid_step"])
     spectrum = synthesize_spectrum(lines, x, noise_sigma=1.0 / cfg["snr"], seed=_stream(seed, 0))
-
-    model = make_lorentzian_multi(n_lines=2).with_init(
-        (fwhm, -split / 2.0, 1.0, split / 2.0, 1.0)
-    )
     result = fit(model, spectrum)
     fitted_split = result.params[3] - result.params[1]
     fitted_fwhm = result.params[0]
@@ -209,12 +220,11 @@ def field_sweep(transition, fields_t, x_hz, fwhm_hz, noise_sigma, seeds) -> Fiel
 def _run_fig2a(cfg: dict):
     """Streams: k = noise of scan k (k = 0 .. n_scans-1)."""
     n_scans = cfg["n_scans"]
-    span = cfg["grid_span"]
 
     transition = spin_hamiltonian.OpticalTransitionParams.from_cyclic_hz(
         cfg["zero_field_splitting"], cfg["slope"]
     )
-    x = frequency_grid(-span / 2.0, span / 2.0, cfg["grid_step"])
+    x = _fit_grid(cfg, "grid_span_ghz", len(make_lorentzian_multi(n_lines=4).param_names))
     fields = np.array([cfg["field_start"] + k * cfg["field_step"] for k in range(n_scans)])
     seeds = [_stream(cfg["seed"], k) for k in range(n_scans)]
     sweep = field_sweep(transition, fields, x, cfg["linewidth"], 1.0 / cfg["snr"], seeds)
@@ -272,12 +282,14 @@ def _run_fig2b(cfg: dict):
     split_sigma = cfg["splitting_sigma"]
     fwhm = cfg["linewidth"]
     snr = cfg["snr"]
-    span = cfg["grid_span"]
+    model = make_lorentzian_multi(n_lines=2).with_init(
+        (fwhm, -split_mean / 2.0, 1.0, split_mean / 2.0, 1.0)
+    )
 
     # Each emitter is a doublet about zero detuning, its splitting drawn per emitter.
     splits = split_mean + _rng(seed, 0).normal(0.0, split_sigma, size=n)
     lows, highs = -splits / 2.0, splits / 2.0
-    x = frequency_grid(-span / 2.0, span / 2.0, cfg["grid_step"])
+    x = _fit_grid(cfg, "grid_span_mhz", len(model.param_names))
     _check_points(n * x.size, "n_emitters x frequency grid")
 
     spectra = {}
@@ -286,9 +298,6 @@ def _run_fig2b(cfg: dict):
         lines = [SpectralLine(lows[k], fwhm, 1.0), SpectralLine(highs[k], fwhm, 1.0)]
         spectrum = synthesize_spectrum(lines, x, noise_sigma=1.0 / snr, seed=_stream(seed, 1 + k))
         spectra[f"emitter_{k:02d}.csv"] = spectrum
-        model = make_lorentzian_multi(n_lines=2).with_init(
-            (fwhm, -split_mean / 2.0, 1.0, split_mean / 2.0, 1.0)
-        )
         result = fit(model, spectrum)
         fitted_splits[k] = result.params[3] - result.params[1]
 
@@ -536,13 +545,13 @@ def _run_fig3c(cfg: dict):
 def _run_fig4b(cfg: dict):
     """Streams: 0 = raw-trace noise."""
     f_in = cfg["input_coupling"]
-    span = cfg["grid_span"]
     noise = cfg["noise_sigma"]
+    fit_model = make_reflection_dip(fix_f_in=f_in).with_init((0.05, 100.0e6))
 
     model = waveguide_qed.ReflectionModel(
         cooperativity=cfg["cooperativity"], f_in=f_in, gamma_h_hz=cfg["linewidth"]
     )
-    delta = frequency_grid(-span / 2.0, span / 2.0, cfg["grid_step"])
+    delta = _fit_grid(cfg, "grid_span_mhz", len(fit_model.param_names))
     r_norm = waveguide_qed.normalized_reflection(delta, model)
 
     # The sideband-modulation measurement sees half signal, half static
@@ -553,7 +562,6 @@ def _run_fig4b(cfg: dict):
         x=delta, y=eom_background_correction(raw), y_err=np.full(delta.size, noise)
     )
 
-    fit_model = make_reflection_dip(fix_f_in=f_in).with_init((0.05, 100.0e6))
     result = fit(fit_model, corrected)
     c_fit, gamma_fit = result.params
     fitted = waveguide_qed.ReflectionModel(cooperativity=c_fit, f_in=f_in, gamma_h_hz=gamma_fit)

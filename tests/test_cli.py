@@ -240,6 +240,10 @@ OUT_OF_DOMAIN = [
     ("fig4b", "noise_sigma=1.0000000000000002e300"),
     ("g2", "noise_sigma=1.0000000000000002e300"),
     ("fig1e", "snr=9.999999999999999e-301"),
+    # An input coupling of 0.5 makes the reflection's reference intensity zero;
+    # the run ended in an error from the model that named no key.
+    ("fig4b", "input_coupling=0.5"),
+    ("fig4c", "input_coupling=0.5"),
     *HUGE_COUNTS,
 ]
 
@@ -487,6 +491,56 @@ def test_a_run_at_two_edges_keeps_the_stderr_contract_with_warnings_as_errors(
         error = _strict_json(err)
         assert set(error) == {"error"}
         assert re.search(r"config keys? '\w+'", error["error"])
+
+
+# In-domain values that once exited 2 naming no key: g2 = (1 - b) 2 rho_ee + b is
+# exactly 1 at a background of 1, and the input couplings one ulp either side of
+# the refused 0.5 compute.
+IN_DOMAIN_EDGES = [
+    ("g2", "background=1"),
+    ("fig4b", "input_coupling=0.49999999999999994"),
+    ("fig4b", "input_coupling=0.5000000000000001"),
+    ("fig4c", "input_coupling=0.49999999999999994"),
+    ("fig4c", "input_coupling=0.5000000000000001"),
+]
+
+
+@pytest.mark.parametrize("scenario, override", IN_DOMAIN_EDGES)
+def test_an_in_domain_edge_ends_in_strict_json_with_warnings_as_errors(
+    capsys, tmp_path, scenario, override
+):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["run", scenario, override, "--output-dir", str(tmp_path)])
+    assert code == 1 and err == ""
+    _strict_json(out)
+    for path in (tmp_path / scenario).rglob("*.json"):
+        _strict_json(path.read_text())
+
+
+# Grids with fewer points than their fit has parameters.  They ended in
+# "spectrum needs at least two grid points" or "4 data points cannot constrain
+# 5 parameters", naming no key; now both grid keys are named before any synthesis.
+SHORT_GRIDS = [
+    ("fig1e", "grid_span_mhz=1"),
+    ("fig1e", "grid_span_mhz=6"),
+    ("fig1e", "grid_span_mhz=2.2250738585072014e-308"),
+    ("fig2a", "grid_span_ghz=0.001"),
+    ("fig2a", "grid_span_ghz=0.016"),
+    ("fig2b", "grid_span_mhz=1"),
+    ("fig4b", "grid_span_mhz=1"),
+]
+
+
+@pytest.mark.parametrize("scenario, override", SHORT_GRIDS)
+def test_a_grid_shorter_than_its_fit_exits_2_naming_both_grid_keys(
+    capsys, tmp_path, scenario, override
+):
+    code, out, err = _run(capsys, ["run", scenario, override, "--output-dir", str(tmp_path)])
+    assert code == 2 and out == ""
+    span_key = override.partition("=")[0]
+    assert f"config keys '{span_key}' and 'grid_step_mhz'" in _strict_json(err)["error"]
+    assert not (tmp_path / scenario).exists()
 
 
 def test_a_summary_value_beyond_the_float_range_is_null_and_fails(capsys, tmp_path):

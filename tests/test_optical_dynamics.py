@@ -129,8 +129,11 @@ def test_g2_envelope_bound(tau):
 
 
 def test_g2_background_validation():
-    with pytest.raises(ValueError, match="background"):
-        g2_autocorrelation(0.0, OMEGA, T1, background=1.0)
+    tau = np.array([0.0, 1e-9, 1e-6])
+    assert np.array_equal(g2_autocorrelation(tau, OMEGA, T1, background=1.0), np.ones(3))
+    for background in (-0.1, 1.0000000000000002):
+        with pytest.raises(ValueError, match="background"):
+            g2_autocorrelation(0.0, OMEGA, T1, background=background)
 
 
 # --------------------------------------------------------------------------
