@@ -62,8 +62,8 @@ from .registry import SCENARIOS, available_scenarios, configured, run_scenario
 _EXIT_OK = 0
 _EXIT_FIT_FAILED = 1
 _EXIT_VALIDATION = 2
-#: Most seeds one ``ensemble`` call runs.
-_MAX_SEEDS = 10_000
+#: How many seeds one ``ensemble`` call runs.
+SEEDS = config_mod.Domain(int, 1, 10_000)
 
 
 def _fail(message: str, code: int = _EXIT_VALIDATION, **extra) -> int:
@@ -100,15 +100,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_ensemble(args: argparse.Namespace) -> int:
     import statistics  # here, not at the top: every cold call would pay its import
 
-    seeds = config_mod.count(1, _MAX_SEEDS)
     try:
         overrides = config_mod.parse_overrides(args.overrides)
         scenario, cfg, values = configured(args.target, overrides)
         if "seed" not in values:
             raise ValueError(f"scenario {scenario.name!r} has no seed key")
         n_seeds = config_mod.parse_value(args.seeds)
-        if type(n_seeds) is not int or not seeds.test(n_seeds):
-            raise ValueError(f"--seeds must be {seeds.text}, got {args.seeds!r}")
+        if n_seeds not in SEEDS:
+            raise ValueError(f"--seeds must be {SEEDS.text}, got {args.seeds!r}")
         by_quantity: dict = {}
         for seed in range(values["seed"], values["seed"] + n_seeds):
             for row in scenario.run({**values, "seed": seed})[0]:
@@ -255,7 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     ensemble_p.add_argument(
         "overrides", nargs="*", help="config overrides as key=value; seed is the first seed"
     )
-    ensemble_p.add_argument("--seeds", required=True, help=f"number of seeds, 1 to {_MAX_SEEDS}")
+    ensemble_p.add_argument(
+        "--seeds", required=True, help=f"number of seeds, {SEEDS.lo} to {SEEDS.hi}"
+    )
     ensemble_p.set_defaults(func=_cmd_ensemble)
 
     list_p = sub.add_parser("list", help="list available scenarios")

@@ -10,8 +10,10 @@ budgets, loss chains) rely on.  Command-line overrides use the same
 Each scenario key has one spelling and a :class:`Domain`; a dimensioned
 key carries its unit in the suffix (``linewidth_mhz``, ``step_ns``), and
 :func:`in_base_units` strips the suffix and converts the value to base
-units (Hz, s, T, W, 1/s).  A domain is stated in the key's own unit.  A
-value outside its domain is a ``ValueError`` that names the key.
+units (Hz, s, T, W, 1/s).  A domain is stated in the key's own unit, as
+data: its check, its text and the edge values a probe runs all derive from
+the one description.  A value outside its domain is a ``ValueError`` that
+names the key.
 
 This module imports only the standard library.
 """
@@ -19,8 +21,9 @@ This module imports only the standard library.
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 
 def parse_value(text: str):
@@ -77,81 +80,109 @@ def parse_overrides(pairs) -> dict:
 
 
 class Domain(NamedTuple):
-    """What one config key may hold: a Python type, a range test and its wording."""
+    """What one config key may hold: a type and a range, or a string's options.
+
+    Its check, its text and its edges all derive from these fields.  An end
+    at infinity is no end; a float key refuses inf and NaN whatever its range.
+    """
 
     kind: type  # int, float or str; a float key also takes an int
-    test: Callable[[object], bool]
-    text: str
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = False  # no domain has an open upper end
+    excluded: tuple = ()  # points of the range that are refused
+    options: tuple = ()  # a str key's allowed values
+
+    def __contains__(self, value) -> bool:
+        if self.kind is str:
+            return value in self.options
+        if isinstance(value, bool) or not isinstance(value, (int, self.kind)):
+            return False
+        try:
+            if self.kind is float and not math.isfinite(value):
+                return False
+        except OverflowError:  # an integer too large for a float
+            return False
+        above = self.lo < value if self.lo_open else self.lo <= value
+        return above and value <= self.hi and value not in self.excluded
+
+    @property
+    def text(self) -> str:
+        if self.kind is str:
+            return "one of " + ", ".join(self.options)
+        if self.kind is int:
+            return f"an integer >= {self.lo}" + (f" and <= {self.hi}" if self.hi < math.inf else "")
+        if self.hi == math.inf:
+            text = f"a finite number {'>' if self.lo_open else '>='} {self.lo!r}"
+        else:
+            text = f"a number in {'[('[self.lo_open]}{self.lo!r}, {self.hi!r}]"
+        return text + "".join(f" other than {point!r}" for point in self.excluded)
+
+    def edges(self) -> list:
+        """Values at and just past each end and each excluded point: lo - 1, lo, hi
+        and hi + 1 of an integer range; a closed float end and the next float outside
+        it, an open one and the next float inside (at 0 also the smallest normal
+        float), and for an end at infinity 1e300 and the largest float."""
+        if self.kind is str:
+            return list(self.options)
+        if self.kind is int:
+            return [self.lo - 1, self.lo] + ([self.hi, self.hi + 1] if self.hi < math.inf else [])
+        values = [self.lo, math.nextafter(self.lo, math.inf if self.lo_open else -math.inf)]
+        values += [sys.float_info.min] if self.lo_open and self.lo == 0 else []
+        if self.hi == math.inf:
+            values += [1e300, sys.float_info.max]
+        else:
+            values += [self.hi, math.nextafter(self.hi, math.inf)]
+        for point in self.excluded:
+            values += [math.nextafter(point, -math.inf), point, math.nextafter(point, math.inf)]
+        return values
 
     def check(self, key: str, value):
         """``value`` converted to ``kind``, or a ``ValueError`` naming ``key``."""
-        types = (int, float) if self.kind is float else self.kind
-        try:
-            ok = isinstance(value, types) and not isinstance(value, bool) and self.test(value)
-        except OverflowError:  # an integer too large for a float
-            ok = False
-        if not ok:
+        if value not in self:
             raise ValueError(f"config key {key!r} must be {self.text}, got {value!r}")
         return self.kind(value)
 
 
-SEED = Domain(int, lambda v: v >= 0, "an integer >= 0")
-POSITIVE = Domain(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
-NON_NEGATIVE = Domain(float, lambda v: math.isfinite(v) and v >= 0, "a finite number >= 0")
-FRACTION = Domain(float, lambda v: 0 <= v <= 1, "a number in [0, 1]")
-OPEN_FRACTION = Domain(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
+SEED = Domain(int, 0)
+POSITIVE = Domain(float, 0, lo_open=True)
+NON_NEGATIVE = Domain(float, 0)
+FRACTION = Domain(float, 0, 1)
+OPEN_FRACTION = Domain(float, 0, 1, lo_open=True)
 
 
-def count(minimum: int, maximum: int) -> Domain:
-    """Integers from ``minimum`` up to ``maximum``."""
-    text = f"an integer >= {minimum} and <= {maximum}"
-    return Domain(int, lambda v: minimum <= v <= maximum, text)
+class _Correction(Domain):
+    """A loss-chain correction's grammar: a kind, then one number per domain of that kind."""
+
+    __slots__ = ()
+    numbers = {"fraction": (OPEN_FRACTION,), "db": (NON_NEGATIVE,),
+               "db_per_km": (NON_NEGATIVE, NON_NEGATIVE)}
+    text = ("'<kind> <value>' with kind fraction (a value in (0, 1]) or db (a value >= 0), "
+            "or 'db_per_km <value> <length_m>' (both >= 0), with finite numbers")
+
+    def __contains__(self, value) -> bool:
+        kind, *tokens = (value.split() if isinstance(value, str) else []) or [""]
+        domains = self.numbers.get(kind, ())
+        try:
+            return len(tokens) == len(domains) > 0 and all(
+                float(token) in domain for token, domain in zip(tokens, domains)
+            )
+        except ValueError:  # a token that is not a number
+            return False
+
+    def edges(self) -> list:
+        """Each number of each kind at each of its edges, the other numbers at 1."""
+        return [
+            " ".join([kind, *(repr(edge) if i == j else "1" for j in range(len(domains)))])
+            for kind, domains in self.numbers.items()
+            for i, domain in enumerate(domains)
+            for edge in domain.edges()
+        ]
 
 
-def between(minimum: float, maximum: float) -> Domain:
-    """Numbers from ``minimum`` up to ``maximum``."""
-    return Domain(
-        float, lambda v: minimum <= v <= maximum, f"a number >= {minimum!r} and <= {maximum!r}"
-    )
-
-
-def positive_up_to(maximum: float) -> Domain:
-    """Numbers > 0 up to ``maximum``."""
-    return Domain(float, lambda v: 0 < v <= maximum, f"a number > 0 and <= {maximum!r}")
-
-
-def choice(*options: str) -> Domain:
-    """One of the given strings."""
-    return Domain(str, lambda v: v in options, "one of " + ", ".join(options))
-
-
-def _is_finite_number(token: str) -> bool:
-    try:
-        return math.isfinite(float(token))
-    except ValueError:
-        return False
-
-
-#: How many lengths each loss-chain correction kind takes after its value.
-_CORRECTION_LENGTHS = {"fraction": 0, "db": 0, "db_per_km": 1}
-
-
-def _is_correction(value: str) -> bool:
-    kind, *numbers = value.split() or [""]
-    return (
-        _CORRECTION_LENGTHS.get(kind) == len(numbers) - 1
-        and all(map(_is_finite_number, numbers))
-    )
-
-
-#: A loss-chain correction's grammar; :class:`~snvsim.efficiency.LossCorrection`
-#: judges the range.
-CORRECTION = Domain(
-    str,
-    _is_correction,
-    "'<kind> <value>' with kind fraction or db, or 'db_per_km <value> <length_m>', "
-    "with finite numbers",
-)
+#: A loss-chain correction; :class:`~snvsim.efficiency.LossCorrection` judges
+#: the same ranges for the Python API.
+CORRECTION = _Correction(str)
 
 #: Factor from each unit suffix a scenario key carries to base units.
 UNIT_FACTORS = {
@@ -162,6 +193,13 @@ UNIT_FACTORS = {
 
 #: Most points a sampled axis may have; a larger one is refused before it is allocated.
 MAX_GRID_POINTS = 10**6
+
+
+def grid_points(start: float, stop: float, step: float) -> float:
+    """Points of the ascending grid from ``start`` to ``stop``, inclusive within half
+    a step; a count above MAX_GRID_POINTS unrounded, inf if the ratio overflows."""
+    n = (stop - start) / step
+    return n + 1 if n + 1 > MAX_GRID_POINTS else round(n) + 1
 
 
 def in_base_units(key: str, value) -> tuple[str, object]:

@@ -129,16 +129,23 @@ def apply_loss_chain(chain: LossChain) -> float:
     corrections back out isolates the coupling.  A result above 1 means the
     corrections overexplain the measurement and raises an error.
     """
-    efficiency = single_pass_from_roundtrip(chain.measured_roundtrip)
     for correction in chain.corrections:
-        transmission = correction.transmission()
-        if transmission == 0.0:  # a dB loss so large that 10^(-dB/10) underflows
+        if correction.transmission() == 0.0:  # a dB loss so large that 10^(-dB/10) underflows
             raise ValueError(f"loss chain inconsistent: correction {correction.name!r} transmits 0")
-        efficiency /= transmission
+    efficiency = implied_coupling(chain)
     if efficiency > 1.0:
         raise ValueError(
             f"loss chain inconsistent: corrections imply coupling efficiency {efficiency:.4g} > 1"
         )
+    return efficiency
+
+
+def implied_coupling(chain: LossChain) -> float:
+    """sqrt(roundtrip) divided by each correction's transmission in turn; inf if one is 0."""
+    efficiency = single_pass_from_roundtrip(chain.measured_roundtrip)
+    for correction in chain.corrections:
+        transmission = correction.transmission()
+        efficiency = efficiency / transmission if transmission else math.inf
     return efficiency
 
 

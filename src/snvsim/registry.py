@@ -21,16 +21,19 @@ Every CSV ends its lines with ``\n``.  The root is (in precedence order) the
 Configuration
 -------------
 Every scenario declares its keys once, in one table: key -> (default,
-domain).  Each key has one spelling; a dimensioned key carries its unit in
-the suffix (``linewidth_mhz``).  A config file selects its scenario with a
-``scenario = <name>`` key; command-line ``key=value`` pairs override both.
-:func:`configured` rejects unknown keys and values outside their domain
-before anything is computed or written; the runner gets the checked values
-in base units, under the key with its unit suffix stripped
-(``cfg["linewidth"]`` in Hz).
+domain), and the conditions on several keys as a tuple of
+:class:`Constraint`.  Each key has one spelling; a dimensioned key carries
+its unit in the suffix (``linewidth_mhz``).  A config file selects its
+scenario with a ``scenario = <name>`` key; command-line ``key=value`` pairs
+override both.  :func:`configured` rejects unknown keys, values outside
+their domain and values that break a constraint before anything is computed
+or written, naming the keys; the runner gets the checked values in base
+units, under the key with its unit suffix stripped (``cfg["linewidth"]`` in
+Hz).  The runners do not check these conditions again; the functions they
+call keep their own checks for the Python API.
 
 This module imports only the standard library, and not ``dataclasses``:
-its two record types are ``typing.NamedTuple`` classes, so a cold
+its record types are ``typing.NamedTuple`` classes, so a cold
 ``snvsim`` call does not pay for ``dataclasses`` and the ``inspect`` chain
 that it loads.
 """
@@ -43,15 +46,16 @@ import os
 import shutil
 import sys
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import config as config_mod
 from .artifacts import write_artifact
 from .config import (
-    CORRECTION, FRACTION, MAX_GRID_POINTS, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, SEED,
-    Domain, between, choice, count, positive_up_to,
+    CORRECTION, FRACTION, MAX_GRID_POINTS, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, SEED, Domain,
+    grid_points,
 )
-from .units import NUCLEAR_GYROMAGNETIC_HZ_PER_T
+from .efficiency import implied_coupling, loss_chain_from_config
+from .units import NUCLEAR_GYROMAGNETIC_HZ_PER_T, TWO_PI
 
 #: Environment variable overriding the default artifact root directory.
 OUTPUT_DIR_ENV = "SNVSIM_OUTPUT_DIR"
@@ -77,18 +81,70 @@ _MAX_FIELD_MT = 1e5
 _MIN_FIELD_STEP_MT = 1e-2
 #: Linewidths in MHz that fig1e, fig2a and fig2b fit from: each fit starts at the
 #: configured width and bounds the width below at 1e-300 Hz.
-_FITTED_LINEWIDTH = between(1e-306, sys.float_info.max)
+_FITTED_LINEWIDTH = Domain(float, 1e-306, sys.float_info.max)
 #: Additive noise: its draws, of a few sigma, plus the signal must stay finite.
-_NOISE = positive_up_to(1e300)
+_NOISE = Domain(float, 0, 1e300, lo_open=True)
 #: Signal-to-noise ratios: the noise 1 / snr is bounded as _NOISE is.
-_SNR = between(1e-300, sys.float_info.max)
+_SNR = Domain(float, 1e-300, sys.float_info.max)
 #: fig3a's powers in pW: their axis is spaced in W and converted back, which may round up.
-_POWER_PW = positive_up_to(1e300)
+_POWER_PW = Domain(float, 0, 1e300, lo_open=True)
 #: Input-coupling ratios of fig4b and fig4c: at f_in = 0.5 the far-detuned reference
 #: intensity that normalizes the reflection is zero.
-_INPUT_COUPLING = Domain(
-    float, lambda v: 0 < v <= 1 and v != 0.5, "a number in (0, 1] other than 0.5"
-)
+_INPUT_COUPLING = Domain(float, 0, 1, lo_open=True, excluded=(0.5,))
+
+
+class Constraint(NamedTuple):
+    """A condition on several keys of one scenario, checked after each key's domain."""
+
+    keys: tuple  # the config keys it reads
+    holds: Callable[..., bool]  # their values in base units, in ``keys`` order
+    text: str  # what the keys must do
+
+    def describe(self) -> str:
+        names = [f"'{key}'" for key in self.keys]
+        return f"config keys {', '.join(names[:-1])} and {names[-1]} must {self.text}"
+
+
+def _grid(span_key: str, n_params: int) -> Constraint:
+    """A fitted frequency grid about zero with at least as many points as its fit has
+    parameters."""
+    return Constraint(
+        (span_key, "grid_step_mhz"),
+        lambda span, step: n_params <= grid_points(-span / 2, span / 2, step) <= MAX_GRID_POINTS,
+        f"give a frequency grid of {n_params} to {MAX_GRID_POINTS} points",
+    )
+
+
+def _held(count_key: str, span_key: str) -> Constraint:
+    """Spectra on one grid about zero, all held until they are written."""
+    return Constraint(
+        (count_key, span_key, "grid_step_mhz"),
+        lambda n, span, step: n * grid_points(-span / 2, span / 2, step) <= MAX_GRID_POINTS,
+        f"give spectra of at most {MAX_GRID_POINTS} points together",
+    )
+
+
+def _enough_bins(fwhm: float, width: float) -> bool:
+    """fig1d's histogram over +-2.5 FWHM: at most MAX_GRID_POINTS bins, and at least 3,
+    counted as ``np.arange`` counts its edges."""
+    return 5.0 * fwhm / width <= MAX_GRID_POINTS and math.ceil(
+        (2.5 * fwhm + width + 2.5 * fwhm) / width) >= 4
+
+
+def _flip_free_fidelity(mean_bright: float, mean_dark: float, n_pulses: int) -> float:
+    """F(k=1) of fig3b's readout without spin flips, as its calibration computes it."""
+    p_detect = (mean_bright - mean_dark) / n_pulses
+    p_zero_background = math.exp(-mean_dark)
+    return 0.5 * ((1.0 - (1.0 - p_detect) ** n_pulses * p_zero_background) + p_zero_background)
+
+
+_LOSS_CHAIN_KEYS = ("measured_roundtrip", "correction_splice", "correction_facet_scattering",
+                    "correction_fibre_attenuation")
+
+
+def _coupling_at_most_one(*values) -> bool:
+    """Whether loss_chain's values, in ``_LOSS_CHAIN_KEYS`` order, imply a coupling <= 1."""
+    return implied_coupling(loss_chain_from_config(dict(zip(_LOSS_CHAIN_KEYS, values)))) <= 1.0
 
 
 class Scenario(NamedTuple):
@@ -98,6 +154,7 @@ class Scenario(NamedTuple):
     description: str
     runner: str  # "<module>:<function>" in this package
     keys: dict  # key -> (default, Domain), in config order
+    constraints: tuple = ()  # Constraints on several keys, checked in order
 
     @property
     def defaults(self) -> dict:
@@ -131,10 +188,14 @@ _SCENARIOS = [
         runner="scenarios:_run_fig1d",
         keys={
             "seed": (11, SEED),
-            "n_emitters": (10000, count(2, _MAX_ENSEMBLE)),
+            "n_emitters": (10000, Domain(int, 2, _MAX_ENSEMBLE)),
             "inhomogeneous_fwhm_ghz": (90.0, POSITIVE),
             "bin_width_ghz": (2.0, POSITIVE),
         },
+        constraints=(
+            Constraint(("inhomogeneous_fwhm_ghz", "bin_width_ghz"), _enough_bins,
+                       f"give a histogram of 3 to {MAX_GRID_POINTS} bins over +-2.5 FWHM"),
+        ),
     ),
     Scenario(
         name="fig1e",
@@ -148,6 +209,7 @@ _SCENARIOS = [
             "grid_span_mhz": (1600.0, POSITIVE),
             "grid_step_mhz": (2.0, POSITIVE),
         },
+        constraints=(_grid("grid_span_mhz", 5),),
     ),
     Scenario(
         name="fig2a",
@@ -155,9 +217,9 @@ _SCENARIOS = [
         runner="scenarios:_run_fig2a",
         keys={
             "seed": (21, SEED),
-            "n_scans": (35, count(3, MAX_FITTED_SPECTRA)),
-            "field_start_mt": (0.0, between(-_MAX_FIELD_MT, _MAX_FIELD_MT)),
-            "field_step_mt": (4.3, between(_MIN_FIELD_STEP_MT, _MAX_FIELD_MT)),
+            "n_scans": (35, Domain(int, 3, MAX_FITTED_SPECTRA)),
+            "field_start_mt": (0.0, Domain(float, -_MAX_FIELD_MT, _MAX_FIELD_MT)),
+            "field_step_mt": (4.3, Domain(float, _MIN_FIELD_STEP_MT, _MAX_FIELD_MT)),
             "zero_field_splitting_mhz": (452.0, POSITIVE),
             "slope_ghz_per_t": (5.41, POSITIVE),
             "linewidth_mhz": (70.0, _FITTED_LINEWIDTH),
@@ -165,6 +227,7 @@ _SCENARIOS = [
             "grid_span_ghz": (2.4, POSITIVE),
             "grid_step_mhz": (5.0, POSITIVE),
         },
+        constraints=(_grid("grid_span_ghz", 9), _held("n_scans", "grid_span_ghz")),
     ),
     Scenario(
         name="fig2b",
@@ -172,7 +235,7 @@ _SCENARIOS = [
         runner="scenarios:_run_fig2b",
         keys={
             "seed": (22, SEED),
-            "n_emitters": (12, count(2, MAX_FITTED_SPECTRA)),
+            "n_emitters": (12, Domain(int, 2, MAX_FITTED_SPECTRA)),
             "splitting_mean_mhz": (452.0, NON_NEGATIVE),
             "splitting_sigma_mhz": (7.0, NON_NEGATIVE),
             "linewidth_mhz": (70.0, _FITTED_LINEWIDTH),
@@ -180,6 +243,7 @@ _SCENARIOS = [
             "grid_span_mhz": (1200.0, POSITIVE),
             "grid_step_mhz": (2.0, POSITIVE),
         },
+        constraints=(_grid("grid_span_mhz", 5), _held("n_emitters", "grid_span_mhz")),
     ),
     Scenario(
         name="fig2c",
@@ -190,11 +254,15 @@ _SCENARIOS = [
             "steady_fidelity": (0.986, FRACTION),
             "calibration_time_us": (30.0, POSITIVE),
             "calibration_fidelity": (0.980, FRACTION),
-            "n_points": (60, count(3, MAX_GRID_POINTS)),
+            "n_points": (60, Domain(int, 3, MAX_GRID_POINTS)),
             # pumping.csv writes the time axis in ns
-            "max_time_us": (30.0, positive_up_to(sys.float_info.max / 1e3)),
+            "max_time_us": (30.0, Domain(float, 0, sys.float_info.max / 1e3, lo_open=True)),
             "noise_sigma": (0.003, _NOISE),
         },
+        constraints=(
+            Constraint(("calibration_fidelity", "steady_fidelity"), lambda cal, f: 0.5 < cal < f,
+                       "satisfy 0.5 < calibration_fidelity < steady_fidelity"),
+        ),
     ),
     Scenario(
         name="fig2d",
@@ -205,8 +273,8 @@ _SCENARIOS = [
             "nuclear_t1_s": (1.25, POSITIVE),
             "initial_fidelity": (0.986, FRACTION),
             # depolarization.csv writes the time axis in ns
-            "max_time_s": (5.0, positive_up_to(sys.float_info.max / 1e9)),
-            "n_points": (40, count(3, MAX_GRID_POINTS)),
+            "max_time_s": (5.0, Domain(float, 0, sys.float_info.max / 1e9, lo_open=True)),
+            "n_points": (40, Domain(int, 3, MAX_GRID_POINTS)),
             "noise_sigma": (0.01, _NOISE),
         },
     ),
@@ -221,9 +289,16 @@ _SCENARIOS = [
             # the powers go back to pW, for saturation.csv and the fit
             "power_min_pw": (1.0, _POWER_PW),
             "power_max_pw": (2000.0, _POWER_PW),
-            "n_points": (30, count(2, MAX_GRID_POINTS)),
+            "n_points": (30, Domain(int, 2, MAX_GRID_POINTS)),
             "noise_rel": (0.03, OPEN_FRACTION),  # relative to the rate, so at most 100 %
         },
+        constraints=(
+            Constraint(("saturation_power_pw", "max_rate_mcps", "power_min_pw", "power_max_pw",
+                        "noise_rel"),
+                       lambda p_sat, rate, p_min, p_max, noise:
+                       noise * (rate / (1.0 + p_sat / min(p_min, p_max))) > 0,
+                       "give a rate uncertainty noise_rel * rate > 0 at the lowest power"),
+        ),
     ),
     Scenario(
         name="fig3b",
@@ -233,10 +308,22 @@ _SCENARIOS = [
             "seed": (32, SEED),
             "mean_bright": (1.83, POSITIVE),
             "mean_dark": (0.13, NON_NEGATIVE),
-            "fidelity_target": (0.80, FRACTION),
-            "n_pulses": (150, count(1, _MAX_PULSES)),
-            "trials": (100000, count(1, _MAX_TRIALS)),
+            # F(k=1) = (1 - P(0|bright) + P(0|dark)) / 2 >= 1/2, as P(0|bright) <= P(0|dark)
+            "fidelity_target": (0.80, Domain(float, 0.5, 1, lo_open=True)),
+            "n_pulses": (150, Domain(int, 1, _MAX_PULSES)),
+            "trials": (100000, Domain(int, 1, _MAX_TRIALS)),
         },
+        constraints=(
+            Constraint(("mean_bright", "mean_dark"), lambda bright, dark: bright > dark,
+                       "satisfy mean_bright > mean_dark"),
+            Constraint(("mean_bright", "mean_dark", "n_pulses"),
+                       lambda bright, dark, n: bright - dark <= n,
+                       "satisfy mean_bright - mean_dark <= n_pulses, so that p_detect <= 1"),
+            Constraint(("fidelity_target", "mean_bright", "mean_dark", "n_pulses"),
+                       lambda target, *readout: target <= _flip_free_fidelity(*readout),
+                       "give a fidelity_target at most the flip-free F(k=1) = (1 + exp(-mean_dark)"
+                       " (1 - (1 - p)^n_pulses)) / 2, p = (mean_bright - mean_dark) / n_pulses"),
+        ),
     ),
     Scenario(
         name="fig3c",
@@ -247,8 +334,13 @@ _SCENARIOS = [
             "duty_cycle": (0.40, OPEN_FRACTION),
             "efficiency": (0.014, OPEN_FRACTION),
             "duration_s": (86400.0, POSITIVE),
-            "max_fold": (5, count(1, _MAX_FOLD)),
+            "max_fold": (5, Domain(int, 1, _MAX_FOLD)),
         },
+        constraints=(
+            Constraint(("duty_cycle", "repetition_rate_mhz", "duration_s"),
+                       lambda duty, rate, duration: math.isfinite(duty * rate * duration),
+                       "give a finite number of attempts duty_cycle * repetition_rate * duration"),
+        ),
     ),
     Scenario(
         name="fig4b",
@@ -263,6 +355,7 @@ _SCENARIOS = [
             "grid_step_mhz": (2.0, POSITIVE),
             "noise_sigma": (0.01, _NOISE),
         },
+        constraints=(_grid("grid_span_mhz", 2),),
     ),
     Scenario(
         name="fig4c",
@@ -272,9 +365,10 @@ _SCENARIOS = [
             "seed": (43, SEED),
             "cooperativity": (0.027, NON_NEGATIVE),
             "input_coupling": (0.95, _INPUT_COUPLING),
-            "s_min": (0.01, POSITIVE),
-            "s_max": (10.0, POSITIVE),
-            "n_points": (25, count(1, MAX_GRID_POINTS)),
+            # geomspace takes 10**log10(s), which overflows near the float maximum
+            "s_min": (0.01, Domain(float, 0, 1e308, lo_open=True)),
+            "s_max": (10.0, Domain(float, 0, 1e308, lo_open=True)),
+            "n_points": (25, Domain(int, 1, MAX_GRID_POINTS)),
             "noise_sigma": (0.005, _NOISE),
         },
     ),
@@ -305,6 +399,10 @@ _SCENARIOS = [
             "taper_etch_rate_um_min": (1.5, NON_NEGATIVE),
             "taper_pull_rate_um_min": (55.0, POSITIVE),
         },
+        constraints=(
+            Constraint(_LOSS_CHAIN_KEYS, _coupling_at_most_one,
+                       "imply a coupling efficiency of at most 1 after the corrections"),
+        ),
     ),
     Scenario(
         name="rabi",
@@ -313,12 +411,18 @@ _SCENARIOS = [
         keys={
             "seed": (51, SEED),
             # the pi_time_ns row and pi_calibration.json give 1 / (2 f) in ns
-            "rabi_frequency_mhz": (230.0, between(1e-300, sys.float_info.max)),
+            "rabi_frequency_mhz": (230.0, Domain(float, 1e-300, sys.float_info.max)),
             "optical_t1_ns": (4.7, POSITIVE),
-            "max_time_ns": (15.0, POSITIVE),
-            "n_points": (301, count(2, MAX_GRID_POINTS)),
+            # the fit starts at 0.2 GHz, whose phase at max_time_ns must be finite
+            "max_time_ns": (15.0, Domain(float, 0, 1e308, lo_open=True)),
+            "n_points": (301, Domain(int, 2, MAX_GRID_POINTS)),
             "noise_sigma": (0.02, _NOISE),
         },
+        constraints=(
+            Constraint(("rabi_frequency_mhz", "max_time_ns"),
+                       lambda frequency, time: math.isfinite(TWO_PI * frequency * time),
+                       "give a finite drive phase 2 pi * rabi_frequency * max_time"),
+        ),
     ),
     Scenario(
         name="lifetime",
@@ -328,9 +432,9 @@ _SCENARIOS = [
             "seed": (52, SEED),
             "lifetime_ns": (5.56, POSITIVE),
             "max_time_ns": (30.0, POSITIVE),
-            "n_points": (120, count(3, MAX_GRID_POINTS)),
+            "n_points": (120, Domain(int, 3, MAX_GRID_POINTS)),
             # numpy draws Poisson counts up to a mean of about 9.2e18
-            "peak_counts": (3000.0, positive_up_to(1e18)),
+            "peak_counts": (3000.0, Domain(float, 0, 1e18, lo_open=True)),
         },
     ),
     Scenario(
@@ -344,8 +448,18 @@ _SCENARIOS = [
             "background": (0.052, FRACTION),
             "max_delay_ns": (20.0, NON_NEGATIVE),
             "step_ns": (0.1, POSITIVE),
-            "noise_sigma": (0.03, between(0.0, 1e300)),
+            "noise_sigma": (0.03, Domain(float, 0.0, 1e300)),
         },
+        constraints=(
+            Constraint(("max_delay_ns", "step_ns"),
+                       lambda delay, step: 2.0 * delay / step + 1.0 <= MAX_GRID_POINTS,
+                       f"give a delay axis of at most {MAX_GRID_POINTS} points"),
+            # the axis ends at round(max_delay / step) steps
+            Constraint(("rabi_frequency_mhz", "max_delay_ns", "step_ns"),
+                       lambda frequency, delay, step:
+                       math.isfinite(TWO_PI * frequency * (round(delay / step) * step)),
+                       "give a finite drive phase 2 pi * rabi_frequency * max_delay"),
+        ),
     ),
     Scenario(
         name="isotopes",
@@ -353,8 +467,10 @@ _SCENARIOS = [
         runner="scenarios:_run_isotopes",
         keys={
             # each prediction multiplies the splitting in Hz by gamma_n (~1.6e7 Hz/T)
-            "reference_splitting_mhz": (452.0, between(-1e294, 1e294)),
-            "reference_isotope": ("sn117", choice(*NUCLEAR_GYROMAGNETIC_HZ_PER_T)),
+            "reference_splitting_mhz": (452.0, Domain(float, -1e294, 1e294)),
+            "reference_isotope": (
+                "sn117", Domain(str, options=tuple(NUCLEAR_GYROMAGNETIC_HZ_PER_T))
+            ),
         },
     ),
 ]
@@ -395,7 +511,8 @@ def configured(target: str, overrides: dict | None = None) -> tuple[Scenario, di
     ``overrides``) and the runner's values: each checked against its key's
     domain in the key's own unit, unit suffix stripped and applied
     (``linewidth_mhz`` -> ``linewidth`` in Hz), then checked to be a finite,
-    normal float in base units (or zero, if it was zero).
+    normal float in base units (or zero, if it was zero).  The scenario's
+    constraints are checked last, in order, on those base-unit values.
     """
     scenario, file_cfg = _resolve(target)
     cfg = {**scenario.defaults, **file_cfg, **(overrides or {})}
@@ -405,7 +522,7 @@ def configured(target: str, overrides: dict | None = None) -> tuple[Scenario, di
             f"unknown config keys for scenario {scenario.name!r}: {', '.join(unknown)}; "
             f"allowed: {', '.join(sorted(scenario.keys))}"
         )
-    values = {}
+    values, base_values = {}, {}
     for key, value in cfg.items():
         domain = scenario.keys[key][1]
         checked = domain.check(key, value)
@@ -419,7 +536,11 @@ def configured(target: str, overrides: dict | None = None) -> tuple[Scenario, di
                 f"config key {key!r} must be {domain.text} and a normal float in base "
                 f"units; {value!r} becomes {base!r}"
             )
-        values[name] = base
+        values[name] = base_values[key] = base
+    for constraint in scenario.constraints:
+        if not constraint.holds(*(base_values[key] for key in constraint.keys)):
+            got = ", ".join(f"{key}={cfg[key]!r}" for key in constraint.keys)
+            raise ValueError(f"{constraint.describe()}; got {got}")
     return scenario, cfg, values
 
 

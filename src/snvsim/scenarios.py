@@ -69,17 +69,9 @@ def _rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(_stream(seed, index))
 
 
-def _fit_grid(cfg: dict, span_key: str, n_params: int) -> np.ndarray:
-    """The grid of ``cfg``'s span and step about zero, refused naming both keys
-    when it has fewer points than the fit that reads it has parameters."""
-    span = cfg["grid_span"]
-    x = frequency_grid(-span / 2.0, span / 2.0, cfg["grid_step"])
-    if x.size < n_params:
-        raise ValueError(
-            f"config keys '{span_key}' and 'grid_step_mhz' give a grid of fewer points "
-            f"({x.size}) than the fit has parameters ({n_params})"
-        )
-    return x
+def _fit_grid(cfg: dict) -> np.ndarray:
+    """The grid of ``cfg``'s span and step about zero."""
+    return frequency_grid(-cfg["grid_span"] / 2.0, cfg["grid_span"] / 2.0, cfg["grid_step"])
 
 
 # --------------------------------------------------------------------------
@@ -94,13 +86,7 @@ def _run_fig1d(cfg: dict):
 
     centers = _rng(cfg["seed"], 0).normal(0.0, fwhm_to_sigma(fwhm), size=n)
     empirical_fwhm = sigma_to_fwhm(float(np.std(centers, ddof=1)))
-    _check_points(5.0 * fwhm / bin_width, "histogram")
     edges = np.arange(-2.5 * fwhm, 2.5 * fwhm + bin_width, bin_width)
-    if edges.size < 4:  # the Gaussian fit has three parameters
-        raise ValueError(
-            f"config keys 'inhomogeneous_fwhm_ghz' and 'bin_width_ghz' give a histogram of "
-            f"{edges.size - 1} bins over +-2.5 FWHM; the Gaussian fit needs at least 3"
-        )
     counts, edges = np.histogram(centers, bins=edges)
     mids = 0.5 * (edges[:-1] + edges[1:])
 
@@ -137,7 +123,7 @@ def _run_fig1e(cfg: dict):
     model = make_lorentzian_multi(n_lines=2).with_init(
         (fwhm, -split / 2.0, 1.0, split / 2.0, 1.0)
     )
-    x = _fit_grid(cfg, "grid_span_mhz", len(model.param_names))
+    x = _fit_grid(cfg)
 
     params = spin_hamiltonian.sn117_ground()
     hamiltonian = spin_hamiltonian.build_ground_hamiltonian(params, (0.0, 0.0, 0.0))
@@ -224,7 +210,7 @@ def _run_fig2a(cfg: dict):
     transition = spin_hamiltonian.OpticalTransitionParams.from_cyclic_hz(
         cfg["zero_field_splitting"], cfg["slope"]
     )
-    x = _fit_grid(cfg, "grid_span_ghz", len(make_lorentzian_multi(n_lines=4).param_names))
+    x = _fit_grid(cfg)
     fields = np.array([cfg["field_start"] + k * cfg["field_step"] for k in range(n_scans)])
     seeds = [_stream(cfg["seed"], k) for k in range(n_scans)]
     sweep = field_sweep(transition, fields, x, cfg["linewidth"], 1.0 / cfg["snr"], seeds)
@@ -289,8 +275,7 @@ def _run_fig2b(cfg: dict):
     # Each emitter is a doublet about zero detuning, its splitting drawn per emitter.
     splits = split_mean + _rng(seed, 0).normal(0.0, split_sigma, size=n)
     lows, highs = -splits / 2.0, splits / 2.0
-    x = _fit_grid(cfg, "grid_span_mhz", len(model.param_names))
-    _check_points(n * x.size, "n_emitters x frequency grid")
+    x = _fit_grid(cfg)
 
     spectra = {}
     fitted_splits = np.empty(n)
@@ -410,11 +395,6 @@ def _run_fig3a(cfg: dict):
     y_true = optical_dynamics.saturation_intensity(powers, sp)
     y = y_true * (1.0 + _rng(cfg["seed"], 0).normal(0.0, noise_rel, size=powers.size))
     y_err = noise_rel * y_true
-    if not y_err.all():  # a point of zero uncertainty would have an infinite weight
-        raise ValueError(
-            "config keys 'saturation_power_pw', 'max_rate_mcps', 'power_min_pw', "
-            "'power_max_pw' and 'noise_rel' give a rate uncertainty that underflows to 0"
-        )
 
     powers_pw = powers * 1e12
     model = make_saturation().with_init((8.0e5, 60.0))
@@ -551,7 +531,7 @@ def _run_fig4b(cfg: dict):
     model = waveguide_qed.ReflectionModel(
         cooperativity=cfg["cooperativity"], f_in=f_in, gamma_h_hz=cfg["linewidth"]
     )
-    delta = _fit_grid(cfg, "grid_span_mhz", len(fit_model.param_names))
+    delta = _fit_grid(cfg)
     r_norm = waveguide_qed.normalized_reflection(delta, model)
 
     # The sideband-modulation measurement sees half signal, half static
@@ -635,10 +615,7 @@ def _run_fig4c(cfg: dict):
         cooperativity=cfg["cooperativity"], f_in=f_in, gamma_h_hz=70.0e6
     )
     r0 = waveguide_qed.dip_contrast(model)
-    # geomspace sets both ends to s_min and s_max after taking 10**log10(s):
-    # at s_max near the float maximum that power overflows and is replaced.
-    with np.errstate(over="ignore"):
-        s = np.geomspace(cfg["s_min"], cfg["s_max"], cfg["n_points"])
+    s = np.geomspace(cfg["s_min"], cfg["s_max"], cfg["n_points"])
     y = waveguide_qed.contrast_vs_saturation(s, r0) + _rng(cfg["seed"], 0).normal(
         0.0, noise, size=s.size
     )
@@ -766,7 +743,6 @@ def _run_g2(cfg: dict):
     step = cfg["step"]
     noise = cfg["noise_sigma"]
 
-    _check_points(2.0 * cfg["max_delay"] / step + 1.0, "delay axis")
     n_side = int(round(cfg["max_delay"] / step))
     tau = np.arange(-n_side, n_side + 1) * step
     y = optical_dynamics.g2_autocorrelation(tau, omega, t1, background)

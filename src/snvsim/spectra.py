@@ -19,7 +19,7 @@ import numpy as np
 
 # Spectrum CSVs are written by the artifact layer; this module keeps the name.
 from .artifacts import write_spectrum_csv  # noqa: F401
-from .config import MAX_GRID_POINTS
+from .config import MAX_GRID_POINTS, grid_points
 from .fitting import (
     lorentzian_sum,
     make_lorentzian_multi,
@@ -80,9 +80,9 @@ def frequency_grid(start_hz: float, stop_hz: float, step_hz: float) -> np.ndarra
     """Ascending grid from start to stop (inclusive within half a step)."""
     if step_hz <= 0.0 or stop_hz <= start_hz:
         raise ValueError("need stop > start and a positive step")
-    n = (stop_hz - start_hz) / step_hz  # inf when the ratio overflows
-    _check_points(n + 1, "frequency grid")
-    return start_hz + step_hz * np.arange(int(round(n)) + 1)
+    points = grid_points(start_hz, stop_hz, step_hz)
+    _check_points(points, "frequency grid")
+    return start_hz + step_hz * np.arange(points)
 
 
 def synthesize_spectrum(lines, x_hz, noise_sigma: float = 0.0, seed=None) -> Spectrum:

@@ -3,25 +3,13 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
 from snvsim.config import (
-    CORRECTION,
-    FRACTION,
-    NON_NEGATIVE,
-    OPEN_FRACTION,
-    POSITIVE,
-    SEED,
-    UNIT_FACTORS,
-    between,
-    choice,
-    count,
-    in_base_units,
-    load_config,
-    parse_config_text,
-    parse_overrides,
-    parse_value,
+    CORRECTION, FRACTION, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, SEED, UNIT_FACTORS, Domain,
+    in_base_units, load_config, parse_config_text, parse_overrides, parse_value,
 )
 from snvsim.efficiency import (
     apply_loss_chain, budget_from_config, budget_report, loss_chain_from_config,
@@ -122,14 +110,14 @@ def test_unit_suffix_is_stripped_and_applied_as_float_times_factor():
 
 
 def test_numeric_domains_reject_booleans_strings_and_non_finite_values():
-    for domain in (between(-1.0, 1.0), POSITIVE, NON_NEGATIVE, FRACTION, OPEN_FRACTION):
+    for domain in (Domain(float, -1.0, 1.0), POSITIVE, NON_NEGATIVE, FRACTION, OPEN_FRACTION):
         for bad in (True, False, "70", math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="'linewidth_mhz'"):
                 domain.check("linewidth_mhz", bad)
     # An integer too large for a float is rejected, not an OverflowError.
     with pytest.raises(ValueError, match="'x'"):
         POSITIVE.check("x", 10**400)
-    for domain in (SEED, count(1, 10)):
+    for domain in (SEED, Domain(int, 1, 10)):
         for bad in (2.5, True, "3", math.nan):
             with pytest.raises(ValueError, match="integer"):
                 domain.check("n", bad)
@@ -137,7 +125,7 @@ def test_numeric_domains_reject_booleans_strings_and_non_finite_values():
 
 def test_domains_check_ranges_and_convert():
     assert POSITIVE.check("x", 3) == 3.0 and isinstance(POSITIVE.check("x", 3), float)
-    assert between(-3.0, 3.0).check("x", -2.5) == -2.5
+    assert Domain(float, -3.0, 3.0).check("x", -2.5) == -2.5
     assert POSITIVE.check("x", 1e-300) == 1e-300
     with pytest.raises(ValueError, match=r"> 0"):
         POSITIVE.check("x", 0)
@@ -153,13 +141,13 @@ def test_domains_check_ranges_and_convert():
     assert SEED.check("seed", 0) == 0
     with pytest.raises(ValueError, match=">= 0"):
         SEED.check("seed", -1)
-    assert count(3, 1000).check("n_scans", 3) == 3
+    assert Domain(int, 3, 1000).check("n_scans", 3) == 3
     with pytest.raises(ValueError, match="'n_scans' must be an integer >= 3 and <= 1000, got 2"):
-        count(3, 1000).check("n_scans", 2)
-    assert count(3, 1000).check("n_scans", 1000) == 1000
+        Domain(int, 3, 1000).check("n_scans", 2)
+    assert Domain(int, 3, 1000).check("n_scans", 1000) == 1000
     with pytest.raises(ValueError, match="'n_scans' must be an integer >= 3 and <= 1000, got 1001"):
-        count(3, 1000).check("n_scans", 1001)
-    isotope = choice("sn115", "sn117")
+        Domain(int, 3, 1000).check("n_scans", 1001)
+    isotope = Domain(str, options=("sn115", "sn117"))
     assert isotope.check("reference_isotope", "sn115") == "sn115"
     for bad in ("sn116", 117, True):
         with pytest.raises(ValueError, match="one of sn115, sn117"):
@@ -170,6 +158,16 @@ def test_domains_check_ranges_and_convert():
                 "", "db_per_km 12", "db 0.04 7", "fraction 0.5 1", "dB 0.04", "nepers 1"):
         with pytest.raises(ValueError, match="'correction_a'"):
             CORRECTION.check("correction_a", bad)
+
+
+def test_edges_lie_at_and_just_past_each_end_of_a_domain():
+    assert Domain(int, 3, 1000).edges() == [2, 3, 1000, 1001] and SEED.edges() == [-1, 0]
+    assert FRACTION.edges() == [0, -5e-324, 1, 1.0000000000000002]
+    assert POSITIVE.edges() == [0, 5e-324, 2.2250738585072014e-308, 1e300, sys.float_info.max]
+    coupling = Domain(float, 0, 1, lo_open=True, excluded=(0.5,))
+    assert [value in coupling for value in coupling.edges()] == [False, True, True, True, False,
+                                                                 True, False, True]
+    assert "fraction 0" in CORRECTION.edges() and "db -5e-324" in CORRECTION.edges()
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from oracles import ground_branch_energies
-from snvsim.config import CORRECTION, in_base_units
+from snvsim.config import (
+    CORRECTION, FRACTION, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, in_base_units,
+)
 from snvsim import photon_budget, registry, scenarios, spin_hamiltonian
 from snvsim.artifacts import summary_row, write_artifact
 from snvsim.efficiency import EfficiencyBudget, LossChain, LossCorrection
@@ -62,6 +64,35 @@ def test_readme_scenario_table_lists_the_registry_in_order():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("Scenarios (`snvsim list`):", 1)[1].split("\n## ", 1)[0]
     assert re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE) == available_scenarios()
+
+
+def test_readme_gives_each_bounded_domain_the_text_of_the_table():
+    """A bullet "`key` of `name`, ... is <text>:" states the domain's own text, and
+    every float domain other than the four common ones has one."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = {
+        (name, key): text
+        for key, names, text in re.findall(
+            r"^- `(\w+)` of ((?:`\w+`(?:, | and )?)+) is (.+?):\s", readme, flags=re.MULTILINE
+        )
+        for name in re.findall(r"`(\w+)`", names)
+    }
+    assert {pair: SCENARIOS[pair[0]].keys[pair[1]][1].text for pair in listed} == listed
+    common = (POSITIVE, NON_NEGATIVE, FRACTION, OPEN_FRACTION)
+    bounded = {
+        (name, key) for name in ALL_NAMES for key, (_, domain) in SCENARIOS[name].keys.items()
+        if domain.kind is float and domain not in common
+    }
+    assert bounded <= set(listed)
+
+
+def test_readme_lists_the_constraints_of_the_table_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Some conditions read several keys.", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"^- .*$", section, flags=re.MULTILINE) == [
+        f"- `{name}`: " + constraint.describe().replace("'", "`")
+        for name in ALL_NAMES for constraint in SCENARIOS[name].constraints
+    ]
 
 
 def _artifact_digest(out_dir: Path) -> dict:
