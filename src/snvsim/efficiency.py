@@ -129,12 +129,12 @@ def apply_loss_chain(chain: LossChain) -> float:
     corrections back out isolates the coupling.  A result above 1 means the
     corrections overexplain the measurement and raises an error.
     """
-    for correction in chain.corrections:
-        if correction.transmission() == 0.0:  # a dB loss so large that 10^(-dB/10) underflows
-            raise ValueError(f"loss chain inconsistent: correction {correction.name!r} transmits 0")
     efficiency = implied_coupling(chain)
     if efficiency > 1.0:
+        # A dB loss so large that 10^(-dB/10) underflows transmits 0.
+        blocked = [c.name for c in chain.corrections if c.transmission() == 0.0]
         raise ValueError(
+            f"loss chain inconsistent: correction {blocked[0]!r} transmits 0" if blocked else
             f"loss chain inconsistent: corrections imply coupling efficiency {efficiency:.4g} > 1"
         )
     return efficiency

@@ -41,15 +41,21 @@ from pathlib import Path
 import pytest
 
 from snvsim.cli import main
-from snvsim.config import parse_value
-from snvsim.registry import SCENARIOS, available_scenarios
+from snvsim.config import parse_overrides, parse_value
+from snvsim.registry import SCENARIOS, available_scenarios, configured
 
 OUTCOMES = ("exit 0", "exit 1", "exit 2 naming a key", "exit 2 naming none", "non-finite")
 #: fig3b's calibration refusing a target, naming no key (ROADMAP item 16): counted apart.
 UNREACHABLE = "not reachable by any flip probability"
 
+
+def arg(key: str, value) -> str:
+    """The ``key=value`` override that parses back to ``value``."""
+    return f"{key}={value if isinstance(value, str) else repr(value)}"
+
+
 SINGLES = [
-    (name, (f"{key}={value!r}",))
+    (name, (arg(key, value),))
     for name in available_scenarios()
     for key, (_, domain) in SCENARIOS[name].keys.items()
     for value in domain.edges()
@@ -57,6 +63,7 @@ SINGLES = [
 # Runs the edges do not reach, each of which once broke the contract above.
 SINGLES += [
     ("rabi", ("max_time_ns=1e-9",)),  # a trace far shorter than one Rabi period
+    ("fig1e", ("linewidth_mhz=1e-9",)),  # a fit with values written as null
     ("rabi", ("rabi_frequency_mhz=2.2250738585072014e-308",)),  # a NaN pi-pulse fidelity
     ("fig2a", ("field_step_mt=1e-300",)),  # np.polyfit on fields whose squares underflow
     ("fig2a", ("field_step_mt=1e300",)),  # the detunings overflowed
@@ -99,7 +106,7 @@ def pairs() -> list:
         floats = [(key, domain) for key, (_, domain) in SCENARIOS[name].keys.items()
                   if domain.kind is float]
         for (a, da), (b, db) in itertools.combinations(floats, 2):
-            runs += [(name, (f"{a}={x!r}", f"{b}={y!r}"))
+            runs += [(name, (arg(a, x), arg(b, y)))
                      for x, y in itertools.product(da.edges(), db.edges())]
     return runs
 
@@ -169,6 +176,21 @@ def _faults(runs) -> list[str]:
         if not allowed:
             faults.append(f"{name} {' '.join(overrides)}: {kind}: {detail}")
     return faults
+
+
+def test_every_string_edge_in_its_domain_gets_past_the_domain_check():
+    """Its override parses back to it, and ``configured`` accepts it or refuses a
+    constraint on it."""
+    for name in available_scenarios():
+        scenario = SCENARIOS[name]
+        for key, (_, domain) in scenario.keys.items():
+            for value in [v for v in domain.edges() if domain.kind is str and v in domain]:
+                assert parse_overrides([arg(key, value)]) == {key: value}
+                try:
+                    configured(name, {key: value})
+                except ValueError as exc:
+                    texts = [c.describe() for c in scenario.constraints if key in c.keys]
+                    assert str(exc).startswith(tuple(texts)), (name, key, value, str(exc))
 
 
 @pytest.mark.parametrize("name", available_scenarios())
