@@ -13,7 +13,8 @@ Subcommands
 ``snvsim ensemble <name-or-config> --seeds N [key=value ...]``
     Run a scenario at seeds s, s+1, ..., s+N-1 (s is the merged config's
     ``seed``) without writing, and print the mean, sample sd, min, max and
-    pass rate of each summary row as JSON.
+    pass rate of each summary row as JSON; a row whose value is not finite
+    at some seed fails there, and its statistics are null.
 
 ``snvsim list``
     List available scenarios with their descriptions.
@@ -111,21 +112,22 @@ def _cmd_ensemble(args: argparse.Namespace) -> int:
         by_quantity: dict = {}
         for seed in range(values["seed"], values["seed"] + n_seeds):
             for row in scenario.run({**values, "seed": seed})[0]:
-                if not math.isfinite(row["simulated"]):  # as summary.json refuses it
-                    raise ValueError(f"seed {seed}: {row['quantity']} is {row['simulated']!r}")
                 by_quantity.setdefault(row["quantity"], []).append(row)
         entries = []
         for quantity, rows in by_quantity.items():
             simulated = [row["simulated"] for row in rows]
+            # A value beyond the float range fails its row; summary.json writes it as
+            # null, and so are the row's statistics here.
+            finite = all(math.isfinite(value) for value in simulated)
             entries.append({
                 "quantity": quantity,
                 "paper_value": rows[0]["paper_value"],
                 "tolerance": rows[0]["tolerance"],
                 # Exact rational arithmetic: a row that restates the config gets sd 0.0.
-                "mean": statistics.mean(simulated),
-                "sd": statistics.stdev(simulated) if n_seeds > 1 else None,
-                "min": min(simulated),
-                "max": max(simulated),
+                "mean": statistics.mean(simulated) if finite else None,
+                "sd": statistics.stdev(simulated) if finite and n_seeds > 1 else None,
+                "min": min(simulated) if finite else None,
+                "max": max(simulated) if finite else None,
                 "pass_rate": sum(row["pass"] for row in rows) / len(rows),
             })
     except (ValueError, KeyError, OverflowError) as exc:

@@ -22,10 +22,10 @@ gives infinite uncertainties only to the parameters its null space
 touches.  Everything is pure and deterministic: identical inputs produce
 bit-identical results.
 
-Each iteration needs the Jacobian d model / d params.  Every model
-supplies ``ModelSpec.value_and_jacobian``, which gives it in closed form with
-the value, one call per trial, and the accepted trial's Jacobian serves the
-next iteration, the curvature and the bound check.  A trial step whose
+Each iteration needs the Jacobian d model / d params.  Every model's one
+callable, ``ModelSpec.evaluator``, gives it in closed form with the value,
+one call per trial, and the accepted trial's Jacobian serves the next
+iteration, the curvature and the bound check.  A trial step whose
 evaluation raises ``ValueError`` or is non-finite counts as a rejected step;
 only the initial guess may raise.
 
@@ -55,20 +55,19 @@ _EPS = float(np.finfo(float).eps)
 class ModelSpec:
     """A named model function with parameter metadata.
 
-    ``evaluator(params, x) -> y`` must be finite on the data domain for any
-    in-bounds parameter vector.  ``bounds`` are inclusive per-parameter
-    (lo, hi) boxes; a degenerate box (lo == hi) freezes a parameter.
-    ``value_and_jacobian(params, x) -> (y, J)`` returns the evaluator's y
-    bit for bit and the exact J = d evaluator / d params, shape (x.size,
-    n_params); :func:`fit` calls it, not the evaluator.  J must be finite
-    wherever y is, unless the derivative itself lies beyond the float range.
+    ``evaluator(params, x) -> (y, J)`` returns the model's values y and
+    their exact Jacobian J = dy / d params, shape (x.size, n_params), in
+    closed form; :func:`fit` calls it once per trial.  y must be finite on
+    the data domain for any in-bounds parameter vector, and J wherever y is,
+    unless the derivative itself lies beyond the float range.  ``bounds``
+    are inclusive per-parameter (lo, hi) boxes; a degenerate box (lo == hi)
+    freezes a parameter.
     """
 
     name: str
     param_names: tuple[str, ...]
     init: tuple[float, ...]
-    evaluator: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    value_and_jacobian: Callable[[np.ndarray, np.ndarray], tuple]
+    evaluator: Callable[[np.ndarray, np.ndarray], tuple]
     bounds: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
@@ -219,7 +218,7 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
 
     def trial(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Cost, residual and Jacobian at p."""
-        value, jac = model.value_and_jacobian(p, x)
+        value, jac = model.evaluator(p, x)
         residual = y - _checked(value, p)
         residual /= y_err
         return float(residual @ residual), residual, jac
@@ -445,9 +444,6 @@ def make_lorentzian_multi(n_lines: int = 1, shared_fwhm: bool = True) -> ModelSp
         centers, fwhms, amplitudes = slice(0, None, 3), slice(1, None, 3), slice(2, None, 3)
 
     def evaluator(params, x):
-        return lorentzian_sum(x, params[centers], params[fwhms], params[amplitudes])
-
-    def value_and_jacobian(params, x):
         value, d_center, d_fwhm, d_amplitude = lorentzian_sum(
             x, params[centers], params[fwhms], params[amplitudes], derivatives=True
         )
@@ -463,14 +459,13 @@ def make_lorentzian_multi(n_lines: int = 1, shared_fwhm: bool = True) -> ModelSp
         init=tuple(defaults),
         evaluator=evaluator,
         bounds=tuple(bounds),
-        value_and_jacobian=value_and_jacobian,
     )
 
 
 def make_gaussian() -> ModelSpec:
     """Single Gaussian [center, fwhm, amplitude] (x in Hz)."""
 
-    def value_and_jacobian(p, x):
+    def evaluator(p, x):
         # u = (x - center) / fwhm is taken as 0 where the shape underflows: no inf * 0.
         shape = gaussian_profile(x, p[0], p[1], 1.0)
         u = np.where(shape > 0.0, (np.asarray(x, dtype=float) - p[0]) / p[1], 0.0)
@@ -481,9 +476,8 @@ def make_gaussian() -> ModelSpec:
         name="gaussian",
         param_names=("center", "fwhm", "amplitude"),
         init=(0.0, 90.0e9, 1.0),
-        evaluator=lambda p, x: gaussian_profile(x, p[0], p[1], p[2]),
+        evaluator=evaluator,
         bounds=(_UNBOUNDED, (1e-300, math.inf), _UNBOUNDED),
-        value_and_jacobian=value_and_jacobian,
     )
 
 
@@ -495,12 +489,8 @@ def make_exponential() -> ModelSpec:
     """
 
     def evaluator(p, x):
-        return p[0] + p[1] * np.exp(-np.asarray(x, dtype=float) / p[2])
-
-    def value_and_jacobian(p, x):
         # d/dtau = amplitude * r e^(-r) / tau with r = x/tau; r e^(-r) is
         # written as 0 where e^(-r) underflows, so r = inf gives no inf * 0.
-        # exp(-r) is the evaluator's exp(-x / tau): negation is exact.
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             r = x / p[2]
@@ -514,14 +504,13 @@ def make_exponential() -> ModelSpec:
         init=(0.0, 1.0, 5.56),
         evaluator=evaluator,
         bounds=(_UNBOUNDED, _UNBOUNDED, (1e-300, math.inf)),
-        value_and_jacobian=value_and_jacobian,
     )
 
 
 def make_damped_rabi() -> ModelSpec:
     """Damped Rabi population [omega_rad_per_ns, t1_ns] (x = time in ns)."""
 
-    def value_and_jacobian(p, x):
+    def evaluator(p, x):
         # Differentiates rho = (1 - (cos(phi) + tau sin(phi) / phi) e^(-tau)) / 2 in phi = omega t
         # and tau = t / t1.  e^(-tau) multiplies t and tau first: no inf * 0 where it underflows.
         t = np.asarray(x, dtype=float)
@@ -536,18 +525,15 @@ def make_damped_rabi() -> ModelSpec:
         name="damped_rabi",
         param_names=("omega_rad_per_ns", "t1_ns"),
         init=(TWO_PI * 0.230, 4.7),
-        evaluator=lambda p, x: optical_dynamics.rabi_population(
-            np.asarray(x, dtype=float) * 1e-9, p[0] * 1e9, p[1] * 1e-9
-        ),
+        evaluator=evaluator,
         bounds=((1e-6, math.inf), (1e-6, math.inf)),
-        value_and_jacobian=value_and_jacobian,
     )
 
 
 def make_saturation() -> ModelSpec:
     """Fluorescence saturation [i_infinity, p_sat_pw] (x = power in pW)."""
 
-    def value_and_jacobian(p, x):
+    def evaluator(p, x):
         # d/dp_sat = -i_inf * x / (x + p_sat)^2 = -i_inf * g (1 - g) / p_sat with
         # g = x / (x + p_sat); both g and 1 - g are taken as 1 / (1 + ratio)
         # so neither cancels nor turns into inf / inf.
@@ -562,16 +548,15 @@ def make_saturation() -> ModelSpec:
         name="saturation",
         param_names=("i_infinity", "p_sat_pw"),
         init=(1.34e6, 120.0),
-        evaluator=lambda p, x: optical_dynamics.saturation_rate(x, p[1], p[0]),
+        evaluator=evaluator,
         bounds=((1e-300, math.inf), (1e-300, math.inf)),
-        value_and_jacobian=value_and_jacobian,
     )
 
 
 def make_abs_cosine() -> ModelSpec:
     """Rectified cosine [amplitude, phi0]: y = |amplitude cos(x + phi0)| (x in rad)."""
 
-    def value_and_jacobian(p, x):
+    def evaluator(p, x):
         # The slope of |a cos(x + phi0)| is sign(a cos) (cos, -a sin), 0 where the cosine is.
         phase = np.asarray(x, dtype=float) + p[1]
         cos = np.cos(phase)
@@ -583,9 +568,8 @@ def make_abs_cosine() -> ModelSpec:
         name="abs_cosine",
         param_names=("amplitude", "phi0"),
         init=(5.41, 0.0),
-        evaluator=lambda p, x: spin_hamiltonian.angular_splitting_rate(p[0], p[1], x),
+        evaluator=evaluator,
         bounds=((0.0, math.inf), (-TWO_PI, TWO_PI)),
-        value_and_jacobian=value_and_jacobian,
     )
 
 
@@ -601,24 +585,22 @@ def make_reflection_dip(fix_f_in: float | None = None) -> ModelSpec:
             name="reflection_dip",
             param_names=("cooperativity", "f_in", "gamma_h_hz"),
             init=(0.027, 0.95, 70.0e6),
-            evaluator=lambda p, x: waveguide_qed.normalized_reflection_params(x, p[0], p[1], p[2]),
-            bounds=((0.0, math.inf), (0.500001, 1.0), (1e-300, math.inf)),
-            value_and_jacobian=lambda p, x: (
+            evaluator=lambda p, x: (
                 waveguide_qed.normalized_reflection_params(x, p[0], p[1], p[2]),
                 waveguide_qed.normalized_reflection_jacobian(x, p[0], p[1], p[2]),
             ),
+            bounds=((0.0, math.inf), (0.500001, 1.0), (1e-300, math.inf)),
         )
     f_in = float(fix_f_in)
     return ModelSpec(
         name="reflection_dip",
         param_names=("cooperativity", "gamma_h_hz"),
         init=(0.027, 70.0e6),
-        evaluator=lambda p, x: waveguide_qed.normalized_reflection_params(x, p[0], f_in, p[1]),
-        bounds=((0.0, math.inf), (1e-300, math.inf)),
-        value_and_jacobian=lambda p, x: (
+        evaluator=lambda p, x: (
             waveguide_qed.normalized_reflection_params(x, p[0], f_in, p[1]),
             waveguide_qed.normalized_reflection_jacobian(x, p[0], f_in, p[1])[:, [0, 2]],
         ),
+        bounds=((0.0, math.inf), (1e-300, math.inf)),
     )
 
 
@@ -628,12 +610,11 @@ def make_contrast_saturation() -> ModelSpec:
         name="contrast_saturation",
         param_names=("r0_contrast",),
         init=(0.11,),
-        evaluator=lambda p, x: waveguide_qed.contrast_vs_saturation(x, p[0]),
-        bounds=((0.0, 1.0),),
-        value_and_jacobian=lambda p, x: (
+        evaluator=lambda p, x: (
             waveguide_qed.contrast_vs_saturation(x, p[0]),
             (1.0 / (1.0 + np.asarray(x, dtype=float)))[:, None],
         ),
+        bounds=((0.0, 1.0),),
     )
 
 

@@ -131,6 +131,12 @@ def _enough_bins(fwhm: float, width: float) -> bool:
         (2.5 * fwhm + width + 2.5 * fwhm) / width) >= 4
 
 
+def _outer_lines_on_grid(n, start, step, splitting, slope, span) -> bool:
+    """Whether fig2a's outer lines, at +-(H + S |B|) / 2, stay on its grid about zero at
+    every field of the sweep; |B| is largest at one of its ends."""
+    return splitting + slope * max(abs(start), abs(start + (n - 1) * step)) <= span
+
+
 def _flip_free_fidelity(mean_bright: float, mean_dark: float, n_pulses: int) -> float:
     """F(k=1) of fig3b's readout without spin flips, as its calibration computes it."""
     p_detect = (mean_bright - mean_dark) / n_pulses
@@ -227,7 +233,14 @@ _SCENARIOS = [
             "grid_span_ghz": (2.4, POSITIVE),
             "grid_step_mhz": (5.0, POSITIVE),
         },
-        constraints=(_grid("grid_span_ghz", 9), _held("n_scans", "grid_span_ghz")),
+        constraints=(
+            _grid("grid_span_ghz", 9),
+            _held("n_scans", "grid_span_ghz"),
+            Constraint(("n_scans", "field_start_mt", "field_step_mt", "zero_field_splitting_mhz",
+                        "slope_ghz_per_t", "grid_span_ghz"), _outer_lines_on_grid,
+                       "keep the outer lines on the grid at every field: zero_field_splitting "
+                       "+ slope * max |field| <= grid_span"),
+        ),
     ),
     Scenario(
         name="fig2b",

@@ -310,7 +310,7 @@ def test_criterion_13_fit_engine_properties():
     # Analytic vs finite-difference gradient at 1e-6.
     single = make_lorentzian_multi(1)
     params = np.array([70e6, -226e6, 1.0])
-    numeric = numeric_jacobian(single.evaluator, params, x)
+    numeric = numeric_jacobian(lambda p, x: single.evaluator(p, x)[0], params, x)
     analytic = lorentzian_shared_jacobian(params, x)
     jac_err = float(
         np.max(np.abs(numeric - analytic) / np.maximum(np.abs(analytic).max(axis=0), 1e-300))

@@ -6,7 +6,8 @@ outside each end of its range and each refused point.  A run goes through
 
 * exit 0 or 1: strict JSON on stdout and in every JSON artifact, a finite
   number in every numeric CSV cell, no passing summary row whose value is
-  ``null``, and nothing on stderr; or
+  ``null`` (for an ensemble: no row that passed at every seed with ``null``
+  statistics), and nothing on stderr; or
 * exit 2: nothing on stdout and no tree written, and one ``{"error": ...}``
   on stderr that names a config key.
 
@@ -17,8 +18,10 @@ probability" (ROADMAP item 16).
 
 Tier-1 runs every single-key edge but the few at a count's cap, which take
 seconds each, a few runs the edges do not reach, and a seeded sample of the
-pairs of float keys.  The full sweep, every pair included, prints a table
-of outcomes per scenario:
+pairs of float keys.  It runs the same single-key edges of every scenario
+with a seed through ``snvsim ensemble ... --seeds 2`` as well, held to the
+same contract.  The full sweep, every pair and every ensemble included,
+prints a table of outcomes per scenario:
 
     PYTHONPATH=src python tests/test_edge_probe.py
 """
@@ -80,10 +83,13 @@ SINGLES += [
     ("lifetime", ("peak_counts=1e19",)),  # beyond numpy's Poisson limit
 ]
 
-#: Runs at a count's cap that fit and write 10^6 points or 1000 spectra, 2.5 to 25 s
+#: Runs at a count's cap that fit and write 10^6 points or 1000 spectra, 2 to 4.5 s
 #: each on a 2-vCPU host: the script runs them, tier-1 does not.
-AT_THE_CAP = [
-    run for run in SINGLES if run[1][0] in ("n_points=1000000", "n_scans=1000", "n_emitters=1000")
+AT_THE_CAP = [run for run in SINGLES if run[1][0] in ("n_points=1000000", "n_emitters=1000")]
+#: The single-key edges that tier-1 runs through ``snvsim ensemble``: those of the
+#: scenarios with a seed, as the others refuse an ensemble.
+ENSEMBLE_SINGLES = [
+    run for run in SINGLES if run not in AT_THE_CAP and "seed" in SCENARIOS[run[0]].keys
 ]
 
 #: Pairs of in-domain edges that once leaked a warning or exited 2 naming no key.
@@ -130,16 +136,18 @@ def _check_csv(path: Path) -> None:
                 raise NonFinite(f"{path.name}: {cell}")
 
 
-def outcome(name: str, overrides: tuple) -> tuple[str, str]:
-    """``(outcome, detail)`` of one run; an outcome outside ``OUTCOMES`` is a fault."""
+def outcome(name: str, overrides: tuple, command: str = "run") -> tuple[str, str]:
+    """``(outcome, detail)`` of one ``run``, or one ``ensemble`` of two seeds; an
+    outcome outside ``OUTCOMES`` is a fault."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as root:
         tree = Path(root) / name
+        option = ("--output-dir", root) if command == "run" else ("--seeds", "2")
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    code = main(["run", name, *overrides, "--output-dir", root])
+                    code = main([command, name, *overrides, *option])
             if code == 2:
                 error = json.loads(err.getvalue(), parse_constant=_reject)
                 if out.getvalue() or tree.exists() or set(error) != {"error"}:
@@ -157,17 +165,20 @@ def outcome(name: str, overrides: tuple) -> tuple[str, str]:
             return "non-finite", str(exc)
         except Exception as exc:  # a warning, too
             return "raised", f"{type(exc).__name__}: {exc}"
-    null_passed = any(row["simulated"] is None and row["pass"] for row in summary["entries"])
+    if command == "run":
+        null_passed = any(row["simulated"] is None and row["pass"] for row in summary["entries"])
+    else:
+        null_passed = any(row["mean"] is None and row["pass_rate"] == 1 for row in summary["entries"])
     if err.getvalue() or null_passed:
         return "wrote to stderr or passed a null row", err.getvalue() + out.getvalue()
     return f"exit {code}", ""
 
 
-def _faults(runs) -> list[str]:
+def _faults(runs, command: str = "run") -> list[str]:
     """One line per run that breaks the contract; a refused single value must be named."""
     faults = []
     for name, overrides in runs:
-        kind, detail = outcome(name, overrides)
+        kind, detail = outcome(name, overrides, command)
         key, _, value = overrides[0].partition("=")
         if len(overrides) == 1 and parse_value(value) not in SCENARIOS[name].keys[key][1]:
             allowed = kind == "exit 2 naming a key" and f"'{key}'" in detail
@@ -198,6 +209,11 @@ def test_every_single_key_edge_keeps_the_contract(name):
     assert _faults(run for run in SINGLES if run[0] == name and run not in AT_THE_CAP) == []
 
 
+@pytest.mark.parametrize("name", sorted({name for name, _ in ENSEMBLE_SINGLES}))
+def test_every_single_key_edge_keeps_the_contract_through_an_ensemble(name):
+    assert _faults((run for run in ENSEMBLE_SINGLES if run[0] == name), "ensemble") == []
+
+
 PAIR_SAMPLE = PAIRS_SEEN + random.Random(2026).sample(pairs(), 250)
 
 
@@ -206,13 +222,13 @@ def test_a_sample_of_edge_pairs_keeps_the_contract(name):
     assert _faults(run for run in PAIR_SAMPLE if run[0] == name) == []
 
 
-def table(runs) -> str:
+def table(runs, command: str = "run") -> str:
     """A Markdown table of the outcomes per scenario, then one line per other outcome."""
     columns = [*OUTCOMES, UNREACHABLE, "other"]
     counts = {name: Counter() for name, _ in runs}
     lines = []
     for name, overrides in runs:
-        kind, detail = outcome(name, overrides)
+        kind, detail = outcome(name, overrides, command)
         counts[name][kind if kind in columns else "other"] += 1
         if kind not in OUTCOMES[:3]:
             lines.append(f"- {name} {' '.join(overrides)}: {kind}: {detail}")
@@ -224,5 +240,7 @@ def table(runs) -> str:
 
 if __name__ == "__main__":
     print(f"single keys, {len(SINGLES)} runs:\n{table(SINGLES)}\n")
+    print(f"single keys through an ensemble of 2 seeds, {len(ENSEMBLE_SINGLES)} runs:\n"
+          f"{table(ENSEMBLE_SINGLES, 'ensemble')}\n")
     every_pair = PAIRS_SEEN + pairs()
     print(f"pairs of float keys, {len(every_pair)} runs:\n{table(every_pair)}")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from snvsim import artifacts, fitting, photon_budget, scenarios, spectra
+from snvsim import artifacts, fitting, photon_budget, registry, scenarios, spectra
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -30,10 +30,15 @@ def test_each_workload_sets_up(tmp_path, workload):
     assert completed.stdout.startswith("ready ")
 
 
-def test_the_tracer_wraps_the_layer_entry_points_and_puts_them_back():
+def _benchtrace():
     spec = importlib.util.spec_from_file_location("benchtrace", PERFBENCH / "benchtrace.py")
     benchtrace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(benchtrace)
+    return benchtrace
+
+
+def test_the_tracer_wraps_the_layer_entry_points_and_puts_them_back():
+    benchtrace = _benchtrace()
     bindings = [
         (fitting, "fit"),
         (scenarios, "fit"),
@@ -48,3 +53,18 @@ def test_the_tracer_wraps_the_layer_entry_points_and_puts_them_back():
         wrapped = [getattr(module, name) for module, name in bindings]
     assert all(w is not o for w, o in zip(wrapped, originals))
     assert [getattr(module, name) for module, name in bindings] == originals
+
+
+def test_the_tracer_counts_the_model_calls_of_a_fit(tmp_path):
+    """The tracer counts calls through ``ModelSpec.evaluator``, the one callable a fit makes.
+
+    A fit calls its model once at its start and at least once in each
+    iteration, unless an iteration ends on the gradient test before trying a
+    step; fig2c's one fit ends on the drop of its cost instead.
+    """
+    with _benchtrace().Tracer().installed() as tracer:
+        registry.run_scenario("fig2c", output_root=tmp_path)
+    counts = tracer.counts
+    assert counts["fitting.fit_calls"] == 1
+    assert counts["fitting.model_evals"] >= counts["fitting.iterations"] + counts["fitting.fit_calls"]
+    assert counts["fitting.model_evals"] > 0
