@@ -327,8 +327,12 @@ def test_a_summary_value_beyond_the_float_range_is_null_and_fails(capsys, tmp_pa
     assert code == 1 and err == ""
     (row,) = [r for r in _strict_json(out)["entries"] if r["quantity"] == "inner_line_crossing_mt"]
     assert row["simulated"] is None and row["pass"] is False
-    # The Python rows keep the float; an ensemble fails the row too, with null statistics.
-    code, out, err = _run(capsys, ["ensemble", *argv[1:], "--seeds", "2"])
+
+
+# Once refused with exit 2 naming no key; the row now fails as it does in `run`.
+def test_an_ensemble_row_beyond_the_float_range_is_null_and_fails(capsys):
+    argv = ["fig2a", "n_scans=3", "slope_ghz_per_t=2.2250738585072014e-308", "--seeds", "2"]
+    code, out, err = _run(capsys, ["ensemble", *argv])
     assert code == 1 and err == ""
     (entry,) = [e for e in _strict_json(out)["entries"] if e["quantity"] == "inner_line_crossing_mt"]
     assert [entry[key] for key in ("mean", "sd", "min", "max")] == [None] * 4
