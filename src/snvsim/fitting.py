@@ -29,7 +29,7 @@ iteration, the curvature and the bound check.  A trial step whose
 evaluation raises ``ValueError`` or is non-finite counts as a rejected step;
 only the initial guess may raise.
 
-The registry provides the eight named model functions used across the
+The registry provides the seven named model functions used across the
 toolkit.  A factory takes layout arguments only and gives its model a
 default start; :meth:`ModelSpec.with_init` is the one way to set another.
 Shapes owned by the physics modules are evaluated by them, so a fitted
@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import optical_dynamics, spin_hamiltonian, waveguide_qed
+from . import optical_dynamics, waveguide_qed
 from .units import TWO_PI
 
 _UNBOUNDED = (-math.inf, math.inf)
@@ -553,44 +553,11 @@ def make_saturation() -> ModelSpec:
     )
 
 
-def make_abs_cosine() -> ModelSpec:
-    """Rectified cosine [amplitude, phi0]: y = |amplitude cos(x + phi0)| (x in rad)."""
+def make_reflection_dip(fix_f_in: float) -> ModelSpec:
+    """Normalized reflection dip [cooperativity, gamma_h_hz] (x = detuning in Hz).
 
-    def evaluator(p, x):
-        # The slope of |a cos(x + phi0)| is sign(a cos) (cos, -a sin), 0 where the cosine is.
-        phase = np.asarray(x, dtype=float) + p[1]
-        cos = np.cos(phase)
-        sign = np.sign(p[0] * cos)
-        jacobian = np.column_stack([sign * cos, -sign * p[0] * np.sin(phase)])
-        return spin_hamiltonian.angular_splitting_rate(p[0], p[1], x), jacobian
-
-    return ModelSpec(
-        name="abs_cosine",
-        param_names=("amplitude", "phi0"),
-        init=(5.41, 0.0),
-        evaluator=evaluator,
-        bounds=((0.0, math.inf), (-TWO_PI, TWO_PI)),
-    )
-
-
-def make_reflection_dip(fix_f_in: float | None = None) -> ModelSpec:
-    """Normalized reflection dip (x = detuning in Hz).
-
-    Full layout [cooperativity, f_in, gamma_h_hz]; passing ``fix_f_in``
-    removes the input-coupling ratio from the fit (it is usually
-    constrained externally) leaving [cooperativity, gamma_h_hz].
+    The input-coupling ratio is constrained externally and held at ``fix_f_in``.
     """
-    if fix_f_in is None:
-        return ModelSpec(
-            name="reflection_dip",
-            param_names=("cooperativity", "f_in", "gamma_h_hz"),
-            init=(0.027, 0.95, 70.0e6),
-            evaluator=lambda p, x: (
-                waveguide_qed.normalized_reflection_params(x, p[0], p[1], p[2]),
-                waveguide_qed.normalized_reflection_jacobian(x, p[0], p[1], p[2]),
-            ),
-            bounds=((0.0, math.inf), (0.500001, 1.0), (1e-300, math.inf)),
-        )
     f_in = float(fix_f_in)
     return ModelSpec(
         name="reflection_dip",
@@ -598,7 +565,7 @@ def make_reflection_dip(fix_f_in: float | None = None) -> ModelSpec:
         init=(0.027, 70.0e6),
         evaluator=lambda p, x: (
             waveguide_qed.normalized_reflection_params(x, p[0], f_in, p[1]),
-            waveguide_qed.normalized_reflection_jacobian(x, p[0], f_in, p[1])[:, [0, 2]],
+            waveguide_qed.normalized_reflection_jacobian(x, p[0], f_in, p[1]),
         ),
         bounds=((0.0, math.inf), (1e-300, math.inf)),
     )
@@ -626,7 +593,6 @@ def model_registry() -> dict[str, Callable[..., ModelSpec]]:
         "exponential": make_exponential,
         "damped_rabi": make_damped_rabi,
         "saturation": make_saturation,
-        "abs_cosine": make_abs_cosine,
         "reflection_dip": make_reflection_dip,
         "contrast_saturation": make_contrast_saturation,
     }

@@ -2,7 +2,9 @@
 
 Spontaneous decay, damped Rabi oscillations with pi-pulse calibration,
 intensity autocorrelation, fluorescence saturation, optical-pumping
-initialization, and nuclear polarization decay.
+initialization, and nuclear polarization decay.  Each function takes bare
+parameters and checks them; the fit models of :mod:`snvsim.fitting` call
+the same functions, so a formula is stated once.
 
 The damped Rabi model used throughout is
 
@@ -17,35 +19,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class PumpingModel:
-    """Exponential optical-pumping approach from the unpolarized 1/2 to a steady-state fidelity."""
-
-    f_infinity: float
-    tau_pump: float
-
-    def __post_init__(self) -> None:
-        if not 0.5 <= self.f_infinity <= 1.0:
-            raise ValueError(f"f_infinity must be in [0.5, 1], got {self.f_infinity}")
-        if self.tau_pump <= 0.0:
-            raise ValueError(f"tau_pump must be positive, got {self.tau_pump}")
-
-
-@dataclass(frozen=True)
-class SaturationParams:
-    """Fluorescence saturation curve parameters."""
-
-    p_sat: float = 120.0e-12
-    i_infinity: float = 1.34e6
-
-    def __post_init__(self) -> None:
-        if self.p_sat <= 0.0 or self.i_infinity <= 0.0:
-            raise ValueError("saturation power and limiting intensity must be positive")
 
 
 def _lifetimes(t: np.ndarray, tau: float) -> np.ndarray:
@@ -128,34 +103,35 @@ def g2_autocorrelation(tau_s, omega: float, t1: float, background: float = 0.0):
     return (1.0 - background) * ideal + background
 
 
-def saturation_rate(p, p_sat: float, i_infinity: float) -> np.ndarray:
-    """i_infinity / (1 + p_sat/p) from bare parameters; unvalidated, so a fit may probe freely."""
-    return i_infinity / (1.0 + p_sat / np.asarray(p, dtype=float))
-
-
-def saturation_intensity(p_w, sp: SaturationParams):
+def saturation_rate(p_w, p_sat: float, i_infinity: float):
     """Detected fluorescence rate i_infinity / (1 + p_sat/p) at drive power ``p_w``.
 
     Where p_sat/p overflows, the rate is 0, its limit, as it is where the
     quotient i_infinity / (1 + p_sat/p) underflows.
     """
+    if p_sat <= 0.0 or i_infinity <= 0.0:
+        raise ValueError("saturation power and limiting intensity must be positive")
     p = np.asarray(p_w, dtype=float)
     if np.any(p <= 0.0):
         raise ValueError("power must be positive")
     with np.errstate(over="ignore"):
-        return saturation_rate(p, sp.p_sat, sp.i_infinity)
+        return i_infinity / (1.0 + p_sat / p)
 
 
-def pumping_fidelity(t_s, pm: PumpingModel):
+def pumping_fidelity(t_s, f_infinity: float, tau_pump: float):
     """Initialization fidelity after pumping for ``t_s`` seconds.
 
-    Single-exponential approach from the unpolarized start 1/2 to the
-    steady state ``pm.f_infinity``.
+    Single-exponential approach, with time constant ``tau_pump``, from the
+    unpolarized start 1/2 to the steady state ``f_infinity``.
     """
+    if not 0.5 <= f_infinity <= 1.0:
+        raise ValueError(f"f_infinity must be in [0.5, 1], got {f_infinity}")
+    if tau_pump <= 0.0:
+        raise ValueError(f"tau_pump must be positive, got {tau_pump}")
     t = np.asarray(t_s, dtype=float)
     if np.any(t < 0.0):
         raise ValueError("time must be non-negative")
-    return pm.f_infinity - (pm.f_infinity - 0.5) * np.exp(-_lifetimes(t, pm.tau_pump))
+    return f_infinity - (f_infinity - 0.5) * np.exp(-_lifetimes(t, tau_pump))
 
 
 def pumping_time_constant(t_s: float, fidelity: float, f_infinity: float) -> float:

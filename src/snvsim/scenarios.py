@@ -319,9 +319,8 @@ def _run_fig2c(cfg: dict):
     noise = cfg["noise_sigma"]
 
     tau = optical_dynamics.pumping_time_constant(t_cal, f_cal, f_inf)
-    pump = optical_dynamics.PumpingModel(f_infinity=f_inf, tau_pump=tau)
     t = np.linspace(0.0, cfg["max_time"], cfg["n_points"])
-    y_true = optical_dynamics.pumping_fidelity(t, pump)
+    y_true = optical_dynamics.pumping_fidelity(t, f_inf, tau)
     y = y_true + _rng(cfg["seed"], 0).normal(0.0, noise, size=t.size)
     y_err = np.full(t.size, noise)
 
@@ -390,9 +389,8 @@ def _run_fig3a(cfg: dict):
     p_sat = cfg["saturation_power"]
     noise_rel = cfg["noise_rel"]
 
-    sp = optical_dynamics.SaturationParams(p_sat=p_sat, i_infinity=cfg["max_rate"])
     powers = np.geomspace(cfg["power_min"], cfg["power_max"], cfg["n_points"])
-    y_true = optical_dynamics.saturation_intensity(powers, sp)
+    y_true = optical_dynamics.saturation_rate(powers, p_sat, cfg["max_rate"])
     y = y_true * (1.0 + _rng(cfg["seed"], 0).normal(0.0, noise_rel, size=powers.size))
     y_err = noise_rel * y_true
 

@@ -213,20 +213,6 @@ def inner_line_crossing_field_t(transition: OpticalTransitionParams) -> float:
     return transition.zero_field_splitting_hz / transition.slope_hz_per_t
 
 
-def angular_splitting_rate(
-    amplitude_ghz_per_t: float,
-    phi0_rad: float,
-    phi_rad,
-):
-    """Field-angle dependence |amplitude * cos(phi + phi0)| of the splitting rate.
-
-    Only the axial field projection splits the lines to first order, so the
-    measured splitting rate vanishes when the total field is orthogonal to
-    the symmetry axis; the dependence has period pi.
-    """
-    return np.abs(amplitude_ghz_per_t * np.cos(np.asarray(phi_rad, dtype=float) + phi0_rad))
-
-
 def isotope_scaled_splitting(
     split_ref: float,
     gamma_ref: float,

@@ -85,19 +85,20 @@ def normalized_reflection_params(delta_hz, cooperativity: float, f_in: float, ga
 
 
 def normalized_reflection_jacobian(delta_hz, cooperativity: float, f_in: float, gamma_h_hz: float):
-    """Partials of :func:`normalized_reflection_params` in (C, f_in, gamma_h), shape (n, 3).
+    """Partials of :func:`normalized_reflection_params` in (C, gamma_h) at fixed f_in, shape (n, 2).
 
     With q = 1/(1 + 2i delta/gamma_h) and d = 1/(1 + C q), both of modulus <= 1
     for C >= 0, r = 1 - 2 f_in d.  A partial of |r / (1 - 2 f_in)|^2 is
-    2 Re(conj(r) dr) / (1 - 2 f_in)^2, where dr for f_in gains 2 r / (1 - 2 f_in).
+    2 Re(conj(r) dr) / (1 - 2 f_in)^2.  The partials are built as rows and
+    returned transposed: :func:`~snvsim.fitting.fit` rounds a column-major
+    Jacobian's J'J differently in the last bits.
     """
     q = 1.0 / (1.0 + 2.0j * np.asarray(delta_hz, dtype=float) / gamma_h_hz)
     d = 1.0 / (1.0 + cooperativity * q)
     r = 1.0 - 2.0 * f_in * d
-    reference = 1.0 - 2.0 * f_in
     dr_dgamma = 2.0 * f_in * cooperativity * q * (1.0 - q) * d * d / gamma_h_hz
-    dr = np.column_stack([2.0 * f_in * q * d * d, 2.0 * r / reference - 2.0 * d, dr_dgamma])
-    return 2.0 * (np.conj(r)[:, None] * dr).real / reference**2
+    dr = np.array([2.0 * f_in * q * d * d, dr_dgamma])
+    return (2.0 * (np.conj(r) * dr).real / (1.0 - 2.0 * f_in) ** 2).T
 
 
 def normalized_reflection(delta_hz, model: ReflectionModel):

@@ -33,7 +33,6 @@ from snvsim.fitting import (
     ModelSpec,
     fit,
     gaussian_profile,
-    make_abs_cosine,
     make_contrast_saturation,
     make_damped_rabi,
     make_exponential,
@@ -259,19 +258,6 @@ def _lorentzian_case(draw):
     return make_lorentzian_multi(n_lines, shared_fwhm=shared), params, GRID
 
 
-def _abs_cosine_case(draw):
-    params = [draw(HEIGHT), draw(REAL)]
-    # Keep every point further from a kink of |cos| than the difference step (<= 3e-6).
-    return make_abs_cosine(), params, GRID[np.abs(np.cos(GRID + params[1])) > 1e-3]
-
-
-def _reflection_dip_case(draw):
-    cooperativity, f_in = draw(st.floats(0.01, 3.0)), draw(st.floats(0.55, 0.99))
-    if draw(st.booleans()):
-        return make_reflection_dip(), [cooperativity, f_in, draw(WIDTH)], GRID
-    return make_reflection_dip(fix_f_in=f_in), [cooperativity, draw(WIDTH)], GRID
-
-
 CASES = {
     "lorentzian_multi": _lorentzian_case,
     "gaussian": lambda draw: (make_gaussian(), [draw(REAL), draw(WIDTH), draw(HEIGHT)], GRID),
@@ -290,8 +276,11 @@ CASES = {
         [draw(st.floats(min_value=0.5, max_value=5e6)), draw(st.floats(1.0, 1e3))],
         np.geomspace(1.0, 2000.0, 81),
     ),
-    "abs_cosine": _abs_cosine_case,
-    "reflection_dip": _reflection_dip_case,
+    "reflection_dip": lambda draw: (
+        make_reflection_dip(fix_f_in=draw(st.floats(0.55, 0.99))),
+        [draw(st.floats(0.01, 3.0)), draw(WIDTH)],
+        GRID,
+    ),
     "contrast_saturation": lambda draw: (
         make_contrast_saturation(), [draw(st.floats(0.01, 0.99))], np.linspace(0.0, 10.0, 81)
     ),
@@ -315,7 +304,6 @@ ROUNDING_MARGIN = 64.0
 @settings(max_examples=200)
 @given(case=_model_with_params())
 @example(case=(make_reflection_dip(fix_f_in=0.6179), np.array([0.6171875, 1.0]), GRID))
-@example(case=(make_reflection_dip(), np.array([0.6171875, 1.6171875 / 2.6171875, 1.0]), GRID))
 def test_closed_form_jacobians_match_central_differences(case):
     model, params, x = case
     value, analytic = model.evaluator(params, x)
@@ -347,17 +335,17 @@ def test_shared_lorentzian_jacobian_matches_the_oracle(w, c, a):
         # |x - c| / fwhm ~ 1e200, and beyond the float range (u = inf).
         (make_lorentzian_multi(1), [1e-100, 0.0, 1.0], [-1e100, 0.0, 1e100, 1e300]),
         (make_exponential(), [0.5, 2.0, 1e-300], [0.0, 1e-300, 1.0, 1e10]),
-        (make_saturation(), [1e6, 1e-300], [0.0, 1e-300, 1.0, 1e300]),
+        (make_saturation(), [1e6, 1e-300], [1e-300, 1.0, 1e300]),
         # fwhm at its lower bound, and (x - center) / fwhm beyond the float range.
         (make_gaussian(), [0.0, 1e-300, 1.0], [-1e10, 0.0, 1e-300, 1.0]),
         # Both at their lower bounds: e^(-t / t1) underflows where t / t1 is ~1e306.
         (make_damped_rabi(), [1e-6, 1e-6], [0.0, 1e-300, 1.0, 1e300]),
-        (make_abs_cosine(), [0.0, TWO_PI], [-1e300, 0.0, 1e300]),
-        (make_abs_cosine(), [1e300, -TWO_PI], [0.0, 0.5 * math.pi, 1e10]),
         # gamma_h at its lower bound: 2 delta / gamma_h overflows to inf.
-        (make_reflection_dip(), [0.0, 0.500001, 1e-300], [-1e10, 0.0, 1e-300, 1e10]),
+        (make_reflection_dip(fix_f_in=0.500001), [0.0, 1e-300], [-1e10, 0.0, 1e-300, 1e10]),
         (make_reflection_dip(fix_f_in=1.0), [1e300, 1.0], [-1.0, 0.0, 1.0]),
         (make_contrast_saturation(), [1.0], [0.0, 1e-300, 1e300]),
+        # p_sat / p overflows to inf at the smallest power: the rate's limit, 0.
+        (make_saturation(), [1e6, 1e300], [1e-300, 1.0, 1e300]),
     ],
 )
 def test_closed_form_jacobians_are_finite_where_the_model_is(model, params, x):
@@ -658,7 +646,7 @@ def test_poisson_sigma_floor():
 # Registry
 # --------------------------------------------------------------------------
 
-def test_registry_contains_exactly_the_eight_models():
+def test_registry_contains_exactly_the_seven_models():
     registry = model_registry()
     assert set(registry) == {
         "lorentzian_multi",
@@ -666,12 +654,11 @@ def test_registry_contains_exactly_the_eight_models():
         "exponential",
         "damped_rabi",
         "saturation",
-        "abs_cosine",
         "reflection_dip",
         "contrast_saturation",
     }
     for name, factory in registry.items():
-        spec = factory()
+        spec = factory(**({"fix_f_in": 0.95} if name == "reflection_dip" else {}))
         assert spec.name == name
         assert len(spec.param_names) == len(spec.init)
 
@@ -713,30 +700,14 @@ def test_registry_evaluators_match_owning_modules():
     p_pw = np.geomspace(1.0, 2000.0, 11)
     assert np.allclose(
         saturation.evaluator(np.array([1.34e6, 120.0]), p_pw)[0],
-        optical_dynamics.saturation_intensity(
-            p_pw * 1e-12, optical_dynamics.SaturationParams(p_sat=120e-12, i_infinity=1.34e6)
-        ),
+        optical_dynamics.saturation_rate(p_pw * 1e-12, 120e-12, 1.34e6),
         rtol=1e-12,
     )
 
-    cosine = make_abs_cosine()
-    phi = np.linspace(-3.0, 3.0, 11)
-    assert np.allclose(
-        cosine.evaluator(np.array([5.41, 0.3]), phi)[0],
-        spin_hamiltonian.angular_splitting_rate(5.41, 0.3, phi),
-        rtol=1e-12,
-    )
-
-    dip = make_reflection_dip()
+    dip = make_reflection_dip(fix_f_in=0.95)
     delta = np.linspace(-3e8, 3e8, 11)
     assert np.allclose(
-        dip.evaluator(np.array([0.027, 0.95, 70e6]), delta)[0],
-        waveguide_qed.normalized_reflection_params(delta, 0.027, 0.95, 70e6),
-        rtol=1e-12,
-    )
-    dip_fixed = make_reflection_dip(fix_f_in=0.95)
-    assert np.allclose(
-        dip_fixed.evaluator(np.array([0.027, 70e6]), delta)[0],
+        dip.evaluator(np.array([0.027, 70e6]), delta)[0],
         waveguide_qed.normalized_reflection_params(delta, 0.027, 0.95, 70e6),
         rtol=1e-12,
     )
@@ -747,15 +718,6 @@ def test_registry_evaluators_match_owning_modules():
         roll_off.evaluator(np.array([0.11]), s)[0],
         waveguide_qed.contrast_vs_saturation(s, 0.11),
         rtol=1e-12,
-    )
-
-
-def test_abs_cosine_has_period_pi():
-    model = make_abs_cosine()
-    phi = np.linspace(-2.0, 2.0, 101)
-    params = np.array([5.41, 0.7])
-    assert np.allclose(
-        model.evaluator(params, phi)[0], model.evaluator(params, phi + math.pi)[0], atol=1e-12
     )
 
 

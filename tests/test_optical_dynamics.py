@@ -16,21 +16,21 @@ from hypothesis import strategies as st
 
 from oracles import damped_rabi_population, pi_fidelity_closed_form
 from snvsim.optical_dynamics import (
-    PumpingModel,
-    SaturationParams,
     g2_autocorrelation,
     nuclear_polarization_decay,
     pi_pulse_calibration,
     pumping_fidelity,
     pumping_time_constant,
     rabi_population,
-    saturation_intensity,
+    saturation_rate,
     spontaneous_decay,
 )
 from snvsim.units import TWO_PI
 
 OMEGA = TWO_PI * 230.0e6
 T1 = 4.7e-9
+P_SAT = 120.0e-12
+I_INFINITY = 1.34e6
 
 
 # --------------------------------------------------------------------------
@@ -147,26 +147,30 @@ def test_spontaneous_decay_is_pure_exponential():
 
 
 def test_saturation_half_rate_at_saturation_power():
-    sp = SaturationParams(p_sat=120.0e-12, i_infinity=1.34e6)
-    assert math.isclose(saturation_intensity(120.0e-12, sp), 1.34e6 / 2.0, rel_tol=1e-15)
+    assert math.isclose(saturation_rate(P_SAT, P_SAT, I_INFINITY), I_INFINITY / 2.0, rel_tol=1e-15)
 
 
 def test_saturation_increasing_and_concave():
-    sp = SaturationParams()
     powers = np.geomspace(1e-12, 1e-8, 200)
-    rates = saturation_intensity(powers, sp)
+    rates = saturation_rate(powers, P_SAT, I_INFINITY)
     assert np.all(np.diff(rates) > 0.0)
     # Concavity on a uniform grid: second difference never positive.
     uniform = np.linspace(1e-12, 2e-9, 200)
-    rates_uniform = saturation_intensity(uniform, sp)
-    assert np.all(np.diff(rates_uniform, 2) <= 1e-9 * sp.i_infinity)
+    rates_uniform = saturation_rate(uniform, P_SAT, I_INFINITY)
+    assert np.all(np.diff(rates_uniform, 2) <= 1e-9 * I_INFINITY)
+
+
+def test_saturation_rate_is_zero_where_the_power_ratio_overflows():
+    assert saturation_rate(1e-300, 1e300, I_INFINITY) == 0.0
 
 
 def test_saturation_validation():
-    with pytest.raises(ValueError, match="power"):
-        saturation_intensity(0.0, SaturationParams())
-    with pytest.raises(ValueError):
-        SaturationParams(p_sat=-1.0)
+    for power in (0.0, -1e-12, [1e-12, 0.0]):
+        with pytest.raises(ValueError, match="power must be positive"):
+            saturation_rate(power, P_SAT, I_INFINITY)
+    for p_sat, i_infinity in ((0.0, I_INFINITY), (-1.0, I_INFINITY), (P_SAT, 0.0), (P_SAT, -1.0)):
+        with pytest.raises(ValueError, match="limiting intensity must be positive"):
+            saturation_rate(1e-12, p_sat, i_infinity)
 
 
 # --------------------------------------------------------------------------
@@ -174,9 +178,27 @@ def test_saturation_validation():
 # --------------------------------------------------------------------------
 
 def test_pumping_fidelity_endpoints():
-    pm = PumpingModel(f_infinity=0.986, tau_pump=6.8e-6)
-    assert pumping_fidelity(0.0, pm) == 0.5
-    assert math.isclose(pumping_fidelity(1.0, pm), 0.986, rel_tol=1e-12)
+    assert pumping_fidelity(0.0, 0.986, 6.8e-6) == 0.5
+    assert math.isclose(pumping_fidelity(1.0, 0.986, 6.8e-6), 0.986, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("f_infinity", [0.5, 1.0])
+def test_pumping_fidelity_takes_each_end_of_the_steady_state_range(f_infinity):
+    assert pumping_fidelity(0.0, f_infinity, 6.8e-6) == 0.5
+
+
+@pytest.mark.parametrize(
+    "f_infinity, tau_pump, message",
+    [
+        (math.nextafter(0.5, 0.0), 6.8e-6, "f_infinity"),
+        (math.nextafter(1.0, 2.0), 6.8e-6, "f_infinity"),
+        (0.986, 0.0, "tau_pump"),
+        (0.986, -6.8e-6, "tau_pump"),
+    ],
+)
+def test_pumping_fidelity_refuses_parameters_out_of_range(f_infinity, tau_pump, message):
+    with pytest.raises(ValueError, match=message):
+        pumping_fidelity(1e-6, f_infinity, tau_pump)
 
 
 @given(
@@ -184,9 +206,8 @@ def test_pumping_fidelity_endpoints():
     st.floats(min_value=0.55, max_value=0.999),
 )
 def test_pumping_time_constant_inverts_pumping_fidelity(tau, f_infinity):
-    pm = PumpingModel(f_infinity=f_infinity, tau_pump=tau)
     t_probe = 2.5 * tau
-    fidelity = pumping_fidelity(t_probe, pm)
+    fidelity = pumping_fidelity(t_probe, f_infinity, tau)
     recovered = pumping_time_constant(t_probe, fidelity, f_infinity)
     assert math.isclose(recovered, tau, rel_tol=1e-9)
 

@@ -19,7 +19,6 @@ from snvsim.spin_hamiltonian import (
     NUCLEAR_GYROMAGNETIC_HZ_PER_T,
     OpticalTransitionParams,
     SpinSystemParams,
-    angular_splitting_rate,
     build_ground_hamiltonian,
     eigenenergies,
     inner_line_crossing_field_t,
@@ -171,25 +170,6 @@ def test_transition_parameters_keep_the_configured_splitting_exactly(splitting_h
     assert transition.zero_field_splitting_hz == splitting_hz
     lines = optical_transition_detunings(transition, 0.0)
     assert list(lines) == [-splitting_hz / 2, -splitting_hz / 2, splitting_hz / 2, splitting_hz / 2]
-
-
-# --------------------------------------------------------------------------
-# Field geometry and angle dependence
-# --------------------------------------------------------------------------
-
-@given(st.floats(min_value=-math.pi, max_value=math.pi))
-def test_angular_splitting_rate_has_period_pi(phi):
-    a, phi0 = 5.41, 0.3
-    one = angular_splitting_rate(a, phi0, phi)
-    other = angular_splitting_rate(a, phi0, phi + math.pi)
-    assert math.isclose(float(one), float(other), rel_tol=0.0, abs_tol=1e-12 * a)
-
-
-def test_angular_splitting_rate_peak_and_zero():
-    a, phi0 = 5.41, 0.3
-    assert math.isclose(float(angular_splitting_rate(a, phi0, -phi0)), a, rel_tol=1e-15)
-    zero = float(angular_splitting_rate(a, phi0, math.pi / 2.0 - phi0))
-    assert abs(zero) < 1e-12 * a
 
 
 # --------------------------------------------------------------------------
