@@ -23,8 +23,11 @@ Subcommands
     Run a registry model fit described by a JSON request with keys
     ``model``, ``data_file``, ``init``, ``bounds``, ``options`` (``max_iter``
     and ``tol``) and ``model_args``, and print the result as JSON.
-    ``model_args`` takes the model's layout arguments only (``n_lines``,
-    ``shared_fwhm``, ``fix_f_in``); the start of the fit goes in ``init``.
+    ``model_args`` takes the model's layout arguments only (``n_lines`` and
+    ``shared_fwhm`` of ``lorentzian_multi``, the required ``fix_f_in`` of
+    ``reflection_dip``); the start of the fit goes in ``init``.  The data
+    file is read first; each number is checked against a config domain, and
+    a bad one exits 2 naming its request key.
 
 ``snvsim budget <config> [key=value ...]``
     Evaluate an efficiency-budget config (ordered ``stage_*`` keys) and
@@ -152,15 +155,23 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 _FIT_REQUEST_KEYS = {"model", "data_file", "init", "bounds", "options", "model_args"}
+_FINITE = config_mod.Domain(float)
+
+
+def _request_number(key: str, value, domain: config_mod.Domain):
+    """``value`` as ``domain.kind``, or a ``ValueError`` naming the fit-request key."""
+    if value not in domain:
+        raise ValueError(f"fit-request key {key!r} must be {domain.text}, got {value!r}")
+    return domain.kind(value)
 
 
 def _parse_bounds(raw) -> tuple[tuple[float, float], ...]:
     bounds = []
-    for pair in raw:
+    for i, pair in enumerate(raw):
         if len(pair) != 2:
             raise ValueError(f"each bound must be a [lo, hi] pair, got {pair!r}")
-        lo = -math.inf if pair[0] is None else float(pair[0])
-        hi = math.inf if pair[1] is None else float(pair[1])
+        lo = -math.inf if pair[0] is None else _request_number(f"bounds[{i}]", pair[0], _FINITE)
+        hi = math.inf if pair[1] is None else _request_number(f"bounds[{i}]", pair[1], _FINITE)
         bounds.append((lo, hi))
     return tuple(bounds)
 
@@ -188,15 +199,25 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             )
         if "data_file" not in request:
             raise ValueError("fit request must name a data_file")
-        model_args = request.get("model_args") or {}
-        model = models[model_name](**model_args)
+        _, x, y, y_err = snvsim.spectra.read_xy_csv(Path(request["data_file"]))
+        given = {group: dict(request.get(group) or {}) for group in ("model_args", "options")}
+        for group, name, domain in (
+            # More lines than data points are refused before the model is built.
+            ("model_args", "n_lines", config_mod.Domain(int, 1, x.size)),
+            ("model_args", "fix_f_in", _FINITE),
+            ("options", "max_iter", config_mod.Domain(int, 1)),
+            ("options", "tol", config_mod.POSITIVE),
+        ):
+            if name in given[group]:
+                given[group][name] = _request_number(f"{group}.{name}", given[group][name], domain)
+        model = models[model_name](**given["model_args"])
         if request.get("init") is not None:
-            model = model.with_init([float(v) for v in request["init"]])
+            model = model.with_init(
+                [_request_number(f"init[{i}]", v, _FINITE) for i, v in enumerate(request["init"])]
+            )
         if request.get("bounds") is not None:
             model = replace(model, bounds=_parse_bounds(request["bounds"]))
-        options = fitting.FitOptions(**(request.get("options") or {}))
-        _, x, y, y_err = snvsim.spectra.read_xy_csv(Path(request["data_file"]))
-        result = fitting.fit(model, (x, y, y_err), options)
+        result = fitting.fit(model, (x, y, y_err), fitting.FitOptions(**given["options"]))
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     payload = result.as_dict()

@@ -112,7 +112,9 @@ class Domain(NamedTuple):
             return "one of " + ", ".join(self.options)
         if self.kind is int:
             return f"an integer >= {self.lo}" + (f" and <= {self.hi}" if self.hi < math.inf else "")
-        if self.hi == math.inf:
+        if (self.lo, self.hi) == (-math.inf, math.inf):
+            text = "a finite number"
+        elif self.hi == math.inf:
             text = f"a finite number {'>' if self.lo_open else '>='} {self.lo!r}"
         else:
             text = f"a number in {'[('[self.lo_open]}{self.lo!r}, {self.hi!r}]"

@@ -90,8 +90,9 @@ def normalized_reflection_jacobian(delta_hz, cooperativity: float, f_in: float, 
     With q = 1/(1 + 2i delta/gamma_h) and d = 1/(1 + C q), both of modulus <= 1
     for C >= 0, r = 1 - 2 f_in d.  A partial of |r / (1 - 2 f_in)|^2 is
     2 Re(conj(r) dr) / (1 - 2 f_in)^2.  The partials are built as rows and
-    returned transposed: :func:`~snvsim.fitting.fit` rounds a column-major
-    Jacobian's J'J differently in the last bits.
+    returned transposed, column-major: the last bits of
+    :func:`~snvsim.fitting.fit`'s J'J depend on the layout, and fig4b's
+    pinned outputs were made with this one.
     """
     q = 1.0 / (1.0 + 2.0j * np.asarray(delta_hz, dtype=float) / gamma_h_hz)
     d = 1.0 / (1.0 + cooperativity * q)

@@ -629,6 +629,31 @@ def test_fit_subcommand_converges_on_doublet(capsys, tmp_path):
     assert len(payload["uncertainties"]) == 5
 
 
+# Each number of a request is checked the way a config value is, and the error
+# names its request key.  A bool once passed as a line count; a float count, a
+# fractional max_iter, a string tol or a null init entry ended in a Python
+# message that named no key; n_lines = 300000 built a 600,001-parameter model
+# before fit() refused it.
+BAD_DOUBLET_REQUESTS = [
+    ({"model_args": {"n_lines": True}},
+     "fit-request key 'model_args.n_lines' must be an integer >= 1 and <= 801, got True"),
+    ({"model_args": {"n_lines": 2.0}}, "'model_args.n_lines' must be an integer"),
+    ({"model_args": {"n_lines": 10**6}},
+     "'model_args.n_lines' must be an integer >= 1 and <= 801, got 1000000"),
+    ({"options": {"max_iter": 1.5}},
+     "fit-request key 'options.max_iter' must be an integer >= 1, got 1.5"),
+    ({"options": {"tol": "x"}}, "fit-request key 'options.tol' must be a finite number > 0, got 'x'"),
+    ({"init": [80e6, None, 0.9, 210e6, 1.1]},
+     "fit-request key 'init[1]' must be a finite number, got None"),
+    ({"bounds": [[1e3, None], [None, True], [0, None], [None, None], [0, None]]},
+     "fit-request key 'bounds[1]' must be a finite number, got True"),
+    ({"model": "abs_cosine", "model_args": {}},
+     "unknown model 'abs_cosine'; available: contrast_saturation, damped_rabi, exponential, "
+     "gaussian, lorentzian_multi, reflection_dip, saturation"),
+    ({"model": "reflection_dip", "model_args": {}}, "'fix_f_in'"),
+]
+
+
 def test_fit_request_validation_errors(capsys, tmp_path):
     data = _doublet_csv(tmp_path)
 
@@ -637,7 +662,14 @@ def test_fit_request_validation_errors(capsys, tmp_path):
         path.write_text(json.dumps(request))
         code, out, err = _run(capsys, ["fit", str(path)])
         assert code == 2 and out == ""
-        return json.loads(err)["error"]
+        return _strict_json(err)["error"]
+
+    doublet = {"model": "lorentzian_multi", "model_args": {"n_lines": 2}, "data_file": str(data)}
+    for changes, message in BAD_DOUBLET_REQUESTS:
+        assert message in failing({**doublet, **changes}), changes
+    zero_power = tmp_path / "saturation.csv"
+    zero_power.write_text("power_pw,rate_cps\n" + "".join(f"{p},{p / (1 + p)}\n" for p in range(6)))
+    assert failing({"model": "saturation", "data_file": str(zero_power)}) == "power must be positive"
 
     assert "unknown model" in failing({"model": "nope", "data_file": str(data)})
     assert "data_file" in failing({"model": "gaussian"})

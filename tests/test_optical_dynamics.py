@@ -180,11 +180,9 @@ def test_saturation_validation():
 def test_pumping_fidelity_endpoints():
     assert pumping_fidelity(0.0, 0.986, 6.8e-6) == 0.5
     assert math.isclose(pumping_fidelity(1.0, 0.986, 6.8e-6), 0.986, rel_tol=1e-12)
-
-
-@pytest.mark.parametrize("f_infinity", [0.5, 1.0])
-def test_pumping_fidelity_takes_each_end_of_the_steady_state_range(f_infinity):
-    assert pumping_fidelity(0.0, f_infinity, 6.8e-6) == 0.5
+    # Each end of the steady-state range [0.5, 1] is taken.
+    assert pumping_fidelity(1.0, 0.5, 6.8e-6) == 0.5
+    assert math.isclose(pumping_fidelity(1.0, 1.0, 6.8e-6), 1.0, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -196,7 +194,7 @@ def test_pumping_fidelity_takes_each_end_of_the_steady_state_range(f_infinity):
         (0.986, -6.8e-6, "tau_pump"),
     ],
 )
-def test_pumping_fidelity_refuses_parameters_out_of_range(f_infinity, tau_pump, message):
+def test_pumping_validation(f_infinity, tau_pump, message):
     with pytest.raises(ValueError, match=message):
         pumping_fidelity(1e-6, f_infinity, tau_pump)
 

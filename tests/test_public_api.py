@@ -6,9 +6,10 @@ counts as used when ``src/snvsim``, ``perfbench/`` or the acceptance suite
 refers to it: by name, attribute, keyword, import or an identifier string
 (``getattr``, the registry's ``"module:function"`` runners).  A class member
 is matched by attribute, keyword or string only.  A reference from inside
-the name itself, from a ``__post_init__`` (validation is no use) or from
-inside a name that is itself unused does not count, so a dead cluster is
-found as a whole.
+the name itself, from a ``__post_init__`` (validation is no use), from the
+fit-model registry (a model that only the registry names is fitted by
+nothing) or from inside a name that is itself unused does not count, so a
+dead cluster is found as a whole.
 """
 
 from __future__ import annotations
@@ -96,7 +97,12 @@ def _unused(names, references) -> set[str]:
         name, member = names[qualname]
         inside = [qualname, *unused]
         for ref, attribute_like, scope in references:
-            if ref != name or (member and not attribute_like) or scope.endswith(".__post_init__"):
+            if (
+                ref != name
+                or (member and not attribute_like)
+                or scope.endswith(".__post_init__")
+                or scope == "fitting.model_registry"
+            ):
                 continue
             if not any(scope == q or scope.startswith(q + ".") for q in inside):
                 return True
