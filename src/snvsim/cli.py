@@ -23,9 +23,10 @@ Subcommands
     Run a registry model fit described by a JSON request with keys
     ``model``, ``data_file``, ``init``, ``bounds``, ``options`` (``max_iter``
     and ``tol``) and ``model_args``, and print the result as JSON.
-    ``model_args`` takes the model's layout arguments only (``n_lines`` and
-    ``shared_fwhm`` of ``lorentzian_multi``, the required ``fix_f_in`` of
-    ``reflection_dip``); the start of the fit goes in ``init``.  The data
+    ``model_args`` takes the model's layout arguments only (``n_lines`` of
+    ``lorentzian_multi``, whose lines share one width, so its ``shared_fwhm``
+    may only be ``true``; the required ``fix_f_in`` of ``reflection_dip``);
+    the start of the fit goes in ``init``.  The data
     file is read first; each number is checked against a config domain, and
     a bad one exits 2 naming its request key.
 
@@ -210,6 +211,13 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         ):
             if name in given[group]:
                 given[group][name] = _request_number(f"{group}.{name}", given[group][name], domain)
+        # lorentzian_multi has one layout, its lines sharing one width; a request may say so.
+        if model_name == "lorentzian_multi" and "shared_fwhm" in given["model_args"]:
+            shared = given["model_args"].pop("shared_fwhm")
+            if shared is not True:
+                raise ValueError(
+                    f"fit-request key 'model_args.shared_fwhm' must be true, got {shared!r}"
+                )
         model = models[model_name](**given["model_args"])
         if request.get("init") is not None:
             model = model.with_init(

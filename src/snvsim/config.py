@@ -4,7 +4,8 @@ Config files are plain ``key = value`` lines (``#`` comments, blank lines
 ignored); values parse as int, float, or string.  There is no boolean
 form: ``true`` stays the string ``'true'``, which every numeric domain
 refuses.  Insertion order is preserved, which ordered consumers (efficiency
-budgets, loss chains) rely on.  Command-line overrides use the same
+budgets, loss chains) rely on; the grammar of their values is theirs
+(:mod:`snvsim.efficiency`).  Command-line overrides use the same
 ``key=value`` syntax.
 
 Each scenario key has one spelling and a :class:`Domain`; a dimensioned
@@ -152,39 +153,6 @@ NON_NEGATIVE = Domain(float, 0)
 FRACTION = Domain(float, 0, 1)
 OPEN_FRACTION = Domain(float, 0, 1, lo_open=True)
 
-
-class _Correction(Domain):
-    """A loss-chain correction's grammar: a kind, then one number per domain of that kind."""
-
-    __slots__ = ()
-    numbers = {"fraction": (OPEN_FRACTION,), "db": (NON_NEGATIVE,),
-               "db_per_km": (NON_NEGATIVE, NON_NEGATIVE)}
-    text = ("'<kind> <value>' with kind fraction (a value in (0, 1]) or db (a value >= 0), "
-            "or 'db_per_km <value> <length_m>' (both >= 0), with finite numbers")
-
-    def __contains__(self, value) -> bool:
-        kind, *tokens = (value.split() if isinstance(value, str) else []) or [""]
-        domains = self.numbers.get(kind, ())
-        try:
-            return len(tokens) == len(domains) > 0 and all(
-                float(token) in domain for token, domain in zip(tokens, domains)
-            )
-        except ValueError:  # a token that is not a number
-            return False
-
-    def edges(self) -> list:
-        """Each number of each kind at each of its edges, the other numbers at 1."""
-        return [
-            " ".join([kind, *(repr(edge) if i == j else "1" for j in range(len(domains)))])
-            for kind, domains in self.numbers.items()
-            for i, domain in enumerate(domains)
-            for edge in domain.edges()
-        ]
-
-
-#: A loss-chain correction; :class:`~snvsim.efficiency.LossCorrection` judges
-#: the same ranges for the Python API.
-CORRECTION = _Correction(str)
 
 #: Factor from each unit suffix a scenario key carries to base units.
 UNIT_FACTORS = {

@@ -2,21 +2,25 @@
 
 Scalar bookkeeping around detected photons:
 
-* multiplicative efficiency budgets (ordered named stages whose product is
-  the end-to-end detection efficiency), and
+* multiplicative efficiency budgets (ordered ``(name, fraction)`` stages
+  whose product is the end-to-end detection efficiency), and
 * loss-chain extraction of a single coupling efficiency from a measured
   roundtrip transmission with documented corrections, next to the
   half-angle of the etched fibre taper,
 
 together with their config builders and the ``table_s1`` and
 ``loss_chain`` scenario runners.  All efficiencies are linear power
-fractions in (0, 1]; dB values convert via 10^(-dB/10).
+fractions in (0, 1]; dB values convert via 10^(-dB/10).  One table,
+:data:`CORRECTION_KINDS`, states the loss-correction grammar: the config
+domain :data:`CORRECTION` and :meth:`LossCorrection.transmission` both
+read it.
 
 This module imports only the standard library, so ``snvsim budget`` and
 these two scenarios run without numpy.  It does not import ``dataclasses``
-either: its records are ``typing.NamedTuple`` classes, and the two that
-check their input do so in ``__new__`` over a functional ``NamedTuple``
-base (a ``NamedTuple`` class body may not define ``__new__``).
+either: its records are plain ``typing.NamedTuple`` classes, and a value is
+checked where it is read (a budget's stages by :func:`budget_report`, a
+roundtrip by :func:`single_pass_from_roundtrip`, a correction's numbers by
+its ``transmission``).
 """
 
 from __future__ import annotations
@@ -25,36 +29,23 @@ import math
 from typing import NamedTuple
 
 from .artifacts import summary_row
-from .config import CORRECTION, OPEN_FRACTION
+from .config import NON_NEGATIVE, OPEN_FRACTION, Domain
 from .units import db_to_fraction, fraction_to_db
 
 
-class EfficiencyBudget(NamedTuple("EfficiencyBudget", [("stages", tuple)])):
-    """Ordered multiplicative budget of named efficiency stages.
+def budget_report(stages) -> dict:
+    """Per-stage and cumulative values, in fraction and dB, of a budget.
 
-    ``stages`` is a tuple of ``(name, fraction)`` pairs.
+    ``stages`` are ``(name, fraction)`` pairs in chain order: at least one,
+    each fraction in (0, 1].
     """
-
-    __slots__ = ()
-
-    def __new__(cls, stages: tuple[tuple[str, float], ...]) -> "EfficiencyBudget":
-        if not stages:
-            raise ValueError("budget must contain at least one stage")
-        for name, value in stages:
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"stage {name!r} must be in (0, 1], got {value}")
-        return super().__new__(cls, stages)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "EfficiencyBudget":
-        return cls(stages=tuple((str(name), float(value)) for name, value in pairs))
-
-
-def budget_report(budget: EfficiencyBudget) -> dict:
-    """Per-stage and cumulative budget values in fraction and dB."""
+    if not stages:
+        raise ValueError("budget must contain at least one stage")
     rows = []
     cumulative = 1.0
-    for name, value in budget.stages:
+    for name, value in stages:
+        if not 0.0 < value <= 1.0:
+            raise ValueError(f"stage {name!r} must be in (0, 1], got {value}")
         cumulative *= value
         rows.append(
             {
@@ -68,13 +59,55 @@ def budget_report(budget: EfficiencyBudget) -> dict:
     return {"stages": rows, "total_fraction": cumulative, "total_loss_db": fraction_to_db(cumulative)}
 
 
+#: Each loss-correction kind: its numbers as ``(name, domain)`` pairs, and the
+#: transmitted fraction they give.
+CORRECTION_KINDS = {
+    "fraction": ((("fraction", OPEN_FRACTION),), lambda fraction: fraction),
+    "db": ((("dB loss", NON_NEGATIVE),), db_to_fraction),
+    "db_per_km": (
+        (("dB/km", NON_NEGATIVE), ("length_m", NON_NEGATIVE)),
+        lambda db_per_km, length_m: db_to_fraction(db_per_km * length_m / 1000.0),
+    ),
+}
+
+
+class _Correction(Domain):
+    """A loss-chain correction's config value: a kind, then its numbers in their domains."""
+
+    __slots__ = ()
+    text = ("'<kind> <value>' with kind fraction (a value in (0, 1]) or db (a value >= 0), "
+            "or 'db_per_km <value> <length_m>' (both >= 0), with finite numbers")
+
+    def __contains__(self, value) -> bool:
+        kind, *tokens = (value.split() if isinstance(value, str) else []) or [""]
+        numbers = CORRECTION_KINDS.get(kind, ((), None))[0]
+        try:
+            return len(tokens) == len(numbers) > 0 and all(
+                float(token) in domain for token, (_, domain) in zip(tokens, numbers)
+            )
+        except ValueError:  # a token that is not a number
+            return False
+
+    def edges(self) -> list:
+        """Each number of each kind at each of its edges, the other numbers at 1."""
+        return [
+            " ".join([kind, *(repr(edge) if i == j else "1" for j in range(len(numbers)))])
+            for kind, (numbers, _) in CORRECTION_KINDS.items()
+            for i, (_, domain) in enumerate(numbers)
+            for edge in domain.edges()
+        ]
+
+
+#: The config domain of a ``correction_<name>`` key.
+CORRECTION = _Correction(str)
+
+
 class LossCorrection(NamedTuple):
     """One documented correction applied to a measured transmission.
 
-    ``kind`` selects the interpretation of ``value``:
-      * ``"fraction"``  — multiplicative transmission in (0, 1]
-      * ``"db"``        — attenuation in dB (>= 0)
-      * ``"db_per_km"`` — distributed attenuation; requires ``length_m``
+    ``kind`` is a key of :data:`CORRECTION_KINDS`: ``"fraction"`` (a
+    transmission ``value``), ``"db"`` (an attenuation ``value`` in dB) or
+    ``"db_per_km"`` (``value`` in dB/km over ``length_m``).
     """
 
     name: str
@@ -84,34 +117,23 @@ class LossCorrection(NamedTuple):
 
     def transmission(self) -> float:
         """Transmitted fraction this correction accounts for."""
-        if self.kind == "fraction":
-            if not 0.0 < self.value <= 1.0:
-                raise ValueError(f"correction {self.name!r}: fraction must be in (0, 1]")
-            return self.value
-        if self.kind == "db":
-            if self.value < 0.0:
-                raise ValueError(f"correction {self.name!r}: dB loss must be >= 0")
-            return db_to_fraction(self.value)
-        if self.kind == "db_per_km":
-            if self.value < 0.0 or self.length_m < 0.0:
-                raise ValueError(f"correction {self.name!r}: dB/km and length must be >= 0")
-            return db_to_fraction(self.value * self.length_m / 1000.0)
-        raise ValueError(f"correction {self.name!r}: unknown kind {self.kind!r}")
+        if self.kind not in CORRECTION_KINDS:
+            raise ValueError(f"correction {self.name!r}: unknown kind {self.kind!r}")
+        numbers, transmission = CORRECTION_KINDS[self.kind]
+        values = (self.value, self.length_m)[: len(numbers)]
+        for (label, domain), value in zip(numbers, values):
+            if value not in domain:
+                raise ValueError(
+                    f"correction {self.name!r}: {label} must be {domain.text}, got {value!r}"
+                )
+        return transmission(*values)
 
 
-class LossChain(
-    NamedTuple("LossChain", [("measured_roundtrip", float), ("corrections", tuple)])
-):
-    """A measured roundtrip transmission plus its per-pass corrections."""
+class LossChain(NamedTuple):
+    """A measured roundtrip transmission plus its per-pass corrections, in order."""
 
-    __slots__ = ()
-
-    def __new__(
-        cls, measured_roundtrip: float, corrections: tuple[LossCorrection, ...] = ()
-    ) -> "LossChain":
-        if not 0.0 < measured_roundtrip <= 1.0:
-            raise ValueError(f"measured roundtrip must be in (0, 1], got {measured_roundtrip}")
-        return super().__new__(cls, measured_roundtrip, corrections)
+    measured_roundtrip: float
+    corrections: tuple = ()
 
 
 def single_pass_from_roundtrip(roundtrip: float) -> float:
@@ -170,8 +192,8 @@ STAGE_PREFIX = "stage_"
 CORRECTION_PREFIX = "correction_"
 
 
-def budget_from_config(config: dict) -> EfficiencyBudget:
-    """Build an efficiency budget from ``stage_<name> = fraction`` keys, in file order.
+def budget_from_config(config: dict) -> tuple:
+    """A budget's ``(name, fraction)`` stages from ``stage_<name> = fraction`` keys, in file order.
 
     A stage at which the cumulative fraction underflows to 0, whose loss in
     dB would be infinite, is a ``ValueError`` naming its key.
@@ -189,29 +211,22 @@ def budget_from_config(config: dict) -> EfficiencyBudget:
             stages.append((key[len(STAGE_PREFIX):], fraction))
     if not stages:
         raise ValueError(f"no {STAGE_PREFIX}* keys found in budget config")
-    return EfficiencyBudget.from_pairs(stages)
+    return tuple(stages)
 
 
 def loss_chain_from_config(config: dict) -> LossChain:
     """Build a loss chain from a roundtrip value plus ordered correction keys.
 
     Expected keys: ``measured_roundtrip = 0.27`` and, per correction,
-    ``correction_<name> = <kind> <value> [length_m]`` with kind one of
-    fraction / db / db_per_km.
+    ``correction_<name> = <kind> <value> [length_m]`` in :data:`CORRECTION`.
     """
     roundtrip = OPEN_FRACTION.check("measured_roundtrip", config.get("measured_roundtrip"))
     corrections = []
     for key, value in config.items():
         if key.startswith(CORRECTION_PREFIX):
             kind, *numbers = CORRECTION.check(key, value).split()
-            corrections.append(
-                LossCorrection(
-                    name=key[len(CORRECTION_PREFIX):],
-                    kind=kind,
-                    value=float(numbers[0]),
-                    length_m=float(numbers[1]) if len(numbers) == 2 else 0.0,
-                )
-            )
+            name = key[len(CORRECTION_PREFIX):]
+            corrections.append(LossCorrection(name, kind, *map(float, numbers)))
     return LossChain(measured_roundtrip=roundtrip, corrections=tuple(corrections))
 
 
@@ -221,9 +236,8 @@ def loss_chain_from_config(config: dict) -> LossChain:
 
 def _run_table_s1(cfg: dict):
     """Deterministic (no random streams)."""
-    budget = budget_from_config(cfg)
     measured = cfg["measured_efficiency"]
-    report = budget_report(budget)
+    report = budget_report(budget_from_config(cfg))
     total = report["total_fraction"]
 
     columns = ["stage", "fraction", "loss_db", "cumulative_fraction", "cumulative_loss_db"]

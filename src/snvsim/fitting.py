@@ -30,8 +30,9 @@ evaluation raises ``ValueError`` or is non-finite counts as a rejected step;
 only the initial guess may raise.
 
 The registry provides the seven named model functions used across the
-toolkit.  A factory takes layout arguments only and gives its model a
-default start; :meth:`ModelSpec.with_init` is the one way to set another.
+toolkit.  A factory takes layout arguments only (``lorentzian_multi``'s
+``n_lines``: its lines share one width) and gives its model a default
+start; :meth:`ModelSpec.with_init` is the one way to set another.
 Shapes owned by the physics modules are evaluated by them, so a fitted
 curve and the forward model can never drift apart.
 """
@@ -415,41 +416,29 @@ def gaussian_profile(x, center: float, fwhm: float, amplitude: float):
     return amplitude * np.exp(-4.0 * math.log(2.0) * u * u)
 
 
-def make_lorentzian_multi(n_lines: int = 1, shared_fwhm: bool = True) -> ModelSpec:
-    """Sum of Lorentzian lines on a flat zero baseline (x in Hz).
-
-    Shared-width layout (default, one homogeneous linewidth):
-    [fwhm, center_1, amplitude_1, ..., center_n, amplitude_n];
-    independent-width layout: [center_i, fwhm_i, amplitude_i] per line.
+def make_lorentzian_multi(n_lines: int = 1) -> ModelSpec:
+    """Sum of Lorentzian lines of one homogeneous linewidth on a flat zero
+    baseline (x in Hz): [fwhm, center_1, amplitude_1, ..., center_n, amplitude_n].
     """
     if n_lines < 1:
         raise ValueError(f"n_lines must be >= 1, got {n_lines}")
-    if shared_fwhm:
-        names = ["fwhm"]
-        defaults = [70.0e6]
-        bounds = [(1e-300, math.inf)]
-        for i in range(1, n_lines + 1):
-            names += [f"center_{i}", f"amplitude_{i}"]
-            offset = (i - (n_lines + 1) / 2.0) / max(n_lines - 1, 1)
-            defaults += [452.0e6 * offset, 1.0]
-            bounds += [_UNBOUNDED, _UNBOUNDED]
-        centers, fwhms, amplitudes = slice(1, None, 2), 0, slice(2, None, 2)
-    else:
-        names, defaults, bounds = [], [], []
-        for i in range(1, n_lines + 1):
-            names += [f"center_{i}", f"fwhm_{i}", f"amplitude_{i}"]
-            offset = (i - (n_lines + 1) / 2.0) / max(n_lines - 1, 1)
-            defaults += [452.0e6 * offset, 70.0e6, 1.0]
-            bounds += [_UNBOUNDED, (1e-300, math.inf), _UNBOUNDED]
-        centers, fwhms, amplitudes = slice(0, None, 3), slice(1, None, 3), slice(2, None, 3)
+    names = ["fwhm"]
+    defaults = [70.0e6]
+    bounds = [(1e-300, math.inf)]
+    for i in range(1, n_lines + 1):
+        names += [f"center_{i}", f"amplitude_{i}"]
+        offset = (i - (n_lines + 1) / 2.0) / max(n_lines - 1, 1)
+        defaults += [452.0e6 * offset, 1.0]
+        bounds += [_UNBOUNDED, _UNBOUNDED]
+    centers, amplitudes = slice(1, None, 2), slice(2, None, 2)
 
     def evaluator(params, x):
         value, d_center, d_fwhm, d_amplitude = lorentzian_sum(
-            x, params[centers], params[fwhms], params[amplitudes], derivatives=True
+            x, params[centers], params[0], params[amplitudes], derivatives=True
         )
         jac = np.empty((d_center.shape[1], params.size))
         jac[:, centers] = d_center.T
-        jac[:, fwhms] = d_fwhm.sum(axis=0) if shared_fwhm else d_fwhm.T
+        jac[:, 0] = d_fwhm.sum(axis=0)
         jac[:, amplitudes] = d_amplitude.T
         return value, jac
 

@@ -51,10 +51,10 @@ from typing import Callable, NamedTuple
 from . import config as config_mod
 from .artifacts import write_artifact
 from .config import (
-    CORRECTION, FRACTION, MAX_GRID_POINTS, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, SEED, Domain,
+    FRACTION, MAX_GRID_POINTS, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, SEED, Domain,
     grid_points,
 )
-from .efficiency import implied_coupling, loss_chain_from_config
+from .efficiency import CORRECTION, implied_coupling, loss_chain_from_config
 from .units import NUCLEAR_GYROMAGNETIC_HZ_PER_T, TWO_PI
 
 #: Environment variable overriding the default artifact root directory.

@@ -62,7 +62,7 @@ def reported(number: int, summary: str):
 def test_criterion_01_detection_budget_product():
     budget = budget_from_config(load_config("configs/table_s1.cfg"))
     total = budget_report(budget)["total_fraction"]
-    stage_values = [value for _, value in budget.stages]
+    stage_values = [value for _, value in budget]
     oracle = math.exp(math.fsum(math.log(v) for v in stage_values))
     with reported(1, f"stage product {total * 100:.4f}% vs reference ~1.7%"):
         assert sorted(stage_values) == sorted([0.80, 0.79, 0.43, 0.325, 0.57, 0.51, 0.68])

@@ -629,6 +629,19 @@ def test_fit_subcommand_converges_on_doublet(capsys, tmp_path):
     assert len(payload["uncertainties"]) == 5
 
 
+def test_fit_shared_fwhm_true_names_the_one_lorentzian_layout(capsys, tmp_path):
+    request = {"model": "lorentzian_multi", "model_args": {"n_lines": 2},
+               "data_file": str(_doublet_csv(tmp_path))}
+    outputs = []
+    for model_args in ({"n_lines": 2}, {"n_lines": 2, "shared_fwhm": True}):
+        path = tmp_path / "request.json"
+        path.write_text(json.dumps({**request, "model_args": model_args}))
+        code, out, err = _run(capsys, ["fit", str(path)])
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 # Each number of a request is checked the way a config value is, and the error
 # names its request key.  A bool once passed as a line count; a float count, a
 # fractional max_iter, a string tol or a null init entry ended in a Python
@@ -651,6 +664,13 @@ BAD_DOUBLET_REQUESTS = [
      "unknown model 'abs_cosine'; available: contrast_saturation, damped_rabi, exponential, "
      "gaussian, lorentzian_multi, reflection_dip, saturation"),
     ({"model": "reflection_dip", "model_args": {}}, "'fix_f_in'"),
+    # lorentzian_multi has one layout; "false" once fitted it as if true.
+    ({"model_args": {"n_lines": 2, "shared_fwhm": False}},
+     "fit-request key 'model_args.shared_fwhm' must be true, got False"),
+    ({"model_args": {"n_lines": 2, "shared_fwhm": "false"}},
+     "fit-request key 'model_args.shared_fwhm' must be true, got 'false'"),
+    ({"model_args": {"n_lines": 2, "shared_fwhm": 1}},
+     "fit-request key 'model_args.shared_fwhm' must be true, got 1"),
 ]
 
 

@@ -8,11 +8,11 @@ import sys
 import pytest
 
 from snvsim.config import (
-    CORRECTION, FRACTION, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, SEED, UNIT_FACTORS, Domain,
+    FRACTION, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, SEED, UNIT_FACTORS, Domain,
     in_base_units, load_config, parse_config_text, parse_overrides, parse_value,
 )
 from snvsim.efficiency import (
-    apply_loss_chain, budget_from_config, budget_report, loss_chain_from_config,
+    CORRECTION, apply_loss_chain, budget_from_config, budget_report, loss_chain_from_config,
 )
 from snvsim.registry import SCENARIOS, configured
 
@@ -180,7 +180,7 @@ def test_budget_from_config_preserves_file_order(tmp_path):
         "stage_first = 0.5\nother = 3\nstage_second = 0.25\nstage_third = 0.8\n"
     )
     budget = budget_from_config(load_config(path))
-    assert [name for name, _ in budget.stages] == ["first", "second", "third"]
+    assert [name for name, _ in budget] == ["first", "second", "third"]
     assert math.isclose(
         budget_report(budget)["total_fraction"], 0.5 * 0.25 * 0.8, rel_tol=1e-15
     )
@@ -190,7 +190,7 @@ def test_budget_from_config_preserves_file_order(tmp_path):
 
 def test_budget_from_shipped_config():
     budget = budget_from_config(load_config("configs/table_s1.cfg"))
-    assert len(budget.stages) == 7
+    assert len(budget) == 7
     assert abs(budget_report(budget)["total_fraction"] - 0.017459139672) < 1e-12
 
 

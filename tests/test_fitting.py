@@ -250,12 +250,9 @@ HEIGHT = st.floats(min_value=0.1, max_value=10.0)
 
 
 def _lorentzian_case(draw):
-    n_lines, shared = draw(st.integers(min_value=1, max_value=4)), draw(st.booleans())
-    if shared:
-        params = [draw(WIDTH)] + [draw(s) for _ in range(n_lines) for s in (REAL, HEIGHT)]
-    else:
-        params = [draw(s) for _ in range(n_lines) for s in (REAL, WIDTH, HEIGHT)]
-    return make_lorentzian_multi(n_lines, shared_fwhm=shared), params, GRID
+    n_lines = draw(st.integers(min_value=1, max_value=4))
+    params = [draw(WIDTH)] + [draw(s) for _ in range(n_lines) for s in (REAL, HEIGHT)]
+    return make_lorentzian_multi(n_lines), params, GRID
 
 
 CASES = {
@@ -331,7 +328,6 @@ def test_shared_lorentzian_jacobian_matches_the_oracle(w, c, a):
     [
         # fwhm at its lower bound: u = 0, 2 and ~2e300 on one grid.
         (make_lorentzian_multi(2), [1e-300, 0.0, 1.0, 1e-6, 2.0], [-1.0, 0.0, 1e-300, 1e-6, 1.0]),
-        (make_lorentzian_multi(1, shared_fwhm=False), [0.0, 1e-300, 1.0], [-1e10, 0.0, 1e-300, 1e10]),
         # |x - c| / fwhm ~ 1e200, and beyond the float range (u = inf).
         (make_lorentzian_multi(1), [1e-100, 0.0, 1.0], [-1e100, 0.0, 1e100, 1e300]),
         (make_exponential(), [0.5, 2.0, 1e-300], [0.0, 1e-300, 1.0, 1e10]),
@@ -719,22 +715,6 @@ def test_registry_evaluators_match_owning_modules():
         waveguide_qed.contrast_vs_saturation(s, 0.11),
         rtol=1e-12,
     )
-
-
-def test_independent_width_lorentzian_layout():
-    model = make_lorentzian_multi(2, shared_fwhm=False)
-    assert model.param_names == (
-        "center_1",
-        "fwhm_1",
-        "amplitude_1",
-        "center_2",
-        "fwhm_2",
-        "amplitude_2",
-    )
-    x = np.linspace(-1e9, 1e9, 21)
-    params = np.array([-226e6, 60e6, 1.0, 226e6, 90e6, 0.5])
-    expected = lorentzian(x, -226e6, 60e6, 1.0) + lorentzian(x, 226e6, 90e6, 0.5)
-    assert np.allclose(model.evaluator(params, x)[0], expected, rtol=1e-12)
 
 
 def test_line_sum_matches_lorentzian_model():

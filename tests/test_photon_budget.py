@@ -33,7 +33,6 @@ from oracles import (
     sample_readout_counts,
 )
 from snvsim.efficiency import (
-    EfficiencyBudget,
     LossChain,
     LossCorrection,
     apply_loss_chain,
@@ -72,8 +71,7 @@ TABLE_STAGES = [
 # --------------------------------------------------------------------------
 
 def test_table_budget_product_frozen():
-    budget = EfficiencyBudget.from_pairs(TABLE_STAGES)
-    total = budget_report(budget)["total_fraction"]
+    total = budget_report(TABLE_STAGES)["total_fraction"]
     assert abs(total - 0.017459139672) < 1e-12
     oracle = math.exp(math.fsum(math.log(v) for _, v in TABLE_STAGES))
     assert abs(total - oracle) < 1e-12
@@ -87,16 +85,15 @@ def test_budget_product_is_permutation_invariant(values, rng):
     pairs = [(f"s{i}", v) for i, v in enumerate(values)]
     shuffled = pairs[:]
     rng.shuffle(shuffled)
-    straight = budget_report(EfficiencyBudget.from_pairs(pairs))["total_fraction"]
-    permuted = budget_report(EfficiencyBudget.from_pairs(shuffled))["total_fraction"]
+    straight = budget_report(pairs)["total_fraction"]
+    permuted = budget_report(shuffled)["total_fraction"]
     oracle = math.exp(math.fsum(math.log(v) for v in values))
     assert abs(straight - permuted) < 1e-12
     assert abs(straight - oracle) < 1e-12 * max(1.0, straight)
 
 
 def test_budget_report_is_self_consistent():
-    budget = EfficiencyBudget.from_pairs(TABLE_STAGES)
-    report = budget_report(budget)
+    report = budget_report(TABLE_STAGES)
     cumulative = 1.0
     db_sum = 0.0
     for row, (name, value) in zip(report["stages"], TABLE_STAGES):
@@ -112,11 +109,11 @@ def test_budget_report_is_self_consistent():
 
 def test_budget_validation():
     with pytest.raises(ValueError, match="at least one"):
-        EfficiencyBudget(stages=())
+        budget_report(())
     with pytest.raises(ValueError, match="detector"):
-        EfficiencyBudget.from_pairs([("detector", 0.0)])
+        budget_report([("detector", 0.0)])
     with pytest.raises(ValueError, match="detector"):
-        EfficiencyBudget.from_pairs([("detector", 1.2)])
+        budget_report([("detector", 1.2)])
 
 
 # --------------------------------------------------------------------------

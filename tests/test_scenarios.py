@@ -12,12 +12,12 @@ from pathlib import Path
 import pytest
 
 from oracles import ground_branch_energies
-from snvsim.config import (
-    CORRECTION, FRACTION, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, in_base_units,
-)
+from snvsim.config import FRACTION, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, in_base_units
 from snvsim import photon_budget, registry, scenarios, spin_hamiltonian
 from snvsim.artifacts import summary_row, write_artifact
-from snvsim.efficiency import EfficiencyBudget, LossChain, LossCorrection
+from snvsim.efficiency import (
+    CORRECTION, LossChain, LossCorrection, apply_loss_chain, budget_from_config, budget_report,
+)
 from snvsim.registry import SCENARIOS, available_scenarios, run_scenario
 from snvsim.units import fourier_limited_fwhm_hz
 
@@ -292,24 +292,24 @@ def test_the_record_types_are_frozen_keyword_built_and_validated(tmp_path):
     records = [
         registry.Scenario(name="s", description="d", runner="efficiency:_run_table_s1", keys={}),
         registry.ScenarioResult(name="s", out_dir=tmp_path, rows=[], artifacts={}, notes=[]),
-        EfficiencyBudget(stages=(("detector", 0.68),)),
         LossCorrection(name="splice", kind="db", value=0.04),
         LossChain(measured_roundtrip=0.27, corrections=()),
     ]
-    fields = ["runner", "out_dir", "stages", "kind", "measured_roundtrip"]
+    fields = ["runner", "out_dir", "kind", "measured_roundtrip"]
     for record, field in zip(records, fields, strict=True):
         with pytest.raises(AttributeError):
             setattr(record, field, None)
         with pytest.raises(AttributeError):
             record.no_such_field = 1
     assert records[0].defaults == {} and records[1].all_pass
-    assert records[2].stages == (("detector", 0.68),)
-    assert records[3].length_m == 0.0 and records[3].transmission() == pytest.approx(0.99083, rel=1e-5)
-    assert LossChain(0.27) == records[4]
+    assert records[2].length_m == 0.0 and records[2].transmission() == pytest.approx(0.99083, rel=1e-5)
+    assert LossChain(0.27) == records[3]
+    # A budget is its (name, fraction) stages; a value is refused where it is read.
+    assert budget_from_config({"stage_detector": 0.68}) == (("detector", 0.68),)
     with pytest.raises(ValueError, match="at least one stage"):
-        EfficiencyBudget(stages=())
-    with pytest.raises(ValueError, match="measured roundtrip"):
-        LossChain(1.5)
+        budget_report(())
+    with pytest.raises(ValueError, match=r"roundtrip must be in \(0, 1\], got 1.5"):
+        apply_loss_chain(LossChain(1.5))
 
 
 def test_summary_row_pass_logic():
