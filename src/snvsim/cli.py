@@ -26,13 +26,15 @@ Subcommands
     ``model_args`` takes the model's layout arguments only (``n_lines`` of
     ``lorentzian_multi``, whose lines share one width, so its ``shared_fwhm``
     may only be ``true``; the required ``fix_f_in`` of ``reflection_dip``);
-    the start of the fit goes in ``init``.  The data
-    file is read first; each number is checked against a config domain, and
-    a bad one exits 2 naming its request key.
+    the start of the fit goes in ``init``.  The data file is read first.
+    Each number is checked against a config domain, and each part's shape
+    too (``init`` a list, ``bounds`` a list of pairs, ``options`` and
+    ``model_args`` objects); a bad one exits 2 naming its request key.
 
 ``snvsim budget <config> [key=value ...]``
     Evaluate an efficiency-budget config (ordered ``stage_*`` keys) and
-    print the per-stage report as JSON.
+    print the per-stage report as JSON.  An override must name a key of the
+    file, and a file that selects a scenario is checked as ``run`` checks it.
 
 Exit status: 0 on success, 1 on a failed fit or when any ``run`` or
 ``ensemble`` summary entry fails its tolerance (at any seed), 2 on
@@ -166,13 +168,21 @@ def _request_number(key: str, value, domain: config_mod.Domain):
     return domain.kind(value)
 
 
+def _request_shape(key: str, value, kind: type, text: str, size: int | None = None):
+    """``value``, or a ``ValueError`` naming the fit-request key unless it is a ``kind``
+    (of ``size`` entries, if given)."""
+    if not isinstance(value, kind) or size not in (None, len(value)):
+        raise ValueError(f"fit-request key {key!r} must be {text}, got {value!r}")
+    return value
+
+
 def _parse_bounds(raw) -> tuple[tuple[float, float], ...]:
     bounds = []
-    for i, pair in enumerate(raw):
-        if len(pair) != 2:
-            raise ValueError(f"each bound must be a [lo, hi] pair, got {pair!r}")
-        lo = -math.inf if pair[0] is None else _request_number(f"bounds[{i}]", pair[0], _FINITE)
-        hi = math.inf if pair[1] is None else _request_number(f"bounds[{i}]", pair[1], _FINITE)
+    for i, pair in enumerate(_request_shape("bounds", raw, list, "a list of [lo, hi] pairs")):
+        key = f"bounds[{i}]"
+        lo, hi = _request_shape(key, pair, list, "a [lo, hi] pair", size=2)
+        lo = -math.inf if lo is None else _request_number(key, lo, _FINITE)
+        hi = math.inf if hi is None else _request_number(key, hi, _FINITE)
         bounds.append((lo, hi))
     return tuple(bounds)
 
@@ -191,6 +201,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 f"unknown fit-request keys: {', '.join(unknown)}; "
                 f"allowed: {', '.join(sorted(_FIT_REQUEST_KEYS))}"
             )
+        # A part given as null is an absent one.
+        request = {key: value for key, value in request.items() if value is not None}
         fitting = snvsim.fitting
         models = fitting.model_registry()
         model_name = request.get("model")
@@ -201,7 +213,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         if "data_file" not in request:
             raise ValueError("fit request must name a data_file")
         _, x, y, y_err = snvsim.spectra.read_xy_csv(Path(request["data_file"]))
-        given = {group: dict(request.get(group) or {}) for group in ("model_args", "options")}
+        given = {group: dict(_request_shape(group, request.get(group, {}), dict, "a JSON object"))
+                 for group in ("model_args", "options")}
         for group, name, domain in (
             # More lines than data points are refused before the model is built.
             ("model_args", "n_lines", config_mod.Domain(int, 1, x.size)),
@@ -219,11 +232,12 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                     f"fit-request key 'model_args.shared_fwhm' must be true, got {shared!r}"
                 )
         model = models[model_name](**given["model_args"])
-        if request.get("init") is not None:
+        if "init" in request:
+            init = _request_shape("init", request["init"], list, "a list of numbers")
             model = model.with_init(
-                [_request_number(f"init[{i}]", v, _FINITE) for i, v in enumerate(request["init"])]
+                [_request_number(f"init[{i}]", v, _FINITE) for i, v in enumerate(init)]
             )
-        if request.get("bounds") is not None:
+        if "bounds" in request:
             model = replace(model, bounds=_parse_bounds(request["bounds"]))
         result = fitting.fit(model, (x, y, y_err), fitting.FitOptions(**given["options"]))
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
@@ -238,11 +252,14 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_budget(args: argparse.Namespace) -> int:
     try:
-        cfg = {
-            **config_mod.load_config(args.config),
-            **config_mod.parse_overrides(args.overrides),
-        }
-        report = budget_report(budget_from_config(cfg))
+        file_cfg = config_mod.load_config(args.config)
+        overrides = config_mod.parse_overrides(args.overrides)
+        unknown = sorted(set(overrides) - set(file_cfg))
+        if unknown:
+            raise ValueError(f"unknown config keys for {args.config}: {', '.join(unknown)}")
+        if "scenario" in file_cfg:  # checked as ``snvsim run`` checks it
+            configured(args.config, overrides)
+        report = budget_report(budget_from_config({**file_cfg, **overrides}))
     except (ValueError, KeyError, OSError) as exc:
         return _fail(str(exc))
     print(json.dumps(report, indent=2, sort_keys=True))

@@ -642,6 +642,18 @@ def test_fit_shared_fwhm_true_names_the_one_lorentzian_layout(capsys, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_a_null_part_of_a_fit_request_is_an_absent_one(capsys, tmp_path):
+    request = {"model": "lorentzian_multi", "data_file": str(_singlet_csv(tmp_path))}
+    outputs = []
+    for extra in ({}, dict.fromkeys(["init", "bounds", "options", "model_args"])):
+        path = tmp_path / "request.json"
+        path.write_text(json.dumps({**request, **extra}))
+        code, out, err = _run(capsys, ["fit", str(path)])
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
 # Each number of a request is checked the way a config value is, and the error
 # names its request key.  A bool once passed as a line count; a float count, a
 # fractional max_iter, a string tol or a null init entry ended in a Python
@@ -671,6 +683,16 @@ BAD_DOUBLET_REQUESTS = [
      "fit-request key 'model_args.shared_fwhm' must be true, got 'false'"),
     ({"model_args": {"n_lines": 2, "shared_fwhm": 1}},
      "fit-request key 'model_args.shared_fwhm' must be true, got 1"),
+    # A part of the wrong shape once ended in Python's own message, naming no key.
+    ({"init": 5}, "fit-request key 'init' must be a list of numbers, got 5"),
+    ({"bounds": [5, 6, 7]}, "fit-request key 'bounds[0]' must be a [lo, hi] pair, got 5"),
+    ({"bounds": [[None, None], [None, None], 7, [None, None], [None, None]]},
+     "fit-request key 'bounds[2]' must be a [lo, hi] pair, got 7"),
+    ({"bounds": [[None, None], [None, None], [0, None, 1], [None, None], [0, None]]},
+     "fit-request key 'bounds[2]' must be a [lo, hi] pair, got [0, None, 1]"),
+    ({"bounds": {"fwhm": [0, None]}}, "fit-request key 'bounds' must be a list of [lo, hi] pairs"),
+    ({"options": [1, 2]}, "fit-request key 'options' must be a JSON object, got [1, 2]"),
+    ({"model_args": [1]}, "fit-request key 'model_args' must be a JSON object, got [1]"),
 ]
 
 
@@ -695,6 +717,9 @@ def test_fit_request_validation_errors(capsys, tmp_path):
     assert "data_file" in failing({"model": "gaussian"})
     assert "unknown fit-request keys" in failing(
         {"model": "gaussian", "data_file": str(data), "extra": 1}
+    )
+    assert "unknown fit-request keys" in failing(
+        {"model": "gaussian", "data_file": str(data), "extra": None}
     )
     # The damping starts at a fixed 1e-3; options hold max_iter and tol only.
     assert "damping_init" in failing(
@@ -819,6 +844,24 @@ def test_budget_subcommand_override_rescales_total(capsys):
     assert math.isclose(report["total_fraction"], 0.017459139672 / 0.68, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        # A misspelt stage once added an eighth stage: total 0.01571, not 0.01746.
+        ("stage_detectr_efficiency=0.9", "unknown config keys for"),
+        ("foo=1", "unknown config keys for"),
+        # The file selects table_s1, so its keys are checked as `snvsim run` checks them.
+        ("measured_efficiency=banana", "config key 'measured_efficiency' must be a number in"),
+    ],
+    ids=["misspelt-stage", "no-such-key", "bad-measured-efficiency"],
+)
+def test_a_budget_override_must_name_a_key_of_the_file(capsys, override, message):
+    code, out, err = _run(capsys, ["budget", TABLE_S1_CFG, override])
+    assert code == 2 and out == ""
+    error = _strict_json(err)["error"]
+    assert message in error and override.split("=")[0] in error
+
+
 def test_budget_subcommand_error_paths(capsys, tmp_path):
     code, _, err = _run(capsys, ["budget", str(tmp_path / "missing.cfg")])
     assert code == 2
@@ -833,6 +876,14 @@ def test_budget_subcommand_error_paths(capsys, tmp_path):
     code, out, err = _run(capsys, ["budget", TABLE_S1_CFG, "stage_detector_efficiency=true"])
     assert code == 2 and out == ""
     assert "'stage_detector_efficiency'" in json.loads(err)["error"]
+
+    # A file that selects no scenario still takes overrides of its own keys only.
+    plain = tmp_path / "plain.cfg"
+    plain.write_text("stage_a = 0.5\n")
+    assert _run(capsys, ["budget", str(plain), "stage_a=0.25"])[0] == 0
+    code, out, err = _run(capsys, ["budget", str(plain), "stage_b=0.5"])
+    assert code == 2 and out == ""
+    assert "unknown config keys" in json.loads(err)["error"] and "stage_b" in json.loads(err)["error"]
 
 
 @pytest.mark.parametrize(
