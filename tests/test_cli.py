@@ -630,8 +630,7 @@ def test_fit_subcommand_converges_on_doublet(capsys, tmp_path):
 
 
 def test_fit_shared_fwhm_true_names_the_one_lorentzian_layout(capsys, tmp_path):
-    request = {"model": "lorentzian_multi", "model_args": {"n_lines": 2},
-               "data_file": str(_doublet_csv(tmp_path))}
+    request = {"model": "lorentzian_multi", "data_file": str(_doublet_csv(tmp_path))}
     outputs = []
     for model_args in ({"n_lines": 2}, {"n_lines": 2, "shared_fwhm": True}):
         path = tmp_path / "request.json"
@@ -882,8 +881,8 @@ def test_budget_subcommand_error_paths(capsys, tmp_path):
     plain.write_text("stage_a = 0.5\n")
     assert _run(capsys, ["budget", str(plain), "stage_a=0.25"])[0] == 0
     code, out, err = _run(capsys, ["budget", str(plain), "stage_b=0.5"])
-    assert code == 2 and out == ""
-    assert "unknown config keys" in json.loads(err)["error"] and "stage_b" in json.loads(err)["error"]
+    error = json.loads(err)["error"]
+    assert code == 2 and out == "" and "unknown config keys" in error and "stage_b" in error
 
 
 @pytest.mark.parametrize(
