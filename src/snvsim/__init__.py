@@ -14,8 +14,8 @@ Layers (each imports only the ones above it):
   scenario runs.
 * :mod:`snvsim.spin_hamiltonian` — static spin Hamiltonians, eigenstructure,
   optical-line detunings, isotope scaling.
-* :mod:`snvsim.optical_dynamics` — lifetimes, damped Rabi dynamics,
-  autocorrelation, saturation, pumping.
+* :mod:`snvsim.optical_dynamics` — damped Rabi dynamics, autocorrelation,
+  saturation, the pumping time constant.
 * :mod:`snvsim.waveguide_qed` — single-mode reflection model, cooperativity
   inversion, efficiency bounds.
 * :mod:`snvsim.photon_budget` — photon-counting readout statistics,
@@ -23,7 +23,8 @@ Layers (each imports only the ones above it):
 * :mod:`snvsim.fitting` — damped least-squares engine and the named model
   registry.
 * :mod:`snvsim.spectra` — spectrum synthesis, drift, averaging, CSV reading.
-* :mod:`snvsim.scenarios` — the runners of the other fifteen scenarios.
+* :mod:`snvsim.scenarios` — the runners of the other fifteen scenarios, six
+  of them records of one trace-fit runner.
 * :mod:`snvsim.cli` — the ``snvsim`` command line (``import snvsim`` leaves it out).
 
 The first five import only the standard library, and none of them imports

@@ -480,12 +480,14 @@ def make_exponential() -> ModelSpec:
     def evaluator(p, x):
         # d/dtau = amplitude * r e^(-r) / tau with r = x/tau; r e^(-r) is
         # written as 0 where e^(-r) underflows, so r = inf gives no inf * 0.
+        # A derivative beyond the float range is inf, without a warning.
         x = np.asarray(x, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             r = x / p[2]
             decay = np.exp(-r)
             r_decay = np.where(decay > 0.0, r * decay, 0.0)
-        return p[0] + p[1] * decay, np.column_stack([np.ones_like(x), decay, p[1] * r_decay / p[2]])
+            d_tau = p[1] * r_decay / p[2]
+        return p[0] + p[1] * decay, np.column_stack([np.ones_like(x), decay, d_tau])
 
     return ModelSpec(
         name="exponential",

@@ -1,10 +1,11 @@
 """Closed-form optical dynamics of the driven two-level transition.
 
-Spontaneous decay, damped Rabi oscillations with pi-pulse calibration,
-intensity autocorrelation, fluorescence saturation, optical-pumping
-initialization, and nuclear polarization decay.  Each function takes bare
-parameters and checks them; the fit models of :mod:`snvsim.fitting` call
-the same functions, so a formula is stated once.
+Damped Rabi oscillations with pi-pulse calibration, intensity
+autocorrelation, fluorescence saturation, and the optical-pumping time
+constant.  Each function takes bare parameters and checks them; the fit
+models of :mod:`snvsim.fitting` call the same functions, so a formula is
+stated once.  The single-exponential decays (spontaneous emission, optical
+pumping, nuclear depolarization) are that module's ``exponential`` model.
 
 The damped Rabi model used throughout is
 
@@ -21,26 +22,6 @@ import math
 import sys
 
 import numpy as np
-
-
-def _lifetimes(t: np.ndarray, tau: float) -> np.ndarray:
-    """t / tau, clipped to the largest float where the quotient overflows.
-
-    exp(-t / tau) is then exactly 0, its limit there, and the quotient times
-    a bounded factor stays finite; every decay below takes its exponent here.
-    """
-    with np.errstate(over="ignore"):
-        return np.minimum(t / tau, sys.float_info.max)
-
-
-def spontaneous_decay(t_s, tau_s: float):
-    """Excited-state population exp(-t/tau) after pulsed excitation."""
-    if tau_s <= 0.0:
-        raise ValueError(f"lifetime must be positive, got {tau_s}")
-    t = np.asarray(t_s, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("time must be non-negative")
-    return np.exp(-_lifetimes(t, tau_s))
 
 
 def rabi_population(t_s, omega: float, t1: float):
@@ -62,7 +43,10 @@ def rabi_population(t_s, omega: float, t1: float):
         phase = omega * t
     if not np.isfinite(phase).all():
         raise ValueError("omega * t must be finite: the phase is beyond the float range")
-    elapsed = _lifetimes(t, t1)
+    # t / t1, clipped to the largest float where it overflows: exp(-elapsed) is
+    # then exactly 0, its limit, and elapsed times the bounded sinc stays finite.
+    with np.errstate(over="ignore"):
+        elapsed = np.minimum(t / t1, sys.float_info.max)
     # sin(omega t) / (omega t1) == (t / t1) * sinc(omega t / pi)
     ringdown = np.cos(phase) + elapsed * np.sinc(phase / np.pi)
     return 0.5 * (1.0 - ringdown * np.exp(-elapsed))
@@ -118,38 +102,9 @@ def saturation_rate(p_w, p_sat: float, i_infinity: float):
         return i_infinity / (1.0 + p_sat / p)
 
 
-def pumping_fidelity(t_s, f_infinity: float, tau_pump: float):
-    """Initialization fidelity after pumping for ``t_s`` seconds.
-
-    Single-exponential approach, with time constant ``tau_pump``, from the
-    unpolarized start 1/2 to the steady state ``f_infinity``.
-    """
-    if not 0.5 <= f_infinity <= 1.0:
-        raise ValueError(f"f_infinity must be in [0.5, 1], got {f_infinity}")
-    if tau_pump <= 0.0:
-        raise ValueError(f"tau_pump must be positive, got {tau_pump}")
-    t = np.asarray(t_s, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("time must be non-negative")
-    return f_infinity - (f_infinity - 0.5) * np.exp(-_lifetimes(t, tau_pump))
-
-
 def pumping_time_constant(t_s: float, fidelity: float, f_infinity: float) -> float:
     """Calibrate the pumping time constant from one (duration, fidelity) point,
     pumped from the unpolarized start 1/2."""
     if not 0.5 < fidelity < f_infinity:
         raise ValueError(f"fidelity {fidelity} must lie in (0.5, {f_infinity}) to be reachable")
     return t_s / math.log((f_infinity - 0.5) / (f_infinity - fidelity))
-
-
-def nuclear_polarization_decay(t_s, t1n: float, f_init: float):
-    """Nuclear initialization fidelity relaxing to the unpolarized value 1/2.
-
-        f(t) = 1/2 + (f_init - 1/2) * exp(-t / t1n)
-    """
-    if t1n <= 0.0:
-        raise ValueError(f"t1n must be positive, got {t1n}")
-    t = np.asarray(t_s, dtype=float)
-    if np.any(t < 0.0):
-        raise ValueError("time must be non-negative")
-    return 0.5 + (f_init - 0.5) * np.exp(-_lifetimes(t, t1n))

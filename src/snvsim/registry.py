@@ -1,10 +1,10 @@
 """The scenario registry: names, descriptions, config keys, ``configured`` and ``run_scenario``.
 
-Each entry names its runner as ``"<module>:<function>"`` inside the
-package; :meth:`Scenario.run` imports that module when the scenario runs,
-so listing the scenarios or checking a config loads no runner, and the
-scalar ``table_s1`` and ``loss_chain`` runners (in
-:mod:`snvsim.efficiency`) load no numpy.  The runners that synthesize and
+Each entry names its runner, a function or a callable record, as
+``"<module>:<name>"`` inside the package; :meth:`Scenario.run` imports that
+module when the scenario runs, so listing the scenarios or checking a
+config loads no runner, and the scalar ``table_s1`` and ``loss_chain``
+runners (in :mod:`snvsim.efficiency`) load no numpy.  The runners that synthesize and
 fit data live in :mod:`snvsim.scenarios`.
 
 Output locations
@@ -158,7 +158,7 @@ class Scenario(NamedTuple):
 
     name: str
     description: str
-    runner: str  # "<module>:<function>" in this package
+    runner: str  # "<module>:<name>" of a callable in this package
     keys: dict  # key -> (default, Domain), in config order
     constraints: tuple = ()  # Constraints on several keys, checked in order
 
@@ -261,7 +261,7 @@ _SCENARIOS = [
     Scenario(
         name="fig2c",
         description="Nuclear-spin initialization fidelity versus optical pumping time (Fig. 2c).",
-        runner="scenarios:_run_fig2c",
+        runner="scenarios:FIG2C",
         keys={
             "seed": (23, SEED),
             "steady_fidelity": (0.986, FRACTION),
@@ -280,7 +280,7 @@ _SCENARIOS = [
     Scenario(
         name="fig2d",
         description="Nuclear polarization relaxation toward the unpolarized state (Fig. 2d).",
-        runner="scenarios:_run_fig2d",
+        runner="scenarios:FIG2D",
         keys={
             "seed": (24, SEED),
             "nuclear_t1_s": (1.25, POSITIVE),
@@ -294,7 +294,7 @@ _SCENARIOS = [
     Scenario(
         name="fig3a",
         description="Detected fluorescence saturation versus resonant drive power (Fig. 3a).",
-        runner="scenarios:_run_fig3a",
+        runner="scenarios:FIG3A",
         keys={
             "seed": (31, SEED),
             "saturation_power_pw": (120.0, POSITIVE),
@@ -373,7 +373,7 @@ _SCENARIOS = [
     Scenario(
         name="fig4c",
         description="Reflection-dip contrast versus drive saturation (Fig. 4c).",
-        runner="scenarios:_run_fig4c",
+        runner="scenarios:FIG4C",
         keys={
             "seed": (43, SEED),
             "cooperativity": (0.027, NON_NEGATIVE),
@@ -420,7 +420,7 @@ _SCENARIOS = [
     Scenario(
         name="rabi",
         description="Damped optical Rabi oscillation with pi-pulse calibration and model fit (optical pulse calibration, supporting Fig. 2).",
-        runner="scenarios:_run_rabi",
+        runner="scenarios:RABI",
         keys={
             "seed": (51, SEED),
             # the pi_time_ns row and pi_calibration.json give 1 / (2 f) in ns
@@ -440,7 +440,7 @@ _SCENARIOS = [
     Scenario(
         name="lifetime",
         description="Excited-state lifetime decay and the Fourier-limited linewidth it implies (supporting measurement for Fig. 1e).",
-        runner="scenarios:_run_lifetime",
+        runner="scenarios:LIFETIME",
         keys={
             "seed": (52, SEED),
             "lifetime_ns": (5.56, POSITIVE),

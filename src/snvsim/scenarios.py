@@ -9,20 +9,25 @@ which checks a config, calls a runner and writes its artifacts, live in
 :mod:`snvsim.registry`; the scalar ``table_s1`` and ``loss_chain`` runners
 live in :mod:`snvsim.efficiency`.
 
+Six scenarios are one experiment: sample a closed form on an axis, add one
+kind of noise, fit a registry model and read rows off the fit.  Each of
+fig2c, fig2d, fig3a, fig4c, rabi and lifetime is a :class:`TraceFit` record,
+and calling the record runs it.
+
 Reproducibility
 ---------------
 All randomness in a scenario flows from its single integer config key
 ``seed``.  The k-th independent random component of a scenario (the order
-is documented per runner) uses the stream
-``numpy.random.SeedSequence(seed, spawn_key=(k,))``; nothing else consumes
-randomness, so reruns with the same config are byte-identical, including
-every artifact file.
+is documented per runner; each trace-fit record draws its noise from stream
+0) uses the stream ``numpy.random.SeedSequence(seed, spawn_key=(k,))``;
+nothing else consumes randomness, so reruns with the same config are
+byte-identical, including every artifact file.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .artifacts import summary_row
 from .config import in_base_units
 from .fitting import (
     FitResult,
+    ModelSpec,
     _finite_or_none,
     fit,
     make_contrast_saturation,
@@ -308,106 +314,239 @@ def _run_fig2b(cfg: dict):
 
 
 # --------------------------------------------------------------------------
-# fig2c — optical pumping initialization
+# trace fits — fig2c, fig2d, fig3a, fig4c, rabi, lifetime
 
 
-def _run_fig2c(cfg: dict):
-    """Streams: 0 = trace noise."""
-    f_inf = cfg["steady_fidelity"]
-    t_cal = cfg["calibration_time"]
-    f_cal = cfg["calibration_fidelity"]
-    noise = cfg["noise_sigma"]
-
-    tau = optical_dynamics.pumping_time_constant(t_cal, f_cal, f_inf)
-    t = np.linspace(0.0, cfg["max_time"], cfg["n_points"])
-    y_true = optical_dynamics.pumping_fidelity(t, f_inf, tau)
-    y = y_true + _rng(cfg["seed"], 0).normal(0.0, noise, size=t.size)
-    y_err = np.full(t.size, noise)
-
-    t_us = t * 1e6
-    model = make_exponential().with_init((0.9, -0.4, 5.0))
-    result = fit(model, (t_us, y, y_err))
-    fitted_f_inf = result.params[0]
-    fitted_tau_us = result.params[2]
-
-    rows = [
-        summary_row("steady_state_fidelity", fitted_f_inf, f_inf, 0.005),
-        summary_row(
-            "pump_time_constant_us",
-            fitted_tau_us,
-            tau * 1e6,
-            0.1 * tau * 1e6,
-            note="reference derived from the calibration point, not directly reported",
-        ),
-    ]
-    artifacts = {
-        "pumping": ("pumping.csv", (["t_ns", "value"], (t * 1e9, y))),
-        "exponential_fit": ("exponential_fit.json", result.as_dict()),
-    }
-    notes = [
-        f"Pump time constant calibrated to {tau * 1e6:.2f} us from the single "
-        f"({t_cal * 1e6:g} us, {f_cal:g}) endpoint measurement.",
-    ]
-    return rows, artifacts, notes
+def _at(field, values: dict):
+    """A record field: a constant, or a function of the run's values."""
+    return field(values) if callable(field) else field
 
 
-# --------------------------------------------------------------------------
-# fig2d — nuclear depolarization
+def _additive(truth: np.ndarray, values: dict, draw: np.random.Generator):
+    """Gaussian noise of sd ``noise_sigma``: y = truth + n, y_err = noise_sigma."""
+    sigma = values["noise_sigma"]
+    return truth + draw.normal(0.0, sigma, size=truth.size), np.full(truth.size, sigma)
 
 
-def _run_fig2d(cfg: dict):
-    """Streams: 0 = trace noise."""
-    t1n = cfg["nuclear_t1"]
-    noise = cfg["noise_sigma"]
-
-    t = np.linspace(0.0, cfg["max_time"], cfg["n_points"])
-    y_true = optical_dynamics.nuclear_polarization_decay(t, t1n, cfg["initial_fidelity"])
-    y = y_true + _rng(cfg["seed"], 0).normal(0.0, noise, size=t.size)
-    y_err = np.full(t.size, noise)
-
-    model = make_exponential().with_init((0.5, 0.5, 1.0))
-    result = fit(model, (t, y, y_err))
-
-    rows = [
-        summary_row("nuclear_t1_s", result.params[2], t1n, 0.1 * t1n),
-        summary_row("equilibrium_fidelity", result.params[0], 0.5, 0.02),
-    ]
-    artifacts = {
-        "depolarization": ("depolarization.csv", (["t_ns", "value"], (t * 1e9, y))),
-        "exponential_fit": ("exponential_fit.json", result.as_dict()),
-    }
-    notes = ["The polarization relaxes to the unpolarized value 1/2, not to zero."]
-    return rows, artifacts, notes
+def _relative(truth: np.ndarray, values: dict, draw: np.random.Generator):
+    """Gaussian noise of relative sd ``noise_rel``: y = truth (1 + n), y_err = noise_rel truth."""
+    rel = values["noise_rel"]
+    return truth * (1.0 + draw.normal(0.0, rel, size=truth.size)), rel * truth
 
 
-# --------------------------------------------------------------------------
-# fig3a — fluorescence saturation
+def _poisson(truth: np.ndarray, values: dict, draw: np.random.Generator):
+    """Poisson counts of mean ``truth``, each weighted by ``poisson_sigma``."""
+    counts = draw.poisson(truth).astype(float)
+    return counts, poisson_sigma(counts)
 
 
-def _run_fig3a(cfg: dict):
-    """Streams: 0 = relative rate noise."""
-    p_sat = cfg["saturation_power"]
-    noise_rel = cfg["noise_rel"]
+def _exponential(x: np.ndarray, baseline: float, amplitude: float, tau: float) -> np.ndarray:
+    """The ``exponential`` fit model's values, in the unit of ``x`` and ``tau``."""
+    return make_exponential().evaluator(np.array([baseline, amplitude, tau]), x)[0]
 
-    powers = np.geomspace(cfg["power_min"], cfg["power_max"], cfg["n_points"])
-    y_true = optical_dynamics.saturation_rate(powers, p_sat, cfg["max_rate"])
-    y = y_true * (1.0 + _rng(cfg["seed"], 0).normal(0.0, noise_rel, size=powers.size))
-    y_err = noise_rel * y_true
 
-    powers_pw = powers * 1e12
-    model = make_saturation().with_init((8.0e5, 60.0))
-    result = fit(model, (powers_pw, y, y_err))
+class Row(NamedTuple):
+    """A summary row of a trace fit.
 
-    rows = [
-        summary_row("saturation_power_pw", result.params[1], 120.0, 12.0),
-        summary_row("max_rate_mcps", result.params[0] / 1e6, 1.34, 0.07),
-    ]
-    artifacts = {
-        "saturation": ("saturation.csv", (["power_pw", "rate_cps"], (powers_pw, y))),
-        "saturation_fit": ("saturation_fit.json", result.as_dict()),
-    }
-    notes = []
-    return rows, artifacts, notes
+    ``value`` is an index into the fitted parameters, or a function of them and
+    the run's values; ``paper_value`` and ``tolerance`` are numbers, or
+    functions of the run's values.
+    """
+
+    quantity: str
+    value: int | Callable[[tuple, dict], float]
+    paper_value: float | Callable[[dict], float]
+    tolerance: float | Callable[[dict], float]
+    note: str = ""
+
+
+class TraceFit(NamedTuple):
+    """A scenario that samples a closed form on an axis, adds one kind of noise
+    drawn from stream 0, and fits a registry model to the trace.
+
+    Calling the record runs it on a checked config.  A field that is a function
+    takes the run's values: the config in base units, with whatever ``derive``
+    computes from it.
+    """
+
+    axis: Callable[[dict], np.ndarray]  # the sample points, in base units
+    truth: Callable[[dict, np.ndarray], np.ndarray]  # the noiseless trace on them
+    noise: Callable  # (truth, values, generator) -> (y, y_err)
+    model: Callable[[], ModelSpec]  # the registry factory
+    init: tuple | Callable[[dict], tuple]  # the fit's start
+    x_scale: float  # the fit's x is the axis times this
+    csv: tuple  # (artifact key, file name, header, scale of the x column)
+    fit_json: tuple  # (artifact key, file name)
+    rows: tuple  # Rows, in summary order
+    notes: tuple = ()  # strings, or functions of the values
+    derive: Callable[[dict], dict] | None = None  # named values computed from the config
+    extra_json: tuple = ()  # (artifact key, file name, derived value's name), after fit_json
+
+    def __call__(self, cfg: dict):
+        values = {**cfg, **self.derive(cfg)} if self.derive else cfg
+        axis = self.axis(values)
+        y, y_err = self.noise(self.truth(values, axis), values, _rng(values["seed"], 0))
+        model = self.model().with_init(_at(self.init, values))
+        result = fit(model, (axis * self.x_scale, y, y_err))
+
+        rows = [
+            summary_row(
+                row.quantity,
+                result.params[row.value] if isinstance(row.value, int)
+                else row.value(result.params, values),
+                _at(row.paper_value, values),
+                _at(row.tolerance, values),
+                note=row.note,
+            )
+            for row in self.rows
+        ]
+        csv_key, csv_name, header, csv_scale = self.csv
+        fit_key, fit_name = self.fit_json
+        artifacts = {
+            csv_key: (csv_name, (list(header), (axis * csv_scale, y))),
+            fit_key: (fit_name, result.as_dict()),
+            **{key: (name, values[value]) for key, name, value in self.extra_json},
+        }
+        return rows, artifacts, [_at(note, values) for note in self.notes]
+
+
+def _time_axis(values: dict) -> np.ndarray:
+    return np.linspace(0.0, values["max_time"], values["n_points"])
+
+
+def _pumping_time_constant(cfg: dict) -> dict:
+    """fig2c's time constant, from the one calibration point."""
+    return {"tau": optical_dynamics.pumping_time_constant(
+        cfg["calibration_time"], cfg["calibration_fidelity"], cfg["steady_fidelity"])}
+
+
+def _pi_pulse(cfg: dict) -> dict:
+    """rabi's angular drive and its pi-pulse calibration."""
+    omega = TWO_PI * cfg["rabi_frequency"]
+    calibration = optical_dynamics.pi_pulse_calibration(omega, cfg["optical_t1"])
+    pi_pulse = {"t_pi_ns": calibration["t_pi"] * 1e9, "fidelity": calibration["fidelity"]}
+    return {"omega": omega, "pi_pulse": pi_pulse}
+
+
+FIG2C = TraceFit(
+    axis=_time_axis,
+    # pumped from the unpolarized start 1/2 toward the steady state
+    truth=lambda v, t: _exponential(
+        t, v["steady_fidelity"], 0.5 - v["steady_fidelity"], v["tau"]),
+    noise=_additive,
+    model=make_exponential,
+    init=(0.9, -0.4, 5.0),
+    x_scale=1e6,
+    csv=("pumping", "pumping.csv", ("t_ns", "value"), 1e9),
+    fit_json=("exponential_fit", "exponential_fit.json"),
+    rows=(
+        Row("steady_state_fidelity", 0, lambda v: v["steady_fidelity"], 0.005),
+        Row("pump_time_constant_us", 2, lambda v: v["tau"] * 1e6, lambda v: 0.1 * v["tau"] * 1e6,
+            note="reference derived from the calibration point, not directly reported"),
+    ),
+    notes=(
+        lambda v: f"Pump time constant calibrated to {v['tau'] * 1e6:.2f} us from the single "
+        f"({v['calibration_time'] * 1e6:g} us, {v['calibration_fidelity']:g}) endpoint "
+        "measurement.",
+    ),
+    derive=_pumping_time_constant,
+)
+
+FIG2D = TraceFit(
+    axis=_time_axis,
+    truth=lambda v, t: _exponential(t, 0.5, v["initial_fidelity"] - 0.5, v["nuclear_t1"]),
+    noise=_additive,
+    model=make_exponential,
+    init=(0.5, 0.5, 1.0),
+    x_scale=1.0,
+    csv=("depolarization", "depolarization.csv", ("t_ns", "value"), 1e9),
+    fit_json=("exponential_fit", "exponential_fit.json"),
+    rows=(
+        Row("nuclear_t1_s", 2, lambda v: v["nuclear_t1"], lambda v: 0.1 * v["nuclear_t1"]),
+        Row("equilibrium_fidelity", 0, 0.5, 0.02),
+    ),
+    notes=("The polarization relaxes to the unpolarized value 1/2, not to zero.",),
+)
+
+FIG3A = TraceFit(
+    axis=lambda v: np.geomspace(v["power_min"], v["power_max"], v["n_points"]),
+    truth=lambda v, p: optical_dynamics.saturation_rate(p, v["saturation_power"], v["max_rate"]),
+    noise=_relative,
+    model=make_saturation,
+    init=(8.0e5, 60.0),
+    x_scale=1e12,
+    csv=("saturation", "saturation.csv", ("power_pw", "rate_cps"), 1e12),
+    fit_json=("saturation_fit", "saturation_fit.json"),
+    rows=(
+        Row("saturation_power_pw", 1, 120.0, 12.0),
+        Row("max_rate_mcps", lambda p, v: p[0] / 1e6, 1.34, 0.07),
+    ),
+)
+
+FIG4C = TraceFit(
+    axis=lambda v: np.geomspace(v["s_min"], v["s_max"], v["n_points"]),
+    truth=lambda v, s: waveguide_qed.contrast_vs_saturation(s, waveguide_qed.dip_contrast(
+        waveguide_qed.ReflectionModel(
+            cooperativity=v["cooperativity"], f_in=v["input_coupling"], gamma_h_hz=70.0e6))),
+    noise=_additive,
+    model=make_contrast_saturation,
+    init=(0.05,),
+    x_scale=1.0,
+    csv=("contrast_saturation", "contrast_saturation.csv", ("saturation", "contrast"), 1.0),
+    fit_json=("contrast_fit", "contrast_fit.json"),
+    rows=(Row("low_power_contrast", 0, 0.11, 0.017),),
+    notes=(
+        "Contrast rolls off as 1/(1+s) with the saturation parameter; the fit "
+        "extrapolates the low-power dip contrast.",
+    ),
+)
+
+RABI = TraceFit(
+    axis=_time_axis,
+    truth=lambda v, t: optical_dynamics.rabi_population(t, v["omega"], v["optical_t1"]),
+    noise=_additive,
+    model=make_damped_rabi,
+    init=(TWO_PI * 0.2, 6.0),
+    x_scale=1e9,
+    csv=("rabi", "rabi.csv", ("t_ns", "value"), 1e9),
+    fit_json=("rabi_fit", "rabi_fit.json"),
+    rows=(
+        Row("pi_pulse_fidelity", lambda p, v: v["pi_pulse"]["fidelity"], 0.815, 0.001,
+            note="model-derived reference; the measured preparation fidelity is 0.80(1)"),
+        Row("pi_time_ns", lambda p, v: v["pi_pulse"]["t_pi_ns"], 2.17, 0.01,
+            note="model-derived reference"),
+        Row("fitted_rabi_frequency_mhz", lambda p, v: p[0] * 1e3 / TWO_PI, 230.0, 4.6),
+        Row("fitted_optical_t1_ns", 1, 4.7, 0.47),
+    ),
+    notes=(
+        "The measured optimal pulse (~1.8 ns) is shorter than this rate-equation "
+        "model's 2.17 ns; finite pulse shape and detuning effects are outside the "
+        "model, so model-derived references are quoted for the calibration rows.",
+    ),
+    derive=_pi_pulse,
+    extra_json=(("pi_calibration", "pi_calibration.json", "pi_pulse"),),
+)
+
+LIFETIME = TraceFit(
+    axis=_time_axis,
+    truth=lambda v, t: _exponential(t, 0.0, v["peak_counts"], v["lifetime"]),
+    noise=_poisson,
+    model=make_exponential,
+    init=lambda v: (0.0, v["peak_counts"] * 0.8, 5.0),
+    x_scale=1e9,
+    csv=("decay", "decay.csv", ("t_ns", "value"), 1e9),
+    fit_json=("decay_fit", "decay_fit.json"),
+    rows=(
+        Row("fitted_lifetime_ns", 2, lambda v: v["lifetime"] * 1e9,
+            lambda v: 0.02 * v["lifetime"] * 1e9),
+        Row("fourier_limit_mhz", lambda p, v: fourier_limited_fwhm_hz(v["lifetime"]) / 1e6,
+            28.6, 0.1),
+    ),
+    notes=(
+        "The Fourier-limited linewidth 1/(2 pi tau) uses the configured lifetime; "
+        "the fitted lifetime checks the synthetic counting pipeline against it.",
+    ),
+)
 
 
 # --------------------------------------------------------------------------
@@ -596,135 +735,6 @@ def _run_fig4b(cfg: dict):
         f"default tau = {lifetime_s * 1e9:.4g} ns; the QE bound is beta_tot / "
         f"(beta_cav * eta_dw * eta_orb) = beta_tot / ({waveguide_qed.BETA_CAV:g} * "
         f"{waveguide_qed.ETA_DW:g} * {waveguide_qed.ETA_ORB:g}).",
-    ]
-    return rows, artifacts, notes
-
-
-# --------------------------------------------------------------------------
-# fig4c — contrast vs saturation
-
-
-def _run_fig4c(cfg: dict):
-    """Streams: 0 = contrast noise."""
-    f_in = cfg["input_coupling"]
-    noise = cfg["noise_sigma"]
-
-    model = waveguide_qed.ReflectionModel(
-        cooperativity=cfg["cooperativity"], f_in=f_in, gamma_h_hz=70.0e6
-    )
-    r0 = waveguide_qed.dip_contrast(model)
-    s = np.geomspace(cfg["s_min"], cfg["s_max"], cfg["n_points"])
-    y = waveguide_qed.contrast_vs_saturation(s, r0) + _rng(cfg["seed"], 0).normal(
-        0.0, noise, size=s.size
-    )
-    y_err = np.full(s.size, noise)
-
-    fit_model = make_contrast_saturation().with_init((0.05,))
-    result = fit(fit_model, (s, y, y_err))
-
-    rows = [
-        summary_row("low_power_contrast", result.params[0], 0.11, 0.017),
-    ]
-    artifacts = {
-        "contrast_saturation": (
-            "contrast_saturation.csv", (["saturation", "contrast"], (s, y))
-        ),
-        "contrast_fit": ("contrast_fit.json", result.as_dict()),
-    }
-    notes = [
-        "Contrast rolls off as 1/(1+s) with the saturation parameter; the fit "
-        "extrapolates the low-power dip contrast.",
-    ]
-    return rows, artifacts, notes
-
-
-# --------------------------------------------------------------------------
-# rabi — damped optical Rabi oscillation
-
-
-def _run_rabi(cfg: dict):
-    """Streams: 0 = trace noise."""
-    omega = TWO_PI * cfg["rabi_frequency"]
-    t1 = cfg["optical_t1"]
-    noise = cfg["noise_sigma"]
-
-    calibration = optical_dynamics.pi_pulse_calibration(omega, t1)
-    t = np.linspace(0.0, cfg["max_time"], cfg["n_points"])
-    y = optical_dynamics.rabi_population(t, omega, t1) + _rng(cfg["seed"], 0).normal(
-        0.0, noise, size=t.size
-    )
-    y_err = np.full(t.size, noise)
-
-    t_ns = t * 1e9
-    model = make_damped_rabi().with_init((TWO_PI * 0.2, 6.0))
-    result = fit(model, (t_ns, y, y_err))
-    fitted_omega_mhz = result.params[0] * 1e3 / TWO_PI
-    fitted_t1_ns = result.params[1]
-
-    rows = [
-        summary_row(
-            "pi_pulse_fidelity",
-            calibration["fidelity"],
-            0.815,
-            0.001,
-            note="model-derived reference; the measured preparation fidelity is 0.80(1)",
-        ),
-        summary_row(
-            "pi_time_ns",
-            calibration["t_pi"] * 1e9,
-            2.17,
-            0.01,
-            note="model-derived reference",
-        ),
-        summary_row("fitted_rabi_frequency_mhz", fitted_omega_mhz, 230.0, 4.6),
-        summary_row("fitted_optical_t1_ns", fitted_t1_ns, 4.7, 0.47),
-    ]
-    artifacts = {
-        "rabi": ("rabi.csv", (["t_ns", "value"], (t_ns, y))),
-        "rabi_fit": ("rabi_fit.json", result.as_dict()),
-        "pi_calibration": (
-            "pi_calibration.json",
-            {"t_pi_ns": calibration["t_pi"] * 1e9, "fidelity": calibration["fidelity"]},
-        ),
-    }
-    notes = [
-        "The measured optimal pulse (~1.8 ns) is shorter than this rate-equation "
-        "model's 2.17 ns; finite pulse shape and detuning effects are outside the "
-        "model, so model-derived references are quoted for the calibration rows.",
-    ]
-    return rows, artifacts, notes
-
-
-# --------------------------------------------------------------------------
-# lifetime — spontaneous emission decay
-
-
-def _run_lifetime(cfg: dict):
-    """Streams: 0 = Poisson counting noise."""
-    tau = cfg["lifetime"]
-    peak = cfg["peak_counts"]
-
-    t = np.linspace(0.0, cfg["max_time"], cfg["n_points"])
-    expected = peak * optical_dynamics.spontaneous_decay(t, tau)
-    counts = _rng(cfg["seed"], 0).poisson(expected).astype(float)
-
-    t_ns = t * 1e9
-    model = make_exponential().with_init((0.0, peak * 0.8, 5.0))
-    result = fit(model, (t_ns, counts, poisson_sigma(counts)))
-    fitted_tau_ns = result.params[2]
-    fourier_mhz = fourier_limited_fwhm_hz(tau) / 1e6
-
-    rows = [
-        summary_row("fitted_lifetime_ns", fitted_tau_ns, tau * 1e9, 0.02 * tau * 1e9),
-        summary_row("fourier_limit_mhz", fourier_mhz, 28.6, 0.1),
-    ]
-    artifacts = {
-        "decay": ("decay.csv", (["t_ns", "value"], (t_ns, counts))),
-        "decay_fit": ("decay_fit.json", result.as_dict()),
-    }
-    notes = [
-        "The Fourier-limited linewidth 1/(2 pi tau) uses the configured lifetime; "
-        "the fitted lifetime checks the synthetic counting pipeline against it.",
     ]
     return rows, artifacts, notes
 

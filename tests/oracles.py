@@ -13,6 +13,9 @@ between the two routes is meaningful:
 - central-difference Jacobians (vs each fit model's closed form), and
   analytic Lorentzian derivatives (vs both),
 - closed-form damped-Rabi quantities (vs numeric maximization),
+- the single-exponential decays as optical_dynamics once stated them, one
+  wrapper each (vs the ``exponential`` fit model whose values the scenarios
+  now sample; these are references to agree with bit for bit),
 - closed-form zero-field branch energies and the reflection branch
   boundary (vs diagonalization and the reflection line shape).
 
@@ -257,6 +260,27 @@ def damped_rabi_population(t_s: float, omega: float, t1: float) -> float:
     phase = omega * t_s
     sinc = math.sin(phase) / phase if phase != 0.0 else 1.0
     return 0.5 * (1.0 - (math.cos(phase) + (t_s / t1) * sinc) * math.exp(-t_s / t1))
+
+
+def _decay(t_s, tau: float) -> np.ndarray:
+    """exp(-t / tau), with t / tau clipped to the largest float where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.exp(-np.minimum(np.asarray(t_s, dtype=float) / tau, np.finfo(float).max))
+
+
+def spontaneous_decay(t_s, tau_s: float) -> np.ndarray:
+    """Excited-state population exp(-t/tau) after pulsed excitation."""
+    return _decay(t_s, tau_s)
+
+
+def pumping_fidelity(t_s, f_infinity: float, tau_pump: float) -> np.ndarray:
+    """Initialization fidelity pumped from the unpolarized 1/2 toward ``f_infinity``."""
+    return f_infinity - (f_infinity - 0.5) * _decay(t_s, tau_pump)
+
+
+def nuclear_polarization_decay(t_s, t1n: float, f_init: float) -> np.ndarray:
+    """Nuclear initialization fidelity relaxing from ``f_init`` to the unpolarized 1/2."""
+    return 0.5 + (f_init - 0.5) * _decay(t_s, t1n)
 
 
 def pi_fidelity_closed_form(omega: float, t1: float) -> tuple[float, float]:

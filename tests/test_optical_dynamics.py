@@ -2,29 +2,32 @@
 
 Dual route on the flagship number: the numerically maximized pulse
 calibration is checked against the closed-form half-period maximum from
-tests/oracles.py.
+tests/oracles.py.  The single-exponential decays are the ``exponential``
+fit model in base units, as the scenarios sample them; it is checked bit
+for bit against the wrappers it replaced, kept in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import oracles
 from oracles import damped_rabi_population, pi_fidelity_closed_form
+from snvsim.fitting import make_exponential
 from snvsim.optical_dynamics import (
     g2_autocorrelation,
-    nuclear_polarization_decay,
     pi_pulse_calibration,
-    pumping_fidelity,
     pumping_time_constant,
     rabi_population,
     saturation_rate,
-    spontaneous_decay,
 )
+from snvsim.registry import configured
 from snvsim.units import TWO_PI
 
 OMEGA = TWO_PI * 230.0e6
@@ -137,13 +140,61 @@ def test_g2_background_validation():
 
 
 # --------------------------------------------------------------------------
-# Decay, Fourier limit, saturation
+# Single-exponential decays: the exponential fit model in base units
 # --------------------------------------------------------------------------
+
+def exponential(t_s, baseline: float, amplitude: float, tau_s: float) -> np.ndarray:
+    """baseline + amplitude e^(-t/tau), as the lifetime, fig2c and fig2d scenarios sample it."""
+    t = np.atleast_1d(np.asarray(t_s, dtype=float))
+    return make_exponential().evaluator(np.array([baseline, amplitude, tau_s]), t)[0]
+
+
+def spontaneous_decay(t_s, tau_s: float) -> float:
+    return float(exponential(t_s, 0.0, 1.0, tau_s)[0])
+
+
+def pumping_fidelity(t_s, f_infinity: float, tau_pump: float) -> float:
+    return float(exponential(t_s, f_infinity, 0.5 - f_infinity, tau_pump)[0])
+
+
+def nuclear_polarization_decay(t_s, t1n: float, f_init: float) -> float:
+    return float(exponential(t_s, 0.5, f_init - 0.5, t1n)[0])
+
+
+def _bits(values: np.ndarray) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=sys.float_info.max), min_size=1, max_size=20),
+    st.floats(min_value=sys.float_info.min, max_value=sys.float_info.max),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=sys.float_info.min, max_value=1e18),
+)
+# t / tau of 1e600 and 1e-300 / 1e300 of the configured tau: beyond the float range both ways
+@example([0.0, 1e-300, 1.0, 1e300, sys.float_info.max], 1e-300, 0.986, 3000.0)
+@example([0.0, 1e-300, 1.0, 1e300, sys.float_info.max], 1e300, 0.986, 3000.0)
+def test_the_exponential_model_is_each_replaced_decay_bit_for_bit(times, tau, fidelity, peak):
+    t = np.array(times)
+    assert _bits(exponential(t, 0.0, peak, tau)) == _bits(peak * oracles.spontaneous_decay(t, tau))
+    assert _bits(exponential(t, fidelity, 0.5 - fidelity, tau)) == _bits(
+        oracles.pumping_fidelity(t, fidelity, tau)
+    )
+    assert _bits(exponential(t, 0.5, fidelity - 0.5, tau)) == _bits(
+        oracles.nuclear_polarization_decay(t, tau, fidelity)
+    )
+
 
 def test_spontaneous_decay_is_pure_exponential():
     assert math.isclose(spontaneous_decay(5.56e-9, 5.56e-9), math.exp(-1.0), rel_tol=1e-15)
-    with pytest.raises(ValueError, match="lifetime"):
-        spontaneous_decay(1e-9, 0.0)
+    # A lifetime <= 0 is refused by the lifetime scenario's key.
+    with pytest.raises(ValueError, match="'lifetime_ns'"):
+        configured("lifetime", {"lifetime_ns": 0.0})
+
+
+# --------------------------------------------------------------------------
+# Saturation
+# --------------------------------------------------------------------------
 
 
 def test_saturation_half_rate_at_saturation_power():
@@ -195,8 +246,16 @@ def test_pumping_fidelity_endpoints():
     ],
 )
 def test_pumping_validation(f_infinity, tau_pump, message):
-    with pytest.raises(ValueError, match=message):
-        pumping_fidelity(1e-6, f_infinity, tau_pump)
+    """fig2c's keys refuse each pumping curve the replaced wrapper refused.
+
+    The steady state is ``steady_fidelity``.  The time constant is the
+    calibration time over log((f - 1/2) / (f - f_cal)), which the keys'
+    constraint keeps positive, so a time constant <= 0 is a calibration
+    time <= 0.
+    """
+    key = {"f_infinity": "'steady_fidelity'", "tau_pump": "'calibration_time_us'"}[message]
+    with pytest.raises(ValueError, match=key):
+        configured("fig2c", {"steady_fidelity": f_infinity, "calibration_time_us": tau_pump * 1e6})
 
 
 @given(
