@@ -25,11 +25,13 @@ Subcommands
     and ``tol``) and ``model_args``, and print the result as JSON.
     ``model_args`` takes the model's layout arguments only (``n_lines`` of
     ``lorentzian_multi``, whose lines share one width, so its ``shared_fwhm``
-    may only be ``true``; the required ``fix_f_in`` of ``reflection_dip``);
-    the start of the fit goes in ``init``.  The data file is read first.
-    Each number is checked against a config domain, and each part's shape
-    too (``init`` a list, ``bounds`` a list of pairs, ``options`` and
-    ``model_args`` objects); a bad one exits 2 naming its request key.
+    may only be ``true``; the required ``fix_f_in`` of ``reflection_dip``,
+    in fig4b's ``input_coupling`` domain); the start of the fit goes in
+    ``init``.  The data file is read first.  Each number is checked against
+    a config domain, and each part's shape too (``init`` a list and
+    ``bounds`` a list of pairs, one per model parameter, ``options`` and
+    ``model_args`` objects of known keys); a bad one exits 2 naming its
+    request key.
 
 ``snvsim budget <config> [key=value ...]``
     Evaluate an efficiency-budget config (ordered ``stage_*`` keys) and
@@ -64,7 +66,7 @@ import snvsim
 
 from . import config as config_mod
 from .efficiency import budget_from_config, budget_report
-from .registry import SCENARIOS, available_scenarios, configured, run_scenario
+from .registry import INPUT_COUPLING, SCENARIOS, available_scenarios, configured, run_scenario
 
 _EXIT_OK = 0
 _EXIT_FIT_FAILED = 1
@@ -176,14 +178,23 @@ def _request_shape(key: str, value, kind: type, text: str, size: int | None = No
     return value
 
 
-def _parse_bounds(raw) -> tuple[tuple[float, float], ...]:
+def _one_per_parameter(key: str, value: list, text: str, param_names: tuple) -> list:
+    """``value``, a list of ``text``'s shape, or a ``ValueError`` naming the fit-request key
+    unless it has one entry for each of ``param_names``."""
+    text = f"{text}, one for each of {', '.join(param_names)}"
+    return _request_shape(key, value, list, text, size=len(param_names))
+
+
+def _parse_bounds(raw, param_names: tuple) -> tuple[tuple[float, float], ...]:
+    text = "a list of [lo, hi] pairs"
     bounds = []
-    for i, pair in enumerate(_request_shape("bounds", raw, list, "a list of [lo, hi] pairs")):
+    for i, pair in enumerate(_request_shape("bounds", raw, list, text)):
         key = f"bounds[{i}]"
         lo, hi = _request_shape(key, pair, list, "a [lo, hi] pair", size=2)
         lo = -math.inf if lo is None else _request_number(key, lo, _FINITE)
         hi = math.inf if hi is None else _request_number(key, hi, _FINITE)
         bounds.append((lo, hi))
+    _one_per_parameter("bounds", raw, text, param_names)
     return tuple(bounds)
 
 
@@ -215,15 +226,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         _, x, y, y_err = snvsim.spectra.read_xy_csv(Path(request["data_file"]))
         given = {group: dict(_request_shape(group, request.get(group, {}), dict, "a JSON object"))
                  for group in ("model_args", "options")}
-        for group, name, domain in (
-            # More lines than data points are refused before the model is built.
-            ("model_args", "n_lines", config_mod.Domain(int, 1, x.size)),
-            ("model_args", "fix_f_in", _FINITE),
-            ("options", "max_iter", config_mod.Domain(int, 1)),
-            ("options", "tol", config_mod.POSITIVE),
-        ):
-            if name in given[group]:
-                given[group][name] = _request_number(f"{group}.{name}", given[group][name], domain)
         # lorentzian_multi has one layout, its lines sharing one width; a request may say so.
         if model_name == "lorentzian_multi" and "shared_fwhm" in given["model_args"]:
             shared = given["model_args"].pop("shared_fwhm")
@@ -231,14 +233,36 @@ def _cmd_fit(args: argparse.Namespace) -> int:
                 raise ValueError(
                     f"fit-request key 'model_args.shared_fwhm' must be true, got {shared!r}"
                 )
+        domains = {  # the keys each group takes, with their domains
+            "model_args": {
+                # More lines than data points are refused before the model is built.
+                "lorentzian_multi": {"n_lines": config_mod.Domain(int, 1, x.size)},
+                "reflection_dip": {"fix_f_in": INPUT_COUPLING},
+            }.get(model_name, {}),
+            "options": {"max_iter": config_mod.Domain(int, 1), "tol": config_mod.POSITIVE},
+        }
+        for group, allowed in domains.items():
+            unknown = sorted(set(given[group]) - set(allowed))
+            if unknown:
+                raise ValueError(
+                    f"unknown fit-request keys: {', '.join(f'{group}.{k}' for k in unknown)}; "
+                    f"allowed: {', '.join(allowed) or 'none'} (a fit's start goes in 'init')"
+                )
+            for name, domain in allowed.items():
+                if name in given[group]:
+                    given[group][name] = _request_number(
+                        f"{group}.{name}", given[group][name], domain
+                    )
         model = models[model_name](**given["model_args"])
         if "init" in request:
-            init = _request_shape("init", request["init"], list, "a list of numbers")
+            text = "a list of numbers"
+            init = _request_shape("init", request["init"], list, text)
+            _one_per_parameter("init", init, text, model.param_names)
             model = model.with_init(
                 [_request_number(f"init[{i}]", v, _FINITE) for i, v in enumerate(init)]
             )
         if "bounds" in request:
-            model = replace(model, bounds=_parse_bounds(request["bounds"]))
+            model = replace(model, bounds=_parse_bounds(request["bounds"], model.param_names))
         result = fitting.fit(model, (x, y, y_err), fitting.FitOptions(**given["options"]))
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))

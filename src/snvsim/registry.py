@@ -4,8 +4,8 @@ Each entry names its runner, a function or a callable record, as
 ``"<module>:<name>"`` inside the package; :meth:`Scenario.run` imports that
 module when the scenario runs, so listing the scenarios or checking a
 config loads no runner, and the scalar ``table_s1`` and ``loss_chain``
-runners (in :mod:`snvsim.efficiency`) load no numpy.  The runners that synthesize and
-fit data live in :mod:`snvsim.scenarios`.
+runners (in :mod:`snvsim.efficiency`) load no numpy.  The runners that
+synthesize and fit data live in :mod:`snvsim.scenarios`.
 
 Output locations
 ----------------
@@ -88,9 +88,9 @@ _NOISE = Domain(float, 0, 1e300, lo_open=True)
 _SNR = Domain(float, 1e-300, sys.float_info.max)
 #: fig3a's powers in pW: their axis is spaced in W and converted back, which may round up.
 _POWER_PW = Domain(float, 0, 1e300, lo_open=True)
-#: Input-coupling ratios of fig4b and fig4c: at f_in = 0.5 the far-detuned reference
-#: intensity that normalizes the reflection is zero.
-_INPUT_COUPLING = Domain(float, 0, 1, lo_open=True, excluded=(0.5,))
+#: Input-coupling ratios of fig4b, fig4c and a ``reflection_dip`` fit request: at
+#: f_in = 0.5 the far-detuned reference intensity that normalizes the reflection is zero.
+INPUT_COUPLING = Domain(float, 0, 1, lo_open=True, excluded=(0.5,))
 
 
 class Constraint(NamedTuple):
@@ -362,7 +362,7 @@ _SCENARIOS = [
         keys={
             "seed": (42, SEED),
             "cooperativity": (0.027, NON_NEGATIVE),
-            "input_coupling": (0.95, _INPUT_COUPLING),
+            "input_coupling": (0.95, INPUT_COUPLING),
             "linewidth_mhz": (70.0, POSITIVE),
             "grid_span_mhz": (1000.0, POSITIVE),
             "grid_step_mhz": (2.0, POSITIVE),
@@ -377,7 +377,7 @@ _SCENARIOS = [
         keys={
             "seed": (43, SEED),
             "cooperativity": (0.027, NON_NEGATIVE),
-            "input_coupling": (0.95, _INPUT_COUPLING),
+            "input_coupling": (0.95, INPUT_COUPLING),
             # geomspace takes 10**log10(s), which overflows near the float maximum
             "s_min": (0.01, Domain(float, 0, 1e308, lo_open=True)),
             "s_max": (10.0, Domain(float, 0, 1e308, lo_open=True)),

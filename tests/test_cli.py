@@ -692,6 +692,24 @@ BAD_DOUBLET_REQUESTS = [
     ({"bounds": {"fwhm": [0, None]}}, "fit-request key 'bounds' must be a list of [lo, hi] pairs"),
     ({"options": [1, 2]}, "fit-request key 'options' must be a JSON object, got [1, 2]"),
     ({"model_args": [1]}, "fit-request key 'model_args' must be a JSON object, got [1]"),
+    # fix_f_in was checked only as finite: 0 returned the start as converged.
+    *[({"model": "reflection_dip", "model_args": {"fix_f_in": f_in}},
+       "fit-request key 'model_args.fix_f_in' must be a number in (0, 1] other than 0.5, "
+       f"got {f_in!r}") for f_in in (0, -1.0, 2.0, 0.5)],
+    # A count that did not match the model's parameters once named the model only.
+    ({"init": [80e6, 1.0]},
+     "fit-request key 'init' must be a list of numbers, one for each of fwhm, center_1, "
+     "amplitude_1, center_2, amplitude_2, got [80000000.0, 1.0]"),
+    ({"bounds": [[0, None]]},
+     "fit-request key 'bounds' must be a list of [lo, hi] pairs, one for each of fwhm, "
+     "center_1, amplitude_1, center_2, amplitude_2, got [[0, None]]"),
+    # An unknown key once ended in Python's or FitOptions' message, naming no key.
+    ({"model": "gaussian", "model_args": {"shared_fwhm": True}},
+     "unknown fit-request keys: model_args.shared_fwhm; allowed: none"),
+    ({"model": "exponential", "model_args": {"n_lines": 2}},
+     "unknown fit-request keys: model_args.n_lines; allowed: none"),
+    ({"options": {"damping_init": 1e-3}},
+     "unknown fit-request keys: options.damping_init; allowed: max_iter, tol"),
 ]
 
 

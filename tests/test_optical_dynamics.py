@@ -171,7 +171,7 @@ def _bits(values: np.ndarray) -> bytes:
     st.floats(min_value=0.0, max_value=1.0),
     st.floats(min_value=sys.float_info.min, max_value=1e18),
 )
-# t / tau of 1e600 and 1e-300 / 1e300 of the configured tau: beyond the float range both ways
+# t / tau beyond the float range both ways: up to ~1e608 (overflows), down to 1e-600
 @example([0.0, 1e-300, 1.0, 1e300, sys.float_info.max], 1e-300, 0.986, 3000.0)
 @example([0.0, 1e-300, 1.0, 1e300, sys.float_info.max], 1e300, 0.986, 3000.0)
 def test_the_exponential_model_is_each_replaced_decay_bit_for_bit(times, tau, fidelity, peak):
