@@ -21,17 +21,17 @@ Subcommands
 
 ``snvsim fit <request.json>``
     Run a registry model fit described by a JSON request with keys
-    ``model``, ``data_file``, ``init``, ``bounds``, ``options`` (``max_iter``
-    and ``tol``) and ``model_args``, and print the result as JSON.
-    ``model_args`` takes the model's layout arguments only (``n_lines`` of
-    ``lorentzian_multi``, whose lines share one width, so its ``shared_fwhm``
-    may only be ``true``; the required ``fix_f_in`` of ``reflection_dip``,
-    in fig4b's ``input_coupling`` domain); the start of the fit goes in
-    ``init``.  The data file is read first.  Each number is checked against
-    a config domain, and each part's shape too (``init`` a list and
-    ``bounds`` a list of pairs, one per model parameter, ``options`` and
-    ``model_args`` objects of known keys); a bad one exits 2 naming its
-    request key.
+    ``model``, ``data_file``, ``init``, ``bounds``, ``options`` and
+    ``model_args``, and print the result as JSON.  The data file is read
+    first.  This module checks each part's shape (``init`` a list of numbers,
+    ``bounds`` a list of ``[lo, hi]`` pairs, ``options`` and ``model_args``
+    objects) and that each number is finite; the keys and their domains live
+    with the fitting code: ``model_args`` in ``fitting.model_registry()``
+    (the start of the fit goes in ``init``), ``options`` in
+    ``fitting.FitOptions.DOMAINS``, and the count and bounds of ``init`` and
+    ``bounds`` in ``fitting.ModelSpec``.  ``lorentzian_multi``'s lines share
+    one width, so its ``model_args.shared_fwhm`` may only be ``true``.  A bad
+    part exits 2 naming its request key.
 
 ``snvsim budget <config> [key=value ...]``
     Evaluate an efficiency-budget config (ordered ``stage_*`` keys) and
@@ -66,7 +66,7 @@ import snvsim
 
 from . import config as config_mod
 from .efficiency import budget_from_config, budget_report
-from .registry import INPUT_COUPLING, SCENARIOS, available_scenarios, configured, run_scenario
+from .registry import SCENARIOS, available_scenarios, configured, run_scenario
 
 _EXIT_OK = 0
 _EXIT_FIT_FAILED = 1
@@ -161,40 +161,25 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 _FIT_REQUEST_KEYS = {"model", "data_file", "init", "bounds", "options", "model_args"}
 _FINITE = config_mod.Domain(float)
-
-
-def _request_number(key: str, value, domain: config_mod.Domain):
-    """``value`` as ``domain.kind``, or a ``ValueError`` naming the fit-request key."""
-    if value not in domain:
-        raise ValueError(f"fit-request key {key!r} must be {domain.text}, got {value!r}")
-    return domain.kind(value)
+_KEY = "fit-request key"
 
 
 def _request_shape(key: str, value, kind: type, text: str, size: int | None = None):
     """``value``, or a ``ValueError`` naming the fit-request key unless it is a ``kind``
     (of ``size`` entries, if given)."""
     if not isinstance(value, kind) or size not in (None, len(value)):
-        raise ValueError(f"fit-request key {key!r} must be {text}, got {value!r}")
+        raise ValueError(f"{_KEY} {key!r} must be {text}, got {value!r}")
     return value
 
 
-def _one_per_parameter(key: str, value: list, text: str, param_names: tuple) -> list:
-    """``value``, a list of ``text``'s shape, or a ``ValueError`` naming the fit-request key
-    unless it has one entry for each of ``param_names``."""
-    text = f"{text}, one for each of {', '.join(param_names)}"
-    return _request_shape(key, value, list, text, size=len(param_names))
-
-
-def _parse_bounds(raw, param_names: tuple) -> tuple[tuple[float, float], ...]:
-    text = "a list of [lo, hi] pairs"
+def _parse_bounds(raw) -> tuple[tuple[float, float], ...]:
     bounds = []
-    for i, pair in enumerate(_request_shape("bounds", raw, list, text)):
+    for i, pair in enumerate(_request_shape("bounds", raw, list, "a list of [lo, hi] pairs")):
         key = f"bounds[{i}]"
         lo, hi = _request_shape(key, pair, list, "a [lo, hi] pair", size=2)
-        lo = -math.inf if lo is None else _request_number(key, lo, _FINITE)
-        hi = math.inf if hi is None else _request_number(key, hi, _FINITE)
+        lo = -math.inf if lo is None else _FINITE.check(key, lo, _KEY)
+        hi = math.inf if hi is None else _FINITE.check(key, hi, _KEY)
         bounds.append((lo, hi))
-    _one_per_parameter("bounds", raw, text, param_names)
     return tuple(bounds)
 
 
@@ -230,40 +215,37 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         if model_name == "lorentzian_multi" and "shared_fwhm" in given["model_args"]:
             shared = given["model_args"].pop("shared_fwhm")
             if shared is not True:
-                raise ValueError(
-                    f"fit-request key 'model_args.shared_fwhm' must be true, got {shared!r}"
-                )
-        domains = {  # the keys each group takes, with their domains
-            "model_args": {
-                # More lines than data points are refused before the model is built.
-                "lorentzian_multi": {"n_lines": config_mod.Domain(int, 1, x.size)},
-                "reflection_dip": {"fix_f_in": INPUT_COUPLING},
-            }.get(model_name, {}),
-            "options": {"max_iter": config_mod.Domain(int, 1), "tol": config_mod.POSITIVE},
+                raise ValueError(f"{_KEY} 'model_args.shared_fwhm' must be true, got {shared!r}")
+        factory, arguments = models[model_name]
+        options = fitting.FitOptions
+        keys = {  # each group's keys as (default, domain); a default of None must be given
+            "model_args": arguments,
+            "options": {name: (getattr(options, name), domain)
+                        for name, domain in options.DOMAINS.items()},
         }
-        for group, allowed in domains.items():
+        checked = {}
+        for group, allowed in keys.items():
             unknown = sorted(set(given[group]) - set(allowed))
             if unknown:
                 raise ValueError(
                     f"unknown fit-request keys: {', '.join(f'{group}.{k}' for k in unknown)}; "
                     f"allowed: {', '.join(allowed) or 'none'} (a fit's start goes in 'init')"
                 )
-            for name, domain in allowed.items():
-                if name in given[group]:
-                    given[group][name] = _request_number(
-                        f"{group}.{name}", given[group][name], domain
-                    )
-        model = models[model_name](**given["model_args"])
+            checked[group] = {}
+            for name, (default, domain) in allowed.items():
+                if group == "model_args" and domain.kind is int:
+                    # A line count above the data points is refused before the model is built.
+                    domain = domain._replace(hi=min(domain.hi, x.size))
+                value = given[group].get(name, default)
+                checked[group][name] = domain.check(f"{group}.{name}", value, _KEY)
+        parts = {}  # init and bounds together, each checked against the other
         if "init" in request:
-            text = "a list of numbers"
-            init = _request_shape("init", request["init"], list, text)
-            _one_per_parameter("init", init, text, model.param_names)
-            model = model.with_init(
-                [_request_number(f"init[{i}]", v, _FINITE) for i, v in enumerate(init)]
-            )
+            init = _request_shape("init", request["init"], list, "a list of numbers")
+            parts["init"] = tuple(_FINITE.check(f"init[{i}]", v, _KEY) for i, v in enumerate(init))
         if "bounds" in request:
-            model = replace(model, bounds=_parse_bounds(request["bounds"], model.param_names))
-        result = fitting.fit(model, (x, y, y_err), fitting.FitOptions(**given["options"]))
+            parts["bounds"] = _parse_bounds(request["bounds"])
+        model = replace(factory(**checked["model_args"]), **parts)
+        result = fitting.fit(model, (x, y, y_err), options(**checked["options"]))
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     payload = result.as_dict()

@@ -140,10 +140,10 @@ class Domain(NamedTuple):
             values += [math.nextafter(point, -math.inf), point, math.nextafter(point, math.inf)]
         return values
 
-    def check(self, key: str, value):
-        """``value`` converted to ``kind``, or a ``ValueError`` naming ``key``."""
+    def check(self, key: str, value, what: str = "config key"):
+        """``value`` converted to ``kind``, or a ``ValueError`` naming ``key`` as a ``what``."""
         if value not in self:
-            raise ValueError(f"config key {key!r} must be {self.text}, got {value!r}")
+            raise ValueError(f"{what} {key!r} must be {self.text}, got {value!r}")
         return self.kind(value)
 
 
@@ -152,6 +152,9 @@ POSITIVE = Domain(float, 0, lo_open=True)
 NON_NEGATIVE = Domain(float, 0)
 FRACTION = Domain(float, 0, 1)
 OPEN_FRACTION = Domain(float, 0, 1, lo_open=True)
+#: Input-coupling ratios of fig4b, fig4c and a ``reflection_dip`` fit: at f_in = 0.5
+#: the far-detuned reference intensity that normalizes the reflection is zero.
+INPUT_COUPLING = Domain(float, 0, 1, lo_open=True, excluded=(0.5,))
 
 
 #: Factor from each unit suffix a scenario key carries to base units.

@@ -27,25 +27,35 @@ callable, ``ModelSpec.evaluator``, gives it in closed form with the value,
 one call per trial, and the accepted trial's Jacobian serves the next
 iteration, the curvature and the bound check.  A trial step whose
 evaluation raises ``ValueError`` or is non-finite counts as a rejected step;
-only the initial guess may raise.
+only the initial guess may raise, and its error names ``init``.
 
 The registry provides the seven named model functions used across the
-toolkit.  A factory takes layout arguments only (``lorentzian_multi``'s
-``n_lines``: its lines share one width) and gives its model a default
-start; :meth:`ModelSpec.with_init` is the one way to set another.
-Shapes owned by the physics modules are evaluated by them, so a fitted
-curve and the forward model can never drift apart.
+toolkit, each with the layout arguments its factory takes, as name ->
+(default, :class:`~snvsim.config.Domain`): ``lorentzian_multi``'s
+``n_lines`` (``N_LINES``; its lines share one width) and ``reflection_dip``'s
+required ``fix_f_in`` (``config.INPUT_COUPLING``, fig4b's domain).  A factory
+gives its model a default start; :meth:`ModelSpec.with_init` is the one way
+to set another.  Shapes owned by the physics modules are evaluated by them,
+so a fitted curve and the forward model can never drift apart.
+
+A ``snvsim fit`` request's keys are these names: ``model_args`` are checked
+by the registry's domains, ``options`` by ``FitOptions.DOMAINS``, and
+``init`` and ``bounds`` by :class:`ModelSpec` itself (one entry per
+parameter, each bound non-empty, the start inside it).  Each refusal names
+its field, and a parameter by index (``'init[1]'``), so the CLI keeps no
+domain of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
 from . import optical_dynamics, waveguide_qed
+from .config import INPUT_COUPLING, POSITIVE, Domain
 from .units import TWO_PI
 
 _UNBOUNDED = (-math.inf, math.inf)
@@ -72,21 +82,20 @@ class ModelSpec:
     bounds: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
-        if len(self.init) != len(self.param_names):
-            raise ValueError(
-                f"model {self.name!r}: {len(self.param_names)} parameters but "
-                f"{len(self.init)} initial values"
-            )
-        if self.bounds is not None:
-            if len(self.bounds) != len(self.param_names):
-                raise ValueError(f"model {self.name!r}: bounds/parameter count mismatch")
-            for (lo, hi), p0, pname in zip(self.bounds, self.init, self.param_names):
-                if lo > hi:
-                    raise ValueError(f"model {self.name!r}: empty bounds for {pname}")
-                if not lo <= p0 <= hi:
-                    raise ValueError(
-                        f"model {self.name!r}: initial {pname} = {p0} outside bounds [{lo}, {hi}]"
-                    )
+        # Each refusal names its field, and a parameter by index: they are a fit request's keys.
+        model, names = f"model {self.name!r}", ", ".join(self.param_names)
+        for key, given in (("init", self.init), ("bounds", self.bounds)):
+            if given is not None and len(given) != len(self.param_names):
+                raise ValueError(f"{model}: {key!r} must have one entry for each of {names}, "
+                                 f"got {len(given)}")
+        boxes = zip(self.bounds or (), self.init, self.param_names)
+        for i, ((lo, hi), p0, pname) in enumerate(boxes):
+            if lo > hi:
+                raise ValueError(f"{model}: 'bounds[{i}]' ({pname}) is empty: [{lo}, {hi}]")
+            if not lo <= p0 <= hi:
+                raise ValueError(
+                    f"{model}: 'init[{i}]' ({pname}) = {p0} outside 'bounds[{i}]' = [{lo}, {hi}]"
+                )
 
     def with_init(self, init: Sequence[float]) -> "ModelSpec":
         """Copy of this model with a different initial guess."""
@@ -101,14 +110,15 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Iteration controls for :func:`fit`."""
+    """Iteration controls for :func:`fit`; ``DOMAINS`` holds each field's domain."""
 
     max_iter: int = 200
     tol: float = 1e-10
+    DOMAINS: ClassVar[dict[str, Domain]] = {"max_iter": Domain(int, 1), "tol": POSITIVE}
 
     def __post_init__(self) -> None:
-        if self.max_iter < 1 or self.tol <= 0.0:
-            raise ValueError("max_iter >= 1 and tol > 0 required")
+        for name, domain in self.DOMAINS.items():
+            domain.check(name, getattr(self, name), "fit option")
 
 
 @dataclass(frozen=True)
@@ -182,12 +192,10 @@ def _extract_xy(data) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     return x, y, y_err
 
 
-def _checked(y, params: np.ndarray) -> np.ndarray:
+def _checked(y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if not np.isfinite(y).all():
-        raise ValueError(
-            f"model evaluation produced non-finite values at parameters {params.tolist()}"
-        )
+        raise ValueError("model evaluation produced non-finite values")
     return y
 
 
@@ -220,13 +228,16 @@ def fit(model: ModelSpec, data, options: FitOptions | None = None) -> FitResult:
     def trial(p: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Cost, residual and Jacobian at p."""
         value, jac = model.evaluator(p, x)
-        residual = y - _checked(value, p)
+        residual = y - _checked(value)
         residual /= y_err
         return float(residual @ residual), residual, jac
 
     # _checked rejects non-finite output, so numpy's warnings add nothing.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        cost, residual, jac = trial(params)
+        try:
+            cost, residual, jac = trial(params)
+        except ValueError as exc:  # a trial step falls back; the start has nothing to fall back to
+            raise ValueError(f"model {model.name!r} at 'init' {params.tolist()}: {exc}") from None
         cost_trace = [cost]
         damping = 1e-3
         status = "max-iterations"
@@ -416,12 +427,15 @@ def gaussian_profile(x, center: float, fwhm: float, amplitude: float):
     return amplitude * np.exp(-4.0 * math.log(2.0) * u * u)
 
 
+#: Line counts of a ``lorentzian_multi`` model.
+N_LINES = Domain(int, 1)
+
+
 def make_lorentzian_multi(n_lines: int = 1) -> ModelSpec:
     """Sum of Lorentzian lines of one homogeneous linewidth on a flat zero
     baseline (x in Hz): [fwhm, center_1, amplitude_1, ..., center_n, amplitude_n].
     """
-    if n_lines < 1:
-        raise ValueError(f"n_lines must be >= 1, got {n_lines}")
+    N_LINES.check("n_lines", n_lines, "argument")
     names = ["fwhm"]
     defaults = [70.0e6]
     bounds = [(1e-300, math.inf)]
@@ -576,14 +590,16 @@ def make_contrast_saturation() -> ModelSpec:
     )
 
 
-def model_registry() -> dict[str, Callable[..., ModelSpec]]:
-    """All named model factories, keyed by registry name."""
+def model_registry() -> dict[str, tuple[Callable[..., ModelSpec], dict]]:
+    """All named model factories, keyed by registry name, each with the arguments it
+    takes as a scenario's keys are given: name -> (default, domain), where a default
+    of None marks an argument that must be given."""
     return {
-        "lorentzian_multi": make_lorentzian_multi,
-        "gaussian": make_gaussian,
-        "exponential": make_exponential,
-        "damped_rabi": make_damped_rabi,
-        "saturation": make_saturation,
-        "reflection_dip": make_reflection_dip,
-        "contrast_saturation": make_contrast_saturation,
+        "lorentzian_multi": (make_lorentzian_multi, {"n_lines": (1, N_LINES)}),
+        "gaussian": (make_gaussian, {}),
+        "exponential": (make_exponential, {}),
+        "damped_rabi": (make_damped_rabi, {}),
+        "saturation": (make_saturation, {}),
+        "reflection_dip": (make_reflection_dip, {"fix_f_in": (None, INPUT_COUPLING)}),
+        "contrast_saturation": (make_contrast_saturation, {}),
     }

@@ -51,8 +51,8 @@ from typing import Callable, NamedTuple
 from . import config as config_mod
 from .artifacts import write_artifact
 from .config import (
-    FRACTION, MAX_GRID_POINTS, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, SEED, Domain,
-    grid_points,
+    FRACTION, INPUT_COUPLING, MAX_GRID_POINTS, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, SEED,
+    Domain, grid_points,
 )
 from .efficiency import CORRECTION, implied_coupling, loss_chain_from_config
 from .units import NUCLEAR_GYROMAGNETIC_HZ_PER_T, TWO_PI
@@ -88,9 +88,6 @@ _NOISE = Domain(float, 0, 1e300, lo_open=True)
 _SNR = Domain(float, 1e-300, sys.float_info.max)
 #: fig3a's powers in pW: their axis is spaced in W and converted back, which may round up.
 _POWER_PW = Domain(float, 0, 1e300, lo_open=True)
-#: Input-coupling ratios of fig4b, fig4c and a ``reflection_dip`` fit request: at
-#: f_in = 0.5 the far-detuned reference intensity that normalizes the reflection is zero.
-INPUT_COUPLING = Domain(float, 0, 1, lo_open=True, excluded=(0.5,))
 
 
 class Constraint(NamedTuple):

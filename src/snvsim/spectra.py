@@ -20,11 +20,7 @@ import numpy as np
 # Spectrum CSVs are written by the artifact layer; this module keeps the name.
 from .artifacts import write_spectrum_csv  # noqa: F401
 from .config import MAX_GRID_POINTS, grid_points
-from .fitting import (
-    lorentzian_sum,
-    make_lorentzian_multi,
-    fit,
-)
+from .fitting import N_LINES, fit, lorentzian_sum, make_lorentzian_multi
 
 
 @dataclass(frozen=True)
@@ -180,8 +176,7 @@ def initial_line_guesses(spectrum: Spectrum, n_lines: int) -> list[float]:
     window and width guess come from the grid span.  Layout matches
     ``make_lorentzian_multi``: [fwhm, center_1, amplitude_1, ...].
     """
-    if n_lines < 1:
-        raise ValueError(f"n_lines must be >= 1, got {n_lines}")
+    N_LINES.check("n_lines", n_lines, "argument")
     x, y = spectrum.x, spectrum.y.copy()
     span = x[-1] - x[0]
     fwhm_guess = span / 20.0

@@ -674,7 +674,9 @@ BAD_DOUBLET_REQUESTS = [
     ({"model": "abs_cosine", "model_args": {}},
      "unknown model 'abs_cosine'; available: contrast_saturation, damped_rabi, exponential, "
      "gaussian, lorentzian_multi, reflection_dip, saturation"),
-    ({"model": "reflection_dip", "model_args": {}}, "'fix_f_in'"),
+    # A missing fix_f_in once ended in Python's message for the factory's signature.
+    ({"model": "reflection_dip", "model_args": {}},
+     "fit-request key 'model_args.fix_f_in' must be a number in (0, 1] other than 0.5, got None"),
     # lorentzian_multi has one layout; "false" once fitted it as if true.
     ({"model_args": {"n_lines": 2, "shared_fwhm": False}},
      "fit-request key 'model_args.shared_fwhm' must be true, got False"),
@@ -692,17 +694,26 @@ BAD_DOUBLET_REQUESTS = [
     ({"bounds": {"fwhm": [0, None]}}, "fit-request key 'bounds' must be a list of [lo, hi] pairs"),
     ({"options": [1, 2]}, "fit-request key 'options' must be a JSON object, got [1, 2]"),
     ({"model_args": [1]}, "fit-request key 'model_args' must be a JSON object, got [1]"),
-    # fix_f_in was checked only as finite: 0 returned the start as converged.
+    # fix_f_in was checked only as finite: 0 returned the start as converged.  The edge
+    # probe runs 0 and 0.5 (tests/test_edge_probe.py).
     *[({"model": "reflection_dip", "model_args": {"fix_f_in": f_in}},
        "fit-request key 'model_args.fix_f_in' must be a number in (0, 1] other than 0.5, "
-       f"got {f_in!r}") for f_in in (0, -1.0, 2.0, 0.5)],
+       f"got {f_in!r}") for f_in in (-1.0, 2.0)],
     # A count that did not match the model's parameters once named the model only.
     ({"init": [80e6, 1.0]},
-     "fit-request key 'init' must be a list of numbers, one for each of fwhm, center_1, "
-     "amplitude_1, center_2, amplitude_2, got [80000000.0, 1.0]"),
+     "model 'lorentzian_multi': 'init' must have one entry for each of fwhm, center_1, "
+     "amplitude_1, center_2, amplitude_2, got 2"),
     ({"bounds": [[0, None]]},
-     "fit-request key 'bounds' must be a list of [lo, hi] pairs, one for each of fwhm, "
-     "center_1, amplitude_1, center_2, amplitude_2, got [[0, None]]"),
+     "model 'lorentzian_multi': 'bounds' must have one entry for each of fwhm, "
+     "center_1, amplitude_1, center_2, amplitude_2, got 1"),
+    # A start or a bound that broke the model's own check once named the parameter only.
+    ({"model_args": {"n_lines": 1}, "init": [80e6, 0, 1],
+      "bounds": [[1e9, None], [None, None], [None, None]]},
+     "'init[0]' (fwhm) = 80000000.0 outside 'bounds[0]' = [1000000000.0, inf]"),
+    ({"bounds": [[2, 1], [None, None], [None, None], [None, None], [None, None]]},
+     "'bounds[0]' (fwhm) is empty: [2.0, 1.0]"),
+    ({"model": "gaussian", "model_args": {}, "init": [0, -1, 1]},
+     "'init[1]' (fwhm) = -1.0 outside 'bounds[1]' = [1e-300, inf]"),
     # An unknown key once ended in Python's or FitOptions' message, naming no key.
     ({"model": "gaussian", "model_args": {"shared_fwhm": True}},
      "unknown fit-request keys: model_args.shared_fwhm; allowed: none"),
@@ -728,7 +739,10 @@ def test_fit_request_validation_errors(capsys, tmp_path):
         assert message in failing({**doublet, **changes}), changes
     zero_power = tmp_path / "saturation.csv"
     zero_power.write_text("power_pw,rate_cps\n" + "".join(f"{p},{p / (1 + p)}\n" for p in range(6)))
-    assert failing({"model": "saturation", "data_file": str(zero_power)}) == "power must be positive"
+    # The model cannot be evaluated at its start on these data: the error names 'init'.
+    assert failing({"model": "saturation", "data_file": str(zero_power)}) == (
+        "model 'saturation' at 'init' [1340000.0, 120.0]: power must be positive"
+    )
 
     assert "unknown model" in failing({"model": "nope", "data_file": str(data)})
     assert "data_file" in failing({"model": "gaussian"})
@@ -780,6 +794,24 @@ def test_fit_respects_bounds_with_null_endpoints(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["status"] == "converged"
     assert abs(payload["params"][1]) < 2e6
+
+
+def test_a_start_inside_the_requests_own_bounds_is_fitted(capsys, tmp_path):
+    """``init`` is checked against the request's ``bounds``, not the model's defaults:
+    a width of 1e-301 was once refused against the default lower bound 1e-300."""
+    request = {
+        "model": "lorentzian_multi",
+        "data_file": str(_doublet_csv(tmp_path)),
+        "init": [1e-301, 0, 1],
+        "bounds": [[0, None], [None, None], [None, None]],
+    }
+    path = tmp_path / "below_default_bound.json"
+    path.write_text(json.dumps(request))
+    code, out, _ = _run(capsys, ["fit", str(path)])
+    assert code in (0, 1)
+    payload = _strict_json(out)
+    assert payload["param_names"] == ["fwhm", "center_1", "amplitude_1"]
+    assert payload["params"][0] >= 0.0
 
 
 def test_fit_reads_any_two_column_header_and_unsorted_x(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""Every scenario key at the edges of its domain, alone and in pairs.
+"""Every scenario key and fit-request key at the edges of its domain.
 
 The values come from each key's ``Domain.edges()``: just inside and just
 outside each end of its range and each refused point.  A run goes through
@@ -11,6 +11,15 @@ outside each end of its range and each refused point.  A run goes through
 * exit 2: nothing on stdout and no tree written, and one ``{"error": ...}``
   on stderr that names a config key.
 
+A ``snvsim fit`` request is probed the same way, one key at a time, on a
+trace of each registry model: each of the model's ``model_args`` and each
+option at the edges of its domain (``fitting.model_registry()``,
+``FitOptions.DOMAINS``), and ``init[0]`` and either end of ``bounds[0]`` at
+those of a finite number.  It must exit 0 or 1 with strict JSON on stdout
+(and for exit 1 one ``{"error": ...}`` on stderr), or exit 2 with nothing on
+stdout and one ``{"error": ...}`` that names a request key; a value outside
+its domain must be refused naming its own key.
+
 One refusal names no key yet: fig3b's calibration refuses a target below
 every F(k=1) that a flip probability gives, and its walk in steps can miss
 one it could reach; it reports both as "not reachable by any flip
@@ -18,7 +27,7 @@ probability" (ROADMAP item 16).
 
 Tier-1 runs every single-key edge but the few at a count's cap, which take
 seconds each, a few runs the edges do not reach, and a seeded sample of the
-pairs of float keys.  It runs the same single-key edges of every scenario
+pairs of float keys, and every fit-request edge.  It runs the same single-key edges of every scenario
 with a seed through ``snvsim ensemble ... --seeds 2`` as well, held to the
 same contract.  The full sweep, every pair and every ensemble included,
 prints a table of outcomes per scenario:
@@ -41,10 +50,12 @@ import warnings
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from snvsim.cli import main
-from snvsim.config import parse_overrides, parse_value
+from snvsim.config import Domain, parse_overrides, parse_value
+from snvsim.fitting import FitOptions, model_registry
 from snvsim.registry import SCENARIOS, available_scenarios, configured
 
 OUTCOMES = ("exit 0", "exit 1", "exit 2 naming a key", "exit 2 naming none", "non-finite")
@@ -222,6 +233,103 @@ def test_a_sample_of_edge_pairs_keeps_the_contract(name):
     assert _faults(run for run in PAIR_SAMPLE if run[0] == name) == []
 
 
+#: Per registry model: the x axis of its trace and the model arguments it is drawn and
+#: fitted with.  The trace is the model at its default start plus a ripple of 1 %.
+FIT_TRACES = {
+    "lorentzian_multi": (np.linspace(-800e6, 800e6, 161), {}),
+    "gaussian": (np.linspace(-300e9, 300e9, 161), {}),
+    "exponential": (np.linspace(0.0, 50.0, 161), {}),
+    "damped_rabi": (np.linspace(0.1, 20.0, 161), {}),
+    "saturation": (np.geomspace(1.0, 2000.0, 161), {}),
+    "reflection_dip": (np.linspace(-500e6, 500e6, 161), {"fix_f_in": 0.95}),
+    "contrast_saturation": (np.geomspace(0.01, 10.0, 161), {}),
+}
+#: What a fit request's ``init`` entry or bound end may hold.
+FINITE = Domain(float)
+#: A fit-request key quoted in an error: ``'model_args.fix_f_in'``, ``'init[0]'``, ...
+REQUEST_KEY = re.compile(r"'((?:model_args|options)\.\w+|(?:init|bounds)(?:\[\d+\])?)'")
+
+
+def fit_requests(model: str, data_file: str) -> list[tuple[str, bool, dict]]:
+    """``(key, in its domain, request)`` for every edge of every key of a fit of ``model``."""
+    factory, arguments = model_registry()[model]
+    base = {"model": model, "data_file": data_file, "model_args": FIT_TRACES[model][1]}
+    spec = factory(**base["model_args"])
+    bounds = [[None if math.isinf(end) else end for end in pair] for pair in spec.bounds]
+    tables = [("model_args", {name: domain for name, (_, domain) in arguments.items()}),
+              ("options", FitOptions.DOMAINS)]
+    runs = []
+    for group, domains in tables:
+        for name, domain in domains.items():
+            runs += [(f"{group}.{name}", value in domain,
+                      {**base, group: {**base.get(group, {}), name: value}})
+                     for value in domain.edges()]
+    for value in dict.fromkeys(FINITE.edges()):
+        changes = [("init[0]", "init", [value, *spec.init[1:]]),
+                   ("bounds[0]", "bounds", [[value, bounds[0][1]], *bounds[1:]]),
+                   ("bounds[0]", "bounds", [[bounds[0][0], value], *bounds[1:]])]
+        runs += [(key, value in FINITE, {**base, part: entries}) for key, part, entries in changes]
+    return runs
+
+
+def write_fit_trace(model: str, root: Path) -> str:
+    """The path of a CSV holding ``model``'s trace (FIT_TRACES)."""
+    x, arguments = FIT_TRACES[model]
+    factory, _ = model_registry()[model]
+    spec = factory(**arguments)
+    y = spec.evaluator(np.array(spec.init), x)[0]
+    y = y + 0.01 * np.abs(y).max() * np.cos(np.arange(x.size))
+    path = root / f"{model}.csv"
+    path.write_text("x,value\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist())))
+    return str(path)
+
+
+def fit_outcome(request: dict, root: Path) -> tuple[str, str]:
+    """``(outcome, detail)`` of one ``snvsim fit``; an outcome outside ``OUTCOMES`` is a fault."""
+    path = root / "request.json"
+    path.write_text(json.dumps(request))
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = main(["fit", str(path)])
+        error = json.loads(err.getvalue(), parse_constant=_reject) if code else {"error": ""}
+        if code == 2:
+            if out.getvalue() or set(error) != {"error"}:
+                return "broke the exit-2 contract", err.getvalue()
+            named = REQUEST_KEY.search(error["error"])
+            return "exit 2 naming a key" if named else "exit 2 naming none", error["error"]
+        json.loads(out.getvalue(), parse_constant=_reject)
+    except NonFinite as exc:
+        return "non-finite", str(exc)
+    except Exception as exc:  # a warning, too
+        return "raised", f"{type(exc).__name__}: {exc}"
+    # Exit 1, a singular fit, adds one {"error": ...} on stderr; exit 0 writes nothing there.
+    if (err.getvalue() != "") != (code == 1) or set(error) != {"error"}:
+        return "wrote to stderr", err.getvalue()
+    return f"exit {code}", ""
+
+
+def _fit_faults(model: str, root: Path) -> list[str]:
+    """One line per fit request that breaks the contract; a refused value must be named."""
+    faults = []
+    for key, in_domain, request in fit_requests(model, write_fit_trace(model, root)):
+        kind, detail = fit_outcome(request, root)
+        if in_domain:
+            allowed = kind in OUTCOMES[:3]
+        else:
+            allowed = kind == "exit 2 naming a key" and f"'{key}'" in detail
+        if not allowed:
+            faults.append(f"{model} {key}: {json.dumps(request)}: {kind}: {detail}")
+    return faults
+
+
+@pytest.mark.parametrize("model", sorted(model_registry()))
+def test_every_fit_request_edge_keeps_the_contract(model, tmp_path):
+    assert _fit_faults(model, tmp_path) == []
+
+
 def table(runs, command: str = "run") -> str:
     """A Markdown table of the outcomes per scenario, then one line per other outcome."""
     columns = [*OUTCOMES, UNREACHABLE, "other"]
@@ -243,4 +351,13 @@ if __name__ == "__main__":
     print(f"single keys through an ensemble of 2 seeds, {len(ENSEMBLE_SINGLES)} runs:\n"
           f"{table(ENSEMBLE_SINGLES, 'ensemble')}\n")
     every_pair = PAIRS_SEEN + pairs()
-    print(f"pairs of float keys, {len(every_pair)} runs:\n{table(every_pair)}")
+    print(f"pairs of float keys, {len(every_pair)} runs:\n{table(every_pair)}\n")
+    with tempfile.TemporaryDirectory() as scratch:
+        counts = Counter()
+        for model in model_registry():
+            for key, _, request in fit_requests(model, write_fit_trace(model, Path(scratch))):
+                kind, detail = fit_outcome(request, Path(scratch))
+                counts[kind] += 1
+                if kind not in OUTCOMES[:3]:
+                    print(f"- {model} {key}: {json.dumps(request)}: {kind}: {detail}")
+        print(f"fit requests, {sum(counts.values())} runs: {dict(counts)}")

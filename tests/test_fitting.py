@@ -607,14 +607,14 @@ def test_model_spec_validation():
     def identity(p, x):
         return x, x[:, None]
 
-    with pytest.raises(ValueError, match="initial values"):
+    with pytest.raises(ValueError, match="'init' must have one entry for each of a, b, got 1"):
         ModelSpec(
             name="bad",
             param_names=("a", "b"),
             init=(1.0,),
             evaluator=identity,
         )
-    with pytest.raises(ValueError, match="outside bounds"):
+    with pytest.raises(ValueError, match=r"'init\[0\]' \(a\) = 2.0 outside 'bounds\[0\]'"):
         ModelSpec(
             name="bad",
             param_names=("a",),
@@ -622,7 +622,7 @@ def test_model_spec_validation():
             evaluator=identity,
             bounds=((0.0, 1.0),),
         )
-    with pytest.raises(ValueError, match="empty bounds"):
+    with pytest.raises(ValueError, match=r"'bounds\[0\]' \(a\) is empty"):
         ModelSpec(
             name="bad",
             param_names=("a",),
@@ -630,7 +630,15 @@ def test_model_spec_validation():
             evaluator=identity,
             bounds=((1.0, 0.0),),
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'bounds' must have one entry for each of a, got 2"):
+        ModelSpec(
+            name="bad",
+            param_names=("a",),
+            init=(0.5,),
+            evaluator=identity,
+            bounds=((0.0, 1.0), (0.0, 1.0)),
+        )
+    with pytest.raises(ValueError, match="fit option 'max_iter' must be an integer >= 1, got 0"):
         FitOptions(max_iter=0)
 
 
@@ -653,8 +661,10 @@ def test_registry_contains_exactly_the_seven_models():
         "reflection_dip",
         "contrast_saturation",
     }
-    for name, factory in registry.items():
-        spec = factory(**({"fix_f_in": 0.95} if name == "reflection_dip" else {}))
+    for name, (factory, arguments) in registry.items():
+        # Each argument at its default; reflection_dip's fix_f_in has none, so fig4b's.
+        spec = factory(**{key: 0.95 if default is None else default
+                          for key, (default, domain) in arguments.items()})
         assert spec.name == name
         assert len(spec.param_names) == len(spec.init)
 
