@@ -4,7 +4,7 @@ A CSV is a header plus equal-length columns.  A column may be a list or
 anything with ``tolist`` (a numpy array, say); a float column renders each
 value as its ``repr``, the shortest string that round-trips, and every
 line, the last included, ends in ``\\n``.  JSON is strict: a NaN or an
-infinity is an error, not output.
+infinity is an error, not output: a record writes one as ``null``.
 
 This module imports only the standard library, so the commands that write
 no array load no numpy.
@@ -35,6 +35,11 @@ def _fmt_column(column) -> list[str]:
     if getattr(getattr(column, "dtype", None), "kind", None) == "f":
         return list(map(repr, column.tolist()))
     return [_fmt_cell(cell) for cell in column]
+
+
+def json_number(value: float) -> float | None:
+    """``value``, or ``None`` (JSON ``null``) if it is NaN or beyond the float range."""
+    return value if math.isfinite(value) else None
 
 
 def write_csv(path, header, columns) -> None:

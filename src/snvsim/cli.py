@@ -234,8 +234,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
             checked[group] = {}
             for name, (default, domain) in allowed.items():
                 if group == "model_args" and domain.kind is int:
-                    # A line count above the data points is refused before the model is built.
-                    domain = domain._replace(hi=min(domain.hi, x.size))
+                    # More lines than the points constrain are refused before the model is
+                    # built; a file too short for one line is refused naming data_file below.
+                    domain = domain._replace(hi=min(domain.hi, max(1, (x.size - 1) // 2)))
                 value = given[group].get(name, default)
                 checked[group][name] = domain.check(f"{group}.{name}", value, _KEY)
         parts = {}  # init and bounds together, each checked against the other
@@ -245,6 +246,9 @@ def _cmd_fit(args: argparse.Namespace) -> int:
         if "bounds" in request:
             parts["bounds"] = _parse_bounds(request["bounds"])
         model = replace(factory(**checked["model_args"]), **parts)
+        if x.size < len(model.param_names):
+            raise ValueError(f"{_KEY} 'data_file' holds {x.size} data points, fewer than the "
+                             f"{len(model.param_names)} parameters of model {model.name!r}")
         result = fitting.fit(model, (x, y, y_err), options(**checked["options"]))
     except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
         return _fail(str(exc))

@@ -175,6 +175,12 @@ def grid_points(start: float, stop: float, step: float) -> float:
     return n + 1 if n + 1 > MAX_GRID_POINTS else round(n) + 1
 
 
+def check_points(n: float, axis: str) -> None:
+    """Refuse an axis of ``n`` points, ``n`` a float that may be inf, above MAX_GRID_POINTS."""
+    if n > MAX_GRID_POINTS:
+        raise ValueError(f"{axis} of {n:.3g} points exceeds the cap of {MAX_GRID_POINTS}")
+
+
 def in_base_units(key: str, value) -> tuple[str, object]:
     """``(name, value)``: a unit suffix stripped from ``key`` and applied to ``value``."""
     for suffix, factor in UNIT_FACTORS.items():

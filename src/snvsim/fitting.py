@@ -55,6 +55,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from . import optical_dynamics, waveguide_qed
+from .artifacts import json_number
 from .config import INPUT_COUPLING, POSITIVE, Domain
 from .units import TWO_PI
 
@@ -150,19 +151,15 @@ class FitResult:
     def as_dict(self) -> dict:
         """JSON-ready summary of the fit; a non-finite number becomes ``None``."""
         return {
-            "params": [_finite_or_none(v) for v in self.params],
-            "uncertainties": [_finite_or_none(v) for v in self.uncertainties],
-            "cost": _finite_or_none(self.cost),
-            "residual_norm": _finite_or_none(self.residual_norm),
+            "params": [json_number(v) for v in self.params],
+            "uncertainties": [json_number(v) for v in self.uncertainties],
+            "cost": json_number(self.cost),
+            "residual_norm": json_number(self.residual_norm),
             "status": self.status,
             "iterations": self.iterations,
             "message": self.message,
             "param_names": list(self.param_names),
         }
-
-
-def _finite_or_none(value: float) -> float | None:
-    return value if math.isfinite(value) else None
 
 
 def poisson_sigma(y) -> np.ndarray:

@@ -49,7 +49,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import config as config_mod
-from .artifacts import write_artifact
+from .artifacts import json_number, write_artifact
 from .config import (
     FRACTION, INPUT_COUPLING, MAX_GRID_POINTS, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, SEED,
     Domain, grid_points,
@@ -589,10 +589,7 @@ def run_scenario(target: str, overrides: dict | None = None, output_root=None) -
         "scenario": scenario.name,
         "description": scenario.description,
         "config": cfg,
-        "entries": [  # a non-finite value, which never passes, as null
-            {**row, "simulated": row["simulated"] if math.isfinite(row["simulated"]) else None}
-            for row in rows
-        ],
+        "entries": [{**row, "simulated": json_number(row["simulated"])} for row in rows],
         "artifacts": index,
         "notes": notes,
         "all_pass": all(row["pass"] for row in rows),

@@ -12,7 +12,8 @@ live in :mod:`snvsim.efficiency`.
 Six scenarios are one experiment: sample a closed form on an axis, add one
 kind of noise, fit a registry model and read rows off the fit.  Each of
 fig2c, fig2d, fig3a, fig4c, rabi and lifetime is a :class:`TraceFit` record,
-and calling the record runs it.
+and calling the record runs it.  fig1e, fig2a and fig2b take each of their
+Lorentzian spectra through one line-fit step, :func:`fit_lines`.
 
 Reproducibility
 ---------------
@@ -32,12 +33,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import optical_dynamics, photon_budget, spin_hamiltonian, waveguide_qed
-from .artifacts import summary_row
-from .config import in_base_units
+from .artifacts import json_number, summary_row
+from .config import check_points, in_base_units
 from .fitting import (
     FitResult,
     ModelSpec,
-    _finite_or_none,
     fit,
     make_contrast_saturation,
     make_damped_rabi,
@@ -53,7 +53,6 @@ from .registry import SCENARIOS, available_scenarios, run_scenario  # noqa: F401
 from .spectra import (
     SpectralLine,
     Spectrum,
-    _check_points,
     eom_background_correction,
     eom_background_inverse,
     frequency_grid,
@@ -78,6 +77,18 @@ def _rng(seed: int, index: int) -> np.random.Generator:
 def _fit_grid(cfg: dict) -> np.ndarray:
     """The grid of ``cfg``'s span and step about zero."""
     return frequency_grid(-cfg["grid_span"] / 2.0, cfg["grid_span"] / 2.0, cfg["grid_step"])
+
+
+def fit_lines(centers, amplitude, fwhm_hz, x_hz, noise_sigma, seed, start):
+    """Lines of one width and ``amplitude`` at ``centers`` on ``x_hz``, with Gaussian
+    noise of sd ``noise_sigma`` drawn from ``seed``, fitted by a shared-width
+    ``lorentzian_multi`` started at ``fwhm_hz``, at the centers ``start`` and at
+    amplitude 1: ``(spectrum, fit, fitted width, fitted centers in parameter order)``."""
+    lines = [SpectralLine(center_hz=c, fwhm_hz=fwhm_hz, amplitude=amplitude) for c in centers]
+    spectrum = synthesize_spectrum(lines, x_hz, noise_sigma=noise_sigma, seed=seed)
+    init = [fwhm_hz, *(value for c in start for value in (c, 1.0))]
+    result = fit(make_lorentzian_multi(n_lines=len(start)).with_init(init), spectrum)
+    return spectrum, result, result.params[0], result.params[1::2]
 
 
 # --------------------------------------------------------------------------
@@ -125,27 +136,20 @@ def _run_fig1e(cfg: dict):
     """Streams: 0 = spectrum noise."""
     seed = cfg["seed"]
     split = cfg["zero_field_splitting"]
-    fwhm = cfg["linewidth"]
-    model = make_lorentzian_multi(n_lines=2).with_init(
-        (fwhm, -split / 2.0, 1.0, split / 2.0, 1.0)
-    )
-    x = _fit_grid(cfg)
 
     params = spin_hamiltonian.sn117_ground()
     hamiltonian = spin_hamiltonian.build_ground_hamiltonian(params, (0.0, 0.0, 0.0))
     energies = spin_hamiltonian.eigenenergies(hamiltonian)
 
-    # At zero field the lines do not depend on the field slope.
+    # At zero field the lines do not depend on the field slope, and they coincide in pairs.
     transition = spin_hamiltonian.OpticalTransitionParams.from_cyclic_hz(split)
     detunings = spin_hamiltonian.optical_transition_detunings(transition, 0.0)
-    lines = [SpectralLine(center_hz=c, fwhm_hz=fwhm, amplitude=0.5) for c in detunings]
-    spectrum = synthesize_spectrum(lines, x, noise_sigma=1.0 / cfg["snr"], seed=_stream(seed, 0))
-    result = fit(model, spectrum)
-    fitted_split = result.params[3] - result.params[1]
-    fitted_fwhm = result.params[0]
+    spectrum, result, fitted_fwhm, (low, high) = fit_lines(
+        detunings, 0.5, cfg["linewidth"], _fit_grid(cfg), 1.0 / cfg["snr"], _stream(seed, 0),
+        start=(-split / 2.0, split / 2.0))
 
     rows = [
-        summary_row("hyperfine_splitting_mhz", fitted_split / 1e6, 452.0, 7.0),
+        summary_row("hyperfine_splitting_mhz", (high - low) / 1e6, 452.0, 7.0),
         summary_row("optical_linewidth_mhz", fitted_fwhm / 1e6, 70.0, 3.5),
     ]
     artifacts = {
@@ -190,19 +194,15 @@ def field_sweep(transition, fields_t, x_hz, fwhm_hz, noise_sigma, seeds) -> Fiel
     """
     if len(fields_t) < 3:
         raise ValueError(f"a field sweep needs at least 3 scans, got {len(fields_t)}")
-    _check_points(len(fields_t) * len(x_hz), "n_scans x frequency grid")
+    check_points(len(fields_t) * len(x_hz), "n_scans x frequency grid")
     scans, fits, centers = [], [], []
     for bz, seed in zip(fields_t, seeds, strict=True):
         detunings = spin_hamiltonian.optical_transition_detunings(transition, bz)
-        lines = [SpectralLine(center_hz=c, fwhm_hz=fwhm_hz, amplitude=1.0) for c in detunings]
-        scan = synthesize_spectrum(lines, x_hz, noise_sigma=noise_sigma, seed=seed)
-        init = [fwhm_hz]
-        for c in detunings:
-            init += [c, 1.0]
-        result = fit(make_lorentzian_multi(n_lines=4).with_init(init), scan)
+        scan, result, _, fitted = fit_lines(
+            detunings, 1.0, fwhm_hz, x_hz, noise_sigma, seed, start=detunings)
         scans.append(scan)
         fits.append(result)
-        centers.append(np.sort([result.params[1 + 2 * j] for j in range(4)]))
+        centers.append(np.sort(fitted))
     centers = np.array(centers)
     spans = centers[:, -1] - centers[:, 0]
     coeffs, cov = np.polyfit(fields_t, spans, 1, cov=True)
@@ -228,11 +228,11 @@ def _run_fig2a(cfg: dict):
     manifest = (range(n_scans), [f"scans/{name}" for name in names], fields * 1e3)
     statuses = [result.status for result in sweep.fits]
     line_centers = (range(n_scans), fields * 1e3, *sweep.centers.T, sweep.spans, statuses)
-    regression = {  # a value beyond the float range is written as null
-        "slope_hz_per_t": _finite_or_none(slope_fit),
-        "slope_se_hz_per_t": _finite_or_none(slope_se),
-        "intercept_hz": _finite_or_none(intercept_fit),
-        "intercept_se_hz": _finite_or_none(intercept_se),
+    regression = {
+        "slope_hz_per_t": json_number(slope_fit),
+        "slope_se_hz_per_t": json_number(slope_se),
+        "intercept_hz": json_number(intercept_fit),
+        "intercept_se_hz": json_number(intercept_se),
         "n_scans": n_scans,
     }
 
@@ -272,11 +272,6 @@ def _run_fig2b(cfg: dict):
     n = cfg["n_emitters"]
     split_mean = cfg["splitting_mean"]
     split_sigma = cfg["splitting_sigma"]
-    fwhm = cfg["linewidth"]
-    snr = cfg["snr"]
-    model = make_lorentzian_multi(n_lines=2).with_init(
-        (fwhm, -split_mean / 2.0, 1.0, split_mean / 2.0, 1.0)
-    )
 
     # Each emitter is a doublet about zero detuning, its splitting drawn per emitter.
     splits = split_mean + _rng(seed, 0).normal(0.0, split_sigma, size=n)
@@ -286,11 +281,11 @@ def _run_fig2b(cfg: dict):
     spectra = {}
     fitted_splits = np.empty(n)
     for k in range(n):
-        lines = [SpectralLine(lows[k], fwhm, 1.0), SpectralLine(highs[k], fwhm, 1.0)]
-        spectrum = synthesize_spectrum(lines, x, noise_sigma=1.0 / snr, seed=_stream(seed, 1 + k))
+        spectrum, _, _, (low, high) = fit_lines(
+            (lows[k], highs[k]), 1.0, cfg["linewidth"], x, 1.0 / cfg["snr"], _stream(seed, 1 + k),
+            start=(-split_mean / 2.0, split_mean / 2.0))
         spectra[f"emitter_{k:02d}.csv"] = spectrum
-        result = fit(model, spectrum)
-        fitted_splits[k] = result.params[3] - result.params[1]
+        fitted_splits[k] = high - low
 
     mean_split = float(np.mean(fitted_splits))
     std_split = float(np.std(fitted_splits, ddof=1))
@@ -685,12 +680,12 @@ def _run_fig4b(cfg: dict):
     contrast_fit = waveguide_qed.dip_contrast(fitted)
     fwhm_fit = waveguide_qed.dip_fwhm_hz(fitted)
 
-    reflection_fit = {  # a value beyond the float range is written as null
-        "c": _finite_or_none(c_fit),
+    reflection_fit = {
+        "c": json_number(c_fit),
         "f": f_in,
-        "gamma_h_mhz": _finite_or_none(gamma_fit / 1e6),
-        "contrast": _finite_or_none(contrast_fit),
-        "residual_norm": _finite_or_none(result.residual_norm),
+        "gamma_h_mhz": json_number(gamma_fit / 1e6),
+        "contrast": json_number(contrast_fit),
+        "residual_norm": json_number(result.residual_norm),
     }
 
     # gamma0 is the Fourier limit of the lifetime scenario's default lifetime.

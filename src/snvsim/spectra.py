@@ -19,7 +19,7 @@ import numpy as np
 
 # Spectrum CSVs are written by the artifact layer; this module keeps the name.
 from .artifacts import write_spectrum_csv  # noqa: F401
-from .config import MAX_GRID_POINTS, grid_points
+from .config import check_points, grid_points
 from .fitting import N_LINES, fit, lorentzian_sum, make_lorentzian_multi
 
 
@@ -66,18 +66,12 @@ class SpectralLine:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
 
 
-def _check_points(n: float, axis: str) -> None:
-    """Refuse an axis of ``n`` points, ``n`` a float that may be inf, above the cap."""
-    if n > MAX_GRID_POINTS:
-        raise ValueError(f"{axis} of {n:.3g} points exceeds the cap of {MAX_GRID_POINTS}")
-
-
 def frequency_grid(start_hz: float, stop_hz: float, step_hz: float) -> np.ndarray:
     """Ascending grid from start to stop (inclusive within half a step)."""
     if step_hz <= 0.0 or stop_hz <= start_hz:
         raise ValueError("need stop > start and a positive step")
     points = grid_points(start_hz, stop_hz, step_hz)
-    _check_points(points, "frequency grid")
+    check_points(points, "frequency grid")
     return start_hz + step_hz * np.arange(points)
 
 

@@ -657,13 +657,16 @@ def test_a_null_part_of_a_fit_request_is_an_absent_one(capsys, tmp_path):
 # names its request key.  A bool once passed as a line count; a float count, a
 # fractional max_iter, a string tol or a null init entry ended in a Python
 # message that named no key; n_lines = 300000 built a 600,001-parameter model
-# before fit() refused it.
+# before fit() refused it.  The 801 points constrain at most 400 lines: 401 once
+# reached fit(), which refused 803 parameters naming no key.
 BAD_DOUBLET_REQUESTS = [
     ({"model_args": {"n_lines": True}},
-     "fit-request key 'model_args.n_lines' must be an integer >= 1 and <= 801, got True"),
+     "fit-request key 'model_args.n_lines' must be an integer >= 1 and <= 400, got True"),
     ({"model_args": {"n_lines": 2.0}}, "'model_args.n_lines' must be an integer"),
     ({"model_args": {"n_lines": 10**6}},
-     "'model_args.n_lines' must be an integer >= 1 and <= 801, got 1000000"),
+     "'model_args.n_lines' must be an integer >= 1 and <= 400, got 1000000"),
+    ({"model_args": {"n_lines": 401}},
+     "fit-request key 'model_args.n_lines' must be an integer >= 1 and <= 400, got 401"),
     ({"options": {"max_iter": 1.5}},
      "fit-request key 'options.max_iter' must be an integer >= 1, got 1.5"),
     ({"options": {"tol": "x"}}, "fit-request key 'options.tol' must be a finite number > 0, got 'x'"),
@@ -742,6 +745,13 @@ def test_fit_request_validation_errors(capsys, tmp_path):
     # The model cannot be evaluated at its start on these data: the error names 'init'.
     assert failing({"model": "saturation", "data_file": str(zero_power)}) == (
         "model 'saturation' at 'init' [1340000.0, 120.0]: power must be positive"
+    )
+    # Fewer points than the model's parameters once reached fit(), which named no key.
+    two_rows = tmp_path / "two_rows.csv"
+    two_rows.write_text("x,y\n0,1\n1,2\n")
+    assert failing({"model": "gaussian", "data_file": str(two_rows)}) == (
+        "fit-request key 'data_file' holds 2 data points, fewer than the 3 parameters "
+        "of model 'gaussian'"
     )
 
     assert "unknown model" in failing({"model": "nope", "data_file": str(data)})

@@ -30,7 +30,8 @@ seconds each, a few runs the edges do not reach, and a seeded sample of the
 pairs of float keys, and every fit-request edge.  It runs the same single-key edges of every scenario
 with a seed through ``snvsim ensemble ... --seeds 2`` as well, held to the
 same contract.  The full sweep, every pair and every ensemble included,
-prints a table of outcomes per scenario:
+prints a table of outcomes per scenario and exits 1 if any run breaks the
+contract (CI runs it):
 
     PYTHONPATH=src python tests/test_edge_probe.py
 """
@@ -185,17 +186,20 @@ def outcome(name: str, overrides: tuple, command: str = "run") -> tuple[str, str
     return f"exit {code}", ""
 
 
+def allowed(name: str, overrides: tuple, kind: str, detail: str) -> bool:
+    """Whether a run's outcome keeps the contract; a refused single value must be named."""
+    key, _, value = overrides[0].partition("=")
+    if len(overrides) == 1 and parse_value(value) not in SCENARIOS[name].keys[key][1]:
+        return kind == "exit 2 naming a key" and f"'{key}'" in detail
+    return kind in {*OUTCOMES[:3], UNREACHABLE}
+
+
 def _faults(runs, command: str = "run") -> list[str]:
-    """One line per run that breaks the contract; a refused single value must be named."""
+    """One line per run that breaks the contract."""
     faults = []
     for name, overrides in runs:
         kind, detail = outcome(name, overrides, command)
-        key, _, value = overrides[0].partition("=")
-        if len(overrides) == 1 and parse_value(value) not in SCENARIOS[name].keys[key][1]:
-            allowed = kind == "exit 2 naming a key" and f"'{key}'" in detail
-        else:
-            allowed = kind in {*OUTCOMES[:3], UNREACHABLE}
-        if not allowed:
+        if not allowed(name, overrides, kind, detail):
             faults.append(f"{name} {' '.join(overrides)}: {kind}: {detail}")
     return faults
 
@@ -311,16 +315,19 @@ def fit_outcome(request: dict, root: Path) -> tuple[str, str]:
     return f"exit {code}", ""
 
 
+def fit_allowed(key: str, in_domain: bool, kind: str, detail: str) -> bool:
+    """Whether a fit request's outcome keeps the contract; a refused value must be named."""
+    if in_domain:
+        return kind in OUTCOMES[:3]
+    return kind == "exit 2 naming a key" and f"'{key}'" in detail
+
+
 def _fit_faults(model: str, root: Path) -> list[str]:
-    """One line per fit request that breaks the contract; a refused value must be named."""
+    """One line per fit request that breaks the contract."""
     faults = []
     for key, in_domain, request in fit_requests(model, write_fit_trace(model, root)):
         kind, detail = fit_outcome(request, root)
-        if in_domain:
-            allowed = kind in OUTCOMES[:3]
-        else:
-            allowed = kind == "exit 2 naming a key" and f"'{key}'" in detail
-        if not allowed:
+        if not fit_allowed(key, in_domain, kind, detail):
             faults.append(f"{model} {key}: {json.dumps(request)}: {kind}: {detail}")
     return faults
 
@@ -330,34 +337,48 @@ def test_every_fit_request_edge_keeps_the_contract(model, tmp_path):
     assert _fit_faults(model, tmp_path) == []
 
 
-def table(runs, command: str = "run") -> str:
-    """A Markdown table of the outcomes per scenario, then one line per other outcome."""
+def table(runs, command: str = "run") -> tuple[str, int]:
+    """A Markdown table of the outcomes per scenario, then one line per other outcome
+    or fault, and the number of runs that broke the contract."""
     columns = [*OUTCOMES, UNREACHABLE, "other"]
     counts = {name: Counter() for name, _ in runs}
-    lines = []
+    lines, faults = [], 0
     for name, overrides in runs:
         kind, detail = outcome(name, overrides, command)
         counts[name][kind if kind in columns else "other"] += 1
-        if kind not in OUTCOMES[:3]:
-            lines.append(f"- {name} {' '.join(overrides)}: {kind}: {detail}")
+        fault = not allowed(name, overrides, kind, detail)
+        faults += fault
+        if kind not in OUTCOMES[:3] or fault:
+            lines.append(f"- {name} {' '.join(overrides)}: {kind}{' (a fault)' * fault}: {detail}")
     rows = [f"| {name} | " + " | ".join(str(count[c]) for c in columns) + " |"
             for name, count in counts.items()]
     header = ["| scenario | " + " | ".join(columns) + " |", "|---" * (len(columns) + 1) + "|"]
-    return "\n".join([*header, *rows, *lines])
+    return "\n".join([*header, *rows, *lines]), faults
 
 
 if __name__ == "__main__":
-    print(f"single keys, {len(SINGLES)} runs:\n{table(SINGLES)}\n")
-    print(f"single keys through an ensemble of 2 seeds, {len(ENSEMBLE_SINGLES)} runs:\n"
-          f"{table(ENSEMBLE_SINGLES, 'ensemble')}\n")
+    faults = 0
     every_pair = PAIRS_SEEN + pairs()
-    print(f"pairs of float keys, {len(every_pair)} runs:\n{table(every_pair)}\n")
+    for title, runs, command in [("single keys", SINGLES, "run"),
+                                 ("single keys through an ensemble of 2 seeds",
+                                  ENSEMBLE_SINGLES, "ensemble"),
+                                 ("pairs of float keys", every_pair, "run")]:
+        text, broken = table(runs, command)
+        faults += broken
+        print(f"{title}, {len(runs)} runs:\n{text}\n")
     with tempfile.TemporaryDirectory() as scratch:
         counts = Counter()
         for model in model_registry():
-            for key, _, request in fit_requests(model, write_fit_trace(model, Path(scratch))):
+            data_file = write_fit_trace(model, Path(scratch))
+            for key, in_domain, request in fit_requests(model, data_file):
                 kind, detail = fit_outcome(request, Path(scratch))
                 counts[kind] += 1
-                if kind not in OUTCOMES[:3]:
-                    print(f"- {model} {key}: {json.dumps(request)}: {kind}: {detail}")
+                fault = not fit_allowed(key, in_domain, kind, detail)
+                faults += fault
+                if kind not in OUTCOMES[:3] or fault:
+                    print(f"- {model} {key}: {json.dumps(request)}: {kind}"
+                          f"{' (a fault)' * fault}: {detail}")
         print(f"fit requests, {sum(counts.values())} runs: {dict(counts)}")
+    if faults:
+        print(f"{faults} runs broke the contract")
+    raise SystemExit(1 if faults else 0)

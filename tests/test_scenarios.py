@@ -9,6 +9,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracles import ground_branch_energies
@@ -19,6 +20,7 @@ from snvsim.efficiency import (
     CORRECTION, LossChain, LossCorrection, apply_loss_chain, budget_from_config, budget_report,
 )
 from snvsim.registry import SCENARIOS, available_scenarios, run_scenario
+from snvsim.spectra import frequency_grid
 from snvsim.units import fourier_limited_fwhm_hz
 
 ALL_NAMES = [
@@ -273,6 +275,31 @@ def test_fig2a_manifest_lists_every_scan(scenario_output_root):
         assert (result.out_dir / row["file"]).is_file()
     fields = [float(row["field_mt"]) for row in rows]
     assert fields == sorted(fields)
+
+
+# Asimov checks of the line-fit step: at noise 0 a fit from a nearby start returns
+# the lines it was synthesized from, on the scenarios' default grids.
+
+def test_a_noiseless_doublet_fit_returns_its_splitting():
+    """A doublet at +-230 MHz started at fig2b's +-226 MHz."""
+    x = frequency_grid(-600e6, 600e6, 2e6)
+    _, result, fwhm, (low, high) = scenarios.fit_lines(
+        (-230e6, 230e6), 1.0, 70e6, x, 0.0, None, start=(-226e6, 226e6))
+    assert result.status == "converged"
+    assert abs((high - low) - 460e6) <= 1e-9 * fwhm
+
+
+def test_a_noiseless_quartet_fit_returns_its_detunings():
+    """fig2a's quartet at 43 mT, away from zero field and from the inner-line
+    crossing (~84 mT), started 5 MHz off each line."""
+    transition = spin_hamiltonian.OpticalTransitionParams.from_cyclic_hz(452e6, 5.41e9)
+    detunings = spin_hamiltonian.optical_transition_detunings(transition, 43e-3)
+    x = frequency_grid(-1.2e9, 1.2e9, 5e6)
+    _, result, fwhm, centers = scenarios.fit_lines(
+        detunings, 1.0, 70e6, x, 0.0, None, start=detunings + [5e6, -5e6, 5e6, -5e6])
+    assert result.status == "converged"
+    assert abs(fwhm - 70e6) <= 1e-9 * 70e6
+    assert max(abs(np.array(centers) - detunings)) <= 1e-9 * 70e6
 
 
 def test_table_s1_and_loss_chain_frozen_values(scenario_output_root):

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from snvsim.artifacts import _fmt_cell, write_csv
+from snvsim.config import MAX_GRID_POINTS
 from snvsim.fitting import fit, lorentzian_sum, make_lorentzian_multi
 from snvsim.registry import configured
 from snvsim.spectra import (
-    MAX_GRID_POINTS,
     RecenterResult,
     SpectralLine,
     Spectrum,
