@@ -8,7 +8,8 @@ Layers (each imports only the ones above it):
   checked against.
 * :mod:`snvsim.artifacts` — CSV, spectrum and strict-JSON writers, summary rows.
 * :mod:`snvsim.efficiency` — efficiency budgets, loss chains, the fibre
-  taper, and the ``table_s1`` and ``loss_chain`` runners.
+  taper, the readout closed forms (F(k=1) and its refit of p_detect), and
+  the ``table_s1`` and ``loss_chain`` runners.
 * :mod:`snvsim.registry` — scenario names, descriptions and key tables, and
   ``run_scenario``; it imports a scenario's runner module only when the
   scenario runs.
@@ -18,8 +19,8 @@ Layers (each imports only the ones above it):
   saturation, the pumping time constant.
 * :mod:`snvsim.waveguide_qed` — single-mode reflection model, cooperativity
   inversion, efficiency bounds.
-* :mod:`snvsim.photon_budget` — photon-counting readout statistics,
-  coincidence expectations.
+* :mod:`snvsim.photon_budget` — photon-counting readout statistics and
+  calibration, coincidence expectations.
 * :mod:`snvsim.fitting` — damped least-squares engine and the named model
   registry.
 * :mod:`snvsim.spectra` — spectrum synthesis, drift, averaging, CSV reading.

@@ -1,12 +1,16 @@
-"""Detection-efficiency accounting: budgets, loss chains and the fibre taper.
+"""Detection-efficiency accounting: budgets, loss chains, the fibre taper, readout closed forms.
 
 Scalar bookkeeping around detected photons:
 
 * multiplicative efficiency budgets (ordered ``(name, fraction)`` stages
-  whose product is the end-to-end detection efficiency), and
+  whose product is the end-to-end detection efficiency),
 * loss-chain extraction of a single coupling efficiency from a measured
   roundtrip transmission with documented corrections, next to the
-  half-angle of the etched fibre taper,
+  half-angle of the etched fibre taper, and
+* the closed forms of single-shot readout under one-way spin flips
+  (:class:`snvsim.photon_budget.ReadoutModel`): the signal count's mean and
+  zero, the threshold-1 fidelity F(k=1) and p_detect refitted to a bright
+  mean, which fig3b's config check and its calibration share,
 
 together with their config builders and the ``table_s1`` and
 ``loss_chain`` scenario runners.  All efficiencies are linear power
@@ -183,6 +187,76 @@ def taper_half_angle_deg(etch_rate_um_min: float, pull_rate_um_min: float) -> fl
     if etch_rate_um_min < 0.0:
         raise ValueError(f"etch rate must be >= 0, got {etch_rate_um_min}")
     return math.degrees(math.atan(etch_rate_um_min / pull_rate_um_min))
+
+
+def mean_signal_counts(p_detect: float, p_flip_bright: float, n_pulses: int) -> float:
+    """Expected signal photons from a bright spin, excluding background.
+
+    The spin survives pulse i bright with probability (1-q)^(i-1), so the
+    mean is p * (1 - (1-q)^n) / q, continuously extended at q = 0.
+
+    The ratio (1 - (1-q)^n) / q is formed first and only then scaled by p.
+    For a subnormal q, 1 - (1-q)^n is itself subnormal and keeps only a few
+    significant bits, and p * (1 - (1-q)^n) can underflow to zero before
+    the divide.  When n*q < 1e-8 the ratio is therefore taken from the
+    alternating binomial series n - C(n,2) q + C(n,3) q^2 - ..., whose
+    first two terms are exact to double precision there (and give n at
+    q = 0).  Otherwise the expm1/log1p form keeps the ratio accurate, where
+    the direct power would round to 1 and cancel to zero.
+    """
+    n, q = n_pulses, p_flip_bright
+    if q == 1.0:
+        return p_detect  # detection precedes the flip, so pulse 1 still counts
+    if n * q < 1e-8:
+        ratio = n - 0.5 * n * (n - 1) * q
+    else:
+        ratio = -math.expm1(n * math.log1p(-q)) / q
+    return p_detect * ratio
+
+
+def zero_signal_probability(p_detect: float, p_flip_bright: float, n_pulses: int) -> float:
+    """Probability a bright spin yields no signal photon in the whole window.
+
+    Conditioning on the pulse after which the spin flips (detection happens
+    before the flip channel on each pulse):
+
+        P(0) = sum_{m=1}^{n-1} q (1-q)^(m-1) (1-p)^m  +  (1-q)^(n-1) (1-p)^n
+
+    With r = (1-q)(1-p) the geometric head is q (1-p) (1 - r^(n-1)) / (1-r).
+    Both differences are formed without cancellation: 1 - r as p + q(1-p)
+    and 1 - r^(n-1) through expm1/log1p.  Forming 1 - r directly rounds to
+    zero once p and q are both below ~1e-16.
+    """
+    p, q, n = p_detect, p_flip_bright, n_pulses
+    if q == 0.0:
+        return (1.0 - p) ** n
+    if p == 0.0:
+        return 1.0
+    if p == 1.0 or q == 1.0:
+        return 1.0 - p  # the first pulse either detects or ends in the dark state
+    log_r_pow = (n - 1) * (math.log1p(-p) + math.log1p(-q))
+    head = q * (1.0 - p) * -math.expm1(log_r_pow) / (p + q * (1.0 - p))
+    return head + math.exp(log_r_pow) * (1.0 - p)
+
+
+def bright_mean_p_detect(
+    mean_bright: float, mean_dark: float, n_pulses: int, p_flip_bright: float
+) -> float:
+    """The p_detect at which a bright spin's mean count, background included, is mean_bright."""
+    return (mean_bright - mean_dark) / mean_signal_counts(1.0, p_flip_bright, n_pulses)
+
+
+def readout_fidelity_k1(
+    p_detect: float, p_flip_bright: float, n_pulses: int, dark_rate: float
+) -> float:
+    """Closed-form F(k=1) of the one-way (bright to dark) flip model.
+
+    P(0 | bright) = P(no signal) * P(no background); P(0 | dark) is the
+    Poisson zero of the background alone.
+    """
+    p_zero_background = math.exp(-dark_rate)
+    p_zero_bright = zero_signal_probability(p_detect, p_flip_bright, n_pulses) * p_zero_background
+    return 0.5 * ((1.0 - p_zero_bright) + p_zero_background)
 
 
 #: Prefix marking ordered efficiency stages in a budget config.

@@ -6,8 +6,8 @@ Two pieces of bookkeeping around detected photons:
   pulse chain, histograms sampled from it, and threshold discrimination, and
 * expected N-photon coincidence counts.
 
-The scalar efficiency budgets and loss chains live in
-:mod:`snvsim.efficiency`, which needs no numpy.
+The scalar budgets, loss chains and readout closed forms (F(k=1) among
+them) live in :mod:`snvsim.efficiency`, which needs no numpy.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .efficiency import bright_mean_p_detect, readout_fidelity_k1
 
 
 @dataclass(frozen=True)
@@ -199,68 +201,15 @@ def optimal_threshold(bright: PhotonHistogram, dark: PhotonHistogram) -> dict[st
     return {"k": best_k, "fidelity": best_f}
 
 
-def mean_signal_counts(p_detect: float, p_flip_bright: float, n_pulses: int) -> float:
-    """Expected signal photons from a bright spin, excluding background.
-
-    The spin survives pulse i bright with probability (1-q)^(i-1), so the
-    mean is p * (1 - (1-q)^n) / q, continuously extended at q = 0.
-
-    The ratio (1 - (1-q)^n) / q is formed first and only then scaled by p.
-    For a subnormal q, 1 - (1-q)^n is itself subnormal and keeps only a few
-    significant bits, and p * (1 - (1-q)^n) can underflow to zero before
-    the divide.  When n*q < 1e-8 the ratio is therefore taken from the
-    alternating binomial series n - C(n,2) q + C(n,3) q^2 - ..., whose
-    first two terms are exact to double precision there (and give n at
-    q = 0).  Otherwise the expm1/log1p form keeps the ratio accurate, where
-    the direct power would round to 1 and cancel to zero.
-    """
-    n, q = n_pulses, p_flip_bright
-    if q == 1.0:
-        return p_detect  # detection precedes the flip, so pulse 1 still counts
-    if n * q < 1e-8:
-        ratio = n - 0.5 * n * (n - 1) * q
-    else:
-        ratio = -math.expm1(n * math.log1p(-q)) / q
-    return p_detect * ratio
-
-
-def zero_signal_probability(p_detect: float, p_flip_bright: float, n_pulses: int) -> float:
-    """Probability a bright spin yields no signal photon in the whole window.
-
-    Conditioning on the pulse after which the spin flips (detection happens
-    before the flip channel on each pulse):
-
-        P(0) = sum_{m=1}^{n-1} q (1-q)^(m-1) (1-p)^m  +  (1-q)^(n-1) (1-p)^n
-
-    With r = (1-q)(1-p) the geometric head is q (1-p) (1 - r^(n-1)) / (1-r).
-    Both differences are formed without cancellation: 1 - r as p + q(1-p)
-    and 1 - r^(n-1) through expm1/log1p.  Forming 1 - r directly rounds to
-    zero once p and q are both below ~1e-16.
-    """
-    p, q, n = p_detect, p_flip_bright, n_pulses
-    if q == 0.0:
-        return (1.0 - p) ** n
-    if p == 0.0:
-        return 1.0
-    if p == 1.0 or q == 1.0:
-        return 1.0 - p  # the first pulse either detects or ends in the dark state
-    log_r_pow = (n - 1) * (math.log1p(-p) + math.log1p(-q))
-    head = q * (1.0 - p) * -math.expm1(log_r_pow) / (p + q * (1.0 - p))
-    return head + math.exp(log_r_pow) * (1.0 - p)
-
-
 def analytic_threshold_fidelity_k1(model: ReadoutModel) -> float:
-    """Closed-form F(k=1) of the one-way (bright to dark) flip model.
+    """Closed-form F(k=1) of ``model``: :func:`snvsim.efficiency.readout_fidelity_k1`."""
+    return readout_fidelity_k1(model.p_detect, model.p_flip_bright, model.n_pulses, model.dark_rate)
 
-    P(0 | bright) = P(no signal) * P(no background); P(0 | dark) is the
-    Poisson zero of the background alone.
-    """
-    p_zero_background = math.exp(-model.dark_rate)
-    p_zero_bright = (
-        zero_signal_probability(model.p_detect, model.p_flip_bright, model.n_pulses)
-        * p_zero_background
-    )
-    return 0.5 * ((1.0 - p_zero_bright) + p_zero_background)
+
+def _bright_mean_model(mean_bright, mean_dark, n_pulses, p_flip_bright) -> ReadoutModel:
+    """The (checked) model at ``p_flip_bright`` whose p_detect is refitted to the bright mean."""
+    p_detect = bright_mean_p_detect(mean_bright, mean_dark, n_pulses, p_flip_bright)
+    return ReadoutModel(p_detect, p_flip_bright, n_pulses, mean_dark)
 
 
 def calibrate_readout_model(
@@ -282,33 +231,19 @@ def calibrate_readout_model(
     """
     if mean_dark < 0.0 or mean_bright <= mean_dark:
         raise ValueError("need mean_bright > mean_dark >= 0")
-    signal_mean = mean_bright - mean_dark
-
-    def p_detect_for(q: float) -> float:
-        return signal_mean / mean_signal_counts(1.0, q, n_pulses)
-
-    def fidelity_error(q: float) -> float:
-        model = ReadoutModel(
-            p_detect=p_detect_for(q),
-            p_flip_bright=q,
-            n_pulses=n_pulses,
-            dark_rate=mean_dark,
-        )
-        return analytic_threshold_fidelity_k1(model) - fidelity_target
-
-    no_flip_error = fidelity_error(0.0)
-    if no_flip_error < 0.0:
+    readout = (mean_bright, mean_dark, n_pulses)
+    flip_free = analytic_threshold_fidelity_k1(_bright_mean_model(*readout, 0.0))
+    if flip_free < fidelity_target:
         raise ValueError(
-            f"target fidelity {fidelity_target} exceeds the flip-free maximum "
-            f"{fidelity_target + no_flip_error:.4f}"
+            f"target fidelity {fidelity_target} exceeds the flip-free maximum {flip_free:.4f}"
         )
-    # Walk q up in steps of 0.01, while p_detect_for(q) is still a valid
+    # Walk q up in steps of 0.01, while its refitted p_detect is still a valid
     # probability, and bisect the first sign change: that is the smallest
     # root unless the fidelity dips below the target and back within a step.
     q_hi = 0.01
-    while fidelity_error(q_hi) > 0.0:
+    while analytic_threshold_fidelity_k1(_bright_mean_model(*readout, q_hi)) > fidelity_target:
         q_next = q_hi + 0.01
-        if q_next >= 1.0 or p_detect_for(q_next) > 1.0:
+        if q_next >= 1.0 or bright_mean_p_detect(*readout, q_next) > 1.0:
             raise ValueError(
                 f"target fidelity {fidelity_target} is not reachable by any flip probability"
             )
@@ -317,17 +252,11 @@ def calibrate_readout_model(
     q_lo = 1e-12
     while q_hi - q_lo > 1e-14:
         q_mid = 0.5 * (q_lo + q_hi)
-        if fidelity_error(q_mid) > 0.0:
+        if analytic_threshold_fidelity_k1(_bright_mean_model(*readout, q_mid)) > fidelity_target:
             q_lo = q_mid
         else:
             q_hi = q_mid
-    q_star = 0.5 * (q_lo + q_hi)
-    return ReadoutModel(
-        p_detect=p_detect_for(q_star),
-        p_flip_bright=q_star,
-        n_pulses=n_pulses,
-        dark_rate=mean_dark,
-    )
+    return _bright_mean_model(*readout, 0.5 * (q_lo + q_hi))
 
 
 def nfold_coincidence_expectation(

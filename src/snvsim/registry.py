@@ -54,7 +54,9 @@ from .config import (
     FRACTION, INPUT_COUPLING, MAX_GRID_POINTS, NON_NEGATIVE, OPEN_FRACTION, POSITIVE, SEED,
     Domain, grid_points,
 )
-from .efficiency import CORRECTION, implied_coupling, loss_chain_from_config
+from .efficiency import (
+    CORRECTION, bright_mean_p_detect, implied_coupling, loss_chain_from_config, readout_fidelity_k1,
+)
 from .units import NUCLEAR_GYROMAGNETIC_HZ_PER_T, TWO_PI
 
 #: Environment variable overriding the default artifact root directory.
@@ -132,13 +134,6 @@ def _outer_lines_on_grid(n, start, step, splitting, slope, span) -> bool:
     """Whether fig2a's outer lines, at +-(H + S |B|) / 2, stay on its grid about zero at
     every field of the sweep; |B| is largest at one of its ends."""
     return splitting + slope * max(abs(start), abs(start + (n - 1) * step)) <= span
-
-
-def _flip_free_fidelity(mean_bright: float, mean_dark: float, n_pulses: int) -> float:
-    """F(k=1) of fig3b's readout without spin flips, as its calibration computes it."""
-    p_detect = (mean_bright - mean_dark) / n_pulses
-    p_zero_background = math.exp(-mean_dark)
-    return 0.5 * ((1.0 - (1.0 - p_detect) ** n_pulses * p_zero_background) + p_zero_background)
 
 
 _LOSS_CHAIN_KEYS = ("measured_roundtrip", "correction_splice", "correction_facet_scattering",
@@ -330,7 +325,8 @@ _SCENARIOS = [
                        lambda bright, dark, n: bright - dark <= n,
                        "satisfy mean_bright - mean_dark <= n_pulses, so that p_detect <= 1"),
             Constraint(("fidelity_target", "mean_bright", "mean_dark", "n_pulses"),
-                       lambda target, *readout: target <= _flip_free_fidelity(*readout),
+                       lambda target, bright, dark, n: target <= readout_fidelity_k1(
+                           bright_mean_p_detect(bright, dark, n, 0.0), 0.0, n, dark),
                        "give a fidelity_target at most the flip-free F(k=1) = (1 + exp(-mean_dark)"
                        " (1 - (1 - p)^n_pulses)) / 2, p = (mean_bright - mean_dark) / n_pulses"),
         ),

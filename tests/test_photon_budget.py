@@ -19,7 +19,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.stats import chi2_contingency, poisson
@@ -36,24 +36,27 @@ from snvsim.efficiency import (
     LossChain,
     LossCorrection,
     apply_loss_chain,
+    bright_mean_p_detect,
     budget_report,
+    mean_signal_counts,
+    readout_fidelity_k1,
     single_pass_from_roundtrip,
     taper_half_angle_deg,
+    zero_signal_probability,
 )
 from snvsim.photon_budget import (
     PhotonHistogram,
     ReadoutModel,
     analytic_threshold_fidelity_k1,
     calibrate_readout_model,
-    mean_signal_counts,
     nfold_coincidence_expectation,
     optimal_threshold,
     poisson_reference_histogram,
     readout_count_pmf,
     simulate_readout,
     threshold_fidelity,
-    zero_signal_probability,
 )
+from snvsim.registry import configured
 
 TABLE_STAGES = [
     ("emitter_to_waveguide", 0.80),
@@ -495,6 +498,39 @@ def test_calibration_rejects_unreachable_targets():
         calibrate_readout_model(1.83, 0.13, 0.87)
     with pytest.raises(ValueError, match="mean_bright"):
         calibrate_readout_model(0.10, 0.13, 0.8)
+
+
+#: The flip-free F(k=1) at the default means: the largest target fig3b's config accepts.
+FLIP_FREE_MAX = readout_fidelity_k1(bright_mean_p_detect(1.83, 0.13, 150, 0.0), 0.0, 150, 0.13)
+
+
+@given(
+    st.floats(min_value=1e-3, max_value=20.0),
+    st.floats(min_value=0.0, max_value=20.0),
+    st.integers(min_value=1, max_value=300),
+    st.floats(min_value=0.5, max_value=1.0, exclude_min=True),
+)
+@example(mean_bright=1.83, mean_dark=0.13, n_pulses=150, fidelity_target=FLIP_FREE_MAX)
+@example(mean_bright=1.83, mean_dark=0.13, n_pulses=150,
+         fidelity_target=math.nextafter(FLIP_FREE_MAX, 1.0))
+def test_fig3b_config_and_calibration_refuse_the_same_flip_free_targets(
+    mean_bright, mean_dark, n_pulses, fidelity_target
+):
+    assume(mean_dark < mean_bright <= mean_dark + n_pulses)  # fig3b's earlier constraints
+    readout = {"mean_bright": mean_bright, "mean_dark": mean_dark, "n_pulses": n_pulses,
+               "fidelity_target": fidelity_target}
+    try:
+        configured("fig3b", readout)
+        config_refuses = False
+    except ValueError as exc:
+        assert "flip-free F(k=1)" in str(exc)
+        config_refuses = True
+    try:
+        calibrate_readout_model(mean_bright, mean_dark, fidelity_target, n_pulses)
+        calibration_refuses = False
+    except ValueError as exc:
+        calibration_refuses = "exceeds the flip-free maximum" in str(exc)
+    assert config_refuses == calibration_refuses
 
 
 # --------------------------------------------------------------------------
