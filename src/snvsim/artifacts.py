@@ -31,8 +31,15 @@ def _fmt_cell(value) -> str:
 
 
 def _fmt_column(column) -> list[str]:
-    """A float array through ``repr`` as a whole, any other column cell by cell."""
+    """A float array through ``repr`` as a whole, any other column cell by cell.
+
+    A float array whose values all equal a nonzero first one (a constant
+    error column, say) takes one ``repr``; -0.0 equals 0.0 and NaN equals
+    nothing, so those take the per-value path.
+    """
     if getattr(getattr(column, "dtype", None), "kind", None) == "f":
+        if len(column) and column[0] != 0 and (column == column[0]).all():
+            return [repr(column[0].item())] * len(column)
         return list(map(repr, column.tolist()))
     return [_fmt_cell(cell) for cell in column]
 

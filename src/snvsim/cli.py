@@ -8,7 +8,8 @@ Subcommands
     target every scenario at its defaults; artifacts land under the output
     root (``--output-dir``, else the SNVSIM_OUTPUT_DIR environment
     variable, else ./snvsim_output), and the summary is printed as JSON
-    (``{name: summary}`` with no target).
+    (``{name: summary}`` with no target).  A file or a link in the way of
+    a scenario's directory exits 2 before any tree is written.
 
 ``snvsim ensemble <name-or-config> --seeds N [key=value ...]``
     Run a scenario at seeds s, s+1, ..., s+N-1 (s is the merged config's
@@ -66,7 +67,7 @@ import snvsim
 
 from . import config as config_mod
 from .efficiency import budget_from_config, budget_report
-from .registry import SCENARIOS, available_scenarios, configured, run_scenario
+from .registry import SCENARIOS, available_scenarios, configured, output_dir, run_scenario
 
 _EXIT_OK = 0
 _EXIT_FIT_FAILED = 1
@@ -90,6 +91,11 @@ def _target_error(target: str, exc: Exception) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.target is None:
+        try:  # every scenario's directory, before any tree is written
+            for name in available_scenarios():
+                output_dir(name, args.output_dir)
+        except ValueError as exc:
+            return _fail(str(exc))
         summaries = {}
         for name in available_scenarios():
             result = run_scenario(name, output_root=args.output_dir)

@@ -570,15 +570,28 @@ def _report(scenario: Scenario, rows: list, index: dict, notes: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def output_dir(name: str, output_root=None) -> Path:
+    """``<root>/<name>``; a ``ValueError`` naming the path if a file stands where it or
+    an ancestor would be made, or it is a symbolic link (which ``shutil.rmtree`` refuses)."""
+    out_dir = Path(output_root or os.environ.get(OUTPUT_DIR_ENV, _DEFAULT_OUTPUT_ROOT)) / name
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.is_symlink() or p.exists())
+    if not existing.is_dir() or existing == out_dir and existing.is_symlink():
+        raise ValueError(f"output directory {str(out_dir)!r} cannot be made: {str(existing)!r} "
+                         f"is {'a symbolic link' if existing.is_symlink() else 'not a directory'}")
+    return out_dir
+
+
 def run_scenario(target: str, overrides: dict | None = None, output_root=None) -> ScenarioResult:
     """Run one scenario by name or config-file path, then write its artifact tree.
 
     ``overrides`` are already-parsed config values (the CLI passes its
     ``key=value`` pairs through :func:`snvsim.config.parse_overrides`).
-    Nothing is written until the runner has returned; then
-    ``<root>/<name>/`` is replaced as a whole.
+    An output directory that cannot be made (:func:`output_dir`) is refused
+    before the runner runs.  Nothing is written until the runner has
+    returned; then ``<root>/<name>/`` is replaced as a whole.
     """
     scenario, cfg, values = configured(target, overrides)
+    out_dir = output_dir(scenario.name, output_root)
     rows, artifacts, notes = scenario.run(values)
     index = {key: name for key, (name, _) in artifacts.items()}
     summary = {
@@ -591,8 +604,6 @@ def run_scenario(target: str, overrides: dict | None = None, output_root=None) -
         "all_pass": all(row["pass"] for row in rows),
     }
 
-    root = Path(output_root or os.environ.get(OUTPUT_DIR_ENV, _DEFAULT_OUTPUT_ROOT))
-    out_dir = root / scenario.name
     shutil.rmtree(out_dir, ignore_errors=True)
     out_dir.mkdir(parents=True)
     try:

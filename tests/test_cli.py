@@ -388,6 +388,35 @@ def test_output_dir_env_var_and_flag_precedence(capsys, tmp_path, monkeypatch):
     assert not (env_root / "fig3c" / "coincidences.csv").read_text() == ""  # env run untouched
 
 
+@pytest.mark.parametrize("target", [["table_s1"], []], ids=["table_s1", "every scenario"])
+@pytest.mark.parametrize(
+    "blocked, via", [("", "flag"), ("", "env"), ("table_s1", "flag"), ("table_s1", "link")],
+    ids=["root by flag", "root by env", "scenario directory", "scenario directory a link"],
+)
+def test_a_file_or_link_in_the_way_of_the_output_directory_exits_2_naming_it(
+    capsys, tmp_path, monkeypatch, target, blocked, via
+):
+    root, elsewhere = tmp_path / "out", tmp_path / "elsewhere"
+    blocker = root / blocked
+    blocker.parent.mkdir(exist_ok=True)
+    if via == "link":  # a link to a directory, which the tree would replace
+        elsewhere.mkdir()
+        blocker.symlink_to(elsewhere, target_is_directory=True)
+    else:
+        blocker.write_text("")
+    argv = ["run", *target]
+    if via == "env":
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(root))
+    else:
+        argv += ["--output-dir", str(root)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out == ""
+    error = _strict_json(err)
+    assert list(error) == ["error"] and repr(str(blocker)) in error["error"]
+    made = {root, blocker} | ({elsewhere} if via == "link" else set())
+    assert set(tmp_path.rglob("*")) == made  # nothing written
+
+
 # --------------------------------------------------------------------------
 # run with no target, ensemble
 # --------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy import stats
 
-from snvsim.artifacts import _fmt_cell, write_csv
+from snvsim.artifacts import _fmt_cell, _fmt_column, write_csv
 from snvsim.config import MAX_GRID_POINTS
 from snvsim.fitting import fit, lorentzian_sum, make_lorentzian_multi
 from snvsim.registry import configured
@@ -346,7 +346,8 @@ def _row_wise_csv(header, columns) -> bytes:
 def _column(kind, n_rows):
     floats = st.floats() | st.sampled_from(EDGE_FLOATS)
     if kind == "float64":
-        return st.lists(floats, min_size=n_rows, max_size=n_rows).map(np.array)
+        constant = floats.map(lambda v: np.full(n_rows, v))
+        return st.lists(floats, min_size=n_rows, max_size=n_rows).map(np.array) | constant
     if kind == "float32":
         return st.lists(st.floats(width=32), min_size=n_rows, max_size=n_rows).map(
             lambda v: np.array(v, dtype=np.float32)
@@ -380,6 +381,19 @@ def test_edge_floats_render_as_their_repr(tmp_path):
     write_csv(tmp_path / "edge.csv", ["v"], [np.array(EDGE_FLOATS)])
     lines = (tmp_path / "edge.csv").read_text().splitlines()
     assert lines == ["v", "-0.0", "5e-324", "1.7976931348623157e+308", "nan", "inf", "-inf"]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize(
+    "values",
+    [[1 / 15] * 481, [2.5], [], [-0.0, 0.0], [0.0, -0.0, 0.0], [-0.0] * 3, [math.nan] * 3,
+     [1.5, math.nan], [math.inf] * 2, [1.5, 1.5, 2.5]],
+    ids=["constant", "one", "empty", "-0 then 0", "0 then -0", "all -0", "all nan",
+         "then nan", "all inf", "not constant"],
+)
+def test_a_float_column_renders_as_the_repr_of_each_value(values, dtype):
+    column = np.array(values, dtype=dtype)
+    assert _fmt_column(column) == [repr(value) for value in column.tolist()]
 
 
 def test_numpy_and_python_booleans_render_alike():
